@@ -3,9 +3,9 @@
 One command chains dataset generation, library enumeration, embedding fit,
 the risk-budget sweep of LP solves, and Monte-Carlo validation of each
 solved policy on the true stochastic system, then writes a summary table.
-Every artifact embeds the config digest and master seed, so rerunning with
-unchanged inputs reuses the cached files and reproduces outputs byte for
-byte.
+Every artifact records a digest of the inputs it was built from, so a
+rerun rebuilds exactly the stages whose inputs changed, reuses the rest, and
+reproduces every output byte for byte.
 
 The same pipeline is available as `kernelcc experiment --config ...` from
 a shell.

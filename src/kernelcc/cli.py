@@ -1,9 +1,10 @@
 """Command-line front end: generate, solve, validate, experiment.
 
 Every command reads one JSON run-configuration file and writes artifacts
-into an output directory. Artifacts embed the relevant config digest and
-seed, and equal digests and seeds always reproduce byte-identical files,
-so reruns can skip stages whose outputs are already present and current.
+into an output directory. Each artifact records a key computed from the
+config sections it depends on and the keys of the artifacts it was built
+from. ``experiment`` rebuilds a stage exactly when its key changes, so a
+rerun reuses what is current and reproduces every file byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible solve, 4 IO
 error.
@@ -31,9 +32,9 @@ from .data import (
     save_dataset,
     save_library,
 )
-from .embedding import EmbeddingModel, FitError, fit
+from .embedding import FitError, fit
 from .policy import MixedPolicy, run_monte_carlo, trajectories_to_csv
-from .serialize import canonical_json
+from .serialize import canonical_json, digest_of, file_digest
 from .solver import assemble, solve_lp, with_threshold
 
 EXIT_OK = 0
@@ -41,7 +42,7 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
-POLICY_FORMAT_VERSION = 1
+POLICY_FORMAT_VERSION = 2
 
 
 class PolicyFileError(ValueError):
@@ -51,6 +52,10 @@ class PolicyFileError(ValueError):
 def _delta_tag(delta: float) -> str:
     """Filename fragment for a risk level, e.g. 0.05 -> "0.05"."""
     return repr(float(delta))
+
+
+def _delta_path(out: Path, stem: str, delta: float, suffix: str = "json") -> Path:
+    return out / f"{stem}_delta_{_delta_tag(delta)}.{suffix}"
 
 
 def _write_json(path: Path, obj) -> None:
@@ -72,33 +77,69 @@ def _read_json(path: Path) -> dict:
     return obj
 
 
-def _resolve_deltas(cfg: RunConfig, delta_override: float | None) -> tuple[float, ...]:
-    if delta_override is None:
-        return cfg.deltas
-    if not (0.0 < delta_override < 1.0):
-        raise ConfigError(f"--delta must lie in (0,1), got {delta_override}")
-    return (float(delta_override),)
+def _recorded_key(artifact):
+    """The key an artifact carries: its JSONL header fields or inputs digest."""
+    if isinstance(artifact, Dataset):
+        return [artifact.config_digest, artifact.master_seed]
+    if isinstance(artifact, ControlLibrary):
+        return artifact.config_digest
+    return artifact.get("inputs_digest")
+
+
+def _current(path: Path, load, key):
+    """The artifact at path if it loads and records ``key``, else None.
+
+    The one rule for every stage: a key covers the config sections the stage
+    reads and the keys of the artifacts it was built from, so an artifact is
+    reused exactly when none of its inputs changed.
+    """
+    if not path.exists():
+        return None
+    try:
+        artifact = load(path)
+    except (DataLoadError, PolicyFileError):
+        return None
+    return artifact if _recorded_key(artifact) == key else None
+
+
+def _policy_key(cfg: RunConfig, ds: Dataset, lib: ControlLibrary, delta) -> str:
+    # the library's config key stands in for its content digest, which is
+    # too slow to recompute on every rerun; the scenario carries delta
+    return digest_of(
+        {
+            "format_version": POLICY_FORMAT_VERSION,
+            "dataset": _recorded_key(ds),
+            "library": _recorded_key(lib),
+            "kernels": [cfg.state_kernel, cfg.control_kernel],
+            "regularization": cfg.regularization,
+            "scenario": cfg.scenario_for(delta),
+            "x0": cfg.initial_state,
+        }
+    )
+
+
+def _report_key(cfg: RunConfig, policy_path: Path, delta, x0, seed: int) -> str:
+    model = cfg.model
+    return digest_of(
+        {
+            "policy": file_digest(policy_path),
+            "system": [model.dt, model.prior, model.disturbance],
+            "scenario": cfg.scenario_for(delta),
+            "x0": x0,
+            "seed": seed,
+            "trials": cfg.trials,
+        }
+    )
 
 
 def cmd_generate(cfg: RunConfig, out: Path) -> tuple[Dataset, ControlLibrary]:
-    """Produce dataset.jsonl and library.jsonl, reusing current cached files."""
+    """Produce dataset.jsonl and library.jsonl, reusing current ones."""
     ds_path = out / "dataset.jsonl"
     lib_path = out / "library.jsonl"
-
-    ds = None
-    if ds_path.exists():
-        try:
-            cand = load_dataset(ds_path)
-        except DataLoadError:
-            cand = None
-        if (
-            cand is not None
-            and cand.config_digest == cfg.dataset_digest
-            and cand.master_seed == cfg.master_seed
-        ):
-            ds = cand
-            print(f"dataset: cached ({ds.num_samples} samples, seed {ds.master_seed})")
-    if ds is None:
+    ds = _current(ds_path, load_dataset, [cfg.dataset_digest, cfg.master_seed])
+    if ds is not None:
+        print(f"dataset: cached ({ds.num_samples} samples, seed {ds.master_seed})")
+    else:
         ds = generate_dataset(
             cfg.dataset, cfg.model, cfg.master_seed, digest=cfg.dataset_digest
         )
@@ -107,17 +148,10 @@ def cmd_generate(cfg: RunConfig, out: Path) -> tuple[Dataset, ControlLibrary]:
             f"dataset: {ds.num_samples} samples, horizon {ds.horizon}, "
             f"seed {ds.master_seed} -> {ds_path}"
         )
-
-    lib = None
-    if lib_path.exists():
-        try:
-            cand = load_library(lib_path)
-        except DataLoadError:
-            cand = None
-        if cand is not None and cand.config_digest == cfg.library_digest:
-            lib = cand
-            print(f"library: cached ({lib.num_sequences} sequences)")
-    if lib is None:
+    lib = _current(lib_path, load_library, cfg.library_digest)
+    if lib is not None:
+        print(f"library: cached ({lib.num_sequences} sequences)")
+    else:
         lib = generate_library(
             cfg.library, cfg.model, cfg.nominal_params, digest=cfg.library_digest
         )
@@ -129,80 +163,67 @@ def cmd_generate(cfg: RunConfig, out: Path) -> tuple[Dataset, ControlLibrary]:
     return ds, lib
 
 
-def _load_inputs(cfg: RunConfig, out: Path) -> tuple[Dataset, ControlLibrary]:
-    ds = load_dataset(out / "dataset.jsonl")
-    lib = load_library(out / "library.jsonl")
-    return ds, lib
-
-
-def _policy_record(
-    cfg: RunConfig,
-    lib: ControlLibrary,
-    model: EmbeddingModel,
-    delta: float,
-    x0: np.ndarray,
-    result,
-    diagnostics,
-) -> dict:
-    return {
-        "format_version": POLICY_FORMAT_VERSION,
-        "kind": "policy",
-        "delta": float(delta),
-        "x0": [float(v) for v in x0],
-        "master_seed": cfg.master_seed,
-        "config_digest": cfg.digest,
-        "library_digest": lib.content_digest,
-        "embedding_digest": model.digest,
-        "solve": result.to_dict(),
-        "safety_estimates": {
-            "threshold": 1.0 - float(delta),
-            "min": diagnostics.min_value,
-            "max": diagnostics.max_value,
-            "num_below_zero": diagnostics.num_below_zero,
-            "num_above_one": diagnostics.num_above_one,
-        },
-    }
-
-
-def cmd_solve(
-    cfg: RunConfig,
-    out: Path,
-    delta_override: float | None = None,
-    x0_override: np.ndarray | None = None,
-) -> int:
-    """Fit the embedding and solve the LP for each risk level; write policies."""
-    ds, lib = _load_inputs(cfg, out)
+def _solve(cfg: RunConfig, out: Path, ds, lib, deltas) -> dict[float, dict]:
+    """Fit, solve the LP for each risk level, write and return the policies."""
     model = fit(ds, cfg.state_kernel, cfg.control_kernel, cfg.regularization)
-    x0 = cfg.initial_state if x0_override is None else np.asarray(x0_override, float)
-    deltas = _resolve_deltas(cfg, delta_override)
     # one kernel solve covers the whole sweep; only the threshold changes
-    base = assemble(model, cfg.scenario_for(deltas[0]), lib, x0)
-    any_infeasible = False
+    base = assemble(model, cfg.scenario_for(deltas[0]), lib, cfg.initial_state)
+    policies = {}
     for delta in deltas:
         inst = with_threshold(base, delta)
         result = solve_lp(inst)
-        path = out / f"policy_delta_{_delta_tag(delta)}.json"
-        _write_json(
-            path, _policy_record(cfg, lib, model, delta, x0, result, inst.diagnostics)
-        )
+        diagnostics = inst.diagnostics
+        # only what the inputs digest fixes, so a reused policy and a fresh
+        # one are the same bytes
+        policies[delta] = {
+            "format_version": POLICY_FORMAT_VERSION,
+            "kind": "policy",
+            "delta": float(delta),
+            "x0": [float(v) for v in cfg.initial_state],
+            "master_seed": ds.master_seed,
+            "library_digest": lib.content_digest,
+            "embedding_digest": model.digest,
+            "inputs_digest": _policy_key(cfg, ds, lib, delta),
+            "solve": result.to_dict(),
+            "safety_estimates": {
+                "threshold": inst.threshold,
+                "min": diagnostics.min_value,
+                "max": diagnostics.max_value,
+                "num_below_zero": diagnostics.num_below_zero,
+                "num_above_one": diagnostics.num_above_one,
+            },
+        }
+        path = _delta_path(out, "policy", delta)
+        _write_json(path, policies[delta])
         if result.status == "optimal":
             print(
                 f"delta={delta}: objective {result.objective:.6f}, "
                 f"support {list(result.support)}, safety estimates in "
-                f"[{inst.diagnostics.min_value:.4f}, {inst.diagnostics.max_value:.4f}]"
+                f"[{diagnostics.min_value:.4f}, {diagnostics.max_value:.4f}]"
                 f" -> {path}"
             )
         else:
-            any_infeasible = True
             print(
                 f"delta={delta}: {result.status} (no estimate reaches "
                 f"{inst.threshold:.4f}) -> {path}"
             )
-    return EXIT_INFEASIBLE if any_infeasible else EXIT_OK
+    return policies
+
+
+def _exit_code(policies) -> int:
+    optimal = all(p["solve"]["status"] == "optimal" for p in policies)
+    return EXIT_OK if optimal else EXIT_INFEASIBLE
+
+
+def cmd_solve(cfg: RunConfig, out: Path) -> int:
+    """Fit the embedding and solve the LP for each risk level; write policies."""
+    ds = load_dataset(out / "dataset.jsonl")
+    lib = load_library(out / "library.jsonl")
+    return _exit_code(_solve(cfg, out, ds, lib, cfg.deltas).values())
 
 
 def _policy_from_record(record: dict, lib: ControlLibrary, path: Path) -> MixedPolicy:
-    for key in ("delta", "x0", "solve", "library_digest"):
+    for key in ("delta", "x0", "solve", "library_digest", "master_seed"):
         if key not in record:
             raise PolicyFileError(f"{path}: policy file missing field {key!r}")
     if record.get("format_version") != POLICY_FORMAT_VERSION:
@@ -242,8 +263,8 @@ def cmd_validate(
     policy_path: Path,
     x0_override: np.ndarray | None = None,
     seed_override: int | None = None,
-) -> int:
-    """Monte-Carlo validate a saved policy; write a report and trajectory CSV."""
+) -> dict:
+    """Monte-Carlo validate a saved policy; write and return its report."""
     lib = load_library(out / "library.jsonl")
     record = _read_json(policy_path)
     policy = _policy_from_record(record, lib, policy_path)
@@ -251,54 +272,41 @@ def cmd_validate(
     x0 = policy.x0 if x0_override is None else np.asarray(x0_override, float)
     seed = cfg.mc_seed if seed_override is None else int(seed_override)
     report = run_monte_carlo(policy, cfg.model, sc, x0, cfg.trials, seed)
-    tag = _delta_tag(policy.delta)
-    report_path = out / f"report_delta_{tag}.json"
+    report_path = _delta_path(out, "report", policy.delta)
+    # the seed and library recorded are the policy's, fixed by the inputs
+    # digest like everything else here
     record_out = {
         "kind": "report",
         "delta": policy.delta,
         "x0": [float(v) for v in x0],
-        "config_digest": cfg.digest,
-        "master_seed": cfg.master_seed,
-        "library_digest": lib.content_digest,
+        "master_seed": record["master_seed"],
+        "library_digest": record["library_digest"],
         "objective": record["solve"].get("objective"),
+        "inputs_digest": _report_key(cfg, policy_path, policy.delta, x0, seed),
         "report": report.to_dict(),
     }
     _write_json(report_path, record_out)
-    csv_path = out / f"trajectories_delta_{tag}.csv"
-    trajectories_to_csv(report, csv_path)
+    trajectories_to_csv(report, _delta_path(out, "trajectories", policy.delta, "csv"))
     print(
         f"delta={policy.delta}: success rate {report.success_rate:.4f} "
         f"({report.successes}/{report.trials}), Wilson 95% "
         f"[{report.wilson_low:.4f}, {report.wilson_high:.4f}] -> {report_path}"
     )
-    return EXIT_OK
+    return record_out
 
 
-def _summary_rows(cfg: RunConfig, out: Path, deltas) -> list[dict]:
-    rows = []
-    for delta in deltas:
-        tag = _delta_tag(delta)
-        policy = _read_json(out / f"policy_delta_{tag}.json")
-        row = {
-            "delta": float(delta),
-            "status": policy["solve"]["status"],
-            "objective": policy["solve"]["objective"],
-            "success_rate": None,
-            "wilson_low": None,
-            "wilson_high": None,
-            "trials": None,
-        }
-        report_path = out / f"report_delta_{tag}.json"
-        if report_path.exists():
-            report = _read_json(report_path)["report"]
-            row.update(
-                success_rate=report["success_rate"],
-                wilson_low=report["wilson_95"][0],
-                wilson_high=report["wilson_95"][1],
-                trials=report["trials"],
-            )
-        rows.append(row)
-    return rows
+def _summary_row(delta: float, policy: dict, report: dict | None) -> dict:
+    """One summary line; the Monte-Carlo cells stay empty without a report."""
+    mc = report["report"] if report is not None else {"wilson_95": [None, None]}
+    return {
+        "delta": float(delta),
+        "status": policy["solve"]["status"],
+        "objective": policy["solve"]["objective"],
+        "success_rate": mc.get("success_rate"),
+        "wilson_low": mc["wilson_95"][0],
+        "wilson_high": mc["wilson_95"][1],
+        "trials": mc.get("trials"),
+    }
 
 
 def _write_summary(cfg: RunConfig, out: Path, rows: list[dict]) -> None:
@@ -311,93 +319,46 @@ def _write_summary(cfg: RunConfig, out: Path, rows: list[dict]) -> None:
             "rows": rows,
         },
     )
-    columns = [
-        "delta",
-        "status",
-        "objective",
-        "success_rate",
-        "wilson_low",
-        "wilson_high",
-        "trials",
-    ]
     def cell(value) -> str:
         if value is None:
             return ""
         # repr keeps floats round-trip exact; strings stay bare
         return value if isinstance(value, str) else repr(value)
 
-    lines = [",".join(columns)]
+    # the CSV columns follow the key order of a summary row
+    lines = [",".join(rows[0])]
     for row in rows:
-        lines.append(",".join(cell(row[c]) for c in columns))
+        lines.append(",".join(cell(value) for value in row.values()))
     (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _current_json(path: Path, cfg: RunConfig) -> dict | None:
-    """The parsed file if it exists and carries the current config digest."""
-    if not path.exists():
-        return None
-    try:
-        record = _read_json(path)
-    except PolicyFileError:
-        return None
-    if record.get("config_digest") != cfg.digest:
-        return None
-    if record.get("master_seed") != cfg.master_seed:
-        return None
-    return record
-
-
-def cmd_experiment(
-    cfg: RunConfig,
-    out: Path,
-    delta_override: float | None = None,
-    x0_override: np.ndarray | None = None,
-) -> int:
-    """Run generate, solve per risk level, validate per risk level, summarize."""
+def cmd_experiment(cfg: RunConfig, out: Path) -> int:
+    """Generate, solve, validate and summarize, rebuilding only stale stages."""
     ds, lib = cmd_generate(cfg, out)
-    model = None
-    x0 = cfg.initial_state if x0_override is None else np.asarray(x0_override, float)
-    deltas = _resolve_deltas(cfg, delta_override)
-    base = None
-    any_infeasible = False
-    for delta in deltas:
-        tag = _delta_tag(delta)
-        policy_path = out / f"policy_delta_{tag}.json"
-        cached = _current_json(policy_path, cfg)
-        if cached is not None and cached.get("x0") == [float(v) for v in x0]:
+    policies = {}
+    for delta in cfg.deltas:
+        key = _policy_key(cfg, ds, lib, delta)
+        policies[delta] = _current(_delta_path(out, "policy", delta), _read_json, key)
+        if policies[delta] is not None:
             print(f"delta={delta}: cached policy")
-        else:
-            if model is None:
-                model = fit(ds, cfg.state_kernel, cfg.control_kernel, cfg.regularization)
-                base = assemble(model, cfg.scenario_for(delta), lib, x0)
-            inst = with_threshold(base, delta)
-            result = solve_lp(inst)
-            _write_json(
-                policy_path,
-                _policy_record(cfg, lib, model, delta, x0, result, inst.diagnostics),
-            )
-            if result.status == "optimal":
-                print(
-                    f"delta={delta}: objective {result.objective:.6f}, "
-                    f"support {list(result.support)}"
-                )
+    stale = [delta for delta in cfg.deltas if policies[delta] is None]
+    if stale:
+        policies.update(_solve(cfg, out, ds, lib, stale))
+    rows = []
+    for delta in cfg.deltas:
+        report = None
+        if policies[delta]["solve"]["status"] == "optimal":
+            policy_path = _delta_path(out, "policy", delta)
+            key = _report_key(cfg, policy_path, delta, cfg.initial_state, cfg.mc_seed)
+            report = _current(_delta_path(out, "report", delta), _read_json, key)
+            if report is not None:
+                print(f"delta={delta}: cached report")
             else:
-                any_infeasible = True
-                print(f"delta={delta}: {result.status}")
-                continue
-        record = _read_json(policy_path)
-        if record["solve"]["status"] != "optimal":
-            any_infeasible = True
-            continue
-        report_path = out / f"report_delta_{tag}.json"
-        if _current_json(report_path, cfg) is not None:
-            print(f"delta={delta}: cached report")
-            continue
-        cmd_validate(cfg, out, policy_path)
-    rows = _summary_rows(cfg, out, deltas)
+                report = cmd_validate(cfg, out, policy_path)
+        rows.append(_summary_row(delta, policies[delta], report))
     _write_summary(cfg, out, rows)
     print(f"summary -> {out / 'summary.csv'}")
-    return EXIT_INFEASIBLE if any_infeasible else EXIT_OK
+    return _exit_code(policies.values())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,45 +406,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_seed_override(cfg: RunConfig, seed: int | None) -> RunConfig:
-    if seed is None:
-        return cfg
-    return dataclasses.replace(cfg, master_seed=int(seed))
+def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+    """The config with --seed, --delta and --x0 in place of its own values."""
+    changes = {}
+    if args.seed is not None:
+        changes["master_seed"] = int(args.seed)
+    if getattr(args, "delta", None) is not None:
+        if not (0.0 < args.delta < 1.0):
+            raise ConfigError(f"--delta must lie in (0,1), got {args.delta}")
+        changes["deltas"] = (float(args.delta),)
+    if getattr(args, "x0", None) is not None:
+        changes["initial_state"] = np.asarray(args.x0, float)
+    return dataclasses.replace(cfg, **changes)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if getattr(args, "seed", None) is not None and args.command != "validate":
-            cfg = _apply_seed_override(cfg, args.seed)
         out = Path(args.out_dir) if args.out_dir else Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
+        if args.command == "validate":
+            # validate's --seed and --x0 override the Monte-Carlo run only
+            cmd_validate(cfg, out, Path(args.policy), args.x0, args.seed)
+            return EXIT_OK
+        cfg = _apply_overrides(cfg, args)
         if args.command == "generate":
             cmd_generate(cfg, out)
             return EXIT_OK
         if args.command == "solve":
-            return cmd_solve(cfg, out, args.delta, args.x0)
-        if args.command == "validate":
-            return cmd_validate(
-                cfg, out, Path(args.policy), args.x0, args.seed
-            )
-        if args.command == "experiment":
-            return cmd_experiment(cfg, out, args.delta, args.x0)
-        raise AssertionError(f"unhandled command {args.command!r}")
+            return cmd_solve(cfg, out)
+        return cmd_experiment(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PolicyFileError as exc:
+    except (PolicyFileError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataLoadError as exc:
-        print(f"IO error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (DataLoadError, OSError) as exc:
         print(f"IO error: {exc}", file=sys.stderr)
         return EXIT_IO
 

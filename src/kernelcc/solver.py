@@ -57,6 +57,13 @@ class LPInstance:
         safety = np.asarray(self.safety_row, dtype=float)
         if cost.ndim != 1 or cost.shape != safety.shape:
             raise ValueError("cost and safety rows must be 1-d of equal length")
+        for name, row in (("cost", cost), ("safety", safety)):
+            bad = np.flatnonzero(~np.isfinite(row))
+            if bad.size:
+                raise ValueError(
+                    f"{name} row has a non-finite value {row[bad[0]]} "
+                    f"at index {bad[0]}"
+                )
         if not (0.0 < self.threshold < 1.0):
             raise ValueError(f"threshold must lie in (0,1), got {self.threshold}")
         object.__setattr__(self, "cost_row", cost)

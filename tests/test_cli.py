@@ -138,6 +138,106 @@ class TestExperiment:
         ).read_bytes()
 
 
+# an initial state at which small_raw's policy moves off the support [2, 3]
+# it has at the origin, onto [0, 2]
+X0_MOVED = ["-0.08", "0.0", "-0.04", "0.0"]
+
+
+def moved_x0_reaches_report(out):
+    policy = json.loads((out / "policy_delta_0.3.json").read_text())
+    report = json.loads((out / "report_delta_0.3.json").read_text())
+    assert policy["solve"]["support"] == [0, 2]
+    assert report["x0"] == policy["x0"] == [float(v) for v in X0_MOVED]
+    assert set(report["report"]["trial_indices"]) <= {0, 2}
+
+
+def monte_carlo_cells_empty(out):
+    row = (out / "summary.csv").read_text().splitlines()[1]
+    assert row.split(",") == ["0.3", "infeasible", "", "", "", "", ""]
+
+
+# (history, final command, extra check): each history leaves artifacts that
+# the final command must not reuse, because one of their inputs changed
+STALE_HISTORIES = {
+    "x0_override": (
+        [(small_raw(), ["experiment"])],
+        (small_raw(), ["experiment", "--x0", *X0_MOVED]),
+        moved_x0_reaches_report,
+    ),
+    "validate_seed": (
+        [
+            (small_raw(), ["generate"]),
+            (small_raw(), ["solve"]),
+            (small_raw(), ["validate", "--policy", "{out}/policy_delta_0.3.json",
+                           "--seed", "123"]),
+        ],
+        (small_raw(), ["experiment"]),
+        None,
+    ),
+    "now_infeasible": (
+        [(small_raw(), ["experiment"])],
+        (small_raw(regularization=1e3), ["experiment"]),
+        monte_carlo_cells_empty,
+    ),
+    "solve_seed_then_experiment_seed": (
+        [(small_raw(), ["generate"]), (small_raw(), ["solve", "--seed", "6"])],
+        (small_raw(), ["experiment", "--seed", "6"]),
+        None,
+    ),
+}
+
+
+def run_step(tmp_path, raw, argv, out):
+    cfg = write_config(tmp_path, raw)
+    args = [a.format(out=out) for a in argv[1:]]
+    return main([argv[0], "--config", str(cfg), "--out-dir", str(out), *args])
+
+
+def mtimes(out, pattern):
+    return {p.name: p.stat().st_mtime_ns for p in sorted(out.glob(pattern))}
+
+
+class TestStageReuse:
+    @pytest.mark.parametrize(
+        "history, final, check",
+        STALE_HISTORIES.values(),
+        ids=STALE_HISTORIES.keys(),
+    )
+    def test_reused_directory_matches_fresh_run(self, tmp_path, history, final, check):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        for raw, argv in history:
+            run_step(tmp_path, raw, argv, reused)
+        assert run_step(tmp_path, *final, reused) == run_step(tmp_path, *final, fresh)
+        written = sorted(p.name for p in fresh.iterdir())
+        assert "summary.csv" in written and "dataset.jsonl" in written
+        for name in written:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+        if check is not None:
+            check(reused)
+
+    def test_trials_change_revalidates_without_resolving(self, tmp_path):
+        out = tmp_path / "out"
+        run_step(tmp_path, small_raw(deltas=(0.3, 0.4)), ["experiment"], out)
+        policies = mtimes(out, "policy_delta_*.json")
+        run_step(tmp_path, small_raw(deltas=(0.3, 0.4), trials=31), ["experiment"], out)
+        assert mtimes(out, "policy_delta_*.json") == policies
+        for tag in ("0.3", "0.4"):
+            report = json.loads((out / f"report_delta_{tag}.json").read_text())
+            assert report["report"]["trials"] == 31
+
+    def test_added_delta_leaves_existing_stages(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_step(tmp_path, small_raw(deltas=(0.3,)), ["experiment"], out)
+        before = mtimes(out, "*_delta_0.3.*")
+        capsys.readouterr()
+        run_step(tmp_path, small_raw(deltas=(0.3, 0.4)), ["experiment"], out)
+        text = capsys.readouterr().out
+        assert "delta=0.3: cached policy" in text
+        assert "delta=0.3: cached report" in text
+        assert mtimes(out, "*_delta_0.3.*") == before
+        assert (out / "report_delta_0.4.json").exists()
+
+
 class TestGenerate:
     def test_writes_headers_with_seed_and_digest(self, tmp_path):
         cfg = write_config(tmp_path, small_raw())

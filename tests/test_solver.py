@@ -68,6 +68,18 @@ class TestSolveLp:
         assert result.objective == pytest.approx(1.0)
         assert result.support == (0,)
 
+    @pytest.mark.parametrize(
+        "cost, safety, message",
+        [
+            ([1.0, 2.0, np.nan], [0.5, 1.0, 1.0], "cost row .* nan at index 2"),
+            ([1.0, np.inf, 3.0], [0.5, 1.0, 1.0], "cost row .* inf at index 1"),
+            ([1.0, 2.0, 3.0], [np.nan, 1.0, -np.inf], "safety row .* nan at index 0"),
+        ],
+    )
+    def test_non_finite_rows_rejected(self, cost, safety, message):
+        with pytest.raises(ValueError, match=message):
+            make_instance(cost, safety, delta=0.2)
+
     def test_infeasible(self):
         inst = make_instance([1.0], [0.5], delta=0.1)
         result = solve_lp(inst)
