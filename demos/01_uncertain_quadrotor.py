@@ -19,12 +19,25 @@ from kernelcc.systems import (
 )
 
 
-def spread(model, x0, controls, trials, seed):
-    finals = np.empty((trials, 2))
+def flights(model, x0, controls, trials, seed):
+    """Final states of independent flights replaying one control sequence."""
+    params = np.empty((trials, 2))
+    noise = np.empty((trials, len(controls), 4))
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        traj = rollout(model, x0, controls, rng)
-        finals[t] = traj[-1, [0, 2]]
+        params[t], noise[t] = model.draw_realization(rng, len(controls))
+    _, states, _ = rollout(
+        model,
+        np.tile(x0, (trials, 1)),
+        np.tile(controls, (trials, 1, 1)),
+        params,
+        noise,
+    )
+    return states
+
+
+def spread(model, x0, controls, trials, seed):
+    finals = flights(model, x0, controls, trials, seed)[:, -1, [0, 2]]
     return finals.mean(axis=0), finals.std(axis=0)
 
 

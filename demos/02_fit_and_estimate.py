@@ -27,11 +27,21 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "experiment.json"
 
 
 def true_rate(model, sc, x0, controls, trials, seed):
-    hits = 0
+    """Share of independent flights replaying controls that meet every
+    constraint; a diverged flight counts as a failure."""
+    params = np.empty((trials, 2))
+    noise = np.empty((trials, len(controls), 4))
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        hits += indicator_T(sc, rollout(model, x0, controls, rng))
-    return hits / trials
+        params[t], noise[t] = model.draw_realization(rng, len(controls))
+    _, states, diverged = rollout(
+        model,
+        np.tile(x0, (trials, 1)),
+        np.tile(controls, (trials, 1, 1)),
+        params,
+        noise,
+    )
+    return np.mean((diverged == 0) & (indicator_T(sc, states) == 1))
 
 
 def main():

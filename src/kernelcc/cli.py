@@ -203,6 +203,10 @@ def _solve(cfg: RunConfig, out: Path, ds, lib, deltas) -> dict[float, dict]:
                 f" -> {path}"
             )
         else:
+            # Monte-Carlo files of an earlier feasible solve describe a
+            # policy that no longer exists, and none will replace them
+            _delta_path(out, "report", delta).unlink(missing_ok=True)
+            _delta_path(out, "trajectories", delta, "csv").unlink(missing_ok=True)
             print(
                 f"delta={delta}: {result.status} (no estimate reaches "
                 f"{inst.threshold:.4f}) -> {path}"

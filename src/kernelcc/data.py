@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .serialize import canonical_json, digest_of
-from .systems import QuadrotorParams, SystemModel, rollout
+from .systems import PlanarQuadrotor, QuadrotorParams, rollout
 
 FORMAT_VERSION = 1
 
@@ -254,94 +254,68 @@ class ControlLibrary:
     def control_dim(self) -> int:
         return self.sequences.shape[2]
 
-    def flattened(self) -> np.ndarray:
-        """Sequences flattened time-major to (P, N*m)."""
-        return self.sequences.reshape(self.num_sequences, -1)
-
     @property
     def content_digest(self) -> str:
         """Digest of the sequence array, for cross-checking saved policies."""
         return digest_of(self.sequences)
 
 
-def _feedback_simulation(
-    model: SystemModel,
-    x0: np.ndarray,
-    leading_controls: np.ndarray,
-    gain: np.ndarray,
-    target: np.ndarray,
-    horizon: int,
-    params,
-    rng: np.random.Generator | None,
-) -> np.ndarray:
-    """Simulate with given leading controls then the feedback law; return controls.
-
-    With rng None the simulation is noiseless (used for library construction).
-    """
-    x = np.asarray(x0, dtype=float)
-    controls = np.empty((horizon, model.control_dim))
-    zero_w = np.zeros(model.state_dim)
-    for t in range(horizon):
-        if t < leading_controls.shape[0]:
-            u = leading_controls[t]
-        else:
-            u = gain @ (x - target)
-        controls[t] = u
-        w = model.sample_disturbance(rng) if rng is not None else zero_w
-        x = model.step(x, u, w, params)
-        if not np.all(np.isfinite(x)):
-            raise _Divergence(t + 1)
-    return controls
-
-
-class _Divergence(Exception):
-    def __init__(self, step: int):
-        self.step = step
+def _raise_first_divergence(diverged: np.ndarray) -> None:
+    """Raise for the lowest sample whose simulation diverged (step > 0)."""
+    failed = np.flatnonzero(diverged)
+    if failed.size:
+        raise DatasetGenerationError(int(failed[0]), int(diverged[failed[0]]))
 
 
 def generate_dataset(
-    cfg: DatasetGenConfig, model: SystemModel, master_seed: int, digest: str | None = None
+    cfg: DatasetGenConfig, model: PlanarQuadrotor, master_seed: int, digest: str | None = None
 ) -> Dataset:
     """Generate the i.i.d. training dataset.
 
     Each sample uses an independent random stream derived from
-    (master_seed, sample index), so generation order never matters.
+    (master_seed, sample index), so generation order never matters. All
+    samples are then simulated together, once with the feedback law to fix
+    their control sequences and once more to replay those controls.
     """
-    n, m = model.state_dim, model.control_dim
+    m = model.control_dim
     big_m, big_n = cfg.num_samples, cfg.horizon
-    x0s = np.empty((big_m, n))
-    controls = np.empty((big_m, big_n, m))
-    trajectories = np.empty((big_m, big_n, n))
+    x0s = np.empty((big_m, model.state_dim))
+    leading = np.empty((big_m, cfg.num_random_steps, m))
+    tail_params = np.empty((big_m, 2))
+    tail_noise = np.zeros((big_m, big_n, model.state_dim))
+    params = np.empty((big_m, 2))
+    noise = np.empty((big_m, big_n, model.state_dim))
     nominal = cfg.tail_params == "nominal"
+    if nominal:
+        mean = model.mean_params()
+        tail_params[:] = (mean.mass, mean.drag)
     for i in range(big_m):
         rng = np.random.default_rng(np.random.SeedSequence((master_seed, i)))
-        x0 = rng.uniform(cfg.x0_low, cfg.x0_high)
-        leading = rng.uniform(
+        x0s[i] = rng.uniform(cfg.x0_low, cfg.x0_high)
+        leading[i] = rng.uniform(
             cfg.control_low, cfg.control_high, size=(cfg.num_random_steps, m)
         )
-        if nominal:
-            params, tail_rng = model.mean_params(), None
-        else:
-            params, tail_rng = model.sample_params(rng), rng
-        try:
-            u = _feedback_simulation(
-                model,
-                x0,
-                leading,
-                cfg.feedback_gain,
-                cfg.target,
-                big_n,
-                params,
-                tail_rng,
-            )
-            # independent re-simulation of the frozen controls gives an
-            # unbiased draw from the trajectory law given (x0, u)
-            traj = rollout(model, x0, u, rng)
-        except _Divergence as exc:
-            raise DatasetGenerationError(i, exc.step) from None
-        x0s[i] = x0
-        controls[i] = u
-        trajectories[i] = traj
+        if not nominal:
+            tail_params[i], tail_noise[i] = model.draw_realization(rng, big_n)
+        # the independent realization that replays the frozen controls gives
+        # an unbiased draw from the trajectory law given (x0, u)
+        params[i], noise[i] = model.draw_realization(rng, big_n)
+    controls, _, tail_diverged = rollout(
+        model, x0s, leading, tail_params, tail_noise, cfg.feedback_gain, cfg.target
+    )
+    # samples from the first feedback divergence on cannot be replayed
+    failed = np.flatnonzero(tail_diverged)
+    replayed = failed[0] if failed.size else big_m
+    _, trajectories, diverged = rollout(
+        model,
+        x0s[:replayed],
+        controls[:replayed],
+        params[:replayed],
+        noise[:replayed],
+    )
+    # every replayed sample comes before the first feedback divergence
+    _raise_first_divergence(diverged)
+    _raise_first_divergence(tail_diverged)
     return Dataset(
         initial_states=x0s,
         controls=controls,
@@ -360,7 +334,7 @@ def _grid_values(low, high, count: int) -> np.ndarray:
 
 def generate_library(
     cfg: LibraryGenConfig,
-    model: SystemModel,
+    model: PlanarQuadrotor,
     nominal_params: QuadrotorParams,
     digest: str | None = None,
 ) -> ControlLibrary:
@@ -396,21 +370,16 @@ def generate_library(
             axis=-1,
         ).reshape(-1, cfg.num_random_steps)
         leading_choices = step_grid[idx]
-    sequences = np.empty((total, cfg.horizon, m))
-    for j in range(total):
-        try:
-            sequences[j] = _feedback_simulation(
-                model,
-                cfg.initial_state,
-                leading_choices[j],
-                cfg.feedback_gain,
-                cfg.target,
-                cfg.horizon,
-                nominal_params,
-                rng=None,
-            )
-        except _Divergence as exc:
-            raise DatasetGenerationError(j, exc.step) from None
+    sequences, _, diverged = rollout(
+        model,
+        np.tile(cfg.initial_state, (total, 1)),
+        leading_choices,
+        np.tile((nominal_params.mass, nominal_params.drag), (total, 1)),
+        np.zeros((total, cfg.horizon, model.state_dim)),
+        cfg.feedback_gain,
+        cfg.target,
+    )
+    _raise_first_divergence(diverged)
     return ControlLibrary(
         sequences=sequences,
         master_seed=0,

@@ -14,17 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ControlLibrary, Dataset
+from .data import Dataset
 from .kernels import (
     FactorizationError,
     KernelSpec,
     SpdFactor,
-    cross_vector,
     gram_product,
     kernel_matrix,
     resolve_bandwidth,
     spd_factor,
-    spd_solve,
 )
 from .serialize import digest_of
 
@@ -42,10 +40,6 @@ class EmbeddingModel:
     ku: KernelSpec
     lam: float
     factor: SpdFactor
-
-    @property
-    def num_samples(self) -> int:
-        return self.dataset.num_samples
 
     @property
     def horizon(self) -> int:
@@ -75,22 +69,6 @@ class EmbeddingModel:
                 "lam": self.lam,
             }
         )
-
-    def _flatten_query_controls(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 2:
-            if u.shape != (self.horizon, self.control_dim):
-                raise ValueError(
-                    f"control sequence must have shape ({self.horizon}, "
-                    f"{self.control_dim}), got {u.shape}"
-                )
-            u = u.ravel()
-        if u.shape != (self.horizon * self.control_dim,):
-            raise ValueError(
-                f"flattened controls must have length "
-                f"{self.horizon * self.control_dim}, got {u.shape}"
-            )
-        return u
 
 
 def fit(ds: Dataset, kx: KernelSpec, ku: KernelSpec, lam: float) -> EmbeddingModel:
@@ -122,50 +100,27 @@ def fit(ds: Dataset, kx: KernelSpec, ku: KernelSpec, lam: float) -> EmbeddingMod
     return EmbeddingModel(dataset=ds, kx=kx, ku=ku, lam=float(lam), factor=factor)
 
 
-def coefficient_vector(model: EmbeddingModel, x0, u) -> np.ndarray:
-    """Solve (G + lam*M*I) beta = k(query) for one query pair (x0, u)."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.dataset.state_dim,):
-        raise ValueError(
-            f"x0 must have shape ({model.dataset.state_dim},), got {x0.shape}"
-        )
-    flat_u = model._flatten_query_controls(u)
-    k = cross_vector(
-        model.initial_states, model.flat_controls, model.kx, model.ku, x0, flat_u
-    )
-    return spd_solve(model.factor, k)
+def cross_matrix(model: EmbeddingModel, x0, controls) -> np.ndarray:
+    """Cross-kernel matrix of the dataset against P query control sequences.
 
-
-def estimate_expectation(model: EmbeddingModel, gvals, x0, u) -> float:
-    """Estimate E[g(X) | x0, u] as gvals @ coefficient_vector.
-
-    ``gvals`` holds g evaluated at each of the M training trajectories.
-    """
-    gvals = np.asarray(gvals, dtype=float)
-    if gvals.shape != (model.num_samples,):
-        raise ValueError(
-            f"gvals must have length {model.num_samples}, got {gvals.shape}"
-        )
-    return float(gvals @ coefficient_vector(model, x0, u))
-
-
-def cross_matrix(model: EmbeddingModel, x0, library: ControlLibrary) -> np.ndarray:
-    """Cross-kernel matrix of the dataset against every library sequence.
-
-    Column j holds the cross-kernel vector for the query (x0, library
-    sequence j); shape (M, P).
+    ``controls`` has shape (P, N, m). Column j holds the cross-kernel vector
+    for the query (x0, controls[j]); shape (M, P). Solving the fitted system
+    against it, ``spd_solve(model.factor, cross_matrix(...))``, gives the
+    embedding weights of every query; a single query is a batch of one.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.dataset.state_dim,):
         raise ValueError(
             f"x0 must have shape ({model.dataset.state_dim},), got {x0.shape}"
         )
-    if library.horizon != model.horizon or library.control_dim != model.control_dim:
+    controls = np.asarray(controls, dtype=float)
+    if controls.shape[1:] != (model.horizon, model.control_dim):
         raise ValueError(
-            f"library sequences have shape ({library.horizon}, "
-            f"{library.control_dim}); model expects ({model.horizon}, "
-            f"{model.control_dim})"
+            f"control sequences must have shape (P, {model.horizon}, "
+            f"{model.control_dim}), got {controls.shape}"
         )
     kx_col = kernel_matrix(model.kx, model.initial_states, x0.reshape(1, -1))[:, 0]
-    ku_block = kernel_matrix(model.ku, model.flat_controls, library.flattened())
+    ku_block = kernel_matrix(
+        model.ku, model.flat_controls, controls.reshape(controls.shape[0], -1)
+    )
     return kx_col[:, None] * ku_block

@@ -97,16 +97,6 @@ def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
     )
 
 
-def eval_kernel(spec: KernelSpec, a, b) -> float:
-    """Evaluate k(a, b) = exp(-sigma * ||a - b||^2) for one pair of vectors."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(np.exp(-spec.resolved * np.dot(diff, diff)))
-
-
 def kernel_matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
     """Pairwise kernel evaluations between two point sets (rows of each array)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -136,26 +126,6 @@ def gram_product(initial_states, controls, kx: KernelSpec, ku: KernelSpec) -> np
     g = 0.5 * (g + g.T)
     np.fill_diagonal(g, 1.0)
     return g
-
-
-def cross_vector(
-    initial_states, controls, kx: KernelSpec, ku: KernelSpec, query_x0, query_u
-) -> np.ndarray:
-    """Kernel evaluations of every sample against one query point.
-
-    Entry i is k_x(x0_i, query_x0) * k_u(u_i, query_u).
-    """
-    x0 = np.atleast_2d(np.asarray(initial_states, dtype=float))
-    u = np.atleast_2d(np.asarray(controls, dtype=float))
-    if x0.shape[0] != u.shape[0]:
-        raise ValueError(
-            f"length mismatch: {x0.shape[0]} initial states, {u.shape[0]} controls"
-        )
-    qx = np.asarray(query_x0, dtype=float).reshape(1, -1)
-    qu = np.asarray(query_u, dtype=float).reshape(1, -1)
-    kxv = kernel_matrix(kx, x0, qx)[:, 0]
-    kuv = kernel_matrix(ku, u, qu)[:, 0]
-    return kxv * kuv
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import ControlLibrary
 from .scenario import Scenario, indicator_T
-from .systems import SimulationDivergenceError, SystemModel, rollout
+from .systems import PlanarQuadrotor, rollout
 
 # two-sided 95% normal quantile used for the Wilson interval
 _Z95 = 1.959963984540054
@@ -49,6 +49,7 @@ class MixedPolicy:
         object.__setattr__(self, "x0", x0)
         # cumulative weights drive inverse-CDF sampling; cache once
         object.__setattr__(self, "_cumulative", np.cumsum(w))
+        object.__setattr__(self, "_last_drawable", int(np.flatnonzero(w > 0.0)[-1]))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -63,8 +64,9 @@ def sample_control(policy: MixedPolicy, rng: np.random.Generator):
     """
     u = rng.random()
     index = int(np.searchsorted(policy._cumulative, u, side="right"))
-    # guard against u falling beyond the last cumulative value by rounding
-    index = min(index, policy.library.num_sequences - 1)
+    # the weights may sum to slightly less than 1, so u can fall beyond the
+    # last cumulative value; that draw belongs to the last positive weight
+    index = min(index, policy._last_drawable)
     return index, policy.library.sequences[index]
 
 
@@ -119,7 +121,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 def run_monte_carlo(
     policy: MixedPolicy,
-    model: SystemModel,
+    model: PlanarQuadrotor,
     sc: Scenario,
     x0,
     trials: int,
@@ -128,30 +130,33 @@ def run_monte_carlo(
 ) -> MonteCarloReport:
     """Validate a policy by repeated simulation on the true system.
 
-    Each trial draws a control sequence from the policy, rolls it out, and
-    evaluates the scenario indicator. A diverging simulation counts as a
-    failure and never aborts the run. Trajectories are retained for plotting
-    up to ``max_kept_trajectories``; diverged trials record NaN states.
+    Each trial draws a control sequence from the policy and a realization of
+    the system from its own stream; all trials are then rolled out together
+    and checked against the scenario indicator. A diverging simulation counts
+    as a failure and never aborts the run. Trajectories are retained for
+    plotting up to ``max_kept_trajectories``; diverged trials record NaN
+    states.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     x0 = np.asarray(x0, dtype=float)
     horizon = policy.library.horizon
-    kept = min(trials, max_kept_trajectories)
     indices = np.empty(trials, dtype=int)
-    feasible = np.zeros(trials, dtype=bool)
-    trajectories = np.full((kept, horizon, model.state_dim), np.nan)
+    params = np.empty((trials, 2))
+    noise = np.empty((trials, horizon, model.state_dim))
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        index, controls = sample_control(policy, rng)
-        indices[t] = index
-        try:
-            traj = rollout(model, x0, controls, rng)
-        except SimulationDivergenceError:
-            continue
-        feasible[t] = indicator_T(sc, traj) == 1
-        if t < kept:
-            trajectories[t] = traj
+        indices[t], _ = sample_control(policy, rng)
+        params[t], noise[t] = model.draw_realization(rng, horizon)
+    _, states, diverged = rollout(
+        model,
+        np.tile(x0, (trials, 1)),
+        policy.library.sequences[indices],
+        params,
+        noise,
+    )
+    states[diverged > 0] = np.nan
+    feasible = (diverged == 0) & (indicator_T(sc, states) == 1)
     successes = int(feasible.sum())
     rate = successes / trials
     low, high = wilson_interval(successes, trials)
@@ -165,7 +170,7 @@ def run_monte_carlo(
         seed=int(seed),
         indices=indices,
         feasible=feasible,
-        trajectories=trajectories,
+        trajectories=states[:max_kept_trajectories],
     )
 
 

@@ -30,9 +30,10 @@ class GoalSet:
             raise ValueError(f"goal radius must be positive, got {self.radius}")
         object.__setattr__(self, "center", center)
 
-    def contains(self, position) -> bool:
-        p = np.asarray(position, dtype=float)
-        return bool(np.linalg.norm(p - self.center) <= self.radius)
+    def contains(self, positions) -> np.ndarray:
+        """Closed membership of each position, shape (..., 2) -> (...)."""
+        p = np.asarray(positions, dtype=float)
+        return np.linalg.norm(p - self.center, axis=-1) <= self.radius
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,11 @@ class Obstacle:
         offsets = np.array([xmax, -xmin, ymax, -ymin], dtype=float)
         return Obstacle(normals, offsets, active_steps)
 
-    def contains(self, position) -> bool:
-        """Closed membership: True when every halfspace inequality holds."""
-        p = np.asarray(position, dtype=float)
-        return bool(np.all(self.normals @ p <= self.offsets))
+    def contains(self, positions) -> np.ndarray:
+        """Closed membership of each position, shape (..., 2) -> (...): True
+        when every halfspace inequality holds."""
+        p = np.asarray(positions, dtype=float)
+        return np.all(p @ self.normals.T <= self.offsets, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -146,85 +148,40 @@ class Scenario:
                 )
 
 
-def _positions(sc: Scenario, traj: np.ndarray) -> np.ndarray:
-    traj = np.asarray(traj, dtype=float)
-    if traj.ndim != 2 or traj.shape[0] != sc.horizon:
+def _check_stack(sc: Scenario, stack, what: str) -> np.ndarray:
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != sc.horizon:
         raise ValueError(
-            f"trajectory must have shape ({sc.horizon}, n), got {traj.shape}"
+            f"expected {what} of shape (M, {sc.horizon}, .), got {stack.shape}"
         )
-    return traj[:, list(sc.goal.position_indices)]
+    return stack
 
 
-def indicator_T(sc: Scenario, traj) -> int:
-    """1 when the trajectory satisfies every constraint, else 0.
+def indicator_T(sc: Scenario, trajs) -> np.ndarray:
+    """1.0 for each trajectory that satisfies every constraint, else 0.0.
 
-    The trajectory rows are the states after each step (x_1, ..., x_N).
+    ``trajs`` has shape (M, N, n); the rows of a trajectory are the states
+    after each step (x_1, ..., x_N).
     """
-    pos = _positions(sc, traj)
-    if not sc.goal.contains(pos[-1]):
-        return 0
+    trajs = _check_stack(sc, trajs, "trajectories")
+    pos = trajs[:, :, list(sc.goal.position_indices)]
+    ok = sc.goal.contains(pos[:, -1, :])
     for obs in sc.obstacles:
         first, last = obs.active_steps
         # rows are 1-based steps: step t is row t-1
-        for t in range(first, last + 1):
-            if obs.contains(pos[t - 1]):
-                return 0
-    return 1
-
-
-def indicator_many(sc: Scenario, trajs) -> np.ndarray:
-    """Vectorized indicator over a stack of trajectories, shape (M, N, n)."""
-    trajs = np.asarray(trajs, dtype=float)
-    if trajs.ndim != 3 or trajs.shape[1] != sc.horizon:
-        raise ValueError(
-            f"expected trajectories of shape (M, {sc.horizon}, n), got {trajs.shape}"
-        )
-    pos = trajs[:, :, list(sc.goal.position_indices)]
-    ok = np.linalg.norm(pos[:, -1, :] - sc.goal.center, axis=1) <= sc.goal.radius
-    for obs in sc.obstacles:
-        first, last = obs.active_steps
-        active = pos[:, first - 1 : last, :]
-        inside = np.all(
-            active @ obs.normals.T <= obs.offsets[None, None, :], axis=2
-        )
-        ok &= ~np.any(inside, axis=1)
+        ok &= ~np.any(obs.contains(pos[:, first - 1 : last, :]), axis=1)
     return ok.astype(float)
 
 
-def state_cost(sc: Scenario, traj) -> float:
-    """Weighted squared distance of positions to the goal center."""
-    pos = _positions(sc, traj)
-    w = sc.costs.resolved_state_weights(sc.horizon)
-    return float(np.sum(w * np.sum((pos - sc.goal.center) ** 2, axis=1)))
-
-
-def state_cost_many(sc: Scenario, trajs) -> np.ndarray:
-    """Vectorized state cost over a stack of trajectories, shape (M, N, n)."""
-    trajs = np.asarray(trajs, dtype=float)
-    if trajs.ndim != 3 or trajs.shape[1] != sc.horizon:
-        raise ValueError(
-            f"expected trajectories of shape (M, {sc.horizon}, n), got {trajs.shape}"
-        )
+def state_cost(sc: Scenario, trajs) -> np.ndarray:
+    """Weighted squared distance of positions to the goal center, per trajectory."""
+    trajs = _check_stack(sc, trajs, "trajectories")
     pos = trajs[:, :, list(sc.goal.position_indices)]
     w = sc.costs.resolved_state_weights(sc.horizon)
     return np.sum(w[None, :] * np.sum((pos - sc.goal.center) ** 2, axis=2), axis=1)
 
 
-def control_cost(sc: Scenario, controls) -> float:
-    """Quadratic control effort: weight times the summed squared norms."""
-    u = np.asarray(controls, dtype=float)
-    if u.ndim != 2 or u.shape[0] != sc.horizon:
-        raise ValueError(
-            f"controls must have shape ({sc.horizon}, m), got {u.shape}"
-        )
-    return float(sc.costs.control_weight * np.sum(u * u))
-
-
-def control_cost_many(sc: Scenario, control_stack) -> np.ndarray:
-    """Vectorized control cost over a stack of sequences, shape (P, N, m)."""
-    u = np.asarray(control_stack, dtype=float)
-    if u.ndim != 3 or u.shape[1] != sc.horizon:
-        raise ValueError(
-            f"expected control sequences of shape (P, {sc.horizon}, m), got {u.shape}"
-        )
+def control_cost(sc: Scenario, control_stack) -> np.ndarray:
+    """Quadratic control effort per sequence: weight times the summed squared norms."""
+    u = _check_stack(sc, control_stack, "control sequences")
     return sc.costs.control_weight * np.sum(u * u, axis=(1, 2))

@@ -22,12 +22,7 @@ import numpy as np
 from .data import ControlLibrary
 from .embedding import EmbeddingModel, cross_matrix
 from .kernels import spd_solve
-from .scenario import (
-    Scenario,
-    control_cost_many,
-    indicator_many,
-    state_cost_many,
-)
+from .scenario import Scenario, control_cost, indicator_T, state_cost
 
 # near-ties in objective are resolved by support order, so solves reproduce
 TIE_TOLERANCE = 1e-12
@@ -118,11 +113,11 @@ def assemble(
             f"scenario horizon {sc.horizon} does not match model horizon "
             f"{model.horizon}"
         )
-    coeff_matrix = spd_solve(model.factor, cross_matrix(model, x0, lib))
+    coeff_matrix = spd_solve(model.factor, cross_matrix(model, x0, lib.sequences))
     trajectories = model.dataset.trajectories
-    state_vals = state_cost_many(sc, trajectories)
-    indicator_vals = indicator_many(sc, trajectories)
-    cost_row = state_vals @ coeff_matrix + control_cost_many(sc, lib.sequences)
+    state_vals = state_cost(sc, trajectories)
+    indicator_vals = indicator_T(sc, trajectories)
+    cost_row = state_vals @ coeff_matrix + control_cost(sc, lib.sequences)
     safety_row = indicator_vals @ coeff_matrix
     return LPInstance(
         cost_row=cost_row,

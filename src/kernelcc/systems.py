@@ -9,19 +9,10 @@ trajectory (the process is not Markovian in the state alone).
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betaincinv
-
-
-class SimulationDivergenceError(RuntimeError):
-    """Raised when a rollout produces a non-finite state."""
-
-    def __init__(self, step: int):
-        self.step = step
-        super().__init__(f"simulation produced a non-finite state at step {step}")
 
 
 @dataclass(frozen=True)
@@ -113,60 +104,49 @@ class DisturbanceSpec:
         return DisturbanceSpec(np.array([0.001, 0.01, 0.001, 0.01]))
 
 
-def quadrotor_step(x, u, w, params: QuadrotorParams, dt: float = 0.1) -> np.ndarray:
+def quadrotor_step(x, u, w, params, dt: float = 0.1) -> np.ndarray:
     """One step of the planar quadrotor with quadratic velocity drag.
 
     State order is [px, vx, py, vy]. Positions integrate velocity plus half a
     step of the applied acceleration; velocities get dt times the applied
     acceleration. Drag contributes -drag * |v| * v to the acceleration on each
     axis (and the matching half-step term on positions).
+
+    Steps a batch of K states at once: ``x`` (K, 4), ``u`` (K, 2), ``w``
+    (K, 4) and ``params`` (K, 2) of (mass, drag) rows; without the leading
+    axis it steps one state.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    if x.shape != (4,) or u.shape != (2,) or w.shape != (4,):
+    params = np.asarray(params, dtype=float)
+    lead = x.shape[:-1]
+    if (x.shape, u.shape, w.shape, params.shape) != (
+        lead + (4,), lead + (2,), lead + (4,), lead + (2,)
+    ):
         raise ValueError(
-            f"expected shapes (4,), (2,), (4,); got {x.shape}, {u.shape}, {w.shape}"
+            f"expected shapes (..., 4), (..., 2), (..., 4), (..., 2) with one "
+            f"leading shape; got {x.shape}, {u.shape}, {w.shape}, {params.shape}"
         )
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u)) and np.all(np.isfinite(w))):
         raise ValueError("non-finite values in step inputs")
 
-    px, vx, py, vy = x
-    ax = u[0] / params.mass - params.drag * abs(vx) * vx
-    ay = u[1] / params.mass - params.drag * abs(vy) * vy
-    return np.array(
+    px, vx, py, vy = np.moveaxis(x, -1, 0)
+    mass, drag = np.moveaxis(params, -1, 0)
+    ax = u[..., 0] / mass - drag * np.abs(vx) * vx
+    ay = u[..., 1] / mass - drag * np.abs(vy) * vy
+    return np.stack(
         [
-            px + dt * vx + 0.5 * dt * dt * ax + w[0],
-            vx + dt * ax + w[1],
-            py + dt * vy + 0.5 * dt * dt * ay + w[2],
-            vy + dt * ay + w[3],
-        ]
+            px + dt * vx + 0.5 * dt * dt * ax + w[..., 0],
+            vx + dt * ax + w[..., 1],
+            py + dt * vy + 0.5 * dt * dt * ay + w[..., 2],
+            vy + dt * ay + w[..., 3],
+        ],
+        axis=-1,
     )
 
 
-class SystemModel(ABC):
-    """Discrete-time stochastic system: a step rule plus parameter/disturbance samplers.
-
-    The step rule must be deterministic given (x, u, w, params).
-    """
-
-    state_dim: int
-    control_dim: int
-
-    @abstractmethod
-    def step(self, x, u, w, params) -> np.ndarray: ...
-
-    @abstractmethod
-    def sample_params(self, rng: np.random.Generator): ...
-
-    @abstractmethod
-    def mean_params(self): ...
-
-    @abstractmethod
-    def sample_disturbance(self, rng: np.random.Generator) -> np.ndarray: ...
-
-
-class PlanarQuadrotor(SystemModel):
+class PlanarQuadrotor:
     """The uncertain planar quadrotor benchmark system."""
 
     state_dim = 4
@@ -188,50 +168,88 @@ class PlanarQuadrotor(SystemModel):
         if self.disturbance.per_step_std.shape != (4,):
             raise ValueError("disturbance must have 4 coordinates")
 
-    def step(self, x, u, w, params: QuadrotorParams) -> np.ndarray:
-        return quadrotor_step(x, u, w, params, dt=self.dt)
-
-    def sample_params(self, rng: np.random.Generator) -> QuadrotorParams:
-        return sample_params(self.prior, rng)
-
     def mean_params(self) -> QuadrotorParams:
         """Parameters at the prior means, for deterministic nominal simulation."""
         return QuadrotorParams(mass=self.prior.mass.mean, drag=self.prior.drag.mean)
 
-    def sample_disturbance(self, rng: np.random.Generator) -> np.ndarray:
+    def draw_realization(
+        self, rng: np.random.Generator, horizon: int
+    ) -> tuple[tuple[float, float], np.ndarray]:
+        """One trajectory's randomness: its (mass, drag), then the disturbance
+        of each of its ``horizon`` steps, drawn from ``rng`` in that order."""
+        params = sample_params(self.prior, rng)
         # Scaling by a zero std still consumes the same number of draws,
         # so noiseless and noisy configurations share random streams.
         std = self.disturbance.per_step_std
-        return std * rng.standard_normal(std.shape[0])
+        noise = std * rng.standard_normal((horizon, std.shape[0]))
+        return (params.mass, params.drag), noise
 
 
 def rollout(
-    model: SystemModel, x0, controls, rng: np.random.Generator
-) -> np.ndarray:
-    """Simulate one stochastic trajectory under a fixed open-loop control sequence.
+    model: PlanarQuadrotor,
+    x0,
+    leading,
+    params,
+    noise,
+    gain=None,
+    target=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate K trajectories in lockstep.
 
-    Parameters are sampled once per call; disturbances are sampled i.i.d. per
-    step. Returns the states after each step, shape (N, state_dim), i.e.
-    (x_1, ..., x_N).
+    Step t applies ``leading[:, t]`` while t < L and the feedback law
+    ``gain @ (x - target)`` after that, so leading controls that cover the
+    whole horizon replay an open-loop sequence. Each trajectory keeps its own
+    parameters and disturbances, drawn by the caller.
 
-    Raises
-    ------
-    SimulationDivergenceError
-        If any produced state is non-finite, reporting the 1-based step index.
+    Parameters
+    ----------
+    x0 : (K, 4) initial states.
+    leading : (K, L, 2) controls of the first L steps.
+    params : (K, 2) per-trajectory (mass, drag).
+    noise : (K, N, 4) additive disturbance of each step; N is the horizon.
+    gain, target : (2, 4) and (4,) feedback law, needed when L < N.
+
+    Returns
+    -------
+    controls : (K, N, 2) applied controls.
+    states : (K, N, 4) states after each step, (x_1, ..., x_N).
+    diverged : (K,) 1-based step at which a trajectory's state first became
+        non-finite, 0 if it never did. A diverged trajectory is not stepped
+        further; its later controls and states are NaN.
     """
-    x = np.asarray(x0, dtype=float)
-    u = np.asarray(controls, dtype=float)
-    if u.ndim != 2 or u.shape[1] != model.control_dim:
+    x = np.array(x0, dtype=float)
+    leading = np.asarray(leading, dtype=float)
+    params = np.asarray(params, dtype=float)
+    noise = np.asarray(noise, dtype=float)
+    k_count, horizon = noise.shape[:2]
+    if (
+        leading.ndim != 3
+        or leading.shape[0] != k_count
+        or leading.shape[2] != model.control_dim
+        or leading.shape[1] > horizon
+    ):
         raise ValueError(
-            f"controls must have shape (N, {model.control_dim}), got {u.shape}"
+            f"leading controls must have shape ({k_count}, L <= {horizon}, "
+            f"{model.control_dim}), got {leading.shape}"
         )
-    params = model.sample_params(rng)
-    n_steps = u.shape[0]
-    states = np.empty((n_steps, model.state_dim))
-    for t in range(n_steps):
-        w = model.sample_disturbance(rng)
-        x = model.step(x, u[t], w, params)
-        if not np.all(np.isfinite(x)):
-            raise SimulationDivergenceError(t + 1)
-        states[t] = x
-    return states
+    n_lead = leading.shape[1]
+    if n_lead < horizon and (gain is None or target is None):
+        raise ValueError("a feedback gain and target are needed after the leading steps")
+    controls = np.full((k_count, horizon, model.control_dim), np.nan)
+    controls[:, :n_lead] = leading
+    states = np.full((k_count, horizon, model.state_dim), np.nan)
+    diverged = np.zeros(k_count, dtype=int)
+    rows = np.arange(k_count)
+    for t in range(horizon):
+        if t >= n_lead:
+            controls[rows, t] = (x[rows] - target) @ np.asarray(gain).T
+        step = quadrotor_step(
+            x[rows], controls[rows, t], noise[rows, t], params[rows], model.dt
+        )
+        x[rows] = step
+        states[rows, t] = step
+        bad = ~np.all(np.isfinite(step), axis=1)
+        if np.any(bad):
+            diverged[rows[bad]] = t + 1
+            rows = rows[~bad]
+    return controls, states, diverged

@@ -154,6 +154,10 @@ def moved_x0_reaches_report(out):
 def monte_carlo_cells_empty(out):
     row = (out / "summary.csv").read_text().splitlines()[1]
     assert row.split(",") == ["0.3", "infeasible", "", "", "", "", ""]
+    # the earlier feasible run's Monte-Carlo files validated a policy that
+    # no longer exists
+    assert not (out / "report_delta_0.3.json").exists()
+    assert not (out / "trajectories_delta_0.3.csv").exists()
 
 
 # (history, final command, extra check): each history leaves artifacts that

@@ -7,6 +7,7 @@ from kernelcc.data import (
     ControlLibrary,
     DataLoadError,
     Dataset,
+    DatasetGenerationError,
     DatasetGenConfig,
     LibraryGenConfig,
     generate_dataset,
@@ -18,6 +19,7 @@ from kernelcc.data import (
     save_library,
 )
 from kernelcc.systems import (
+    BetaSpec,
     DisturbanceSpec,
     ParamPrior,
     PlanarQuadrotor,
@@ -115,9 +117,7 @@ class TestGenerateDataset:
         for i in range(4):
             x = ds.initial_states[i]
             for t in range(10):
-                x = quadrotor_step(
-                    x, ds.controls[i, t], np.zeros(4), QuadrotorParams(1.1, 0.3)
-                )
+                x = quadrotor_step(x, ds.controls[i, t], np.zeros(4), (1.1, 0.3))
                 np.testing.assert_allclose(ds.trajectories[i, t], x, atol=1e-12)
 
     def test_feedback_section_tracks_target(self):
@@ -138,7 +138,7 @@ class TestGenerateDataset:
         cfg = DatasetGenConfig(num_samples=5, horizon=12, tail_params="nominal")
         model = noisy_model()
         ds = generate_dataset(cfg, model, master_seed=9)
-        mean = model.mean_params()
+        mean = (model.mean_params().mass, model.mean_params().drag)
         for i in range(5):
             x = ds.initial_states[i]
             for t in range(cfg.num_random_steps):
@@ -189,7 +189,7 @@ class TestGenerateLibrary:
     def test_sequences_pairwise_distinct(self):
         cfg = LibraryGenConfig(horizon=8, grid_resolution=(2, 2), num_random_steps=2)
         lib = generate_library(cfg, deterministic_model(), NOMINAL)
-        flat = lib.flattened()
+        flat = lib.sequences.reshape(lib.num_sequences, -1)
         assert lib.num_sequences == 16
         assert len({tuple(row) for row in flat}) == 16
 
@@ -211,6 +211,56 @@ class TestGenerateLibrary:
         cfg = LibraryGenConfig(horizon=10, grid_resolution=(2, 2), num_random_steps=1)
         lib = generate_library(cfg, deterministic_model(), NOMINAL)
         assert np.any(lib.sequences[0, 1:] != lib.sequences[3, 1:])
+
+
+def fragile_model():
+    # a Beta(0.05, 1) mass draws a near-zero mass now and then, and u / mass
+    # then overflows the quadratic drag within a few steps; feedback and
+    # replay draw their masses independently, so either phase can diverge
+    return PlanarQuadrotor(prior=ParamPrior(mass=BetaSpec(0.05, 1.0, 1e-300, 1.0)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+class TestGenerationDivergence:
+    # per-sample phases at seed 0: . F4 . . R6 . F5 . (F feedback, R replay,
+    # number the 1-based step); at seed 2: . . . R6 F6 . F6 .
+    @pytest.mark.parametrize(
+        "model, cfg, seed, index, step",
+        [
+            (fragile_model(), DatasetGenConfig(num_samples=8, horizon=6), 0, 1, 4),
+            (fragile_model(), DatasetGenConfig(num_samples=8, horizon=6), 2, 3, 6),
+            (
+                noisy_model(),
+                DatasetGenConfig(
+                    num_samples=4,
+                    horizon=6,
+                    control_high=np.full(2, 1e200),
+                    tail_params="nominal",
+                ),
+                0,
+                0,
+                2,
+            ),
+        ],
+        ids=["feedback_before_later_replay", "replay_before_later_feedback", "huge_controls"],
+    )
+    def test_dataset_reports_lowest_sample(self, model, cfg, seed, index, step):
+        with pytest.raises(DatasetGenerationError) as exc:
+            generate_dataset(cfg, model, master_seed=seed)
+        assert (exc.value.sample_index, exc.value.step) == (index, step)
+
+    def test_library_reports_lowest_sequence(self):
+        # sequence 0 starts with the zero control and stays finite; sequence 1
+        # leaves a 1e199 velocity whose drag overflows at step 2
+        cfg = LibraryGenConfig(
+            horizon=6,
+            grid_resolution=(2, 2),
+            num_random_steps=1,
+            control_high=np.full(2, 1e200),
+        )
+        with pytest.raises(DatasetGenerationError) as exc:
+            generate_library(cfg, deterministic_model(), NOMINAL)
+        assert (exc.value.sample_index, exc.value.step) == (1, 2)
 
 
 class TestPersistence:

@@ -1,19 +1,36 @@
 """Tests for embedding fit, coefficient solves, and expectation estimates."""
 
+import math
+
 import numpy as np
 import pytest
 
-from kernelcc.data import ControlLibrary, Dataset
-from kernelcc.embedding import (
-    FitError,
-    coefficient_vector,
-    cross_matrix,
-    estimate_expectation,
-    fit,
-)
-from kernelcc.kernels import KernelSpec, cross_vector, gram_product
+from kernelcc.data import Dataset
+from kernelcc.embedding import FitError, cross_matrix, fit
+from kernelcc.kernels import KernelSpec, gram_product, spd_solve
 
 UNIT = KernelSpec(bandwidth=1.0)
+
+
+def query_weights(model, x0, u):
+    """Embedding weights of one query (x0, u), solved as a batch of one."""
+    return spd_solve(model.factor, cross_matrix(model, x0, [u]))[:, 0]
+
+
+def estimate(model, gvals, x0, u):
+    """Estimate of E[g(X) | x0, u] from g at the training trajectories."""
+    return float(np.asarray(gvals) @ query_weights(model, x0, u))
+
+
+def loop_cross_column(model, x0, u):
+    """Plain-loop reference for the product-kernel column of one query."""
+    flat_u = np.ravel(u)
+    column = []
+    for xi, ui in zip(model.initial_states, model.flat_controls):
+        dx = sum((a - b) ** 2 for a, b in zip(xi, x0))
+        du = sum((a - b) ** 2 for a, b in zip(ui, flat_u))
+        column.append(math.exp(-model.kx.resolved * dx) * math.exp(-model.ku.resolved * du))
+    return np.array(column)
 
 
 def make_dataset(m=8, n=4, horizon=5, cdim=2, seed=0, spread=1.0):
@@ -76,13 +93,13 @@ class TestCoefficientVector:
         ds = make_dataset(m=1)
         lam = 0.25
         model = fit(ds, UNIT, UNIT, lam=lam)
-        beta = coefficient_vector(model, ds.initial_states[0], ds.controls[0])
+        beta = query_weights(model, ds.initial_states[0], ds.controls[0])
         assert beta[0] == pytest.approx(1.0 / (1.0 + lam), rel=1e-14)
 
     def test_far_query_gives_zero(self):
         ds = make_dataset(m=3)
         model = fit(ds, KernelSpec(bandwidth=5.0), KernelSpec(bandwidth=5.0), 1e-3)
-        beta = coefficient_vector(
+        beta = query_weights(
             model, np.full(4, 100.0), np.full((5, 2), -100.0)
         )
         np.testing.assert_allclose(beta, 0.0, atol=1e-12)
@@ -94,13 +111,10 @@ class TestCoefficientVector:
         gram = gram_product(ds.initial_states, ds.flattened_controls(), UNIT, UNIT)
         query_x0 = np.zeros(4)
         query_u = np.full((5, 2), 0.5)
-        k = cross_vector(
-            ds.initial_states, ds.flattened_controls(), UNIT, UNIT,
-            query_x0, query_u.ravel(),
-        )
+        k = loop_cross_column(model, query_x0, query_u)
         expected = np.linalg.solve(gram + lam * 3 * np.eye(3), k)
         np.testing.assert_allclose(
-            coefficient_vector(model, query_x0, query_u), expected, rtol=1e-10
+            query_weights(model, query_x0, query_u), expected, rtol=1e-10
         )
 
     def test_near_orthonormal_limit(self):
@@ -110,7 +124,7 @@ class TestCoefficientVector:
         lam = 1e-3
         narrow = KernelSpec(bandwidth=2.0)
         model = fit(ds, narrow, narrow, lam=lam)
-        beta = coefficient_vector(model, ds.initial_states[2], ds.controls[2])
+        beta = query_weights(model, ds.initial_states[2], ds.controls[2])
         expected_peak = 1.0 / (1.0 + lam * 5)
         assert beta[2] == pytest.approx(expected_peak, abs=1e-3)
         others = np.delete(beta, 2)
@@ -120,22 +134,22 @@ class TestCoefficientVector:
         ds = make_dataset()
         model = fit(ds, UNIT, UNIT, 1e-3)
         with pytest.raises(ValueError):
-            coefficient_vector(model, np.zeros(3), ds.controls[0])
+            query_weights(model, np.zeros(3), ds.controls[0])
         with pytest.raises(ValueError):
-            coefficient_vector(model, np.zeros(4), np.zeros((4, 2)))
+            query_weights(model, np.zeros(4), np.zeros((4, 2)))
 
 
 class TestEstimateExpectation:
     def test_zero_gvals(self):
         ds = make_dataset()
         model = fit(ds, UNIT, UNIT, 1e-3)
-        assert estimate_expectation(model, np.zeros(8), np.zeros(4), np.zeros((5, 2))) == 0.0
+        assert estimate(model, np.zeros(8), np.zeros(4), np.zeros((5, 2))) == 0.0
 
     def test_single_sample_scaling(self):
         ds = make_dataset(m=1)
         lam = 0.5
         model = fit(ds, UNIT, UNIT, lam=lam)
-        est = estimate_expectation(
+        est = estimate(
             model, np.array([2.0]), ds.initial_states[0], ds.controls[0]
         )
         assert est == pytest.approx(2.0 / (1.0 + lam), rel=1e-14)
@@ -146,7 +160,7 @@ class TestEstimateExpectation:
         model = fit(ds, narrow, narrow, lam=1e-10)
         gvals = ds.trajectories[:, -1, 0]  # terminal x-position
         for i in range(20):
-            est = estimate_expectation(
+            est = estimate(
                 model, gvals, ds.initial_states[i], ds.controls[i]
             )
             assert est == pytest.approx(gvals[i], abs=1e-3)
@@ -158,8 +172,8 @@ class TestEstimateExpectation:
         g1, g2 = rng.normal(size=(2, 12))
         x0 = rng.normal(size=4)
         u = rng.uniform(0, 1, size=(5, 2))
-        combined = estimate_expectation(model, 2.0 * g1 - 3.0 * g2, x0, u)
-        separate = 2.0 * estimate_expectation(model, g1, x0, u) - 3.0 * estimate_expectation(
+        combined = estimate(model, 2.0 * g1 - 3.0 * g2, x0, u)
+        separate = 2.0 * estimate(model, g1, x0, u) - 3.0 * estimate(
             model, g2, x0, u
         )
         assert combined == pytest.approx(separate, rel=1e-12)
@@ -178,8 +192,8 @@ class TestEstimateExpectation:
         gvals = rng.normal(size=15)
         x0 = rng.normal(size=4)
         u = rng.uniform(0, 1, size=(5, 2))
-        a = estimate_expectation(fit(ds, UNIT, UNIT, 1e-4), gvals, x0, u)
-        b = estimate_expectation(
+        a = estimate(fit(ds, UNIT, UNIT, 1e-4), gvals, x0, u)
+        b = estimate(
             fit(permuted, UNIT, UNIT, 1e-4), gvals[perm], x0, u
         )
         assert a == pytest.approx(b, rel=1e-12)
@@ -191,7 +205,7 @@ class TestEstimateExpectation:
         x0 = ds.initial_states[4]
         u = ds.controls[4]
         magnitudes = [
-            abs(estimate_expectation(fit(ds, UNIT, UNIT, lam), gvals, x0, u))
+            abs(estimate(fit(ds, UNIT, UNIT, lam), gvals, x0, u))
             for lam in (1e-2, 1.0, 1e2)
         ]
         assert magnitudes[0] > magnitudes[1] > magnitudes[2]
@@ -200,44 +214,34 @@ class TestEstimateExpectation:
         ds = make_dataset()
         model = fit(ds, UNIT, UNIT, 1e-3)
         with pytest.raises(ValueError):
-            estimate_expectation(model, np.zeros(7), np.zeros(4), np.zeros((5, 2)))
+            estimate(model, np.zeros(7), np.zeros(4), np.zeros((5, 2)))
 
 
 class TestCrossMatrix:
-    def make_library(self, ds, rows):
-        return ControlLibrary(np.asarray(rows), 0, "lib")
-
     def test_single_column_matches_cross_vector(self):
         ds = make_dataset(m=6)
         model = fit(ds, UNIT, UNIT, 1e-3)
-        lib = self.make_library(ds, ds.controls[2:3])
         x0 = np.zeros(4)
-        col = cross_matrix(model, x0, lib)
-        k = cross_vector(
-            ds.initial_states, ds.flattened_controls(), model.kx, model.ku,
-            x0, ds.controls[2].ravel(),
-        )
+        col = cross_matrix(model, x0, ds.controls[2:3])
+        k = loop_cross_column(model, x0, ds.controls[2])
         assert col.shape == (6, 1)
         np.testing.assert_allclose(col[:, 0], k, rtol=1e-14)
 
     def test_training_pair_gives_unit_entry(self):
         ds = make_dataset(m=6)
         model = fit(ds, UNIT, UNIT, 1e-3)
-        lib = self.make_library(ds, ds.controls[3:4])
-        r = cross_matrix(model, ds.initial_states[3], lib)
+        r = cross_matrix(model, ds.initial_states[3], ds.controls[3:4])
         assert r[3, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_entries_in_unit_interval(self):
         ds = make_dataset(m=6)
         model = fit(ds, UNIT, UNIT, 1e-3)
         rng = np.random.default_rng(0)
-        lib = self.make_library(ds, rng.uniform(0, 1, size=(4, 5, 2)))
-        r = cross_matrix(model, np.zeros(4), lib)
+        r = cross_matrix(model, np.zeros(4), rng.uniform(0, 1, size=(4, 5, 2)))
         assert np.all(r > 0.0) and np.all(r <= 1.0)
 
     def test_horizon_mismatch_rejected(self):
         ds = make_dataset(m=6)
         model = fit(ds, UNIT, UNIT, 1e-3)
-        lib = self.make_library(ds, np.zeros((2, 7, 2)))
         with pytest.raises(ValueError):
-            cross_matrix(model, np.zeros(4), lib)
+            cross_matrix(model, np.zeros(4), np.zeros((2, 7, 2)))

@@ -1,5 +1,7 @@
 """Tests for kernel evaluation, Gram assembly, bandwidth selection, SPD solves."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,6 @@ from kernelcc.kernels import (
     DegenerateDataError,
     FactorizationError,
     KernelSpec,
-    cross_vector,
-    eval_kernel,
     gram_product,
     kernel_matrix,
     median_bandwidth,
@@ -18,6 +18,21 @@ from kernelcc.kernels import (
 )
 
 UNIT = KernelSpec(bandwidth=1.0)
+
+
+def kernel(spec, a, b):
+    """One kernel evaluation, as a 1x1 kernel matrix."""
+    return kernel_matrix(spec, [a], [b])[0, 0]
+
+
+def cross_column(x0, u, kx, ku, query_x0, query_u):
+    """Product-kernel evaluations of every sample against one query."""
+    return kernel_matrix(kx, x0, [query_x0])[:, 0] * kernel_matrix(ku, u, [query_u])[:, 0]
+
+
+def loop_kernel(spec, a, b):
+    """Plain-loop reference for exp(-sigma * ||a - b||^2)."""
+    return math.exp(-spec.resolved * sum((p - q) ** 2 for p, q in zip(a, b)))
 
 
 class TestKernelSpec:
@@ -50,34 +65,34 @@ class TestKernelSpec:
 class TestEvalKernel:
     def test_zero_distance_is_one(self):
         x = np.array([0.3, -1.2, 4.0])
-        assert eval_kernel(UNIT, x, x) == 1.0
+        assert kernel(UNIT, x, x) == 1.0
 
     def test_unit_distance(self):
-        assert eval_kernel(UNIT, [0.0], [1.0]) == pytest.approx(
+        assert kernel(UNIT, [0.0], [1.0]) == pytest.approx(
             0.36787944117144233, abs=1e-15
         )
 
     def test_bandwidth_scales_squared_distance(self):
         # sigma=0.5 at squared distance 2 gives exp(-1) again
         spec = KernelSpec(bandwidth=0.5)
-        assert eval_kernel(spec, [0.0, 0.0], [1.0, 1.0]) == pytest.approx(
+        assert kernel(spec, [0.0, 0.0], [1.0, 1.0]) == pytest.approx(
             np.exp(-1.0), abs=1e-15
         )
 
     def test_symmetric(self):
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=(2, 5))
-        assert eval_kernel(UNIT, a, b) == eval_kernel(UNIT, b, a)
+        assert kernel(UNIT, a, b) == kernel(UNIT, b, a)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            eval_kernel(UNIT, [0.0], [0.0, 1.0])
+            kernel(UNIT, [0.0], [0.0, 1.0])
 
     def test_range(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             a, b = rng.normal(scale=3.0, size=(2, 4))
-            v = eval_kernel(UNIT, a, b)
+            v = kernel(UNIT, a, b)
             assert 0.0 < v <= 1.0
 
 
@@ -141,17 +156,17 @@ class TestCrossVector:
     def test_query_at_sample(self):
         x0 = [[0.0, 0.0], [3.0, 0.0]]
         u = [[1.0], [2.0]]
-        k = cross_vector(x0, u, UNIT, UNIT, [0.0, 0.0], [1.0])
+        k = cross_column(x0, u, UNIT, UNIT, [0.0, 0.0], [1.0])
         assert k[0] == 1.0
         assert k[1] < 1.0
 
     def test_product_value(self):
-        k = cross_vector([[0.0]], [[0.0]], UNIT, UNIT, [1.0], [1.0])
+        k = cross_column([[0.0]], [[0.0]], UNIT, UNIT, [1.0], [1.0])
         assert k[0] == pytest.approx(np.exp(-2.0), rel=1e-14)
 
     def test_far_query_decays(self):
         spec = KernelSpec(bandwidth=10.0)
-        k = cross_vector([[0.0]], [[0.0]], spec, spec, [10.0], [10.0])
+        k = cross_column([[0.0]], [[0.0]], spec, spec, [10.0], [10.0])
         assert k[0] < 1e-10
 
     def test_matches_gram_column(self):
@@ -159,7 +174,7 @@ class TestCrossVector:
         x0 = rng.normal(size=(15, 4))
         u = rng.normal(size=(15, 6))
         g = gram_product(x0, u, UNIT, UNIT)
-        k = cross_vector(x0, u, UNIT, UNIT, x0[4], u[4])
+        k = [loop_kernel(UNIT, x0[i], x0[4]) * loop_kernel(UNIT, u[i], u[4]) for i in range(15)]
         np.testing.assert_allclose(k, g[:, 4], rtol=0.0, atol=1e-12)
 
 

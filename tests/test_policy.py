@@ -97,6 +97,17 @@ class TestSampleControl:
         rng = np.random.default_rng(4)
         assert all(sample_control(policy, rng)[0] == 1 for _ in range(1000))
 
+    def test_draw_above_rounded_total_stays_in_support(self):
+        # the weights sum to 1 - 1e-10, so this uniform lies beyond the last
+        # cumulative weight
+        class Draw:
+            def random(self):
+                return 1.0 - 5e-11
+
+        policy = make_policy([1.0 - 1e-10, 0.0, 0.0])
+        assert policy.support == (0,)
+        assert sample_control(policy, Draw())[0] == 0
+
 
 class TestWilsonInterval:
     def test_half_at_hundred(self):

@@ -1,5 +1,7 @@
 """Tests for goal/obstacle geometry, trajectory indicator, and costs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,7 @@ from kernelcc.scenario import (
     Scenario,
     control_cost,
     indicator_T,
-    indicator_many,
     state_cost,
-    state_cost_many,
 )
 
 
@@ -34,6 +34,35 @@ def straight_traj(n, end_xy, start_xy=(0.0, 0.0)):
     traj[:, 0] = xs
     traj[:, 2] = ys
     return traj
+
+
+def indicator_loop(sc, traj):
+    """Plain-loop reference indicator of one trajectory."""
+    i, j = sc.goal.position_indices
+    dx = traj[-1, i] - sc.goal.center[0]
+    dy = traj[-1, j] - sc.goal.center[1]
+    if math.sqrt(dx * dx + dy * dy) > sc.goal.radius:
+        return 0.0
+    for obs in sc.obstacles:
+        first, last = obs.active_steps
+        for t in range(first, last + 1):
+            px, py = traj[t - 1, i], traj[t - 1, j]
+            if all(
+                a * px + b * py <= c for (a, b), c in zip(obs.normals, obs.offsets)
+            ):
+                return 0.0
+    return 1.0
+
+
+def state_cost_loop(sc, traj):
+    """Plain-loop reference state cost of one trajectory."""
+    i, j = sc.goal.position_indices
+    cx, cy = sc.goal.center
+    weights = sc.costs.resolved_state_weights(sc.horizon)
+    total = 0.0
+    for t in range(sc.horizon):
+        total += weights[t] * ((traj[t, i] - cx) ** 2 + (traj[t, j] - cy) ** 2)
+    return total
 
 
 class TestGoalSet:
@@ -90,28 +119,28 @@ class TestScenario:
 class TestIndicator:
     def test_goal_reached(self):
         sc = make_scenario()
-        assert indicator_T(sc, straight_traj(5, (10.0, 10.0))) == 1
+        assert indicator_T(sc, [straight_traj(5, (10.0, 10.0))])[0] == 1
 
     def test_goal_missed(self):
         sc = make_scenario()
-        assert indicator_T(sc, straight_traj(5, (0.0, 0.0))) == 0
+        assert indicator_T(sc, [straight_traj(5, (0.0, 0.0))])[0] == 0
 
     def test_goal_boundary_counts(self):
         sc = make_scenario()
-        assert indicator_T(sc, straight_traj(5, (10.0, 12.5))) == 1
-        assert indicator_T(sc, straight_traj(5, (10.0, 12.5 + 1e-9))) == 0
+        assert indicator_T(sc, [straight_traj(5, (10.0, 12.5))])[0] == 1
+        assert indicator_T(sc, [straight_traj(5, (10.0, 12.5 + 1e-9))])[0] == 0
 
     def test_obstacle_contact_fails(self):
         box = Obstacle.rectangle(4.0, 6.0, 4.0, 6.0, active_steps=(1, 4))
         sc = make_scenario(n=5, obstacles=(box,))
         # the straight diagonal passes through the box
-        assert indicator_T(sc, straight_traj(5, (10.0, 10.0))) == 0
+        assert indicator_T(sc, [straight_traj(5, (10.0, 10.0))])[0] == 0
 
     def test_obstacle_inactive_step_ignored(self):
         box = Obstacle.rectangle(4.0, 6.0, 4.0, 6.0, active_steps=(1, 1))
         sc = make_scenario(n=5, obstacles=(box,))
         # diagonal positions: (2,2), (4,4), (6,6), (8,8), (10,10); step 1 is (2,2)
-        assert indicator_T(sc, straight_traj(5, (10.0, 10.0))) == 1
+        assert indicator_T(sc, [straight_traj(5, (10.0, 10.0))])[0] == 1
 
     def test_velocity_invariance(self):
         sc = make_scenario()
@@ -119,7 +148,7 @@ class TestIndicator:
         noisy = traj.copy()
         noisy[:, 1] = 100.0
         noisy[:, 3] = -50.0
-        assert indicator_T(sc, traj) == indicator_T(sc, noisy)
+        assert indicator_T(sc, [traj])[0] == indicator_T(sc, [noisy])[0]
 
     def test_removing_obstacle_monotone(self):
         box = Obstacle.rectangle(4.0, 6.0, 4.0, 6.0, active_steps=(1, 4))
@@ -128,20 +157,20 @@ class TestIndicator:
         rng = np.random.default_rng(0)
         for _ in range(100):
             traj = rng.uniform(-1, 12, size=(5, 4))
-            assert indicator_T(without, traj) >= indicator_T(with_box, traj)
+            assert indicator_T(without, [traj])[0] >= indicator_T(with_box, [traj])[0]
 
     def test_length_mismatch(self):
         sc = make_scenario(n=5)
         with pytest.raises(ValueError):
-            indicator_T(sc, np.zeros((4, 4)))
+            indicator_T(sc, np.zeros((1, 4, 4)))
 
     def test_vectorized_matches_scalar(self):
         box = Obstacle.rectangle(3.0, 7.0, 2.0, 8.0, active_steps=(2, 4))
         sc = make_scenario(n=5, obstacles=(box,))
         rng = np.random.default_rng(1)
         trajs = rng.uniform(-2, 13, size=(200, 5, 4))
-        batch = indicator_many(sc, trajs)
-        scalar = np.array([indicator_T(sc, t) for t in trajs], dtype=float)
+        batch = indicator_T(sc, trajs)
+        scalar = np.array([indicator_loop(sc, t) for t in trajs])
         np.testing.assert_array_equal(batch, scalar)
 
 
@@ -149,45 +178,45 @@ class TestCosts:
     def test_at_goal_center_zero(self):
         sc = make_scenario()
         traj = straight_traj(5, (10.0, 10.0), start_xy=(10.0, 10.0))
-        assert state_cost(sc, traj) == 0.0
+        assert state_cost(sc, [traj])[0] == 0.0
 
     def test_terminal_only_default(self):
         sc = make_scenario()
         traj = straight_traj(5, (10.0, 7.0))  # terminal distance 3
-        assert state_cost(sc, traj) == pytest.approx(9.0, rel=1e-12)
+        assert state_cost(sc, [traj])[0] == pytest.approx(9.0, rel=1e-12)
 
     def test_uniform_weights(self):
         costs = CostSpec(state_weights=np.ones(5))
         sc = make_scenario(costs=costs)
         traj = straight_traj(5, (10.0, 10.0), start_xy=(10.0, 10.0))
         traj[0, 0] = 13.0  # one step displaced by 3 in x
-        assert state_cost(sc, traj) == pytest.approx(9.0, rel=1e-12)
+        assert state_cost(sc, [traj])[0] == pytest.approx(9.0, rel=1e-12)
 
     def test_zero_controls(self):
         sc = make_scenario()
-        assert control_cost(sc, np.zeros((5, 2))) == 0.0
+        assert control_cost(sc, np.zeros((1, 5, 2)))[0] == 0.0
 
     def test_single_step_norm(self):
         sc = make_scenario(costs=CostSpec(control_weight=1.0))
         u = np.zeros((5, 2))
         u[2] = [2.0, 0.0]
-        assert control_cost(sc, u) == pytest.approx(4.0, rel=1e-14)
+        assert control_cost(sc, [u])[0] == pytest.approx(4.0, rel=1e-14)
 
     def test_effort_weight(self):
         sc = make_scenario()  # default weight 0.1
         u = np.ones((5, 2))
-        assert control_cost(sc, u) == pytest.approx(0.1 * 10.0, rel=1e-12)
+        assert control_cost(sc, [u])[0] == pytest.approx(0.1 * 10.0, rel=1e-12)
 
     def test_vectorized_state_cost(self):
         sc = make_scenario(costs=CostSpec(state_weights=np.arange(5.0)))
         rng = np.random.default_rng(2)
         trajs = rng.normal(size=(50, 5, 4))
-        batch = state_cost_many(sc, trajs)
-        scalar = np.array([state_cost(sc, t) for t in trajs])
+        batch = state_cost(sc, trajs)
+        scalar = np.array([state_cost_loop(sc, t) for t in trajs])
         np.testing.assert_allclose(batch, scalar, rtol=1e-12)
 
     def test_weight_length_checked(self):
         costs = CostSpec(state_weights=np.ones(3))
         sc = make_scenario(n=5, costs=costs)
         with pytest.raises(ValueError):
-            state_cost(sc, np.zeros((5, 4)))
+            state_cost(sc, np.zeros((1, 5, 4)))

@@ -9,7 +9,6 @@ from kernelcc.systems import (
     ParamPrior,
     PlanarQuadrotor,
     QuadrotorParams,
-    SimulationDivergenceError,
     quadrotor_step,
     rollout,
     sample_params,
@@ -36,35 +35,35 @@ class TestQuadrotorParams:
 
 class TestQuadrotorStep:
     def test_all_zero(self):
-        out = quadrotor_step(ZERO4, np.zeros(2), ZERO4, QuadrotorParams(1.3, 0.7))
+        out = quadrotor_step(ZERO4, np.zeros(2), ZERO4, (1.3, 0.7))
         np.testing.assert_array_equal(out, ZERO4)
 
     def test_drag_on_unit_velocity(self):
         # vx' = 1 - 0.5*0.1*1*1, px' = 0.1*1 - 0.5*0.005*1
-        out = quadrotor_step([0, 1, 0, 0], np.zeros(2), ZERO4, QuadrotorParams(1.0, 0.5))
+        out = quadrotor_step([0, 1, 0, 0], np.zeros(2), ZERO4, (1.0, 0.5))
         assert out[1] == pytest.approx(0.95, abs=1e-15)
         assert out[0] == pytest.approx(0.0975, abs=1e-15)
         np.testing.assert_array_equal(out[2:], [0.0, 0.0])
 
     def test_control_column(self):
         # px' = dt^2/(2m), vx' = dt/m with m=2
-        out = quadrotor_step(ZERO4, [1.0, 0.0], ZERO4, QuadrotorParams(2.0, 0.0))
+        out = quadrotor_step(ZERO4, [1.0, 0.0], ZERO4, (2.0, 0.0))
         assert out[0] == pytest.approx(0.0025, abs=1e-15)
         assert out[1] == pytest.approx(0.05, abs=1e-15)
 
     def test_axes_decoupled(self):
-        params = QuadrotorParams(1.0, 0.3)
+        params = (1.0, 0.3)
         out_x = quadrotor_step([0, 1, 0, 0], [0.5, 0.0], ZERO4, params)
         out_y = quadrotor_step([0, 0, 0, 1], [0.0, 0.5], ZERO4, params)
         np.testing.assert_allclose(out_x[:2], out_y[2:], atol=1e-15)
 
     def test_drag_opposes_negative_velocity(self):
-        out = quadrotor_step([0, -1, 0, 0], np.zeros(2), ZERO4, QuadrotorParams(1.0, 0.5))
+        out = quadrotor_step([0, -1, 0, 0], np.zeros(2), ZERO4, (1.0, 0.5))
         # |v|*v = -1, so drag accelerates toward zero
         assert out[1] == pytest.approx(-0.95, abs=1e-15)
 
     def test_linear_without_drag(self):
-        params = QuadrotorParams(1.7, 0.0)
+        params = (1.7, 0.0)
         rng = np.random.default_rng(4)
         x1, x2 = rng.normal(size=(2, 4))
         u1, u2 = rng.normal(size=(2, 2))
@@ -78,18 +77,28 @@ class TestQuadrotorStep:
 
     def test_additive_disturbance(self):
         w = np.array([0.1, -0.2, 0.3, 0.4])
-        params = QuadrotorParams(1.0, 0.0)
+        params = (1.0, 0.0)
         base = quadrotor_step(ZERO4, np.zeros(2), ZERO4, params)
         out = quadrotor_step(ZERO4, np.zeros(2), w, params)
         np.testing.assert_allclose(out - base, w, atol=1e-15)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            quadrotor_step([np.nan, 0, 0, 0], np.zeros(2), ZERO4, QuadrotorParams(1, 0))
+            quadrotor_step([np.nan, 0, 0, 0], np.zeros(2), ZERO4, (1, 0))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            quadrotor_step(np.zeros(3), np.zeros(2), ZERO4, QuadrotorParams(1, 0))
+            quadrotor_step(np.zeros(3), np.zeros(2), ZERO4, (1, 0))
+
+    def test_batch_matches_single_rows(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(scale=3.0, size=(500, 4))
+        u = rng.uniform(0, 2, size=(500, 2))
+        w = rng.normal(scale=0.01, size=(500, 4))
+        params = np.column_stack([rng.uniform(0.75, 1.25, 500), rng.uniform(0.4, 0.6, 500)])
+        batch = quadrotor_step(x, u, w, params)
+        for k in range(500):
+            np.testing.assert_array_equal(batch[k], quadrotor_step(x[k], u[k], w[k], params[k]))
 
 
 class TestBetaSpec:
@@ -142,11 +151,19 @@ class TestSampleParams:
         assert params.drag == pytest.approx(0.4 + 0.2 * 2 / 7)
 
 
+def simulate(model, x0, controls, rng):
+    """Replay one control sequence on a realization drawn from rng."""
+    params, noise = model.draw_realization(rng, len(controls))
+    _, states, diverged = rollout(model, [x0], [controls], [params], [noise])
+    return states[0], diverged[0]
+
+
 class TestRollout:
     def test_zero_everything_stays_at_origin(self):
         model = deterministic_model()
-        traj = rollout(model, ZERO4, np.zeros((15, 2)), np.random.default_rng(0))
+        traj, diverged = simulate(model, ZERO4, np.zeros((15, 2)), np.random.default_rng(0))
         assert traj.shape == (15, 4)
+        assert diverged == 0
         np.testing.assert_array_equal(traj, np.zeros((15, 4)))
 
     def test_matches_step_composition(self):
@@ -154,24 +171,41 @@ class TestRollout:
         rng = np.random.default_rng(8)
         x0 = rng.normal(size=4)
         controls = rng.uniform(0, 1, size=(10, 2))
-        traj = rollout(model, x0, controls, np.random.default_rng(0))
+        traj, _ = simulate(model, x0, controls, np.random.default_rng(0))
         x = x0.copy()
         for t in range(10):
-            x = quadrotor_step(x, controls[t], ZERO4, QuadrotorParams(1.1, 0.45))
+            x = quadrotor_step(x, controls[t], ZERO4, (1.1, 0.45))
             np.testing.assert_allclose(traj[t], x, atol=1e-14)
+
+    def test_feedback_after_leading_steps(self):
+        # two leading controls, then u = gain @ (x - target) from the state
+        # the previous step left
+        model = deterministic_model(mass=1.2, drag=0.3)
+        gain = np.array([[-2.0, -3.0, 0.0, 0.0], [0.0, 0.0, -2.0, -3.0]])
+        target = np.array([10.0, 0.0, 10.0, 0.0])
+        leading = np.array([[[1.0, 0.5], [0.2, 0.8]]])
+        controls, states, _ = rollout(
+            model, [ZERO4], leading, [(1.2, 0.3)], np.zeros((1, 6, 4)), gain, target
+        )
+        x = ZERO4
+        for t in range(6):
+            u = leading[0, t] if t < 2 else gain @ (x - target)
+            np.testing.assert_array_equal(controls[0, t], u)
+            x = quadrotor_step(x, u, ZERO4, (1.2, 0.3))
+            np.testing.assert_array_equal(states[0, t], x)
 
     def test_same_seed_identical(self):
         model = PlanarQuadrotor(disturbance=DisturbanceSpec.default())
         controls = np.full((15, 2), 0.5)
-        t1 = rollout(model, ZERO4, controls, np.random.default_rng(99))
-        t2 = rollout(model, ZERO4, controls, np.random.default_rng(99))
+        t1, _ = simulate(model, ZERO4, controls, np.random.default_rng(99))
+        t2, _ = simulate(model, ZERO4, controls, np.random.default_rng(99))
         np.testing.assert_array_equal(t1, t2)
 
     def test_different_seeds_differ(self):
         model = PlanarQuadrotor(disturbance=DisturbanceSpec.default())
         controls = np.full((15, 2), 0.5)
-        t1 = rollout(model, ZERO4, controls, np.random.default_rng(1))
-        t2 = rollout(model, ZERO4, controls, np.random.default_rng(2))
+        t1, _ = simulate(model, ZERO4, controls, np.random.default_rng(1))
+        t2, _ = simulate(model, ZERO4, controls, np.random.default_rng(2))
         assert np.any(t1 != t2)
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -180,10 +214,30 @@ class TestRollout:
         model = deterministic_model(drag=0.5)
         controls = np.zeros((5, 2))
         controls[2] = [1e200, 0.0]
-        with pytest.raises(SimulationDivergenceError) as exc:
-            rollout(model, ZERO4, controls, np.random.default_rng(0))
-        assert exc.value.step == 4
+        traj, diverged = simulate(model, ZERO4, controls, np.random.default_rng(0))
+        assert diverged == 4
+        assert np.all(np.isnan(traj[4:]))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_is_per_row(self):
+        # the diverging row stops; the other one runs on as it would alone
+        model = deterministic_model(drag=0.5)
+        calm = np.full((5, 2), 0.5)
+        hot = np.zeros((5, 2))
+        hot[2] = [1e200, 0.0]
+        _, states, diverged = rollout(
+            model, np.zeros((2, 4)), np.stack([hot, calm]), [(1.0, 0.5)] * 2, np.zeros((2, 5, 4))
+        )
+        np.testing.assert_array_equal(diverged, [4, 0])
+        alone, _ = simulate(model, ZERO4, calm, np.random.default_rng(0))
+        np.testing.assert_array_equal(states[1], alone)
+
+    def test_rejects_non_finite_controls(self):
+        controls = np.zeros((5, 2))
+        controls[1, 0] = np.nan
+        with pytest.raises(ValueError):
+            simulate(deterministic_model(), ZERO4, controls, np.random.default_rng(0))
 
     def test_rejects_bad_control_shape(self):
         with pytest.raises(ValueError):
-            rollout(deterministic_model(), ZERO4, np.zeros((5, 3)), np.random.default_rng(0))
+            simulate(deterministic_model(), ZERO4, np.zeros((5, 3)), np.random.default_rng(0))
