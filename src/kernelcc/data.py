@@ -233,13 +233,16 @@ class ControlLibrary:
     config_digest: str
 
     def __post_init__(self):
-        seq = np.asarray(self.sequences, dtype=float)
+        # a private read-only copy, so the digest content_digest keeps
+        # cannot go stale
+        seq = np.array(self.sequences, dtype=float)
         if seq.ndim != 3:
             raise ValueError("sequences must have shape (P, N, m)")
         if seq.shape[0] < 1:
             raise ValueError("library must contain at least one sequence")
         if not np.all(np.isfinite(seq)):
             raise ValueError("non-finite values in library sequences")
+        seq.flags.writeable = False
         object.__setattr__(self, "sequences", seq)
 
     @property
@@ -257,7 +260,9 @@ class ControlLibrary:
     @property
     def content_digest(self) -> str:
         """Digest of the sequence array, for cross-checking saved policies."""
-        return digest_of(self.sequences)
+        if "_content_digest" not in self.__dict__:
+            object.__setattr__(self, "_content_digest", digest_of(self.sequences))
+        return self.__dict__["_content_digest"]
 
 
 def _raise_first_divergence(diverged: np.ndarray) -> None:

@@ -4,6 +4,10 @@ All persisted artifacts are JSON with sorted keys, compact separators, and
 floats rendered by Python's shortest round-trip repr, so equal values always
 produce byte-identical text and 64-bit floats survive a save/load round trip
 exactly.
+
+A numeric array is checked for non-finite values with one ``np.isfinite``
+over the whole array and converted with one ``tolist``, which yields the same
+Python numbers, and so the same text, as converting element by element.
 """
 
 from __future__ import annotations
@@ -19,7 +23,13 @@ import numpy as np
 def jsonable(obj):
     """Recursively convert arrays, numpy scalars, and dataclasses to JSON types."""
     if isinstance(obj, np.ndarray):
-        return jsonable(obj.tolist())
+        if obj.dtype.kind not in "biuf":
+            return jsonable(obj.tolist())
+        finite = np.isfinite(obj)
+        if not finite.all():
+            first = obj[~finite][0].item()
+            raise ValueError(f"non-finite value {first} cannot be serialized")
+        return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

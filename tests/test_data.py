@@ -18,6 +18,7 @@ from kernelcc.data import (
     save_dataset,
     save_library,
 )
+from kernelcc.serialize import digest_of
 from kernelcc.systems import (
     BetaSpec,
     DisturbanceSpec,
@@ -367,3 +368,45 @@ class TestDatasetInvariants:
     def test_library_needs_sequences(self):
         with pytest.raises(ValueError):
             ControlLibrary(np.zeros((0, 5, 2)), 0, "x")
+
+
+class TestLibraryContentDigest:
+    def make_library(self):
+        cfg = LibraryGenConfig(horizon=6, grid_resolution=(2, 2), num_random_steps=1)
+        return generate_library(cfg, deterministic_model(), NOMINAL)
+
+    def test_is_a_plain_property(self):
+        # instrumentation wraps the getter through property.fget
+        assert isinstance(ControlLibrary.__dict__["content_digest"], property)
+
+    def test_computed_once_per_library(self, monkeypatch):
+        lib = self.make_library()
+        calls = []
+
+        def counting(obj):
+            calls.append(obj)
+            return digest_of(obj)
+
+        monkeypatch.setattr("kernelcc.data.digest_of", counting)
+        first = lib.content_digest
+        assert [lib.content_digest for _ in range(3)] == [first] * 3
+        assert len(calls) == 1
+        assert first == digest_of(lib.sequences)
+
+    def test_sequences_are_read_only(self):
+        lib = self.make_library()
+        digest = lib.content_digest
+        with pytest.raises(ValueError, match="read-only"):
+            lib.sequences[0, 0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            lib.sequences.reshape(-1)[0] = 5.0
+        assert lib.content_digest == digest_of(lib.sequences) == digest
+
+    def test_caller_array_does_not_alias(self):
+        seq = np.zeros((2, 3, 2))
+        lib = ControlLibrary(seq, 0, "x")
+        digest = lib.content_digest
+        seq[1, 2, 1] = 4.0
+        assert lib.sequences[1, 2, 1] == 0.0
+        assert lib.content_digest == digest_of(lib.sequences) == digest
+        assert seq.flags.writeable

@@ -1,0 +1,130 @@
+"""Tests for canonical JSON serialization and content digests."""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from kernelcc.data import LibraryGenConfig, generate_library
+from kernelcc.serialize import canonical_json, digest_of
+from kernelcc.systems import PlanarQuadrotor, QuadrotorParams
+
+
+def loop_jsonable(obj):
+    """Element-by-element reference: every float is checked on its own."""
+    if isinstance(obj, np.ndarray):
+        return loop_jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: loop_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): loop_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [loop_jsonable(v) for v in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        raise ValueError(f"non-finite value {obj} cannot be serialized")
+    return obj
+
+
+def loop_json(obj) -> str:
+    return json.dumps(loop_jsonable(obj), sort_keys=True, separators=(",", ":"))
+
+
+@dataclasses.dataclass(frozen=True)
+class Holder:
+    name: str
+    values: np.ndarray
+    extra: tuple
+
+
+def awkward_floats(shape, seed=0, dtype=np.float64):
+    """Random floats plus values whose repr is easy to get wrong."""
+    rng = np.random.default_rng(seed)
+    arr = rng.normal(scale=1e3, size=shape).astype(dtype)
+    info = np.finfo(dtype)
+    flat = arr.reshape(-1)
+    flat[:6] = [-0.0, info.smallest_subnormal, info.max / 3, -info.max, 0.1, 1.0 / 3.0]
+    return arr
+
+
+ARRAYS = {
+    "float64": awkward_floats((7, 5, 2)),
+    "float32": awkward_floats((4, 3, 2), dtype=np.float32),
+    "int64": np.arange(-6, 6, dtype=np.int64).reshape(3, 4),
+    "uint8": np.arange(250, 256, dtype=np.uint8),
+    "bool": np.array([[True, False], [False, True]]),
+    "zero_d_float": np.array(-2.5e-8),
+    "zero_d_int": np.array(7),
+    "zero_d_bool": np.array(False),
+    "empty": np.empty((0, 3)),
+    "transposed": awkward_floats((3, 4, 2), seed=1).transpose(2, 0, 1),
+    "strided": awkward_floats((6, 6), seed=2)[::2, 1::3],
+}
+
+
+class TestCanonicalJson:
+    @pytest.mark.parametrize("arr", ARRAYS.values(), ids=ARRAYS.keys())
+    def test_array_matches_loop_reference(self, arr):
+        assert canonical_json(arr) == loop_json(arr)
+
+    @pytest.mark.parametrize("arr", ARRAYS.values(), ids=ARRAYS.keys())
+    def test_nested_array_matches_loop_reference(self, arr):
+        obj = {
+            "b": [arr, {"inner": arr}],
+            "a": Holder("h", arr, (arr, np.float64(0.25), np.int32(3))),
+            3: np.bool_(True),
+        }
+        assert canonical_json(obj) == loop_json(obj)
+
+    def test_round_trips_doubles_exactly(self):
+        arr = ARRAYS["float64"]
+        back = np.array(json.loads(canonical_json(arr)))
+        np.testing.assert_array_equal(back, arr)
+        assert np.array_equal(np.signbit(back), np.signbit(arr))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_deep_value_named(self, bad, dtype):
+        arr = awkward_floats((9, 6, 2), dtype=dtype)
+        arr[7, 4, 1] = bad
+        with pytest.raises(ValueError) as caught:
+            canonical_json({"u": arr})
+        assert str(caught.value) == f"non-finite value {float(bad)} cannot be serialized"
+        with pytest.raises(ValueError) as expected:
+            loop_json({"u": arr})
+        assert str(caught.value) == str(expected.value)
+
+    def test_first_bad_value_in_row_major_order(self):
+        arr = np.zeros((3, 2, 2))
+        arr[2, 0, 0] = np.nan
+        arr[0, 1, 1] = -np.inf
+        # a column-major copy must still report the row-major first
+        for view in (arr, np.asfortranarray(arr)):
+            with pytest.raises(ValueError, match="non-finite value -inf"):
+                canonical_json(view)
+
+    def test_zero_d_nan(self):
+        with pytest.raises(ValueError, match="non-finite value nan"):
+            canonical_json(np.array(np.nan))
+
+
+class TestPinnedDigests:
+    # recorded before arrays were serialized in one pass; a change here
+    # invalidates every saved policy's library digest
+
+    def test_digest_of_small_array(self):
+        arr = np.arange(12, dtype=float).reshape(2, 3, 2) / 7.0
+        assert digest_of(arr) == (
+            "011eab0197bd5ed342ba80ec7b2f5d6eff036f0eba2812a6b362063e0b7f5713"
+        )
+
+    def test_library_content_digest(self):
+        cfg = LibraryGenConfig(horizon=8, grid_resolution=(2, 2), num_random_steps=2)
+        lib = generate_library(cfg, PlanarQuadrotor(), QuadrotorParams(1.0, 0.005))
+        assert lib.content_digest == (
+            "cbc80ee12e296a243b879679ac8deaa4b8ef2cf4b767fd40543ebb7409d48d01"
+        )
