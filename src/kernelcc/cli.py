@@ -25,8 +25,10 @@ from .data import (
     ControlLibrary,
     DataLoadError,
     Dataset,
+    dataset_key,
     generate_dataset,
     generate_library,
+    library_key,
     load_dataset,
     load_library,
     save_dataset,
@@ -34,7 +36,7 @@ from .data import (
 )
 from .embedding import FitError, fit
 from .policy import MixedPolicy, run_monte_carlo, trajectories_to_csv
-from .serialize import canonical_json, digest_of, file_digest
+from .serialize import canonical_json, digest_of, file_digest, write_csv
 from .solver import assemble, solve_lp, with_threshold
 
 EXIT_OK = 0
@@ -136,25 +138,23 @@ def cmd_generate(cfg: RunConfig, out: Path) -> tuple[Dataset, ControlLibrary]:
     """Produce dataset.jsonl and library.jsonl, reusing current ones."""
     ds_path = out / "dataset.jsonl"
     lib_path = out / "library.jsonl"
-    ds = _current(ds_path, load_dataset, [cfg.dataset_digest, cfg.master_seed])
+    ds_key = [dataset_key(cfg.dataset, cfg.model), cfg.master_seed]
+    ds = _current(ds_path, load_dataset, ds_key)
     if ds is not None:
         print(f"dataset: cached ({ds.num_samples} samples, seed {ds.master_seed})")
     else:
-        ds = generate_dataset(
-            cfg.dataset, cfg.model, cfg.master_seed, digest=cfg.dataset_digest
-        )
+        ds = generate_dataset(cfg.dataset, cfg.model, cfg.master_seed)
         save_dataset(ds, ds_path)
         print(
             f"dataset: {ds.num_samples} samples, horizon {ds.horizon}, "
             f"seed {ds.master_seed} -> {ds_path}"
         )
-    lib = _current(lib_path, load_library, cfg.library_digest)
+    lib_key = library_key(cfg.library, cfg.model, cfg.nominal_params)
+    lib = _current(lib_path, load_library, lib_key)
     if lib is not None:
         print(f"library: cached ({lib.num_sequences} sequences)")
     else:
-        lib = generate_library(
-            cfg.library, cfg.model, cfg.nominal_params, digest=cfg.library_digest
-        )
+        lib = generate_library(cfg.library, cfg.model, cfg.nominal_params)
         save_library(lib, lib_path)
         print(
             f"library: {lib.num_sequences} sequences, horizon {lib.horizon} "
@@ -257,46 +257,49 @@ def _policy_from_record(record: dict, lib: ControlLibrary, path: Path) -> MixedP
         library=lib,
         x0=np.asarray(record["x0"], dtype=float),
         delta=float(record["delta"]),
-        model_digest=str(record.get("embedding_digest", "")),
     )
 
 
 def cmd_validate(
     cfg: RunConfig,
     out: Path,
-    policy_path: Path,
+    policy_paths: list[Path],
     x0_override: np.ndarray | None = None,
     seed_override: int | None = None,
-) -> dict:
-    """Monte-Carlo validate a saved policy; write and return its report."""
+) -> dict[float, dict]:
+    """Monte-Carlo validate saved policies; write and return their reports by delta."""
     lib = load_library(out / "library.jsonl")
-    record = _read_json(policy_path)
-    policy = _policy_from_record(record, lib, policy_path)
-    sc = cfg.scenario_for(policy.delta)
-    x0 = policy.x0 if x0_override is None else np.asarray(x0_override, float)
     seed = cfg.mc_seed if seed_override is None else int(seed_override)
-    report = run_monte_carlo(policy, cfg.model, sc, x0, cfg.trials, seed)
-    report_path = _delta_path(out, "report", policy.delta)
-    # the seed and library recorded are the policy's, fixed by the inputs
-    # digest like everything else here
-    record_out = {
-        "kind": "report",
-        "delta": policy.delta,
-        "x0": [float(v) for v in x0],
-        "master_seed": record["master_seed"],
-        "library_digest": record["library_digest"],
-        "objective": record["solve"].get("objective"),
-        "inputs_digest": _report_key(cfg, policy_path, policy.delta, x0, seed),
-        "report": report.to_dict(),
-    }
-    _write_json(report_path, record_out)
-    trajectories_to_csv(report, _delta_path(out, "trajectories", policy.delta, "csv"))
-    print(
-        f"delta={policy.delta}: success rate {report.success_rate:.4f} "
-        f"({report.successes}/{report.trials}), Wilson 95% "
-        f"[{report.wilson_low:.4f}, {report.wilson_high:.4f}] -> {report_path}"
-    )
-    return record_out
+    reports = {}
+    for policy_path in policy_paths:
+        record = _read_json(policy_path)
+        policy = _policy_from_record(record, lib, policy_path)
+        sc = cfg.scenario_for(policy.delta)
+        x0 = policy.x0 if x0_override is None else np.asarray(x0_override, float)
+        report = run_monte_carlo(policy, cfg.model, sc, x0, cfg.trials, seed)
+        report_path = _delta_path(out, "report", policy.delta)
+        # the seed and library recorded are the policy's, fixed by the inputs
+        # digest like everything else here
+        reports[policy.delta] = {
+            "kind": "report",
+            "delta": policy.delta,
+            "x0": [float(v) for v in x0],
+            "master_seed": record["master_seed"],
+            "library_digest": record["library_digest"],
+            "objective": record["solve"].get("objective"),
+            "inputs_digest": _report_key(cfg, policy_path, policy.delta, x0, seed),
+            "report": report.to_dict(),
+        }
+        _write_json(report_path, reports[policy.delta])
+        trajectories_to_csv(
+            report, _delta_path(out, "trajectories", policy.delta, "csv")
+        )
+        print(
+            f"delta={policy.delta}: success rate {report.success_rate:.4f} "
+            f"({report.successes}/{report.trials}), Wilson 95% "
+            f"[{report.wilson_low:.4f}, {report.wilson_high:.4f}] -> {report_path}"
+        )
+    return reports
 
 
 def _summary_row(delta: float, policy: dict, report: dict | None) -> dict:
@@ -323,17 +326,8 @@ def _write_summary(cfg: RunConfig, out: Path, rows: list[dict]) -> None:
             "rows": rows,
         },
     )
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        # repr keeps floats round-trip exact; strings stay bare
-        return value if isinstance(value, str) else repr(value)
-
     # the CSV columns follow the key order of a summary row
-    lines = [",".join(rows[0])]
-    for row in rows:
-        lines.append(",".join(cell(value) for value in row.values()))
-    (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(out / "summary.csv", rows[0], [row.values() for row in rows])
 
 
 def cmd_experiment(cfg: RunConfig, out: Path) -> int:
@@ -348,18 +342,20 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> int:
     stale = [delta for delta in cfg.deltas if policies[delta] is None]
     if stale:
         policies.update(_solve(cfg, out, ds, lib, stale))
-    rows = []
+    reports, unvalidated = {}, []
     for delta in cfg.deltas:
-        report = None
-        if policies[delta]["solve"]["status"] == "optimal":
-            policy_path = _delta_path(out, "policy", delta)
-            key = _report_key(cfg, policy_path, delta, cfg.initial_state, cfg.mc_seed)
-            report = _current(_delta_path(out, "report", delta), _read_json, key)
-            if report is not None:
-                print(f"delta={delta}: cached report")
-            else:
-                report = cmd_validate(cfg, out, policy_path)
-        rows.append(_summary_row(delta, policies[delta], report))
+        if policies[delta]["solve"]["status"] != "optimal":
+            continue
+        policy_path = _delta_path(out, "policy", delta)
+        key = _report_key(cfg, policy_path, delta, cfg.initial_state, cfg.mc_seed)
+        reports[delta] = _current(_delta_path(out, "report", delta), _read_json, key)
+        if reports[delta] is not None:
+            print(f"delta={delta}: cached report")
+        else:
+            unvalidated.append(policy_path)
+    if unvalidated:
+        reports.update(cmd_validate(cfg, out, unvalidated))
+    rows = [_summary_row(d, policies[d], reports.get(d)) for d in cfg.deltas]
     _write_summary(cfg, out, rows)
     print(f"summary -> {out / 'summary.csv'}")
     return _exit_code(policies.values())
@@ -432,7 +428,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "validate":
             # validate's --seed and --x0 override the Monte-Carlo run only
-            cmd_validate(cfg, out, Path(args.policy), args.x0, args.seed)
+            cmd_validate(cfg, out, [Path(args.policy)], args.x0, args.seed)
             return EXIT_OK
         cfg = _apply_overrides(cfg, args)
         if args.command == "generate":

@@ -4,8 +4,7 @@ The file is divided into named sections (system, prior, disturbance,
 dataset, library, kernel, embedding, scenario, montecarlo, output) plus a
 top-level master seed and solve-time initial state. Parsing validates each
 section eagerly and reports problems by section and key; JSON syntax errors
-carry the line number. The parsed form keeps digests of the raw sections so
-downstream artifacts can be cache-checked and cross-validated.
+carry the line number. The parsed form keeps a digest of the raw file.
 """
 
 from __future__ import annotations
@@ -92,12 +91,7 @@ def _feedback_gain(section: dict, where: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully parsed experiment description.
-
-    ``digest`` fingerprints the whole raw file; ``dataset_digest`` and
-    ``library_digest`` fingerprint only the sections that determine the
-    respective artifact, so unrelated edits never invalidate caches.
-    """
+    """Fully parsed experiment description; ``digest`` fingerprints the raw file."""
 
     master_seed: int
     model: PlanarQuadrotor
@@ -117,8 +111,6 @@ class RunConfig:
     mc_seed: int
     output_dir: str
     digest: str
-    dataset_digest: str
-    library_digest: str
 
     def scenario_for(self, delta: float) -> Scenario:
         """The task at one particular risk budget."""
@@ -256,11 +248,6 @@ def parse_config(raw: dict) -> RunConfig:
         mass=float(_get(lib_raw, "nominal_mass", "library")),
         drag=float(_get(lib_raw, "nominal_drag", "library")),
     )
-    if library.num_sequences > library.max_sequences:
-        raise ConfigError(
-            f"library would contain {library.num_sequences} sequences, "
-            f"exceeding max_sequences={library.max_sequences}"
-        )
 
     kernel_raw = _section(raw, "kernel")
     state_kernel = _kernel(kernel_raw, "state")
@@ -282,15 +269,6 @@ def parse_config(raw: dict) -> RunConfig:
     )
     output_dir = str(raw.get("output", {}).get("directory", "out"))
 
-    # digests over parsed values: dataset bytes depend only on the listed
-    # parts, and spelling out a default never changes the digest
-    dataset_digest = digest_of(
-        {"dt": dt, "prior": prior, "disturbance": disturbance, "dataset": dataset}
-    )
-    library_digest = digest_of(
-        {"dt": dt, "library": library, "nominal": nominal}
-    )
-
     return RunConfig(
         master_seed=master_seed,
         model=model,
@@ -310,8 +288,6 @@ def parse_config(raw: dict) -> RunConfig:
         mc_seed=mc_seed,
         output_dir=output_dir,
         digest=digest_of(raw),
-        dataset_digest=dataset_digest,
-        library_digest=library_digest,
     )
 
 

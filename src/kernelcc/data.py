@@ -1,4 +1,4 @@
-"""Dataset and control-library generation and JSON-lines persistence.
+"""Dataset and control-library generation, their keys and JSON-lines persistence.
 
 Dataset protocol, per sample: draw an initial state uniformly from a box,
 draw the first few controls uniformly from a control box, continue with a
@@ -12,6 +12,10 @@ samples i.i.d.
 The control library enumerates a uniform grid over the control box on the
 randomized steps and continues each sequence with the same feedback law on
 the nominal deterministic system.
+
+Each artifact records a key, a digest of every input it was generated from
+(``dataset_key``, ``library_key``), so a cached file is reused only while
+those inputs are unchanged.
 """
 
 from __future__ import annotations
@@ -167,6 +171,11 @@ class LibraryGenConfig:
         object.__setattr__(self, "feedback_gain", gain)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "initial_state", x0)
+        if self.num_sequences > self.max_sequences:
+            raise ValueError(
+                f"library would contain {self.num_sequences} sequences, "
+                f"exceeding max_sequences={self.max_sequences}"
+            )
 
     @property
     def num_sequences(self) -> int:
@@ -265,6 +274,29 @@ class ControlLibrary:
         return self.__dict__["_content_digest"]
 
 
+def dataset_key(cfg: DatasetGenConfig, model: PlanarQuadrotor) -> str:
+    """Digest of every input of a dataset but its seed: dynamics and settings.
+
+    Keys are digests of parsed values, so spelling out a default in a config
+    file never changes them.
+    """
+    return digest_of(
+        {
+            "dt": model.dt,
+            "prior": model.prior,
+            "disturbance": model.disturbance,
+            "dataset": cfg,
+        }
+    )
+
+
+def library_key(
+    cfg: LibraryGenConfig, model: PlanarQuadrotor, nominal: QuadrotorParams
+) -> str:
+    """Digest of every input of a library: dt, its settings and nominal parameters."""
+    return digest_of({"dt": model.dt, "library": cfg, "nominal": nominal})
+
+
 def _raise_first_divergence(diverged: np.ndarray) -> None:
     """Raise for the lowest sample whose simulation diverged (step > 0)."""
     failed = np.flatnonzero(diverged)
@@ -273,7 +305,7 @@ def _raise_first_divergence(diverged: np.ndarray) -> None:
 
 
 def generate_dataset(
-    cfg: DatasetGenConfig, model: PlanarQuadrotor, master_seed: int, digest: str | None = None
+    cfg: DatasetGenConfig, model: PlanarQuadrotor, master_seed: int
 ) -> Dataset:
     """Generate the i.i.d. training dataset.
 
@@ -326,7 +358,7 @@ def generate_dataset(
         controls=controls,
         trajectories=trajectories,
         master_seed=int(master_seed),
-        config_digest=digest if digest is not None else digest_of(cfg),
+        config_digest=dataset_key(cfg, model),
     )
 
 
@@ -341,7 +373,6 @@ def generate_library(
     cfg: LibraryGenConfig,
     model: PlanarQuadrotor,
     nominal_params: QuadrotorParams,
-    digest: str | None = None,
 ) -> ControlLibrary:
     """Enumerate the control library over the grid of randomized leading steps.
 
@@ -351,11 +382,6 @@ def generate_library(
     """
     m = model.control_dim
     total = cfg.num_sequences
-    if total > cfg.max_sequences:
-        raise ValueError(
-            f"library would contain {total} sequences, exceeding the "
-            f"configured maximum {cfg.max_sequences}"
-        )
     per_coord = [
         _grid_values(cfg.control_low[c], cfg.control_high[c], cfg.grid_resolution[c])
         for c in range(m)
@@ -388,23 +414,26 @@ def generate_library(
     return ControlLibrary(
         sequences=sequences,
         master_seed=0,
-        config_digest=digest if digest is not None else digest_of(cfg),
+        config_digest=library_key(cfg, model, nominal_params),
     )
 
 
-def _write_jsonl(path, header: dict, records) -> None:
+def _save_jsonl(path, kind: str, header: dict, fields: dict) -> None:
+    """Write a header line, then one record per row of the arrays in fields."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [canonical_json(header)]
-    lines.extend(canonical_json(rec) for rec in records)
+    lines = [canonical_json({"format_version": FORMAT_VERSION, "kind": kind, **header})]
+    count = len(next(iter(fields.values())))
+    lines.extend(
+        canonical_json({name: arr[i] for name, arr in fields.items()})
+        for i in range(count)
+    )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def save_dataset(ds: Dataset, path) -> None:
     """Write a dataset as JSON-lines: one header line then one line per sample."""
     header = {
-        "format_version": FORMAT_VERSION,
-        "kind": "dataset",
         "n": ds.state_dim,
         "m": ds.control_dim,
         "N": ds.horizon,
@@ -412,18 +441,13 @@ def save_dataset(ds: Dataset, path) -> None:
         "master_seed": ds.master_seed,
         "config_digest": ds.config_digest,
     }
-    records = (
-        {"x0": ds.initial_states[i], "u": ds.controls[i], "x": ds.trajectories[i]}
-        for i in range(ds.num_samples)
-    )
-    _write_jsonl(path, header, records)
+    fields = {"x0": ds.initial_states, "u": ds.controls, "x": ds.trajectories}
+    _save_jsonl(path, "dataset", header, fields)
 
 
 def save_library(lib: ControlLibrary, path) -> None:
     """Write a control library as JSON-lines, one sequence per line."""
     header = {
-        "format_version": FORMAT_VERSION,
-        "kind": "library",
         "n": None,
         "m": lib.control_dim,
         "N": lib.horizon,
@@ -431,16 +455,21 @@ def save_library(lib: ControlLibrary, path) -> None:
         "master_seed": lib.master_seed,
         "config_digest": lib.config_digest,
     }
-    records = ({"u": lib.sequences[j]} for j in range(lib.num_sequences))
-    _write_jsonl(path, header, records)
+    _save_jsonl(path, "library", header, {"u": lib.sequences})
 
 
-def _read_header(path, expected_kind: str) -> tuple[dict, list[str]]:
+def _load_jsonl(path, build, kind: str, count_key: str, field_shapes: dict):
+    """Read a file _save_jsonl wrote and return ``build(*arrays, seed, digest)``.
+
+    ``field_shapes`` maps each record field to the header keys that give its
+    shape; errors name the offending line (the header is line 1).
+    """
+    # keep only the lines: holding the text as well while the records are
+    # parsed doubles the memory a large file takes
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise DataLoadError(path, 0, f"cannot read file: {exc}") from exc
-    lines = text.splitlines()
     if not lines:
         raise DataLoadError(path, 1, "empty file")
     try:
@@ -453,80 +482,57 @@ def _read_header(path, expected_kind: str) -> tuple[dict, list[str]]:
         raise DataLoadError(
             path, 1, f"unsupported format_version {header.get('format_version')!r}"
         )
-    if header.get("kind") != expected_kind:
+    if header.get("kind") != kind:
         raise DataLoadError(
-            path, 1, f"expected kind {expected_kind!r}, found {header.get('kind')!r}"
+            path, 1, f"expected kind {kind!r}, found {header.get('kind')!r}"
         )
-    return header, lines[1:]
-
-
-def _parse_record(path, lineno: int, line: str, fields: dict) -> dict:
-    """Parse one record line and check every field's shape."""
+    used = {key for shape in field_shapes.values() for key in shape}
     try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataLoadError(path, lineno, f"malformed record: {exc}") from exc
-    out = {}
-    for name, shape in fields.items():
-        if name not in rec:
-            raise DataLoadError(path, lineno, f"record missing field {name!r}")
-        arr = np.asarray(rec[name], dtype=float)
-        if arr.shape != shape:
-            raise DataLoadError(
-                path, lineno, f"field {name!r} has shape {arr.shape}, expected {shape}"
-            )
-        out[name] = arr
-    return out
+        # checked in this order, so a header missing several keys names n first
+        dims = {key: int(header[key]) for key in ("n", "m", "N") if key in used}
+        count = int(header[count_key])
+        seed = int(header["master_seed"])
+        digest = str(header["config_digest"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataLoadError(path, 1, f"incomplete header: {exc}") from exc
+    records = lines[1:]
+    if len(records) != count:
+        raise DataLoadError(
+            path, len(lines), f"expected {count} records, found {len(records)}"
+        )
+    shapes = {
+        name: tuple(dims[key] for key in shape) for name, shape in field_shapes.items()
+    }
+    arrays = {name: np.empty((count, *shape)) for name, shape in shapes.items()}
+    for i, line in enumerate(records):
+        lineno = i + 2
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataLoadError(path, lineno, f"malformed record: {exc}") from exc
+        for name, shape in shapes.items():
+            if name not in rec:
+                raise DataLoadError(path, lineno, f"record missing field {name!r}")
+            arr = np.asarray(rec[name], dtype=float)
+            if arr.shape != shape:
+                raise DataLoadError(
+                    path,
+                    lineno,
+                    f"field {name!r} has shape {arr.shape}, expected {shape}",
+                )
+            arrays[name][i] = arr
+    try:
+        return build(*arrays.values(), seed, digest)
+    except ValueError as exc:
+        raise DataLoadError(path, 1, str(exc)) from exc
 
 
 def load_dataset(path) -> Dataset:
     """Load a dataset written by save_dataset; errors name the offending line."""
-    header, lines = _read_header(path, "dataset")
-    try:
-        n, m = int(header["n"]), int(header["m"])
-        big_n, big_m = int(header["N"]), int(header["M"])
-        seed = int(header["master_seed"])
-        digest = str(header["config_digest"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataLoadError(path, 1, f"incomplete header: {exc}") from exc
-    if len(lines) != big_m:
-        raise DataLoadError(
-            path, 1 + len(lines), f"expected {big_m} records, found {len(lines)}"
-        )
-    x0s = np.empty((big_m, n))
-    controls = np.empty((big_m, big_n, m))
-    trajectories = np.empty((big_m, big_n, n))
-    fields = {"x0": (n,), "u": (big_n, m), "x": (big_n, n)}
-    for i, line in enumerate(lines):
-        rec = _parse_record(path, i + 2, line, fields)
-        x0s[i] = rec["x0"]
-        controls[i] = rec["u"]
-        trajectories[i] = rec["x"]
-    try:
-        return Dataset(x0s, controls, trajectories, seed, digest)
-    except ValueError as exc:
-        raise DataLoadError(path, 1, str(exc)) from exc
+    shapes = {"x0": ("n",), "u": ("N", "m"), "x": ("N", "n")}
+    return _load_jsonl(path, Dataset, "dataset", "M", shapes)
 
 
 def load_library(path) -> ControlLibrary:
     """Load a control library written by save_library."""
-    header, lines = _read_header(path, "library")
-    try:
-        m = int(header["m"])
-        big_n, big_p = int(header["N"]), int(header["P"])
-        seed = int(header["master_seed"])
-        digest = str(header["config_digest"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataLoadError(path, 1, f"incomplete header: {exc}") from exc
-    if len(lines) != big_p:
-        raise DataLoadError(
-            path, 1 + len(lines), f"expected {big_p} records, found {len(lines)}"
-        )
-    sequences = np.empty((big_p, big_n, m))
-    for j, line in enumerate(lines):
-        rec = _parse_record(path, j + 2, line, {"u": (big_n, m)})
-        sequences[j] = rec["u"]
-    try:
-        return ControlLibrary(sequences, seed, digest)
-    except ValueError as exc:
-        raise DataLoadError(path, 1, str(exc)) from exc
+    return _load_jsonl(path, ControlLibrary, "library", "P", {"u": ("N", "m")})

@@ -9,29 +9,30 @@ never depend on execution order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .data import ControlLibrary
 from .scenario import Scenario, indicator_T
+from .serialize import write_csv
 from .systems import PlanarQuadrotor, rollout
 
 # two-sided 95% normal quantile used for the Wilson interval
 _Z95 = 1.959963984540054
 
+# trials whose trajectories a report keeps for plotting and the CSV export
+MAX_KEPT_TRAJECTORIES = 2000
+
 
 @dataclass(frozen=True)
 class MixedPolicy:
-    """Mixture weights over a control library, with solve provenance."""
+    """Mixture weights over a control library, for one x0 and risk level."""
 
     weights: np.ndarray
     library: ControlLibrary
     x0: np.ndarray
     delta: float
-    model_digest: str = ""
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -126,7 +127,6 @@ def run_monte_carlo(
     x0,
     trials: int,
     seed: int,
-    max_kept_trajectories: int = 2000,
 ) -> MonteCarloReport:
     """Validate a policy by repeated simulation on the true system.
 
@@ -134,7 +134,7 @@ def run_monte_carlo(
     the system from its own stream; all trials are then rolled out together
     and checked against the scenario indicator. A diverging simulation counts
     as a failure and never aborts the run. Trajectories are retained for
-    plotting up to ``max_kept_trajectories``; diverged trials record NaN
+    plotting up to ``MAX_KEPT_TRAJECTORIES``; diverged trials record NaN
     states.
     """
     if trials < 1:
@@ -170,7 +170,7 @@ def run_monte_carlo(
         seed=int(seed),
         indices=indices,
         feasible=feasible,
-        trajectories=states[:max_kept_trajectories],
+        trajectories=states[:MAX_KEPT_TRAJECTORIES],
     )
 
 
@@ -178,18 +178,10 @@ def trajectories_to_csv(report: MonteCarloReport, path) -> None:
     """Write retained trajectories as CSV, one row per (trial, step)."""
     if report.trajectories is None:
         raise ValueError("report holds no trajectories")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     n = report.trajectories.shape[2]
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["trial", "step"] + [f"s{i}" for i in range(n)] + ["feasible"]
-        )
-        for t in range(report.trajectories.shape[0]):
-            flag = int(report.feasible[t])
-            for step in range(report.trajectories.shape[1]):
-                row = [t, step + 1]
-                row.extend(repr(float(v)) for v in report.trajectories[t, step])
-                row.append(flag)
-                writer.writerow(row)
+    rows = (
+        [t, step, *state, int(report.feasible[t])]
+        for t, trajectory in enumerate(report.trajectories)
+        for step, state in enumerate(trajectory.tolist(), start=1)
+    )
+    write_csv(path, ["trial", "step", *(f"s{i}" for i in range(n)), "feasible"], rows)

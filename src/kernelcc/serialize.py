@@ -1,4 +1,4 @@
-"""Canonical JSON serialization and content digests.
+"""Canonical JSON and CSV serialization and content digests.
 
 All persisted artifacts are JSON with sorted keys, compact separators, and
 floats rendered by Python's shortest round-trip repr, so equal values always
@@ -8,6 +8,9 @@ exactly.
 A numeric array is checked for non-finite values with one ``np.isfinite``
 over the whole array and converted with one ``tolist``, which yields the same
 Python numbers, and so the same text, as converting element by element.
+
+CSV cells follow the same rule: a number is written by its shortest
+round-trip repr.
 """
 
 from __future__ import annotations
@@ -46,6 +49,27 @@ def jsonable(obj):
 def canonical_json(obj) -> str:
     """Deterministic single-line JSON: sorted keys, no whitespace."""
     return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV with Unix line ends.
+
+    Strings are written bare, numbers by repr and None as an empty cell.
+    Cells must be Python values (``tolist()`` an array first): the repr of a
+    numpy scalar is not the number's.
+    """
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return value if isinstance(value, str) else repr(value)
+
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(cell(value) for value in row) + "\n")
 
 
 def digest_of(obj) -> str:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import kernelcc.cli
 from kernelcc.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -13,6 +14,8 @@ from kernelcc.cli import (
     EXIT_OK,
     main,
 )
+from kernelcc.config import parse_config
+from kernelcc.data import generate_dataset, generate_library
 
 
 def small_raw(deltas=(0.3,), regularization=1e-4, trials=30):
@@ -127,6 +130,19 @@ class TestExperiment:
         main(["experiment", "--config", str(cfg2), "--out-dir", str(out)])
         text = capsys.readouterr().out
         assert "dataset: 41 samples" in text
+
+    def test_cold_run_loads_library_once(self, tmp_path, monkeypatch):
+        loads = []
+
+        def counting(path):
+            loads.append(path)
+            return load_library(path)
+
+        load_library = kernelcc.cli.load_library
+        monkeypatch.setattr(kernelcc.cli, "load_library", counting)
+        out = tmp_path / "out"
+        assert run_step(tmp_path, small_raw(deltas=(0.3, 0.4)), ["experiment"], out) == 0
+        assert loads == [out / "library.jsonl"]
 
     def test_seed_override_changes_dataset(self, tmp_path):
         cfg = write_config(tmp_path, small_raw())
@@ -255,6 +271,20 @@ class TestGenerate:
         lib_header = json.loads((out / "library.jsonl").read_text().splitlines()[0])
         assert lib_header["P"] == 4
 
+    def test_header_keys_match_python_api(self, tmp_path):
+        raw = small_raw()
+        raw["system"]["dt"] = 0.05
+        raw["disturbance"] = {"per_step_std": [0.002, 0.02, 0.002, 0.02]}
+        cfg = parse_config(raw)
+        out = tmp_path / "out"
+        assert run_step(tmp_path, raw, ["generate"], out) == EXIT_OK
+        header = json.loads((out / "dataset.jsonl").read_text().splitlines()[0])
+        lib_header = json.loads((out / "library.jsonl").read_text().splitlines()[0])
+        ds = generate_dataset(cfg.dataset, cfg.model, cfg.master_seed)
+        lib = generate_library(cfg.library, cfg.model, cfg.nominal_params)
+        assert header["config_digest"] == ds.config_digest
+        assert lib_header["config_digest"] == lib.config_digest
+
 
 class TestSolve:
     def test_delta_flag_restricts_sweep(self, tmp_path):
@@ -362,18 +392,30 @@ class TestErrors:
 
 
 class TestEarlierDirectory:
-    # small_raw's library digest and policy bytes as recorded before
-    # arrays were serialized in one pass; equal values here mean a directory
-    # written then is the directory written now
+    # small_raw's library digest and file bytes as recorded by earlier
+    # versions (the policy before arrays were serialized in one pass, the
+    # rest before the JSONL and CSV writers were shared); equal values here
+    # mean a directory written then is the directory written now
     LIBRARY_DIGEST = "736f48739ab26107cec6bf20bf38cd4fe8a801ec37c00d266c530f246483ffad"
-    POLICY_SHA256 = "683e0a43cb56d6036cfc53692a00202365fd3a84c264375d110ea679b431ed8a"
+    FILE_SHA256 = {
+        "dataset.jsonl": "768ee7b8cefca950674d4fff51075d2ceb2e3b1acc3f8794633f9e69c3429aa4",
+        "library.jsonl": "da7fa260f6cb5d49da3601ca5219cae7313cc30728f757390ff2eead86499ad3",
+        "policy_delta_0.3.json": (
+            "683e0a43cb56d6036cfc53692a00202365fd3a84c264375d110ea679b431ed8a"
+        ),
+        "trajectories_delta_0.3.csv": (
+            "2dd990497df33a863590a6b0f3a7eeaa6c8171b1da3c27c65daddcf40e7a405e"
+        ),
+        "summary.csv": "1e02708b4f97aab94147a780c4edbd7a4aae67b3245191bda9afe1d188815997",
+    }
 
     def test_rerun_reuses_every_stage(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_step(tmp_path, small_raw(), ["experiment"], out) == EXIT_OK
         policy_path = out / "policy_delta_0.3.json"
         assert json.loads(policy_path.read_text())["library_digest"] == self.LIBRARY_DIGEST
-        assert hashlib.sha256(policy_path.read_bytes()).hexdigest() == self.POLICY_SHA256
+        for name, sha256 in self.FILE_SHA256.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha256, name
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         assert run_step(tmp_path, small_raw(), ["experiment"], out) == EXIT_OK

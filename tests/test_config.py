@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kernelcc.config import ConfigError, load_config, parse_config
+from kernelcc.data import dataset_key, library_key
 
 
 def base_raw():
@@ -138,26 +139,37 @@ class TestParseConfig:
     def test_stage_digest_ignores_spelled_out_default(self):
         # writing the default value explicitly must not invalidate caches
         raw = base_raw()
-        implicit = parse_config(raw)
-        raw["dataset"]["tail_params"] = "nominal"
-        assert parse_config(raw).dataset_digest == implicit.dataset_digest
+        del raw["dataset"]["tail_params"]
+        implicit = stage_keys(raw)
+        raw["dataset"]["tail_params"] = "sampled"
+        assert stage_keys(raw)[0] == implicit[0]
 
     def test_stage_digest_tracks_real_change(self):
         raw = base_raw()
-        before = parse_config(raw)
+        before = stage_keys(raw)
         raw["dataset"]["num_samples"] = 51
-        after = parse_config(raw)
-        assert after.dataset_digest != before.dataset_digest
-        assert after.library_digest == before.library_digest
+        after = stage_keys(raw)
+        assert after[0] != before[0]
+        assert after[1] == before[1]
 
     def test_mc_section_does_not_touch_stage_digests(self):
         raw = base_raw()
-        before = parse_config(raw)
+        before = stage_keys(raw)
+        digest = parse_config(raw).digest
         raw["montecarlo"]["trials"] = 99
-        after = parse_config(raw)
-        assert after.dataset_digest == before.dataset_digest
-        assert after.library_digest == before.library_digest
-        assert after.digest != before.digest
+        after = stage_keys(raw)
+        assert after[0] == before[0]
+        assert after[1] == before[1]
+        assert parse_config(raw).digest != digest
+
+
+def stage_keys(raw):
+    """The dataset and library keys of a raw config."""
+    cfg = parse_config(raw)
+    return (
+        dataset_key(cfg.dataset, cfg.model),
+        library_key(cfg.library, cfg.model, cfg.nominal_params),
+    )
 
 
 class TestLoadConfig:

@@ -195,11 +195,10 @@ class TestGenerateLibrary:
         assert len({tuple(row) for row in flat}) == 16
 
     def test_size_cap(self):
-        cfg = LibraryGenConfig(
-            horizon=8, grid_resolution=(10, 10), num_random_steps=3, max_sequences=100
-        )
-        with pytest.raises(ValueError):
-            generate_library(cfg, deterministic_model(), NOMINAL)
+        with pytest.raises(ValueError, match="max_sequences=100"):
+            LibraryGenConfig(
+                horizon=8, grid_resolution=(10, 10), num_random_steps=3, max_sequences=100
+            )
 
     def test_deterministic(self):
         cfg = LibraryGenConfig(horizon=10, grid_resolution=(2, 2))
@@ -212,6 +211,43 @@ class TestGenerateLibrary:
         cfg = LibraryGenConfig(horizon=10, grid_resolution=(2, 2), num_random_steps=1)
         lib = generate_library(cfg, deterministic_model(), NOMINAL)
         assert np.any(lib.sequences[0, 1:] != lib.sequences[3, 1:])
+
+
+# (dynamics change, nominal parameters) -> does it change the dataset key,
+# the library key
+OTHER_PRIOR = ParamPrior(mass=BetaSpec(2.0, 3.0, 0.7, 0.6))
+KEY_CHANGES = {
+    "dt": (dict(dt=0.2), NOMINAL, True, True),
+    "prior": (dict(prior=OTHER_PRIOR), NOMINAL, True, False),
+    "disturbance": (dict(disturbance=DisturbanceSpec.zero(4)), NOMINAL, True, False),
+    "nominal": (dict(), QuadrotorParams(1.1, 0.005), False, True),
+}
+
+
+class TestKeys:
+    @pytest.mark.parametrize(
+        "model_args, nominal, dataset_changes, library_changes",
+        KEY_CHANGES.values(),
+        ids=KEY_CHANGES.keys(),
+    )
+    def test_keys_cover_dynamics(
+        self, model_args, nominal, dataset_changes, library_changes
+    ):
+        ds_cfg = DatasetGenConfig(num_samples=3, horizon=4)
+        lib_cfg = LibraryGenConfig(horizon=4, grid_resolution=(2, 1), num_random_steps=1)
+
+        def keys(model, nominal):
+            return (
+                generate_dataset(ds_cfg, model, master_seed=1).config_digest,
+                generate_library(lib_cfg, model, nominal).config_digest,
+            )
+
+        base = keys(PlanarQuadrotor(), NOMINAL)
+        changed = keys(PlanarQuadrotor(**model_args), nominal)
+        assert (base[0] != changed[0], base[1] != changed[1]) == (
+            dataset_changes,
+            library_changes,
+        )
 
 
 def fragile_model():

@@ -186,7 +186,8 @@ class TestRunMonteCarlo:
         assert report.successes == 0
         assert np.all(np.isnan(report.trajectories))
 
-    def test_trajectory_retention_cap(self):
+    def test_trajectory_retention_cap(self, monkeypatch):
+        monkeypatch.setattr("kernelcc.policy.MAX_KEPT_TRAJECTORIES", 4)
         policy = make_policy([1.0])
         report = run_monte_carlo(
             policy,
@@ -195,7 +196,6 @@ class TestRunMonteCarlo:
             np.zeros(4),
             12,
             seed=3,
-            max_kept_trajectories=4,
         )
         assert report.trajectories.shape == (4, HORIZON, 4)
         assert report.indices.shape == (12,)
@@ -226,6 +226,30 @@ class TestCsvExport:
         assert all(row[-1] == "1" for row in rows[1:])
         # states parse back as floats
         float(rows[1][2])
+
+    def test_matches_csv_writer_reference(self, tmp_path):
+        # sequence 1 diverges, so its trials export NaN states next to the
+        # finite ones of sequence 0
+        sequences = np.zeros((2, HORIZON, 2))
+        sequences[1] = 1e155
+        policy = MixedPolicy(
+            np.array([0.5, 0.5]), ControlLibrary(sequences, 0, "mixed"), np.zeros(4), 0.1
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_monte_carlo(
+                policy, quiet_model(drag=0.9), near_origin_scenario(), np.zeros(4), 6, seed=4
+            )
+        assert 0 < np.isnan(report.trajectories[:, 0, 0]).sum() < 6
+        path, reference = tmp_path / "traj.csv", tmp_path / "ref.csv"
+        trajectories_to_csv(report, path)
+        with reference.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["trial", "step", "s0", "s1", "s2", "s3", "feasible"])
+            for t, trajectory in enumerate(report.trajectories):
+                for step, state in enumerate(trajectory):
+                    row = [t, step + 1, *(repr(float(v)) for v in state)]
+                    writer.writerow(row + [int(report.feasible[t])])
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_byte_stable(self, tmp_path):
         policy = make_policy([0.4, 0.6])

@@ -1,5 +1,6 @@
-"""Tests for canonical JSON serialization and content digests."""
+"""Tests for canonical JSON and CSV serialization and content digests."""
 
+import csv
 import dataclasses
 import json
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from kernelcc.data import LibraryGenConfig, generate_library
-from kernelcc.serialize import canonical_json, digest_of
+from kernelcc.serialize import canonical_json, digest_of, write_csv
 from kernelcc.systems import PlanarQuadrotor, QuadrotorParams
 
 
@@ -110,6 +111,45 @@ class TestNonFinite:
     def test_zero_d_nan(self):
         with pytest.raises(ValueError, match="non-finite value nan"):
             canonical_json(np.array(np.nan))
+
+
+def csv_writer_reference(path, header, rows):
+    """What csv.writer writes: str() of each cell, None as an empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+CSV_TABLES = {
+    # a finite and a diverged (NaN) trial row, as trajectories_to_csv writes
+    "trajectories": (
+        ["trial", "step", "s0", "s1", "s2", "s3", "feasible"],
+        [
+            [0, 1, *awkward_floats((6,), seed=3).tolist()[:4], 1],
+            [0, 2, -0.0, 1e-300, 5e-324, 1.0 / 3.0, 1],
+            [1, 1, float("nan"), float("nan"), float("nan"), float("nan"), 0],
+        ],
+    ),
+    # a feasible row and an infeasible one with empty Monte-Carlo cells
+    "summary": (
+        ["delta", "status", "objective", "success_rate", "trials"],
+        [
+            [0.05, "optimal", 2.718281828459045, 0.967, 1000],
+            [0.3, "infeasible", None, None, None],
+        ],
+    ),
+    "header_only": (["a", "b"], []),
+}
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("header, rows", CSV_TABLES.values(), ids=CSV_TABLES.keys())
+    def test_matches_csv_writer(self, tmp_path, header, rows):
+        path, reference = tmp_path / "out.csv", tmp_path / "ref.csv"
+        write_csv(path, header, iter(rows))
+        csv_writer_reference(reference, header, rows)
+        assert path.read_bytes() == reference.read_bytes()
 
 
 class TestPinnedDigests:
