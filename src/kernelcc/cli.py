@@ -44,7 +44,7 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
-POLICY_FORMAT_VERSION = 2
+POLICY_FORMAT_VERSION = 3
 
 
 class PolicyFileError(ValueError):

@@ -495,6 +495,9 @@ def _load_jsonl(path, build, kind: str, count_key: str, field_shapes: dict):
         digest = str(header["config_digest"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataLoadError(path, 1, f"incomplete header: {exc}") from exc
+    for key, value in dims.items():
+        if value < 0:
+            raise DataLoadError(path, 1, f"negative dimension {key}={value}")
     records = lines[1:]
     if len(records) != count:
         raise DataLoadError(
@@ -510,10 +513,17 @@ def _load_jsonl(path, build, kind: str, count_key: str, field_shapes: dict):
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataLoadError(path, lineno, f"malformed record: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise DataLoadError(path, lineno, "record is not a JSON object")
         for name, shape in shapes.items():
             if name not in rec:
                 raise DataLoadError(path, lineno, f"record missing field {name!r}")
-            arr = np.asarray(rec[name], dtype=float)
+            try:
+                arr = np.asarray(rec[name], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise DataLoadError(
+                    path, lineno, f"field {name!r} is not numeric: {exc}"
+                ) from exc
             if arr.shape != shape:
                 raise DataLoadError(
                     path,

@@ -6,6 +6,11 @@ matrix over the dataset's (x0, control sequence) pairs and k(query) is the
 cross-kernel vector of the dataset against the query pair. Any function of
 the sampled trajectories enters only through its values g_vals at the M
 training trajectories, so no trajectory-space kernel is ever materialized.
+
+In representer form the estimate is the inner product alpha @ k(query) with
+alpha = (G + lam*M*I)^{-1} g_vals: one solve against the fitted factor per
+function, after which every query costs one cross-kernel vector and a dot
+product. ``fit`` builds G + lam*M*I in one M x M buffer and factorizes it.
 """
 
 from __future__ import annotations
@@ -90,8 +95,10 @@ def fit(ds: Dataset, kx: KernelSpec, ku: KernelSpec, lam: float) -> EmbeddingMod
     ku = resolve_bandwidth(ku, flat_u)
     gram = gram_product(ds.initial_states, flat_u, kx, ku)
     m_count = ds.num_samples
+    # add lam*M to the diagonal in place: G is not needed on its own
+    gram.flat[:: m_count + 1] += lam * m_count
     try:
-        factor = spd_factor(gram + lam * m_count * np.eye(m_count))
+        factor = spd_factor(gram)
     except FactorizationError as exc:
         raise FitError(
             f"regularized Gram matrix is not positive definite (pivot "
@@ -104,9 +111,10 @@ def cross_matrix(model: EmbeddingModel, x0, controls) -> np.ndarray:
     """Cross-kernel matrix of the dataset against P query control sequences.
 
     ``controls`` has shape (P, N, m). Column j holds the cross-kernel vector
-    for the query (x0, controls[j]); shape (M, P). Solving the fitted system
-    against it, ``spd_solve(model.factor, cross_matrix(...))``, gives the
-    embedding weights of every query; a single query is a batch of one.
+    for the query (x0, controls[j]); shape (M, P). With
+    ``alpha = spd_solve(model.factor, g_vals)`` the estimates of a function
+    at every query are ``alpha @ cross_matrix(...)``; a single query is a
+    batch of one.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.dataset.state_dim,):
@@ -123,4 +131,5 @@ def cross_matrix(model: EmbeddingModel, x0, controls) -> np.ndarray:
     ku_block = kernel_matrix(
         model.ku, model.flat_controls, controls.reshape(controls.shape[0], -1)
     )
-    return kx_col[:, None] * ku_block
+    ku_block *= kx_col[:, None]
+    return ku_block

@@ -105,14 +105,21 @@ def kernel_matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: {rows.shape[1]} vs {cols.shape[1]}"
         )
-    return np.exp(-spec.resolved * cdist(rows, cols, "sqeuclidean"))
+    k = cdist(rows, cols, "sqeuclidean")
+    k *= -spec.resolved
+    np.exp(k, out=k)
+    return k
 
 
 def gram_product(initial_states, controls, kx: KernelSpec, ku: KernelSpec) -> np.ndarray:
     """Product-kernel Gram matrix G_ij = k_x(x0_i, x0_j) * k_u(u_i, u_j).
 
     ``controls`` holds one flattened control sequence per row. The result is
-    exactly symmetric with unit diagonal.
+    exactly symmetric with unit diagonal by construction: cdist computes each
+    squared distance as a sum of squared coordinate differences in the same
+    order for (i, j) and (j, i), and (a - b)^2 == (b - a)^2 in floating point,
+    so both factors are exactly symmetric; the distance of a point to itself
+    is exactly 0, and exp(0) = 1.
     """
     x0 = np.atleast_2d(np.asarray(initial_states, dtype=float))
     u = np.atleast_2d(np.asarray(controls, dtype=float))
@@ -120,12 +127,13 @@ def gram_product(initial_states, controls, kx: KernelSpec, ku: KernelSpec) -> np
         raise ValueError(
             f"length mismatch: {x0.shape[0]} initial states, {u.shape[0]} controls"
         )
-    g = kernel_matrix(kx, x0, x0) * kernel_matrix(ku, u, u)
-    # cdist computes (i, j) and (j, i) independently; enforce exact symmetry
-    # and the exact unit diagonal the gaussian kernel guarantees analytically.
-    g = 0.5 * (g + g.T)
-    np.fill_diagonal(g, 1.0)
+    g = kernel_matrix(kx, x0, x0)
+    g *= kernel_matrix(ku, u, u)
     return g
+
+
+# rows per block of spd_factor's symmetry check
+_SYMMETRY_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -150,8 +158,15 @@ def spd_factor(matrix) -> SpdFactor:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-10):
-        raise ValueError("matrix is not symmetric")
+    # compare the upper triangle with the lower one a block of rows at a
+    # time, so the check never holds an M x M temporary; NaN fails it
+    m = a.shape[0]
+    for start in range(0, m, _SYMMETRY_BLOCK_ROWS):
+        stop = min(start + _SYMMETRY_BLOCK_ROWS, m)
+        if not np.allclose(
+            a[start:stop, start:], a[start:, start:stop].T, rtol=0.0, atol=1e-10
+        ):
+            raise ValueError("matrix is not symmetric")
     (potrf,) = get_lapack_funcs(("potrf",), (a,))
     factor, info = potrf(a, lower=1, overwrite_a=False, clean=1)
     if info > 0:

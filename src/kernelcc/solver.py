@@ -15,7 +15,7 @@ This is exact and needs no external LP dependency.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,12 +40,15 @@ class SafetyDiagnostics:
 
 @dataclass(frozen=True)
 class LPInstance:
-    """Assembled data of the chance-constrained linear program."""
+    """Assembled data of the chance-constrained linear program.
+
+    ``diagnostics`` is derived from the safety row, never passed in.
+    """
 
     cost_row: np.ndarray
     safety_row: np.ndarray
     threshold: float
-    diagnostics: SafetyDiagnostics
+    diagnostics: SafetyDiagnostics = field(init=False)
 
     def __post_init__(self):
         cost = np.asarray(self.cost_row, dtype=float)
@@ -63,6 +66,7 @@ class LPInstance:
             raise ValueError(f"threshold must lie in (0,1), got {self.threshold}")
         object.__setattr__(self, "cost_row", cost)
         object.__setattr__(self, "safety_row", safety)
+        object.__setattr__(self, "diagnostics", safety_diagnostics(safety))
 
     @property
     def num_sequences(self) -> int:
@@ -103,27 +107,29 @@ def assemble(
 ) -> LPInstance:
     """Build the LP rows for one initial state.
 
-    Solves the factorized system once against all P cross-kernel columns;
-    the cost row combines estimated expected state cost with the (known)
-    control cost of each library sequence, and the safety row holds the
-    estimated probability that a trajectory satisfies every constraint.
+    An expectation estimate g^T (G + lam*M*I)^{-1} k(x0, u) is the inner
+    product of alpha = (G + lam*M*I)^{-1} g with the cross-kernel vector, so
+    the factorized system is solved once per functional (state cost and
+    constraint indicator) and each row is alpha^T times the M x P
+    cross-kernel matrix. The cost row adds the (known) control cost of each
+    library sequence; the safety row holds the estimated probability that a
+    trajectory satisfies every constraint.
     """
     if sc.horizon != model.horizon:
         raise ValueError(
             f"scenario horizon {sc.horizon} does not match model horizon "
             f"{model.horizon}"
         )
-    coeff_matrix = spd_solve(model.factor, cross_matrix(model, x0, lib.sequences))
     trajectories = model.dataset.trajectories
-    state_vals = state_cost(sc, trajectories)
-    indicator_vals = indicator_T(sc, trajectories)
-    cost_row = state_vals @ coeff_matrix + control_cost(sc, lib.sequences)
-    safety_row = indicator_vals @ coeff_matrix
+    functionals = np.column_stack(
+        [state_cost(sc, trajectories), indicator_T(sc, trajectories)]
+    )
+    alpha = spd_solve(model.factor, functionals)
+    state_row, safety_row = alpha.T @ cross_matrix(model, x0, lib.sequences)
     return LPInstance(
-        cost_row=cost_row,
+        cost_row=state_row + control_cost(sc, lib.sequences),
         safety_row=safety_row,
         threshold=1.0 - sc.delta,
-        diagnostics=safety_diagnostics(safety_row),
     )
 
 
@@ -133,12 +139,7 @@ def with_threshold(inst: LPInstance, delta: float) -> LPInstance:
     Only the threshold depends on the risk budget, so a sweep reuses one
     assembled instance instead of re-solving the kernel system per level.
     """
-    return LPInstance(
-        cost_row=inst.cost_row,
-        safety_row=inst.safety_row,
-        threshold=1.0 - delta,
-        diagnostics=inst.diagnostics,
-    )
+    return replace(inst, threshold=1.0 - delta)
 
 
 def solve_lp(inst: LPInstance) -> SolveResult:

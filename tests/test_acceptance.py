@@ -23,7 +23,6 @@ from kernelcc.solver import (
     LPInstance,
     assemble,
     brute_oracle,
-    safety_diagnostics,
     solve_lp,
     with_threshold,
 )
@@ -176,12 +175,7 @@ class TestLpOracleEquivalence:
             cost = rng.normal(0.0, 100.0, size=p)
             safety = rng.uniform(-0.2, 1.2, size=p)
             threshold = float(rng.uniform(0.5, 0.99))
-            inst = LPInstance(
-                cost_row=cost,
-                safety_row=safety,
-                threshold=threshold,
-                diagnostics=safety_diagnostics(safety),
-            )
+            inst = LPInstance(cost_row=cost, safety_row=safety, threshold=threshold)
             with warnings.catch_warnings():
                 # random safety rows legitimately trip the above-one
                 # diagnostic; the check here is solver agreement

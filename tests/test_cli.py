@@ -258,6 +258,47 @@ class TestStageReuse:
         assert mtimes(out, "*_delta_0.3.*") == before
         assert (out / "report_delta_0.4.json").exists()
 
+    @pytest.mark.parametrize(
+        "line, corrupt",
+        [
+            (3, lambda rec: json.dumps({**json.loads(rec), "u": "x"})),
+            (3, lambda rec: "5"),
+            (0, lambda header: header.replace('"m":2', '"m":-2')),
+        ],
+        ids=["non_numeric_field", "record_not_an_object", "negative_dimension"],
+    )
+    def test_corrupted_dataset_is_regenerated(self, tmp_path, capsys, line, corrupt):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        run_step(tmp_path, small_raw(), ["experiment"], reused)
+        path = reused / "dataset.jsonl"
+        lines = path.read_text().splitlines()
+        lines[line] = corrupt(lines[line])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_step(tmp_path, small_raw(), ["experiment"], reused) == EXIT_OK
+        assert "dataset: 40 samples" in capsys.readouterr().out
+        run_step(tmp_path, small_raw(), ["experiment"], fresh)
+        for p in fresh.iterdir():
+            assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
+
+    def test_earlier_policy_format_is_resolved(self, tmp_path, capsys, monkeypatch):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        with monkeypatch.context() as patch:
+            patch.setattr(kernelcc.cli, "POLICY_FORMAT_VERSION", 2)
+            run_step(tmp_path, small_raw(), ["experiment"], reused)
+        policy = json.loads((reused / "policy_delta_0.3.json").read_text())
+        assert policy["format_version"] == 2
+        capsys.readouterr()
+        assert run_step(tmp_path, small_raw(), ["experiment"], reused) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "dataset: cached" in text and "library: cached" in text
+        assert "cached policy" not in text and "cached report" not in text
+        policy = json.loads((reused / "policy_delta_0.3.json").read_text())
+        assert policy["format_version"] == kernelcc.cli.POLICY_FORMAT_VERSION == 3
+        run_step(tmp_path, small_raw(), ["experiment"], fresh)
+        for p in fresh.iterdir():
+            assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
+
 
 class TestGenerate:
     def test_writes_headers_with_seed_and_digest(self, tmp_path):
@@ -393,15 +434,15 @@ class TestErrors:
 
 class TestEarlierDirectory:
     # small_raw's library digest and file bytes as recorded by earlier
-    # versions (the policy before arrays were serialized in one pass, the
-    # rest before the JSONL and CSV writers were shared); equal values here
-    # mean a directory written then is the directory written now
+    # versions (the policy since policy format 3 solved once per functional,
+    # the rest before the JSONL and CSV writers were shared); equal values
+    # here mean a directory written then is the directory written now
     LIBRARY_DIGEST = "736f48739ab26107cec6bf20bf38cd4fe8a801ec37c00d266c530f246483ffad"
     FILE_SHA256 = {
         "dataset.jsonl": "768ee7b8cefca950674d4fff51075d2ceb2e3b1acc3f8794633f9e69c3429aa4",
         "library.jsonl": "da7fa260f6cb5d49da3601ca5219cae7313cc30728f757390ff2eead86499ad3",
         "policy_delta_0.3.json": (
-            "683e0a43cb56d6036cfc53692a00202365fd3a84c264375d110ea679b431ed8a"
+            "edcbcf5b882ef7afc64f1645a46fc8c2aa533b49a97de6cd26345ec7b52dc9a8"
         ),
         "trajectories_delta_0.3.csv": (
             "2dd990497df33a863590a6b0f3a7eeaa6c8171b1da3c27c65daddcf40e7a405e"

@@ -1,5 +1,7 @@
 """Tests for dataset/library generation and JSON-lines persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -381,6 +383,46 @@ class TestPersistence:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(DataLoadError, match="expected 6 records"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "u, reason",
+        [
+            ("x", "field 'u' is not numeric"),
+            ({"a": 1}, "field 'u' is not numeric"),
+            ([[1.0], [1.0, 2.0]], "field 'u' is not numeric"),
+        ],
+    )
+    def test_non_numeric_field_names_line(self, tmp_path, u, reason):
+        ds = self.make_dataset()
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        lines[3] = json.dumps({**json.loads(lines[3]), "u": u})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataLoadError, match=f":4: {reason}") as exc:
+            load_dataset(path)
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("record", ["5", "[1, 2]", '"x0 u x"', "null"])
+    def test_record_not_an_object_names_line(self, tmp_path, record):
+        ds = self.make_dataset()
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        lines[3] = record
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataLoadError, match=":4: record is not a JSON object"):
+            load_dataset(path)
+
+    def test_negative_dimension_rejected(self, tmp_path):
+        ds = self.make_dataset()
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace('"m":2', '"m":-2')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataLoadError, match=":1: negative dimension m=-2"):
             load_dataset(path)
 
 

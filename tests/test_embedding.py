@@ -1,13 +1,14 @@
 """Tests for embedding fit, coefficient solves, and expectation estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kernelcc.data import Dataset
 from kernelcc.embedding import FitError, cross_matrix, fit
-from kernelcc.kernels import KernelSpec, gram_product, spd_solve
+from kernelcc.kernels import KernelSpec, gram_product, spd_factor, spd_solve
 
 UNIT = KernelSpec(bandwidth=1.0)
 
@@ -86,6 +87,29 @@ class TestFit:
         a = fit(ds, UNIT, UNIT, lam=1e-4)
         b = fit(ds, UNIT, UNIT, lam=1e-3)
         assert a.digest != b.digest
+
+    def test_factor_of_regularized_gram(self):
+        ds = make_dataset(m=30)
+        model = fit(ds, UNIT, UNIT, lam=1e-3)
+        gram = gram_product(ds.initial_states, ds.flattened_controls(), UNIT, UNIT)
+        expected = spd_factor(gram + 1e-3 * 30 * np.eye(30))
+        np.testing.assert_array_equal(
+            model.factor.lower_triangular_factor, expected.lower_triangular_factor
+        )
+
+    def test_peak_memory_two_gram_buffers(self):
+        # the Gram matrix is built, regularized and checked in one M x M
+        # buffer; the Cholesky factor is the second
+        m = 1200
+        ds = make_dataset(m=m)
+        tracemalloc.start()
+        try:
+            model = fit(ds, UNIT, UNIT, lam=1e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.factor.dimension == m
+        assert peak / (m * m * 8) <= 2.2
 
 
 class TestCoefficientVector:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kernelcc import kernels
 from kernelcc.kernels import (
     DegenerateDataError,
     FactorizationError,
@@ -196,6 +197,39 @@ class TestSpdSolve:
     def test_nonsymmetric_rejected(self):
         with pytest.raises(ValueError):
             spd_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @staticmethod
+    def blocked_spd(m):
+        """An SPD matrix whose symmetry check runs over several row blocks."""
+        assert m > 2 * kernels._SYMMETRY_BLOCK_ROWS
+        rng = np.random.default_rng(m)
+        b = rng.normal(size=(m, 8))
+        return b @ b.T + m * np.eye(m)
+
+    def test_asymmetry_in_last_row_block_rejected(self):
+        m = 2 * kernels._SYMMETRY_BLOCK_ROWS + 5
+        a = self.blocked_spd(m)
+        spd_factor(a)
+        a[m - 1, m - 2] += 1e-9
+        with pytest.raises(ValueError, match="not symmetric"):
+            spd_factor(a)
+
+    def test_asymmetry_within_tolerance_accepted(self):
+        m = 2 * kernels._SYMMETRY_BLOCK_ROWS + 5
+        a = self.blocked_spd(m)
+        a[m - 1, m - 2] += 1e-11
+        spd_factor(a)
+
+    @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+    def test_nan_rejected(self, where):
+        m = 2 * kernels._SYMMETRY_BLOCK_ROWS + 5
+        a = self.blocked_spd(m)
+        if where == "diagonal":
+            a[m - 1, m - 1] = np.nan
+        else:
+            a[m - 2, m - 1] = a[m - 1, m - 2] = np.nan
+        with pytest.raises(ValueError, match="not symmetric"):
+            spd_factor(a)
 
     def test_factor_diagonal_positive(self):
         rng = np.random.default_rng(2)

@@ -5,9 +5,16 @@ import pytest
 from scipy.optimize import linprog
 
 from kernelcc.data import ControlLibrary, Dataset
-from kernelcc.embedding import fit
-from kernelcc.kernels import KernelSpec
-from kernelcc.scenario import CostSpec, GoalSet, Scenario
+from kernelcc.embedding import cross_matrix, fit
+from kernelcc.kernels import KernelSpec, spd_solve
+from kernelcc.scenario import (
+    CostSpec,
+    GoalSet,
+    Scenario,
+    control_cost,
+    indicator_T,
+    state_cost,
+)
 from kernelcc.solver import (
     LPInstance,
     SafetyDiagnostics,
@@ -22,14 +29,7 @@ UNIT = KernelSpec(bandwidth=1.0)
 
 
 def make_instance(cost, safety, delta):
-    cost = np.asarray(cost, dtype=float)
-    safety = np.asarray(safety, dtype=float)
-    return LPInstance(
-        cost_row=cost,
-        safety_row=safety,
-        threshold=1.0 - delta,
-        diagnostics=safety_diagnostics(safety),
-    )
+    return LPInstance(cost_row=cost, safety_row=safety, threshold=1.0 - delta)
 
 
 def random_instance(rng, max_p=50):
@@ -119,6 +119,21 @@ class TestSolveLp:
         swapped = with_threshold(inst, 0.5)
         assert swapped.threshold == 0.5
         np.testing.assert_array_equal(swapped.cost_row, inst.cost_row)
+        assert swapped.diagnostics == inst.diagnostics
+
+    def test_diagnostics_derived_from_safety_row(self):
+        inst = make_instance([1.0, 2.0, 3.0], [-0.25, 0.5, 1.25], delta=0.2)
+        assert inst.diagnostics == SafetyDiagnostics(
+            num_below_zero=1, num_above_one=1, min_value=-0.25, max_value=1.25
+        )
+        # a caller cannot pass diagnostics that contradict the row
+        with pytest.raises(TypeError):
+            LPInstance(
+                cost_row=inst.cost_row,
+                safety_row=inst.safety_row,
+                threshold=0.8,
+                diagnostics=safety_diagnostics(np.zeros(3)),
+            )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_objective_monotone_in_delta(self):
@@ -259,6 +274,22 @@ class TestAssemble:
         lib = ControlLibrary(ds.controls[:1], 0, "lib")
         inst = assemble(model, sc, lib, ds.initial_states[0])
         assert inst.safety_row[0] == pytest.approx(1.0, abs=1e-3)
+
+    def test_rows_match_column_solve_reference(self):
+        # the rows are alpha^T K with alpha solved once per functional; the
+        # reference solves the system against every cross-kernel column
+        ds, model, lib, sc = self.make_fixture()
+        x0 = np.array([0.1, -0.2, 0.3, 0.0])
+        inst = assemble(model, sc, lib, x0)
+        coeff = spd_solve(model.factor, cross_matrix(model, x0, lib.sequences))
+        state_ref = state_cost(sc, ds.trajectories) @ coeff
+        cost_ref = state_ref + control_cost(sc, lib.sequences)
+        safety_ref = indicator_T(sc, ds.trajectories) @ coeff
+        np.testing.assert_allclose(inst.cost_row, cost_ref, rtol=1e-12, atol=0)
+        scale = np.max(np.abs(safety_ref))
+        np.testing.assert_allclose(
+            inst.safety_row, safety_ref, rtol=0, atol=1e-12 * scale
+        )
 
     def test_horizon_mismatch_rejected(self):
         _, model, lib, _ = self.make_fixture()
