@@ -487,14 +487,20 @@ def _load_jsonl(path, build, kind: str, count_key: str, field_shapes: dict):
             path, 1, f"expected kind {kind!r}, found {header.get('kind')!r}"
         )
     used = {key for shape in field_shapes.values() for key in shape}
+    dim_keys = [key for key in ("n", "m", "N") if key in used]
     try:
         # checked in this order, so a header missing several keys names n first
-        dims = {key: int(header[key]) for key in ("n", "m", "N") if key in used}
-        count = int(header[count_key])
-        seed = int(header["master_seed"])
+        ints = {key: header[key] for key in [*dim_keys, count_key, "master_seed"]}
         digest = str(header["config_digest"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise DataLoadError(path, 1, f"incomplete header: {exc}") from exc
+    for key, value in ints.items():
+        # only a JSON integer parses to int; bool subclasses int, so the type
+        # is compared exactly and 2.5, 1000.0, "3" and true are all rejected
+        if type(value) is not int:
+            raise DataLoadError(path, 1, f"header {key}={value!r} is not an integer")
+    dims = {key: ints[key] for key in dim_keys}
+    count, seed = ints[count_key], ints["master_seed"]
     for key, value in dims.items():
         if value < 0:
             raise DataLoadError(path, 1, f"negative dimension {key}={value}")

@@ -7,8 +7,9 @@ probability meeting a threshold:
     min  cost_row @ w   s.t.  safety_row @ w >= threshold,  w in the simplex.
 
 With P variables, one equality (simplex) and one inequality, an optimal basic
-solution has at most two nonzero weights, so the solver enumerates pure
-strategies and boundary mixtures of one infeasible with one feasible index.
+solution has at most two nonzero weights: the cheapest feasible sequence, or
+one infeasible and one feasible sequence mixed to sit on the threshold. The
+solver finds that pair by alternating tangent steps of O(P) time and memory.
 This is exact and needs no external LP dependency.
 """
 
@@ -24,7 +25,8 @@ from .embedding import EmbeddingModel, cross_matrix
 from .kernels import spd_solve
 from .scenario import Scenario, control_cost, indicator_T, state_cost
 
-# near-ties in objective are resolved by support order, so solves reproduce
+# objectives this close count as tied: a pair must beat the pure optimum by
+# more, and a tie goes to the smaller support, so solves reproduce
 TIE_TOLERANCE = 1e-12
 
 
@@ -145,9 +147,24 @@ def with_threshold(inst: LPInstance, delta: float) -> LPInstance:
 def solve_lp(inst: LPInstance) -> SolveResult:
     """Exact optimum of the chance-constrained LP.
 
-    Candidates are the cheapest feasible pure strategy and the cheapest
-    two-point mixture sitting exactly on the probability threshold; ties
-    within 1e-12 go to the lexicographically smallest support index set.
+    The pure optimum is the cheapest feasible element (the lowest index within
+    ``TIE_TOLERANCE``). Only a mixture on the threshold of an infeasible j
+    cheaper than it and a feasible k can beat it: its objective is the value
+    at the threshold of the line through (a_j, c_j) and (a_k, c_k). From the
+    pure optimum two vectorized steps alternate: j gives the steepest line to
+    k, then k the line from j lowest at the threshold, that is the flattest.
+    They stop when that objective stops strictly falling, as a float must.
+
+    At the fixed point every cheaper infeasible point lies on or above the
+    line, as j maximizes its slope, and so does every feasible point, as k
+    minimizes it. The line rises, so the other infeasible points, which cost
+    at least the pure optimum, lie above it too. It is the lower-hull edge
+    over the threshold: the pair is optimal. (Steepest, not lowest: when
+    a_k equals the threshold every j meets it at c_k.)
+
+    Ties: the pair must beat the pure optimum by more than ``TIE_TOLERANCE``,
+    else the lexicographically smaller support wins. Among near-tied pairs the
+    one the iteration reaches is kept; exact ties go to the lowest index.
     """
     c, a, thr = inst.cost_row, inst.safety_row, inst.threshold
     p = inst.num_sequences
@@ -163,53 +180,31 @@ def solve_lp(inst: LPInstance) -> SolveResult:
             RuntimeWarning,
             stacklevel=2,
         )
-    candidates = []
-
     feas_idx = np.flatnonzero(feasible)
-    pure_min = float(np.min(c[feas_idx]))
-    for j in feas_idx[c[feas_idx] <= pure_min + TIE_TOLERANCE]:
-        candidates.append((float(c[j]), (int(j),), None))
-
-    infeas_idx = np.flatnonzero(~feasible)
-    if infeas_idx.size > 0:
-        # mixing weight on the feasible index puts the pair exactly on the
-        # threshold: t = (thr - a_j) / (a_k - a_j) for a_j < thr <= a_k
-        a_j = a[infeas_idx][:, None]
-        a_k = a[feas_idx][None, :]
-        c_j = c[infeas_idx][:, None]
-        c_k = c[feas_idx][None, :]
-        t = (thr - a_j) / (a_k - a_j)
-        pair_obj = (1.0 - t) * c_j + t * c_k
-        best_flat = np.argmin(pair_obj)
-        best_obj = float(pair_obj.flat[best_flat])
-        # gather every pair within the tie window of the pair minimum
-        tied = np.argwhere(pair_obj <= best_obj + TIE_TOLERANCE)
-        for row, col in tied:
-            j = int(infeas_idx[row])
-            k = int(feas_idx[col])
-            candidates.append(
-                (float(pair_obj[row, col]), tuple(sorted((j, k))), float(t[row, col]))
-            )
-
-    best_objective = min(obj for obj, _, _ in candidates)
-    in_window = [
-        cand for cand in candidates if cand[0] <= best_objective + TIE_TOLERANCE
-    ]
-    obj, support, t = min(in_window, key=lambda cand: cand[1])
-
+    pure = int(feas_idx[c[feas_idx] <= c[feas_idx].min() + TIE_TOLERANCE][0])
+    cheap = np.flatnonzero(~feasible & (c < c[pure]))
+    j, k, pair_obj = None, pure, np.inf
+    while cheap.size:
+        j_next = cheap[np.argmax((c[k] - c[cheap]) / (a[k] - a[cheap]))]
+        # weight on each feasible k that puts its mixture with j on the threshold
+        t = (thr - a[j_next]) / (a[feas_idx] - a[j_next])
+        objs = (1.0 - t) * c[j_next] + t * c[feas_idx]
+        best = np.argmin(objs)
+        if not objs[best] < pair_obj:
+            break
+        j, k, pair_obj, t_k = j_next, feas_idx[best], objs[best], t[best]
     weights = np.zeros(p)
-    if t is None:
-        weights[support[0]] = 1.0
+    if pair_obj < c[pure] - TIE_TOLERANCE or (
+        pair_obj <= c[pure] + TIE_TOLERANCE and min(j, k) < pure
+    ):
+        weights[j], weights[k] = 1.0 - t_k, t_k
+        objective = float(pair_obj)
     else:
-        j, k = support
-        # support was sorted; recover which index is the feasible one
-        if a[j] >= thr:
-            j, k = k, j
-        weights[j] = 1.0 - t
-        weights[k] = t
+        weights[pure] = 1.0
+        objective = float(c[pure])
     support = tuple(int(i) for i in np.flatnonzero(weights > 0.0))
     return SolveResult(
-        weights=weights, objective=float(obj), support=support, status="optimal"
+        weights=weights, objective=objective, support=support, status="optimal"
     )
 
 

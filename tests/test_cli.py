@@ -264,8 +264,16 @@ class TestStageReuse:
             (3, lambda rec: json.dumps({**json.loads(rec), "u": "x"})),
             (3, lambda rec: "5"),
             (0, lambda header: header.replace('"m":2', '"m":-2')),
+            (0, lambda header: header.replace('"m":2', '"m":2.5')),
+            (0, lambda header: header.replace('"master_seed":5', '"master_seed":5.5')),
         ],
-        ids=["non_numeric_field", "record_not_an_object", "negative_dimension"],
+        ids=[
+            "non_numeric_field",
+            "record_not_an_object",
+            "negative_dimension",
+            "fractional_dimension",
+            "fractional_seed",
+        ],
     )
     def test_corrupted_dataset_is_regenerated(self, tmp_path, capsys, line, corrupt):
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"

@@ -425,6 +425,38 @@ class TestPersistence:
         with pytest.raises(DataLoadError, match=":1: negative dimension m=-2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("m", 2.5),
+            ("N", 5.9),
+            ("M", 6.0),
+            ("master_seed", 21.7),
+            ("n", "4"),
+            ("master_seed", True),
+            ("M", None),
+        ],
+    )
+    def test_non_integer_header_value_rejected(self, tmp_path, key, value):
+        ds = self.make_dataset()
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), key: value})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataLoadError, match=f":1: header {key}=.* not an integer"):
+            load_dataset(path)
+
+    def test_fractional_library_count_rejected(self, tmp_path):
+        cfg = LibraryGenConfig(horizon=5, grid_resolution=(2, 1), num_random_steps=2)
+        path = tmp_path / "lib.jsonl"
+        save_library(generate_library(cfg, deterministic_model(), NOMINAL), path)
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace('"P":4', '"P":4.0')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataLoadError, match=":1: header P=4.0 is not an integer"):
+            load_library(path)
+
 
 class TestDatasetInvariants:
     def test_rejects_inconsistent_counts(self):

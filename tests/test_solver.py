@@ -1,5 +1,7 @@
 """Tests for LP assembly and the exact simplex-constrained solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -104,6 +106,15 @@ class TestSolveLp:
         result = solve_lp(inst)
         assert result.support == (0,)
 
+    def test_pair_tied_with_pure_optimum_prefers_smaller_support(self):
+        # the pure optimum (index 2) lies on the line through 0 and 1
+        inst = LPInstance(
+            cost_row=[1.0, 3.0, 2.0], safety_row=[0.5, 1.0, 0.75], threshold=0.75
+        )
+        result = solve_lp(inst)
+        assert result.support == (0, 1)
+        assert result.objective == 2.0
+
     @pytest.mark.filterwarnings("error")
     def test_no_warning_for_honest_satisfaction(self):
         solve_lp(make_instance([1.0, 2.0], [0.5, 0.95], delta=0.1))
@@ -206,6 +217,109 @@ class TestOracleAgreement:
             else:
                 assert res.success
                 assert mine.objective == pytest.approx(res.fun, abs=1e-8)
+
+
+def at_thresholds(cost, safety, thresholds):
+    return [
+        LPInstance(cost_row=cost, safety_row=safety, threshold=float(thr))
+        for thr in thresholds
+    ]
+
+
+def collinear():
+    # every boundary pair on the line has the same objective
+    safety = np.linspace(0.05, 0.95, 19)
+    order = np.random.default_rng(3).permutation(19)
+    cost = 2.0 + 3.0 * safety
+    return at_thresholds(cost[order], safety[order], [0.1, 0.33, 0.5, 0.9])
+
+
+def duplicate_safety():
+    rng = np.random.default_rng(4)
+    safety = rng.choice([0.2, 0.5, 0.8, 0.9], size=40)
+    cost = np.round(rng.uniform(0.0, 5.0, size=40), 1)
+    return at_thresholds(cost, safety, [0.3, 0.6, 0.85, 0.9])
+
+
+def all_feasible():
+    rng = np.random.default_rng(5)
+    return at_thresholds(rng.uniform(0, 9, 30), rng.uniform(0.8, 1.0, 30), [0.8])
+
+
+def one_feasible():
+    rng = np.random.default_rng(6)
+    safety = rng.uniform(0.0, 0.7, 30)
+    safety[17] = 0.9
+    return at_thresholds(rng.uniform(0, 9, 30), safety, [0.75, 0.9])
+
+
+def threshold_at_element():
+    rng = np.random.default_rng(7)
+    safety = rng.uniform(0.0, 1.0, 30)
+    cost = 4.0 * safety + rng.uniform(0.0, 1.0, 30)
+    return at_thresholds(cost, safety, np.sort(safety)[[3, 12, 25]])
+
+
+def infeasible_at_pure_cost():
+    # index 0 is infeasible and costs exactly as much as the pure optimum
+    safety = np.array([0.3, 0.9, 0.95, 0.5, 0.85])
+    with_cheaper = at_thresholds(np.array([2.0, 2.0, 3.0, 1.0, 2.5]), safety, [0.8])
+    alone = at_thresholds(np.array([2.0, 2.0, 3.0, 4.0, 2.5]), safety, [0.8])
+    return with_cheaper + alone
+
+
+def two_convex_arcs():
+    # points on a circle: every one is a vertex of the hull
+    angle = np.random.default_rng(8).uniform(0.0, 2.0 * np.pi, 60)
+    safety = 0.5 + 0.45 * np.cos(angle)
+    cost = 5.0 + 4.0 * np.sin(angle)
+    return at_thresholds(cost, safety, [0.1, 0.4, 0.6, 0.9])
+
+
+DEGENERATE = [
+    collinear,
+    duplicate_safety,
+    all_feasible,
+    one_feasible,
+    threshold_at_element,
+    infeasible_at_pure_cost,
+    two_convex_arcs,
+]
+
+
+class TestDegenerateInstances:
+    @pytest.mark.parametrize("build", DEGENERATE, ids=lambda f: f.__name__)
+    def test_matches_brute_oracle(self, build):
+        for inst in build():
+            fast, slow = solve_lp(inst), brute_oracle(inst)
+            check_result_invariants(fast, inst)
+            check_result_invariants(slow, inst)
+            assert fast.objective == pytest.approx(slow.objective, abs=1e-12)
+
+    def test_equal_cost_infeasible_is_not_mixed(self):
+        # mixing in an infeasible element no cheaper than the pure optimum
+        # gains nothing, so the pure optimum is kept
+        _, alone = infeasible_at_pure_cost()
+        result = solve_lp(alone)
+        assert result.support == (1,)
+        assert result.objective == 2.0
+
+    def test_peak_memory_linear_in_p(self):
+        # half of P=4000 feasible: a pair matrix would take 2000 x 2000 floats
+        rng = np.random.default_rng(9)
+        safety = rng.uniform(0.0, 1.0, 4000)
+        cost = 10.0 * safety + rng.normal(0.0, 1.0, 4000)
+        inst = LPInstance(
+            cost_row=cost, safety_row=safety, threshold=float(np.median(safety))
+        )
+        tracemalloc.start()
+        try:
+            result = solve_lp(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.support) == 2
+        assert peak < 4e6
 
 
 class TestAssemble:

@@ -21,7 +21,8 @@ def load_tracing():
     return module
 
 
-WRAPPED = load_tracing().WRAPPED_FUNCTIONS
+TRACING_MODULE = load_tracing()
+WRAPPED = TRACING_MODULE.WRAPPED_FUNCTIONS
 
 
 @pytest.mark.parametrize(
@@ -37,3 +38,17 @@ def test_content_digest_is_a_property():
     from kernelcc.data import ControlLibrary
 
     assert isinstance(ControlLibrary.content_digest, property)
+
+
+def test_solve_lp_hook_reads_a_real_instance():
+    # the hook counts pairs from safety_row, threshold and num_sequences, so a
+    # renamed LPInstance field fails here rather than in a traced benchmark run
+    from kernelcc.solver import LPInstance
+
+    before, _ = TRACING_MODULE.SPAN_HOOKS["solver.solve_lp"]
+    inst = LPInstance(
+        cost_row=[1.0, 2.0, 3.0, 4.0], safety_row=[0.5, 0.6, 0.9, 0.95], threshold=0.8
+    )
+    tracer = TRACING_MODULE.Tracer()
+    before(tracer, (inst,))
+    assert tracer.counters["solver.pair_candidates"] == 4
