@@ -10,6 +10,7 @@ carry the line number. The parsed form keeps a digest of the raw file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +31,22 @@ from .systems import (
 
 class ConfigError(ValueError):
     """Raised for malformed run configurations; names the section at fault."""
+
+
+def _reject_non_finite(value, where: str) -> None:
+    """Raise ConfigError at the first NaN or infinite number under value.
+
+    JSON text may spell these NaN, Infinity, -Infinity, or as a literal too
+    large for a float (1e400 parses as inf).
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"non-finite number {value} at {where}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{where}.{key}" if where else str(key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _reject_non_finite(item, f"{where}[{index}]")
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -128,6 +145,7 @@ def parse_config(raw: dict) -> RunConfig:
     """Build a RunConfig from a parsed JSON object."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_non_finite(raw, "")
     if "seed" not in raw:
         raise ConfigError("missing config section 'seed'")
     master_seed = int(raw["seed"])

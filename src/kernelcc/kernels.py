@@ -111,15 +111,27 @@ def kernel_matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
     return k
 
 
+# rows per block of gram_product; a block's two kernel factors add
+# 2 * 32 / M of an M x M buffer to G
+_GRAM_BLOCK_ROWS = 32
+
+
 def gram_product(initial_states, controls, kx: KernelSpec, ku: KernelSpec) -> np.ndarray:
     """Product-kernel Gram matrix G_ij = k_x(x0_i, x0_j) * k_u(u_i, u_j).
 
-    ``controls`` holds one flattened control sequence per row. The result is
-    exactly symmetric with unit diagonal by construction: cdist computes each
+    ``controls`` holds one flattened control sequence per row. G is built a
+    block of rows of its upper triangle at a time: block [a, b) holds the
+    pairs (i, j) with a <= i < b and j >= a, is written to ``g[a:b, a:]`` and
+    mirrored into ``g[a:, a:b]``. Each pair's kernels are evaluated once, and
+    besides G at most two blocks (the two kernel factors) are held.
+
+    The result is exactly symmetric with unit diagonal, and equal bit for bit
+    to the product of the two dense kernel matrices. cdist computes each
     squared distance as a sum of squared coordinate differences in the same
-    order for (i, j) and (j, i), and (a - b)^2 == (b - a)^2 in floating point,
-    so both factors are exactly symmetric; the distance of a point to itself
-    is exactly 0, and exp(0) = 1.
+    order whichever block holds the pair, and (a - b)^2 == (b - a)^2 in
+    floating point, so the mirrored copy of g[i, j] is the value the dense
+    build computes for g[j, i]. The distance of a point to itself is exactly
+    0, and exp(0) = 1.
     """
     x0 = np.atleast_2d(np.asarray(initial_states, dtype=float))
     u = np.atleast_2d(np.asarray(controls, dtype=float))
@@ -127,13 +139,19 @@ def gram_product(initial_states, controls, kx: KernelSpec, ku: KernelSpec) -> np
         raise ValueError(
             f"length mismatch: {x0.shape[0]} initial states, {u.shape[0]} controls"
         )
-    g = kernel_matrix(kx, x0, x0)
-    g *= kernel_matrix(ku, u, u)
+    m = x0.shape[0]
+    g = np.empty((m, m))
+    for start in range(0, m, _GRAM_BLOCK_ROWS):
+        stop = min(start + _GRAM_BLOCK_ROWS, m)
+        block = kernel_matrix(kx, x0[start:stop], x0[start:])
+        block *= kernel_matrix(ku, u[start:stop], u[start:])
+        g[start:stop, start:] = block
+        g[start:, start:stop] = block.T
     return g
 
 
-# rows per block of spd_factor's symmetry check
-_SYMMETRY_BLOCK_ROWS = 256
+# rows and columns per square tile of spd_factor's symmetry check
+_SYMMETRY_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -147,6 +165,15 @@ class SpdFactor:
 def spd_factor(matrix) -> SpdFactor:
     """Cholesky-factorize a symmetric positive definite matrix.
 
+    Every call checks symmetry to an absolute 1e-10, so a NaN anywhere in
+    the matrix fails the check. The check compares square tiles (I, J) with
+    the transposes of their mirrors (J, I), J >= I, so it reads contiguous
+    runs of rows and never holds more than a few tiles of temporaries.
+    LAPACK then factors the upper triangle of the argument: it is handed the
+    transpose, which is Fortran-ordered for a C-ordered matrix and so is
+    copied without reordering, and ``potrf`` reads that transpose's lower
+    triangle. The argument is never modified.
+
     Raises
     ------
     FactorizationError
@@ -158,17 +185,16 @@ def spd_factor(matrix) -> SpdFactor:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    # compare the upper triangle with the lower one a block of rows at a
-    # time, so the check never holds an M x M temporary; NaN fails it
     m = a.shape[0]
-    for start in range(0, m, _SYMMETRY_BLOCK_ROWS):
-        stop = min(start + _SYMMETRY_BLOCK_ROWS, m)
-        if not np.allclose(
-            a[start:stop, start:], a[start:, start:stop].T, rtol=0.0, atol=1e-10
-        ):
-            raise ValueError("matrix is not symmetric")
+    for row in range(0, m, _SYMMETRY_TILE):
+        rows = slice(row, row + _SYMMETRY_TILE)
+        for col in range(row, m, _SYMMETRY_TILE):
+            cols = slice(col, col + _SYMMETRY_TILE)
+            if not np.allclose(a[rows, cols], a[cols, rows].T, rtol=0.0, atol=1e-10):
+                raise ValueError("matrix is not symmetric")
+    # the check passed, so a.T is the same matrix to 1e-10
     (potrf,) = get_lapack_funcs(("potrf",), (a,))
-    factor, info = potrf(a, lower=1, overwrite_a=False, clean=1)
+    factor, info = potrf(a.T, lower=1, overwrite_a=False, clean=1)
     if info > 0:
         raise FactorizationError(int(info))
     if info < 0:

@@ -439,6 +439,22 @@ class TestErrors:
                    str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "literal, shown",
+        [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, literal, shown):
+        # Python's json module accepts all four spellings
+        text = json.dumps(small_raw(regularization=0.125)).replace("0.125", literal)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = main(["experiment", "--config", str(cfg), "--out-dir",
+                   str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"non-finite number {shown} at embedding.regularization" in err
+
 
 class TestEarlierDirectory:
     # small_raw's library digest and file bytes as recorded by earlier

@@ -1,6 +1,7 @@
 """Tests for kernel evaluation, Gram assembly, bandwidth selection, SPD solves."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from kernelcc.kernels import (
 )
 
 UNIT = KernelSpec(bandwidth=1.0)
+GRAM_BLOCK = kernels._GRAM_BLOCK_ROWS
 
 
 def kernel(spec, a, b):
@@ -152,6 +154,32 @@ class TestGramProduct:
         with pytest.raises(ValueError):
             gram_product([[0.0], [1.0]], [[0.0]], UNIT, UNIT)
 
+    @pytest.mark.parametrize(
+        "m", [1, GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1, 2 * GRAM_BLOCK + 5]
+    )
+    def test_blocks_equal_dense_product(self, m):
+        rng = np.random.default_rng(m)
+        x0 = rng.normal(size=(m, 4))
+        u = rng.normal(size=(m, 30))
+        ku = KernelSpec(bandwidth=0.1)
+        dense = kernel_matrix(UNIT, x0, x0) * kernel_matrix(ku, u, u)
+        assert gram_product(x0, u, UNIT, ku).tobytes() == dense.tobytes()
+
+    def test_peak_memory_one_gram_buffer(self):
+        # G plus one block of rows, not the two dense kernel matrices
+        m = 1200
+        rng = np.random.default_rng(4)
+        x0 = rng.normal(size=(m, 4))
+        u = rng.normal(size=(m, 30))
+        tracemalloc.start()
+        try:
+            g = gram_product(x0, u, UNIT, KernelSpec(bandwidth=0.1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.shape == (m, m)
+        assert peak / (m * m * 8) <= 1.1
+
 
 class TestCrossVector:
     def test_query_at_sample(self):
@@ -200,29 +228,42 @@ class TestSpdSolve:
 
     @staticmethod
     def blocked_spd(m):
-        """An SPD matrix whose symmetry check runs over several row blocks."""
-        assert m > 2 * kernels._SYMMETRY_BLOCK_ROWS
+        """An SPD matrix whose symmetry check runs over several tiles."""
+        assert m > 2 * kernels._SYMMETRY_TILE
         rng = np.random.default_rng(m)
         b = rng.normal(size=(m, 8))
         return b @ b.T + m * np.eye(m)
 
-    def test_asymmetry_in_last_row_block_rejected(self):
-        m = 2 * kernels._SYMMETRY_BLOCK_ROWS + 5
+    @pytest.mark.parametrize(
+        "where",
+        ["last_row_block", "far_corner", "interior_tile", "last_partial_tile"],
+    )
+    def test_asymmetry_rejected(self, where):
+        tile = kernels._SYMMETRY_TILE
+        m = 2 * tile + 5
+        i, j = {
+            "last_row_block": (m - 1, m - 2),
+            "far_corner": (0, m - 1),
+            # below the diagonal, in tile (1, 0)
+            "interior_tile": (tile + 3, tile // 2),
+            # in the partial last row of tiles, off the diagonal
+            "last_partial_tile": (m - 2, tile + 1),
+        }[where]
         a = self.blocked_spd(m)
         spd_factor(a)
-        a[m - 1, m - 2] += 1e-9
+        a[i, j] += 1e-9
         with pytest.raises(ValueError, match="not symmetric"):
             spd_factor(a)
 
     def test_asymmetry_within_tolerance_accepted(self):
-        m = 2 * kernels._SYMMETRY_BLOCK_ROWS + 5
+        m = 2 * kernels._SYMMETRY_TILE + 5
         a = self.blocked_spd(m)
         a[m - 1, m - 2] += 1e-11
         spd_factor(a)
 
     @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
     def test_nan_rejected(self, where):
-        m = 2 * kernels._SYMMETRY_BLOCK_ROWS + 5
+        m = 2 * kernels._SYMMETRY_TILE + 5
         a = self.blocked_spd(m)
         if where == "diagonal":
             a[m - 1, m - 1] = np.nan
@@ -230,6 +271,19 @@ class TestSpdSolve:
             a[m - 2, m - 1] = a[m - 1, m - 2] = np.nan
         with pytest.raises(ValueError, match="not symmetric"):
             spd_factor(a)
+
+    def test_memory_order_does_not_change_factor(self):
+        a = self.blocked_spd(2 * kernels._SYMMETRY_TILE + 5)
+        c_factor = spd_factor(np.ascontiguousarray(a)).lower_triangular_factor
+        f_factor = spd_factor(np.asfortranarray(a)).lower_triangular_factor
+        assert c_factor.tobytes() == f_factor.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_argument_unmodified(self, order):
+        a = np.array(self.blocked_spd(2 * kernels._SYMMETRY_TILE + 5), order=order)
+        before = a.copy()
+        spd_factor(a)
+        assert a.tobytes() == before.tobytes()
 
     def test_factor_diagonal_positive(self):
         rng = np.random.default_rng(2)

@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -52,3 +53,32 @@ def test_solve_lp_hook_reads_a_real_instance():
     tracer = TRACING_MODULE.Tracer()
     before(tracer, (inst,))
     assert tracer.counters["solver.pair_candidates"] == 4
+
+
+def test_fit_calls_the_traced_kernel_names_once_each(monkeypatch):
+    # the tracer times fit's Gram build and factorization at these two names;
+    # a fit that bypasses them would report zero time for both
+    from kernelcc import embedding
+    from kernelcc.data import Dataset
+    from kernelcc.kernels import KernelSpec
+
+    calls = {}
+    for name in ("gram_product", "spd_factor"):
+        original = getattr(embedding, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(embedding, name, counted)
+    rng = np.random.default_rng(0)
+    ds = Dataset(
+        rng.normal(size=(6, 4)),
+        rng.uniform(size=(6, 3, 2)),
+        rng.normal(size=(6, 3, 4)),
+        master_seed=0,
+        config_digest="test",
+    )
+    unit = KernelSpec(bandwidth=1.0)
+    embedding.fit(ds, unit, unit, lam=1e-3)
+    assert calls == {"gram_product": 1, "spd_factor": 1}
