@@ -10,11 +10,13 @@ training trajectories, so no trajectory-space kernel is ever materialized.
 In representer form the estimate is the inner product alpha @ k(query) with
 alpha = (G + lam*M*I)^{-1} g_vals: one solve against the fitted factor per
 function, after which every query costs one cross-kernel vector and a dot
-product. ``fit`` builds G + lam*M*I in one M x M buffer and factorizes it.
+product. ``fit`` builds G + lam*M*I in one M x M buffer and factorizes it
+in that buffer, so the fit holds one M x M matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,21 +86,30 @@ def fit(ds: Dataset, kx: KernelSpec, ku: KernelSpec, lam: float) -> EmbeddingMod
 
     Raises
     ------
+    ValueError
+        If the regularization parameter is not positive and finite.
     FitError
-        If the regularized Gram matrix is not positive definite; a larger
-        regularization parameter fixes this.
+        If lam*M overflows, or if the regularized Gram matrix is not positive
+        definite; a larger regularization parameter fixes the latter.
     """
-    if not (lam > 0):
-        raise ValueError(f"regularization parameter must be positive, got {lam}")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError(
+            f"regularization parameter must be positive and finite, got {lam}"
+        )
+    m_count = ds.num_samples
+    ridge = float(lam) * m_count
+    if not math.isfinite(ridge):
+        raise FitError(
+            f"regularization parameter {lam} times {m_count} samples overflows"
+        )
     flat_u = ds.flattened_controls()
     kx = resolve_bandwidth(kx, ds.initial_states)
     ku = resolve_bandwidth(ku, flat_u)
     gram = gram_product(ds.initial_states, flat_u, kx, ku)
-    m_count = ds.num_samples
-    # add lam*M to the diagonal in place: G is not needed on its own
-    gram.flat[:: m_count + 1] += lam * m_count
+    # add lam*M to the diagonal and factor in place: G is not needed on its own
+    gram.flat[:: m_count + 1] += ridge
     try:
-        factor = spd_factor(gram)
+        factor = spd_factor(gram, overwrite_a=True)
     except FactorizationError as exc:
         raise FitError(
             f"regularized Gram matrix is not positive definite (pivot "

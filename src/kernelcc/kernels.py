@@ -162,17 +162,24 @@ class SpdFactor:
     lower_triangular_factor: np.ndarray
 
 
-def spd_factor(matrix) -> SpdFactor:
+def spd_factor(matrix, overwrite_a: bool = False) -> SpdFactor:
     """Cholesky-factorize a symmetric positive definite matrix.
 
-    Every call checks symmetry to an absolute 1e-10, so a NaN anywhere in
-    the matrix fails the check. The check compares square tiles (I, J) with
-    the transposes of their mirrors (J, I), J >= I, so it reads contiguous
-    runs of rows and never holds more than a few tiles of temporaries.
-    LAPACK then factors the upper triangle of the argument: it is handed the
-    transpose, which is Fortran-ordered for a C-ordered matrix and so is
-    copied without reordering, and ``potrf`` reads that transpose's lower
-    triangle. The argument is never modified.
+    Every call checks symmetry to an absolute 1e-10, so a NaN or an infinity
+    anywhere in the matrix fails the check. The check compares square tiles
+    (I, J) with the transposes of their mirrors (J, I), J >= I, so it reads
+    contiguous runs of rows and never holds more than a few tiles of
+    temporaries. LAPACK then factors the upper triangle of the argument: it
+    is handed the transpose, which is Fortran-ordered for a C-ordered matrix,
+    and ``potrf`` reads that transpose's lower triangle.
+
+    With ``overwrite_a`` false (the default) LAPACK works on a copy and the
+    argument is never modified. With ``overwrite_a`` true, a C-ordered
+    float64 argument is factored in place: the returned factor is a view of
+    its memory, and the argument's contents are lost, also when
+    ``FactorizationError`` is raised; any other argument is still copied.
+    The checks run before LAPACK, so on ``ValueError`` the argument is
+    untouched either way.
 
     Raises
     ------
@@ -180,21 +187,26 @@ def spd_factor(matrix) -> SpdFactor:
         If the matrix is not positive definite; carries the 1-based index of
         the failing leading minor.
     ValueError
-        If the matrix is not square or not symmetric.
+        If the matrix is not square, not symmetric or has a non-finite entry.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     m = a.shape[0]
-    for row in range(0, m, _SYMMETRY_TILE):
-        rows = slice(row, row + _SYMMETRY_TILE)
-        for col in range(row, m, _SYMMETRY_TILE):
-            cols = slice(col, col + _SYMMETRY_TILE)
-            if not np.allclose(a[rows, cols], a[cols, rows].T, rtol=0.0, atol=1e-10):
-                raise ValueError("matrix is not symmetric")
+    # the comparison is false for a NaN, for inf against a finite value and
+    # for inf - inf (NaN), so every non-finite entry fails it
+    with np.errstate(invalid="ignore"):
+        for row in range(0, m, _SYMMETRY_TILE):
+            rows = slice(row, row + _SYMMETRY_TILE)
+            for col in range(row, m, _SYMMETRY_TILE):
+                cols = slice(col, col + _SYMMETRY_TILE)
+                if not np.all(np.abs(a[rows, cols] - a[cols, rows].T) <= 1e-10):
+                    raise ValueError(
+                        "matrix is not symmetric or has a non-finite entry"
+                    )
     # the check passed, so a.T is the same matrix to 1e-10
     (potrf,) = get_lapack_funcs(("potrf",), (a,))
-    factor, info = potrf(a.T, lower=1, overwrite_a=False, clean=1)
+    factor, info = potrf(a.T, lower=1, overwrite_a=overwrite_a, clean=1)
     if info > 0:
         raise FactorizationError(int(info))
     if info < 0:

@@ -455,6 +455,16 @@ class TestErrors:
         assert err.startswith("config error: ")
         assert f"non-finite number {shown} at embedding.regularization" in err
 
+    def test_overflowing_regularization_is_error(self, tmp_path, capsys):
+        # finite in the config, but lambda * M overflows in the fit
+        cfg = write_config(tmp_path, small_raw(regularization=1e308))
+        rc = main(["experiment", "--config", str(cfg), "--out-dir",
+                   str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "overflows" in err
+
 
 class TestEarlierDirectory:
     # small_raw's library digest and file bytes as recorded by earlier

@@ -53,6 +53,18 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(ds, UNIT, UNIT, 0.0)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_rejects_non_finite_lambda(self, lam):
+        ds = make_dataset()
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit(ds, UNIT, UNIT, lam)
+
+    def test_overflowing_ridge_is_fit_error(self):
+        # lam is finite, lam * M is not
+        ds = make_dataset(m=8)
+        with pytest.raises(FitError, match="overflows"):
+            fit(ds, UNIT, UNIT, 1e308)
+
     def test_single_sample_factor(self):
         ds = make_dataset(m=1)
         model = fit(ds, UNIT, UNIT, lam=0.5)
@@ -110,6 +122,19 @@ class TestFit:
             tracemalloc.stop()
         assert model.factor.dimension == m
         assert peak / (m * m * 8) <= 2.2
+
+    def test_peak_memory_one_gram_buffer(self):
+        # the Cholesky factor overwrites G + lam*M*I instead of copying it
+        m = 1200
+        ds = make_dataset(m=m)
+        tracemalloc.start()
+        try:
+            model = fit(ds, UNIT, UNIT, lam=1e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.factor.dimension == m
+        assert peak / (m * m * 8) <= 1.2
 
 
 class TestCoefficientVector:

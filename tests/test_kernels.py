@@ -272,6 +272,18 @@ class TestSpdSolve:
         with pytest.raises(ValueError, match="not symmetric"):
             spd_factor(a)
 
+    @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+    def test_inf_rejected(self, where):
+        # allclose would pass matched infinities; the factor then holds inf
+        m = 2 * kernels._SYMMETRY_TILE + 5
+        a = self.blocked_spd(m)
+        if where == "diagonal":
+            a[m - 1, m - 1] = np.inf
+        else:
+            a[m - 2, m - 1] = a[m - 1, m - 2] = np.inf
+        with pytest.raises(ValueError, match="not symmetric"):
+            spd_factor(a)
+
     def test_memory_order_does_not_change_factor(self):
         a = self.blocked_spd(2 * kernels._SYMMETRY_TILE + 5)
         c_factor = spd_factor(np.ascontiguousarray(a)).lower_triangular_factor
@@ -283,6 +295,31 @@ class TestSpdSolve:
         a = np.array(self.blocked_spd(2 * kernels._SYMMETRY_TILE + 5), order=order)
         before = a.copy()
         spd_factor(a)
+        assert a.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_overwrite_gives_default_factor(self, order):
+        a = self.blocked_spd(2 * kernels._SYMMETRY_TILE + 5)
+        expected = spd_factor(a).lower_triangular_factor
+        factor = spd_factor(np.array(a, order=order), overwrite_a=True)
+        assert factor.lower_triangular_factor.tobytes() == expected.tobytes()
+
+    def test_overwrite_factors_c_argument_in_place(self):
+        a = np.ascontiguousarray(self.blocked_spd(2 * kernels._SYMMETRY_TILE + 5))
+        factor = spd_factor(a, overwrite_a=True)
+        assert np.shares_memory(factor.lower_triangular_factor, a)
+
+    @pytest.mark.parametrize("defect", ["asymmetric", "nan"])
+    def test_overwrite_leaves_rejected_argument_unmodified(self, defect):
+        m = 2 * kernels._SYMMETRY_TILE + 5
+        a = np.ascontiguousarray(self.blocked_spd(m))
+        if defect == "asymmetric":
+            a[m - 1, 0] += 1e-9
+        else:
+            a[m - 2, m - 1] = np.nan
+        before = a.copy()
+        with pytest.raises(ValueError, match="not symmetric"):
+            spd_factor(a, overwrite_a=True)
         assert a.tobytes() == before.tobytes()
 
     def test_factor_diagonal_positive(self):

@@ -55,12 +55,27 @@ def test_solve_lp_hook_reads_a_real_instance():
     assert tracer.counters["solver.pair_candidates"] == 4
 
 
+def fit_tiny_dataset():
+    from kernelcc.data import Dataset
+    from kernelcc.embedding import fit
+    from kernelcc.kernels import KernelSpec
+
+    rng = np.random.default_rng(0)
+    ds = Dataset(
+        rng.normal(size=(6, 4)),
+        rng.uniform(size=(6, 3, 2)),
+        rng.normal(size=(6, 3, 4)),
+        master_seed=0,
+        config_digest="test",
+    )
+    unit = KernelSpec(bandwidth=1.0)
+    fit(ds, unit, unit, lam=1e-3)
+
+
 def test_fit_calls_the_traced_kernel_names_once_each(monkeypatch):
     # the tracer times fit's Gram build and factorization at these two names;
     # a fit that bypasses them would report zero time for both
     from kernelcc import embedding
-    from kernelcc.data import Dataset
-    from kernelcc.kernels import KernelSpec
 
     calls = {}
     for name in ("gram_product", "spd_factor"):
@@ -71,14 +86,28 @@ def test_fit_calls_the_traced_kernel_names_once_each(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(embedding, name, counted)
-    rng = np.random.default_rng(0)
-    ds = Dataset(
-        rng.normal(size=(6, 4)),
-        rng.uniform(size=(6, 3, 2)),
-        rng.normal(size=(6, 3, 4)),
-        master_seed=0,
-        config_digest="test",
-    )
-    unit = KernelSpec(bandwidth=1.0)
-    embedding.fit(ds, unit, unit, lam=1e-3)
+    fit_tiny_dataset()
     assert calls == {"gram_product": 1, "spd_factor": 1}
+
+
+def test_fit_factors_the_gram_buffer_in_place(monkeypatch):
+    # fit owns the buffer gram_product returns; a copy in between, or a
+    # factor call without overwrite_a, brings back a second M x M buffer
+    from kernelcc import embedding
+
+    seen = {}
+    gram_product, spd_factor = embedding.gram_product, embedding.spd_factor
+
+    def recording_gram_product(*args, **kwargs):
+        seen["gram"] = gram_product(*args, **kwargs)
+        return seen["gram"]
+
+    def recording_spd_factor(matrix, **kwargs):
+        seen["factored"], seen["kwargs"] = matrix, kwargs
+        return spd_factor(matrix, **kwargs)
+
+    monkeypatch.setattr(embedding, "gram_product", recording_gram_product)
+    monkeypatch.setattr(embedding, "spd_factor", recording_spd_factor)
+    fit_tiny_dataset()
+    assert seen["factored"] is seen["gram"]
+    assert seen["kwargs"] == {"overwrite_a": True}
