@@ -44,7 +44,7 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
-POLICY_FORMAT_VERSION = 3
+POLICY_FORMAT_VERSION = 4
 
 
 class PolicyFileError(ValueError):
@@ -105,8 +105,9 @@ def _current(path: Path, load, key):
 
 
 def _policy_key(cfg: RunConfig, ds: Dataset, lib: ControlLibrary, delta) -> str:
-    # the library's config key stands in for its content digest, which is
-    # too slow to recompute on every rerun; the scenario carries delta
+    # built from the keys the inputs record, by the one rule every stage
+    # follows: the library enters by its config key, not its content
+    # digest; the scenario carries delta
     return digest_of(
         {
             "format_version": POLICY_FORMAT_VERSION,

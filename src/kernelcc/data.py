@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .serialize import canonical_json, digest_of
+from .serialize import array_digest, canonical_json, digest_of
 from .systems import PlanarQuadrotor, QuadrotorParams, rollout
 
 FORMAT_VERSION = 1
@@ -268,9 +268,9 @@ class ControlLibrary:
 
     @property
     def content_digest(self) -> str:
-        """Digest of the sequence array, for cross-checking saved policies."""
+        """Digest of the sequences' shape and bytes, for checking saved policies."""
         if "_content_digest" not in self.__dict__:
-            object.__setattr__(self, "_content_digest", digest_of(self.sequences))
+            object.__setattr__(self, "_content_digest", array_digest(self.sequences))
         return self.__dict__["_content_digest"]
 
 

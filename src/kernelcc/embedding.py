@@ -125,7 +125,9 @@ def cross_matrix(model: EmbeddingModel, x0, controls) -> np.ndarray:
     for the query (x0, controls[j]); shape (M, P). With
     ``alpha = spd_solve(model.factor, g_vals)`` the estimates of a function
     at every query are ``alpha @ cross_matrix(...)``; a single query is a
-    batch of one.
+    batch of one. Columns are independent, so a caller with many queries
+    (``solver.assemble``) passes them a block at a time and holds one
+    M x block matrix instead of M x P.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.dataset.state_dim,):

@@ -179,7 +179,7 @@ def spd_factor(matrix, overwrite_a: bool = False) -> SpdFactor:
     its memory, and the argument's contents are lost, also when
     ``FactorizationError`` is raised; any other argument is still copied.
     The checks run before LAPACK, so on ``ValueError`` the argument is
-    untouched either way.
+    untouched either way. The returned factor array is read-only.
 
     Raises
     ------
@@ -211,15 +211,24 @@ def spd_factor(matrix, overwrite_a: bool = False) -> SpdFactor:
         raise FactorizationError(int(info))
     if info < 0:
         raise ValueError(f"invalid argument {-info} to Cholesky factorization")
+    # read-only, so the factor stays the one built from a matrix that passed
+    # the finiteness and symmetry check, and spd_solve need not rescan it
+    factor.flags.writeable = False
     return SpdFactor(dimension=a.shape[0], lower_triangular_factor=factor)
 
 
 def spd_solve(factor: SpdFactor, rhs) -> np.ndarray:
-    """Solve A x = rhs given a Cholesky factor of A; rhs may be a vector or matrix."""
+    """Solve A x = rhs given a Cholesky factor of A; rhs may be a vector or matrix.
+
+    Only the right-hand side is checked for non-finite values: the factor
+    ``spd_factor`` returns was built from a checked matrix and is read-only.
+    """
     b = np.asarray(rhs, dtype=float)
     if b.shape[0] != factor.dimension:
         raise ValueError(
             f"rhs has leading dimension {b.shape[0]}, factor is "
             f"{factor.dimension}x{factor.dimension}"
         )
-    return cho_solve((factor.lower_triangular_factor, True), b)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("array must not contain infs or NaNs")
+    return cho_solve((factor.lower_triangular_factor, True), b, check_finite=False)

@@ -11,6 +11,11 @@ Python numbers, and so the same text, as converting element by element.
 
 CSV cells follow the same rule: a number is written by its shortest
 round-trip repr.
+
+There are two content digests. ``digest_of`` hashes the canonical JSON text
+of a value and keys every artifact by its inputs. ``array_digest`` hashes an
+array's shape and its little-endian float64 bytes, with no text in between,
+and identifies the content of a library, which can hold millions of floats.
 """
 
 from __future__ import annotations
@@ -75,6 +80,23 @@ def write_csv(path, header, rows) -> None:
 def digest_of(obj) -> str:
     """sha256 hex digest of the canonical JSON form of obj."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+def array_digest(array) -> str:
+    """sha256 hex digest of an array's shape and little-endian float64 values.
+
+    The number of dimensions and each extent go first, as little-endian
+    int64, then the values in C order. So the same values in another shape
+    give another digest, and a big-endian array the digest of its
+    little-endian copy. A C-contiguous little-endian float64 array is hashed
+    without a copy.
+    """
+    values = np.ascontiguousarray(array, dtype="<f8")
+    digest = hashlib.sha256(
+        np.array([values.ndim, *values.shape], dtype="<i8").tobytes()
+    )
+    digest.update(values)
+    return digest.hexdigest()
 
 
 def file_digest(path) -> str:

@@ -29,6 +29,10 @@ from .scenario import Scenario, control_cost, indicator_T, state_cost
 # more, and a tie goes to the smaller support, so solves reproduce
 TIE_TOLERANCE = 1e-12
 
+# elements per block of assemble's M x block cross-kernel matrix (2 MB of
+# float64), so the library is walked without holding an M x P matrix
+_CROSS_BLOCK_ELEMENTS = 2**18
+
 
 @dataclass(frozen=True)
 class SafetyDiagnostics:
@@ -113,8 +117,11 @@ def assemble(
     product of alpha = (G + lam*M*I)^{-1} g with the cross-kernel vector, so
     the factorized system is solved once per functional (state cost and
     constraint indicator) and each row is alpha^T times the M x P
-    cross-kernel matrix. The cost row adds the (known) control cost of each
-    library sequence; the safety row holds the estimated probability that a
+    cross-kernel matrix. That matrix is built a block of library columns at
+    a time, at most ``_CROSS_BLOCK_ELEMENTS`` elements per block, and each
+    block's product is written into the two rows, so no M x P matrix is
+    ever held. The cost row adds the (known) control cost of each library
+    sequence; the safety row holds the estimated probability that a
     trajectory satisfies every constraint.
     """
     if sc.horizon != model.horizon:
@@ -127,7 +134,14 @@ def assemble(
         [state_cost(sc, trajectories), indicator_T(sc, trajectories)]
     )
     alpha = spd_solve(model.factor, functionals)
-    state_row, safety_row = alpha.T @ cross_matrix(model, x0, lib.sequences)
+    block = max(1, _CROSS_BLOCK_ELEMENTS // alpha.shape[0])
+    rows = np.empty((2, lib.num_sequences))
+    for start in range(0, lib.num_sequences, block):
+        stop = start + block
+        rows[:, start:stop] = alpha.T @ cross_matrix(
+            model, x0, lib.sequences[start:stop]
+        )
+    state_row, safety_row = rows
     return LPInstance(
         cost_row=state_row + control_cost(sc, lib.sequences),
         safety_row=safety_row,

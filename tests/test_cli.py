@@ -289,20 +289,23 @@ class TestStageReuse:
         for p in fresh.iterdir():
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
 
-    def test_earlier_policy_format_is_resolved(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("earlier", [2, 3])
+    def test_earlier_policy_format_is_resolved(
+        self, tmp_path, capsys, monkeypatch, earlier
+    ):
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"
         with monkeypatch.context() as patch:
-            patch.setattr(kernelcc.cli, "POLICY_FORMAT_VERSION", 2)
+            patch.setattr(kernelcc.cli, "POLICY_FORMAT_VERSION", earlier)
             run_step(tmp_path, small_raw(), ["experiment"], reused)
         policy = json.loads((reused / "policy_delta_0.3.json").read_text())
-        assert policy["format_version"] == 2
+        assert policy["format_version"] == earlier
         capsys.readouterr()
         assert run_step(tmp_path, small_raw(), ["experiment"], reused) == EXIT_OK
         text = capsys.readouterr().out
         assert "dataset: cached" in text and "library: cached" in text
         assert "cached policy" not in text and "cached report" not in text
         policy = json.loads((reused / "policy_delta_0.3.json").read_text())
-        assert policy["format_version"] == kernelcc.cli.POLICY_FORMAT_VERSION == 3
+        assert policy["format_version"] == kernelcc.cli.POLICY_FORMAT_VERSION == 4
         run_step(tmp_path, small_raw(), ["experiment"], fresh)
         for p in fresh.iterdir():
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
@@ -468,15 +471,16 @@ class TestErrors:
 
 class TestEarlierDirectory:
     # small_raw's library digest and file bytes as recorded by earlier
-    # versions (the policy since policy format 3 solved once per functional,
-    # the rest before the JSONL and CSV writers were shared); equal values
-    # here mean a directory written then is the directory written now
-    LIBRARY_DIGEST = "736f48739ab26107cec6bf20bf38cd4fe8a801ec37c00d266c530f246483ffad"
+    # versions (the library digest and the policy since policy format 4
+    # hashed the library's bytes and built its rows in column blocks, the
+    # rest before the JSONL and CSV writers were shared); equal values here
+    # mean a directory written then is the directory written now
+    LIBRARY_DIGEST = "51a1782f6a360bc2f128fb73450667a68c23f3935115d752ebd90a531153a94f"
     FILE_SHA256 = {
         "dataset.jsonl": "768ee7b8cefca950674d4fff51075d2ceb2e3b1acc3f8794633f9e69c3429aa4",
         "library.jsonl": "da7fa260f6cb5d49da3601ca5219cae7313cc30728f757390ff2eead86499ad3",
         "policy_delta_0.3.json": (
-            "edcbcf5b882ef7afc64f1645a46fc8c2aa533b49a97de6cd26345ec7b52dc9a8"
+            "0a941d971b6a1762aab768cea20962ab5d731e871aa53d69b62f9f224bccda56"
         ),
         "trajectories_delta_0.3.csv": (
             "2dd990497df33a863590a6b0f3a7eeaa6c8171b1da3c27c65daddcf40e7a405e"

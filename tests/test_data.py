@@ -20,7 +20,7 @@ from kernelcc.data import (
     save_dataset,
     save_library,
 )
-from kernelcc.serialize import digest_of
+from kernelcc.serialize import array_digest
 from kernelcc.systems import (
     BetaSpec,
     DisturbanceSpec,
@@ -495,13 +495,13 @@ class TestLibraryContentDigest:
 
         def counting(obj):
             calls.append(obj)
-            return digest_of(obj)
+            return array_digest(obj)
 
-        monkeypatch.setattr("kernelcc.data.digest_of", counting)
+        monkeypatch.setattr("kernelcc.data.array_digest", counting)
         first = lib.content_digest
         assert [lib.content_digest for _ in range(3)] == [first] * 3
         assert len(calls) == 1
-        assert first == digest_of(lib.sequences)
+        assert first == array_digest(lib.sequences)
 
     def test_sequences_are_read_only(self):
         lib = self.make_library()
@@ -510,7 +510,7 @@ class TestLibraryContentDigest:
             lib.sequences[0, 0, 0] = 5.0
         with pytest.raises(ValueError, match="read-only"):
             lib.sequences.reshape(-1)[0] = 5.0
-        assert lib.content_digest == digest_of(lib.sequences) == digest
+        assert lib.content_digest == array_digest(lib.sequences) == digest
 
     def test_caller_array_does_not_alias(self):
         seq = np.zeros((2, 3, 2))
@@ -518,5 +518,5 @@ class TestLibraryContentDigest:
         digest = lib.content_digest
         seq[1, 2, 1] = 4.0
         assert lib.sequences[1, 2, 1] == 0.0
-        assert lib.content_digest == digest_of(lib.sequences) == digest
+        assert lib.content_digest == array_digest(lib.sequences) == digest
         assert seq.flags.writeable

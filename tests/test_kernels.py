@@ -349,6 +349,36 @@ class TestSpdSolve:
             spd_solve(spd_factor(a), rhs), np.linalg.solve(a, rhs), rtol=1e-10
         )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_rejected(self, value):
+        rhs = np.ones((3, 2))
+        rhs[2, 1] = value
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            spd_solve(spd_factor(np.eye(3)), rhs)
+
+    @pytest.mark.parametrize("overwrite_a", [False, True])
+    def test_factor_is_read_only(self, overwrite_a):
+        a = np.ascontiguousarray(self.blocked_spd(2 * kernels._SYMMETRY_TILE + 5))
+        factor = spd_factor(a, overwrite_a=overwrite_a)
+        assert not factor.lower_triangular_factor.flags.writeable
+
+    def test_solve_peak_memory_skips_the_factor(self):
+        # the factor was checked when it was built: a solve scans only its
+        # right-hand side, never the M x M factor
+        m = 1200
+        rng = np.random.default_rng(12)
+        b = rng.normal(size=(m, 8))
+        factor = spd_factor(b @ b.T + m * np.eye(m))
+        rhs = rng.normal(size=(m, 2))
+        tracemalloc.start()
+        try:
+            x = spd_solve(factor, rhs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (m, 2)
+        assert peak / (m * m * 8) <= 0.05
+
     def test_regularized_gram_always_factorizes(self):
         rng = np.random.default_rng(13)
         # duplicated samples make G singular; the ridge restores definiteness

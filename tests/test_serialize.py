@@ -2,13 +2,15 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from kernelcc.data import LibraryGenConfig, generate_library
-from kernelcc.serialize import canonical_json, digest_of, write_csv
+from kernelcc.serialize import array_digest, canonical_json, digest_of, write_csv
 from kernelcc.systems import PlanarQuadrotor, QuadrotorParams
 
 
@@ -152,9 +154,35 @@ class TestWriteCsv:
         assert path.read_bytes() == reference.read_bytes()
 
 
+class TestArrayDigest:
+    ARRAY = np.arange(12, dtype=float).reshape(2, 3, 2) / 7.0
+
+    def test_hashes_shape_then_little_endian_values(self):
+        header = struct.pack("<4q", 3, 2, 3, 2)
+        values = struct.pack("<12d", *self.ARRAY.ravel().tolist())
+        assert array_digest(self.ARRAY) == hashlib.sha256(header + values).hexdigest()
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (12,), (2, 6), (1, 2, 3, 2)])
+    def test_same_bytes_in_another_shape_differ(self, shape):
+        assert array_digest(self.ARRAY.reshape(shape)) != array_digest(self.ARRAY)
+
+    @pytest.mark.parametrize(
+        "copy",
+        [
+            lambda a: a.astype(">f8"),
+            lambda a: np.asfortranarray(a),
+            lambda a: np.repeat(a, 2, axis=2)[..., ::2],
+        ],
+        ids=["big_endian", "fortran_order", "strided_view"],
+    )
+    def test_same_values_in_any_layout_agree(self, copy):
+        assert array_digest(copy(self.ARRAY)) == array_digest(self.ARRAY)
+
+
 class TestPinnedDigests:
-    # recorded before arrays were serialized in one pass; a change here
-    # invalidates every saved policy's library digest
+    # digest_of recorded before arrays were serialized in one pass; the
+    # library digest since it hashes the sequence bytes (policy format 4).
+    # A change here invalidates every saved policy's library digest
 
     def test_digest_of_small_array(self):
         arr = np.arange(12, dtype=float).reshape(2, 3, 2) / 7.0
@@ -166,5 +194,5 @@ class TestPinnedDigests:
         cfg = LibraryGenConfig(horizon=8, grid_resolution=(2, 2), num_random_steps=2)
         lib = generate_library(cfg, PlanarQuadrotor(), QuadrotorParams(1.0, 0.005))
         assert lib.content_digest == (
-            "cbc80ee12e296a243b879679ac8deaa4b8ef2cf4b767fd40543ebb7409d48d01"
+            "e65524d8d83f16c8dcf88f5475e649c4c764cd2bf81f75221afd96d028e82988"
         )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from kernelcc import solver
 from kernelcc.data import ControlLibrary, Dataset
 from kernelcc.embedding import cross_matrix, fit
 from kernelcc.kernels import KernelSpec, spd_solve
@@ -404,6 +405,59 @@ class TestAssemble:
         np.testing.assert_allclose(
             inst.safety_row, safety_ref, rtol=0, atol=1e-12 * scale
         )
+
+    @pytest.mark.parametrize(
+        "elements, p",
+        [(48, 1), (48, 3), (48, 4), (48, 5), (50, 13), (5, 3)],
+        ids=["one", "block-1", "block", "block+1", "several", "below_m"],
+    )
+    def test_blocks_match_unblocked_product(self, monkeypatch, elements, p):
+        # M = 12, so 48 and 50 elements give blocks of 4 library columns and
+        # 5 elements give blocks of one column
+        ds, model, _, sc = self.make_fixture()
+        monkeypatch.setattr(solver, "_CROSS_BLOCK_ELEMENTS", elements)
+        lib = ControlLibrary(
+            np.random.default_rng(p).uniform(0, 1, size=(p, 4, 2)), 0, "lib"
+        )
+        x0 = np.array([0.1, -0.2, 0.3, 0.0])
+        inst = assemble(model, sc, lib, x0)
+        functionals = np.column_stack(
+            [state_cost(sc, ds.trajectories), indicator_T(sc, ds.trajectories)]
+        )
+        alpha = spd_solve(model.factor, functionals)
+        state_ref, safety_ref = alpha.T @ cross_matrix(model, x0, lib.sequences)
+        cost_ref = state_ref + control_cost(sc, lib.sequences)
+        for row, ref in ((inst.cost_row, cost_ref), (inst.safety_row, safety_ref)):
+            np.testing.assert_allclose(
+                row, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref))
+            )
+
+    def test_peak_memory_a_few_blocks(self):
+        # the parent's single M x P cross-kernel matrix is 32 MB here
+        m, p, horizon = 200, 20000, 4
+        rng = np.random.default_rng(32)
+        ds = Dataset(
+            rng.normal(size=(m, 4)),
+            rng.uniform(0, 1, size=(m, horizon, 2)),
+            rng.normal(loc=5.0, scale=4.0, size=(m, horizon, 4)),
+            master_seed=0,
+            config_digest="fixture",
+        )
+        model = fit(ds, UNIT, UNIT, lam=1e-4)
+        lib = ControlLibrary(rng.uniform(0, 1, size=(p, horizon, 2)), 0, "lib")
+        sc = Scenario(
+            horizon=horizon,
+            delta=0.2,
+            goal=GoalSet(center=np.array([5.0, 5.0]), radius=3.0),
+        )
+        tracemalloc.start()
+        try:
+            inst = assemble(model, sc, lib, np.zeros(4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert inst.num_sequences == p
+        assert peak <= 3 * solver._CROSS_BLOCK_ELEMENTS * 8
 
     def test_horizon_mismatch_rejected(self):
         _, model, lib, _ = self.make_fixture()

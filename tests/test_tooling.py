@@ -69,7 +69,7 @@ def fit_tiny_dataset():
         config_digest="test",
     )
     unit = KernelSpec(bandwidth=1.0)
-    fit(ds, unit, unit, lam=1e-3)
+    return fit(ds, unit, unit, lam=1e-3)
 
 
 def test_fit_calls_the_traced_kernel_names_once_each(monkeypatch):
@@ -111,3 +111,27 @@ def test_fit_factors_the_gram_buffer_in_place(monkeypatch):
     fit_tiny_dataset()
     assert seen["factored"] is seen["gram"]
     assert seen["kwargs"] == {"overwrite_a": True}
+
+
+def test_assemble_calls_the_traced_cross_matrix_once_per_block(monkeypatch):
+    # the tracer times the cross-kernel build at kernelcc.solver.cross_matrix;
+    # an assemble that builds the whole M x P matrix in one call fails here
+    from kernelcc import solver
+    from kernelcc.data import ControlLibrary
+    from kernelcc.scenario import GoalSet, Scenario
+
+    model = fit_tiny_dataset()
+    lib = ControlLibrary(np.random.default_rng(1).uniform(size=(11, 3, 2)), 0, "lib")
+    sc = Scenario(horizon=3, delta=0.2, goal=GoalSet(center=np.zeros(2), radius=1.0))
+    # six samples, so blocks of four library columns
+    monkeypatch.setattr(solver, "_CROSS_BLOCK_ELEMENTS", 24)
+    columns = []
+    cross_matrix = solver.cross_matrix
+
+    def counted(model, x0, controls):
+        columns.append(len(controls))
+        return cross_matrix(model, x0, controls)
+
+    monkeypatch.setattr(solver, "cross_matrix", counted)
+    solver.assemble(model, sc, lib, np.zeros(4))
+    assert columns == [4, 4, 3]
