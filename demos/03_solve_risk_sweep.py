@@ -11,12 +11,13 @@ This script assembles the LP once for the shipped experiment and re-solves
 it under a sweep of risk budgets, printing the trade-off.
 """
 
+import dataclasses
 from pathlib import Path
 
 from kernelcc.config import load_config
 from kernelcc.data import generate_dataset, generate_library
 from kernelcc.embedding import fit
-from kernelcc.solver import assemble, solve_lp, with_threshold
+from kernelcc.solver import assemble, solve_lp
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "experiment.json"
 
@@ -36,7 +37,8 @@ def main():
     )
     print("\n  delta   threshold   objective      support (index: weight)")
     for delta in cfg.deltas:
-        inst = with_threshold(base, delta)
+        # only the threshold depends on the risk budget
+        inst = dataclasses.replace(base, threshold=1.0 - delta)
         res = solve_lp(inst)
         if res.status != "optimal":
             print(f"  {delta:5.2f}   {inst.threshold:9.2f}   {res.status}")

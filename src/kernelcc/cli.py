@@ -20,7 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import (
+    ConfigError,
+    RunConfig,
+    check_delta,
+    check_seed,
+    check_state,
+    load_config,
+)
 from .data import (
     ControlLibrary,
     DataLoadError,
@@ -37,7 +44,7 @@ from .data import (
 from .embedding import FitError, fit
 from .policy import MixedPolicy, run_monte_carlo, trajectories_to_csv
 from .serialize import canonical_json, digest_of, file_digest, write_csv
-from .solver import assemble, solve_lp, with_threshold
+from .solver import assemble, solve_lp
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,7 +128,7 @@ def _policy_key(cfg: RunConfig, ds: Dataset, lib: ControlLibrary, delta) -> str:
     )
 
 
-def _report_key(cfg: RunConfig, policy_path: Path, delta, x0, seed: int) -> str:
+def _report_key(cfg: RunConfig, policy_path: Path, delta, x0) -> str:
     model = cfg.model
     return digest_of(
         {
@@ -129,7 +136,7 @@ def _report_key(cfg: RunConfig, policy_path: Path, delta, x0, seed: int) -> str:
             "system": [model.dt, model.prior, model.disturbance],
             "scenario": cfg.scenario_for(delta),
             "x0": x0,
-            "seed": seed,
+            "seed": cfg.mc_seed,
             "trials": cfg.trials,
         }
     )
@@ -171,7 +178,7 @@ def _solve(cfg: RunConfig, out: Path, ds, lib, deltas) -> dict[float, dict]:
     base = assemble(model, cfg.scenario_for(deltas[0]), lib, cfg.initial_state)
     policies = {}
     for delta in deltas:
-        inst = with_threshold(base, delta)
+        inst = dataclasses.replace(base, threshold=1.0 - delta)
         result = solve_lp(inst)
         diagnostics = inst.diagnostics
         # only what the inputs digest fixes, so a reused policy and a fresh
@@ -266,18 +273,16 @@ def cmd_validate(
     out: Path,
     policy_paths: list[Path],
     x0_override: np.ndarray | None = None,
-    seed_override: int | None = None,
 ) -> dict[float, dict]:
     """Monte-Carlo validate saved policies; write and return their reports by delta."""
     lib = load_library(out / "library.jsonl")
-    seed = cfg.mc_seed if seed_override is None else int(seed_override)
     reports = {}
     for policy_path in policy_paths:
         record = _read_json(policy_path)
         policy = _policy_from_record(record, lib, policy_path)
         sc = cfg.scenario_for(policy.delta)
-        x0 = policy.x0 if x0_override is None else np.asarray(x0_override, float)
-        report = run_monte_carlo(policy, cfg.model, sc, x0, cfg.trials, seed)
+        x0 = policy.x0 if x0_override is None else x0_override
+        report = run_monte_carlo(policy, cfg.model, sc, x0, cfg.trials, cfg.mc_seed)
         report_path = _delta_path(out, "report", policy.delta)
         # the seed and library recorded are the policy's, fixed by the inputs
         # digest like everything else here
@@ -288,7 +293,7 @@ def cmd_validate(
             "master_seed": record["master_seed"],
             "library_digest": record["library_digest"],
             "objective": record["solve"].get("objective"),
-            "inputs_digest": _report_key(cfg, policy_path, policy.delta, x0, seed),
+            "inputs_digest": _report_key(cfg, policy_path, policy.delta, x0),
             "report": report.to_dict(),
         }
         _write_json(report_path, reports[policy.delta])
@@ -348,7 +353,7 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> int:
         if policies[delta]["solve"]["status"] != "optimal":
             continue
         policy_path = _delta_path(out, "policy", delta)
-        key = _report_key(cfg, policy_path, delta, cfg.initial_state, cfg.mc_seed)
+        key = _report_key(cfg, policy_path, delta, cfg.initial_state)
         reports[delta] = _current(_delta_path(out, "report", delta), _read_json, key)
         if reports[delta] is not None:
             print(f"delta={delta}: cached report")
@@ -408,30 +413,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    """The config with --seed, --delta and --x0 in place of its own values."""
+    """The config with --seed, --delta and --x0 in place of its own values,
+    each checked like the key it replaces (validate's --seed: the MC seed)."""
     changes = {}
     if args.seed is not None:
-        changes["master_seed"] = int(args.seed)
+        seed = "mc_seed" if args.command == "validate" else "master_seed"
+        changes[seed] = check_seed(args.seed, "--seed")
     if getattr(args, "delta", None) is not None:
-        if not (0.0 < args.delta < 1.0):
-            raise ConfigError(f"--delta must lie in (0,1), got {args.delta}")
-        changes["deltas"] = (float(args.delta),)
+        changes["deltas"] = (check_delta(args.delta, "--delta"),)
     if getattr(args, "x0", None) is not None:
-        changes["initial_state"] = np.asarray(args.x0, float)
+        changes["initial_state"] = check_state(args.x0, "--x0")
     return dataclasses.replace(cfg, **changes)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = _apply_overrides(load_config(args.config), args)
         out = Path(args.out_dir) if args.out_dir else Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "validate":
-            # validate's --seed and --x0 override the Monte-Carlo run only
-            cmd_validate(cfg, out, [Path(args.policy)], args.x0, args.seed)
+            # validate's --x0 replaces the initial state of the policy
+            x0 = None if args.x0 is None else cfg.initial_state
+            cmd_validate(cfg, out, [Path(args.policy)], x0)
             return EXIT_OK
-        cfg = _apply_overrides(cfg, args)
         if args.command == "generate":
             cmd_generate(cfg, out)
             return EXIT_OK

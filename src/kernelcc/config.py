@@ -3,15 +3,21 @@
 The file is divided into named sections (system, prior, disturbance,
 dataset, library, kernel, embedding, scenario, montecarlo, output) plus a
 top-level master seed and solve-time initial state. Parsing validates each
-section eagerly and reports problems by section and key; JSON syntax errors
+section eagerly: any ValueError or TypeError raised while a section, nested
+object or key is read becomes a ConfigError naming it. JSON syntax errors
 carry the line number. The parsed form keeps a digest of the raw file.
+
+A seed, a risk level and an initial state are each checked by one function
+(``check_seed``, ``check_delta``, ``check_state``), which the command-line
+overrides of those values call too.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +36,23 @@ from .systems import (
 
 
 class ConfigError(ValueError):
-    """Raised for malformed run configurations; names the section at fault."""
+    """Raised for malformed run configurations; names the section or key at fault."""
+
+
+@contextmanager
+def _invalid(where: str):
+    """The one error rule: a ValueError or TypeError raised while ``where``
+    is read becomes a ConfigError that names it."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from None
+
+
+def _name(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
 
 
 def _reject_non_finite(value, where: str) -> None:
@@ -43,67 +65,112 @@ def _reject_non_finite(value, where: str) -> None:
         raise ConfigError(f"non-finite number {value} at {where}")
     if isinstance(value, dict):
         for key, item in value.items():
-            _reject_non_finite(item, f"{where}.{key}" if where else str(key))
+            _reject_non_finite(item, _name(where, key))
     elif isinstance(value, list):
         for index, item in enumerate(value):
             _reject_non_finite(item, f"{where}[{index}]")
 
 
-def _section(raw: dict, name: str) -> dict:
-    if name not in raw:
-        raise ConfigError(f"missing config section {name!r}")
-    value = raw[name]
+_REQUIRED = object()
+
+
+def _get(section: dict, key: str, where: str, kind=None, default=_REQUIRED):
+    """``kind(section[key])``, or the value itself without a ``kind``.
+
+    A missing key without a default, and any ValueError or TypeError that
+    ``kind`` raises, is a ConfigError naming ``where.key``.
+    """
+    if key not in section and default is _REQUIRED:
+        raise ConfigError(f"missing config key {_name(where, key)!r}")
+    value = section.get(key, default)
+    if kind is None:
+        return value
+    with _invalid(_name(where, key)):
+        return kind(value)
+
+
+def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
+        raise ConfigError(f"{where} must be an object")
     return value
 
 
-def _get(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing key {key!r} in config section {where!r}")
-    return section[key]
+def _nested(section: dict, key: str, where: str, default=_REQUIRED) -> dict:
+    """The object at section[key]; errors name where.key."""
+    return _object(_get(section, key, where, default=default), _name(where, key))
 
 
-def _vector(value, length: int, where: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (length,):
-        raise ConfigError(f"{where} must be a {length}-vector, got shape {arr.shape}")
-    return arr
+def _vector(length: int):
+    """A ``kind`` for _get: a finite float vector of ``length`` entries."""
+
+    def kind(value) -> np.ndarray:
+        arr = np.asarray(value, dtype=float)
+        if arr.shape != (length,):
+            raise ValueError(f"must be a {length}-vector, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"must be finite, got {arr.tolist()}")
+        return arr
+
+    return kind
 
 
-def _beta(section: dict, key: str, where: str) -> BetaSpec:
-    sub = _get(section, key, where)
-    try:
-        return BetaSpec(
-            shape_a=float(_get(sub, "shape_a", f"{where}.{key}")),
-            shape_b=float(_get(sub, "shape_b", f"{where}.{key}")),
-            offset=float(_get(sub, "offset", f"{where}.{key}")),
-            scale=float(_get(sub, "scale", f"{where}.{key}")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where}.{key}: {exc}") from None
+def check_seed(value, where: str) -> int:
+    """A seed: a non-negative integer (a bool or a float is not one)."""
+    with _invalid(where):
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not (integer and value >= 0):
+            raise ValueError(f"must be a non-negative integer, got {value!r}")
+        return int(value)
+
+
+def check_delta(value, where: str) -> float:
+    """A risk level: 0 < delta < 1 with a threshold 1 - delta below 1."""
+    with _invalid(where):
+        delta = float(value)
+        if not (0.0 < delta < 1.0 and 1.0 - delta < 1.0):
+            raise ValueError(f"must lie in (0, 1) with 1 - delta < 1, got {delta!r}")
+        return delta
+
+
+def check_state(value, where: str) -> np.ndarray:
+    """An initial state: a finite 4-vector."""
+    with _invalid(where):
+        return _vector(4)(value)
+
+
+def _beta(prior: dict, key: str) -> BetaSpec:
+    where = f"prior.{key}"
+    sub = _nested(prior, key, "prior")
+    names = ("shape_a", "shape_b", "offset", "scale")
+    with _invalid(where):
+        return BetaSpec(*(_get(sub, name, where, float) for name in names))
 
 
 def _kernel(section: dict, key: str) -> KernelSpec:
-    sub = _get(section, key, "kernel")
-    mode = sub.get("bandwidth_mode", "fixed")
+    sub = _nested(section, key, "kernel")
     bandwidth = sub.get("bandwidth")
-    try:
+    with _invalid(f"kernel.{key}"):
         return KernelSpec(
             family=sub.get("family", "gaussian"),
             bandwidth=None if bandwidth is None else float(bandwidth),
-            bandwidth_mode=mode,
+            bandwidth_mode=sub.get("bandwidth_mode", "fixed"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"invalid kernel.{key}: {exc}") from None
 
 
-def _feedback_gain(section: dict, where: str) -> np.ndarray:
-    sub = _get(section, "feedback", where)
-    return pd_gain(
-        float(_get(sub, "kp", f"{where}.feedback")),
-        float(_get(sub, "kd", f"{where}.feedback")),
-    )
+def _control_law(section: dict, where: str, horizon: int) -> dict:
+    """The ControlLawSpec settings, read alike from the dataset and library."""
+    feedback = _nested(section, "feedback", where)
+    return {
+        "horizon": horizon,
+        "control_low": _get(section, "control_low", where),
+        "control_high": _get(section, "control_high", where),
+        "num_random_steps": _get(section, "num_random_steps", where, int),
+        "feedback_gain": pd_gain(
+            _get(feedback, "kp", f"{where}.feedback", float),
+            _get(feedback, "kd", f"{where}.feedback", float),
+        ),
+        "target": _get(section, "target", where),
+    }
 
 
 @dataclass(frozen=True)
@@ -118,11 +185,8 @@ class RunConfig:
     state_kernel: KernelSpec
     control_kernel: KernelSpec
     regularization: float
-    horizon: int
     deltas: tuple[float, ...]
-    goal: GoalSet
-    obstacles: tuple[Obstacle, ...]
-    costs: CostSpec
+    scenario: Scenario
     initial_state: np.ndarray
     trials: int
     mc_seed: int
@@ -131,14 +195,7 @@ class RunConfig:
 
     def scenario_for(self, delta: float) -> Scenario:
         """The task at one particular risk budget."""
-        return Scenario(
-            horizon=self.horizon,
-            delta=delta,
-            goal=self.goal,
-            obstacles=self.obstacles,
-            costs=self.costs,
-            dt=self.model.dt,
-        )
+        return replace(self.scenario, delta=delta)
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -146,146 +203,93 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_non_finite(raw, "")
-    if "seed" not in raw:
-        raise ConfigError("missing config section 'seed'")
-    master_seed = int(raw["seed"])
+    master_seed = check_seed(_get(raw, "seed", ""), "seed")
 
-    system = _section(raw, "system")
-    dt = float(system.get("dt", 0.1))
-    if dt <= 0:
-        raise ConfigError("system.dt must be positive")
+    dt = _get(_nested(raw, "system", ""), "dt", "system", float, 0.1)
+    prior, disturbance = ParamPrior(), DisturbanceSpec.default()
+    if raw.get("prior") is not None:
+        prior_raw = _nested(raw, "prior", "")
+        prior = ParamPrior(_beta(prior_raw, "mass"), _beta(prior_raw, "drag"))
+    if raw.get("disturbance") is not None:
+        dist_raw = _nested(raw, "disturbance", "")
+        with _invalid("disturbance"):
+            disturbance = DisturbanceSpec(_get(dist_raw, "per_step_std", "disturbance"))
+    with _invalid("system"):
+        model = PlanarQuadrotor(dt=dt, prior=prior, disturbance=disturbance)
 
-    prior_raw = raw.get("prior")
-    if prior_raw is None:
-        prior = ParamPrior()
-    else:
-        prior = ParamPrior(
-            mass=_beta(prior_raw, "mass", "prior"),
-            drag=_beta(prior_raw, "drag", "prior"),
-        )
-
-    dist_raw = raw.get("disturbance")
-    if dist_raw is None:
-        disturbance = DisturbanceSpec.default()
-    else:
-        disturbance = DisturbanceSpec(
-            per_step_std=_vector(
-                _get(dist_raw, "per_step_std", "disturbance"),
-                4,
-                "disturbance.per_step_std",
-            )
-        )
-
-    model = PlanarQuadrotor(dt=dt, prior=prior, disturbance=disturbance)
-
-    scenario_raw = _section(raw, "scenario")
-    horizon = int(_get(scenario_raw, "horizon", "scenario"))
-    deltas = tuple(float(d) for d in _get(scenario_raw, "deltas", "scenario"))
+    scenario_raw = _nested(raw, "scenario", "")
+    horizon = _get(scenario_raw, "horizon", "scenario", int)
+    deltas = tuple(
+        check_delta(d, f"scenario.deltas[{i}]")
+        for i, d in enumerate(_get(scenario_raw, "deltas", "scenario", list))
+    )
     if not deltas:
         raise ConfigError("scenario.deltas must be a nonempty list")
-    for d in deltas:
-        if not (0.0 < d < 1.0):
-            raise ConfigError(f"scenario.deltas entries must lie in (0,1), got {d}")
-    goal_raw = _get(scenario_raw, "goal", "scenario")
-    goal = GoalSet(
-        center=_vector(_get(goal_raw, "center", "scenario.goal"), 2, "goal center"),
-        radius=float(_get(goal_raw, "radius", "scenario.goal")),
-    )
-    obstacles = []
-    for k, obs in enumerate(scenario_raw.get("obstacles", [])):
-        rect = _vector(_get(obs, "rect", f"scenario.obstacles[{k}]"), 4, "rect")
-        first, last = _get(obs, "active_steps", f"scenario.obstacles[{k}]")
-        try:
-            obstacles.append(
-                Obstacle.rectangle(
-                    rect[0], rect[1], rect[2], rect[3], (int(first), int(last))
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid scenario.obstacles[{k}]: {exc}") from None
-    costs_raw = scenario_raw.get("costs", {})
-    try:
-        costs = CostSpec(
-            state_weights=(
-                None
-                if costs_raw.get("state_weights") is None
-                else np.asarray(costs_raw["state_weights"], dtype=float)
-            ),
-            control_weight=float(costs_raw.get("control_weight", 0.1)),
+    goal_raw = _nested(scenario_raw, "goal", "scenario")
+    with _invalid("scenario.goal"):
+        goal = GoalSet(
+            center=_get(goal_raw, "center", "scenario.goal"),
+            radius=_get(goal_raw, "radius", "scenario.goal", float),
         )
-    except ValueError as exc:
-        raise ConfigError(f"invalid scenario.costs: {exc}") from None
+    obstacles = []
+    for k, obs in enumerate(_get(scenario_raw, "obstacles", "scenario", list, [])):
+        where = f"scenario.obstacles[{k}]"
+        obs = _object(obs, where)
+        rect = _get(obs, "rect", where, _vector(4))
+        steps = _get(obs, "active_steps", where, _vector(2))
+        with _invalid(where):
+            obstacles.append(Obstacle.rectangle(*rect, tuple(steps)))
+    costs_raw = _nested(scenario_raw, "costs", "scenario", {})
+    with _invalid("scenario.costs"):
+        costs = CostSpec(
+            state_weights=costs_raw.get("state_weights"),
+            control_weight=_get(
+                costs_raw, "control_weight", "scenario.costs", float, 0.1
+            ),
+        )
+    with _invalid("scenario"):
+        scenario = Scenario(horizon, deltas[0], goal, obstacles, costs, model.dt)
 
-    ds_raw = _section(raw, "dataset")
-    try:
+    ds_raw = _nested(raw, "dataset", "")
+    with _invalid("dataset"):
         dataset = DatasetGenConfig(
-            num_samples=int(_get(ds_raw, "num_samples", "dataset")),
-            horizon=horizon,
-            x0_low=_vector(_get(ds_raw, "x0_low", "dataset"), 4, "dataset.x0_low"),
-            x0_high=_vector(_get(ds_raw, "x0_high", "dataset"), 4, "dataset.x0_high"),
-            control_low=_vector(
-                _get(ds_raw, "control_low", "dataset"), 2, "dataset.control_low"
-            ),
-            control_high=_vector(
-                _get(ds_raw, "control_high", "dataset"), 2, "dataset.control_high"
-            ),
-            num_random_steps=int(_get(ds_raw, "num_random_steps", "dataset")),
-            feedback_gain=_feedback_gain(ds_raw, "dataset"),
-            target=_vector(_get(ds_raw, "target", "dataset"), 4, "dataset.target"),
+            **_control_law(ds_raw, "dataset", horizon),
+            num_samples=_get(ds_raw, "num_samples", "dataset", int),
+            x0_low=_get(ds_raw, "x0_low", "dataset"),
+            x0_high=_get(ds_raw, "x0_high", "dataset"),
             tail_params=ds_raw.get("tail_params", "sampled"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"invalid dataset section: {exc}") from None
 
-    lib_raw = _section(raw, "library")
-    try:
+    lib_raw = _nested(raw, "library", "")
+    with _invalid("library"):
         library = LibraryGenConfig(
-            horizon=horizon,
-            grid_resolution=tuple(
-                int(g) for g in _get(lib_raw, "grid_resolution", "library")
-            ),
-            control_low=_vector(
-                _get(lib_raw, "control_low", "library"), 2, "library.control_low"
-            ),
-            control_high=_vector(
-                _get(lib_raw, "control_high", "library"), 2, "library.control_high"
-            ),
-            num_random_steps=int(_get(lib_raw, "num_random_steps", "library")),
-            feedback_gain=_feedback_gain(lib_raw, "library"),
-            target=_vector(_get(lib_raw, "target", "library"), 4, "library.target"),
-            initial_state=_vector(
-                _get(lib_raw, "initial_state", "library"),
-                4,
-                "library.initial_state",
-            ),
-            max_sequences=int(lib_raw.get("max_sequences", 20000)),
+            **_control_law(lib_raw, "library", horizon),
+            grid_resolution=_get(lib_raw, "grid_resolution", "library"),
+            initial_state=_get(lib_raw, "initial_state", "library"),
+            max_sequences=_get(lib_raw, "max_sequences", "library", int, 20000),
         )
-    except ValueError as exc:
-        raise ConfigError(f"invalid library section: {exc}") from None
-    nominal = QuadrotorParams(
-        mass=float(_get(lib_raw, "nominal_mass", "library")),
-        drag=float(_get(lib_raw, "nominal_drag", "library")),
-    )
+        nominal = QuadrotorParams(
+            mass=_get(lib_raw, "nominal_mass", "library", float),
+            drag=_get(lib_raw, "nominal_drag", "library", float),
+        )
 
-    kernel_raw = _section(raw, "kernel")
+    kernel_raw = _nested(raw, "kernel", "")
     state_kernel = _kernel(kernel_raw, "state")
     control_kernel = _kernel(kernel_raw, "control")
 
-    emb_raw = _section(raw, "embedding")
-    regularization = float(_get(emb_raw, "regularization", "embedding"))
+    emb_raw = _nested(raw, "embedding", "")
+    regularization = _get(emb_raw, "regularization", "embedding", float)
     if regularization <= 0:
         raise ConfigError("embedding.regularization must be positive")
 
-    mc_raw = _section(raw, "montecarlo")
-    trials = int(_get(mc_raw, "trials", "montecarlo"))
+    mc_raw = _nested(raw, "montecarlo", "")
+    trials = _get(mc_raw, "trials", "montecarlo", int)
     if trials < 1:
         raise ConfigError("montecarlo.trials must be at least 1")
-    mc_seed = int(_get(mc_raw, "seed", "montecarlo"))
+    mc_seed = check_seed(_get(mc_raw, "seed", "montecarlo"), "montecarlo.seed")
 
-    initial_state = _vector(
-        raw.get("initial_state", np.zeros(4)), 4, "initial_state"
-    )
-    output_dir = str(raw.get("output", {}).get("directory", "out"))
+    initial_state = check_state(raw.get("initial_state", np.zeros(4)), "initial_state")
+    output_dir = str(_nested(raw, "output", "", {}).get("directory", "out"))
 
     return RunConfig(
         master_seed=master_seed,
@@ -296,11 +300,8 @@ def parse_config(raw: dict) -> RunConfig:
         state_kernel=state_kernel,
         control_kernel=control_kernel,
         regularization=regularization,
-        horizon=horizon,
         deltas=deltas,
-        goal=goal,
-        obstacles=tuple(obstacles),
-        costs=costs,
+        scenario=scenario,
         initial_state=initial_state,
         trials=trials,
         mc_seed=mc_seed,

@@ -11,7 +11,7 @@ samples i.i.d.
 
 The control library enumerates a uniform grid over the control box on the
 randomized steps and continues each sequence with the same feedback law on
-the nominal deterministic system.
+the nominal deterministic system. Box and law are one ``ControlLawSpec``.
 
 Each artifact records a key, a digest of every input it was generated from
 (``dataset_key``, ``library_key``), so a cached file is reused only while
@@ -75,8 +75,42 @@ def _check_box(low, high, dim, name):
     return low, high
 
 
+@dataclass(frozen=True, kw_only=True)
+class ControlLawSpec:
+    """The exploration law the dataset and the library share.
+
+    The first ``num_random_steps`` controls of a sequence lie in the box
+    [control_low, control_high]; the rest of its ``horizon`` steps follow
+    u = feedback_gain @ (x - target).
+    """
+
+    horizon: int
+    control_low: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    control_high: np.ndarray = field(default_factory=lambda: np.ones(2))
+    num_random_steps: int = 3
+    feedback_gain: np.ndarray = field(default_factory=lambda: pd_gain(2.0, 3.0))
+    target: np.ndarray = field(
+        default_factory=lambda: np.array([10.0, 0.0, 10.0, 0.0])
+    )
+
+    def __post_init__(self):
+        if not (0 <= self.num_random_steps < self.horizon):
+            raise ValueError("num_random_steps must satisfy 0 <= T_r < horizon")
+        c_low, c_high = _check_box(self.control_low, self.control_high, 2, "control")
+        gain = np.asarray(self.feedback_gain, dtype=float)
+        target = np.asarray(self.target, dtype=float)
+        if gain.shape != (2, 4):
+            raise ValueError(f"feedback gain must be 2x4, got {gain.shape}")
+        if target.shape != (4,):
+            raise ValueError(f"target must be a 4-vector, got {target.shape}")
+        object.__setattr__(self, "control_low", c_low)
+        object.__setattr__(self, "control_high", c_high)
+        object.__setattr__(self, "feedback_gain", gain)
+        object.__setattr__(self, "target", target)
+
+
 @dataclass(frozen=True)
-class DatasetGenConfig:
+class DatasetGenConfig(ControlLawSpec):
     """Settings for dataset generation.
 
     ``tail_params`` selects how the feedback phase of each sample is
@@ -88,49 +122,29 @@ class DatasetGenConfig:
     """
 
     num_samples: int
-    horizon: int
     x0_low: np.ndarray = field(
         default_factory=lambda: np.array([-0.5, -0.05, -0.5, -0.05])
     )
     x0_high: np.ndarray = field(
         default_factory=lambda: np.array([0.5, 0.05, 0.5, 0.05])
     )
-    control_low: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    control_high: np.ndarray = field(default_factory=lambda: np.ones(2))
-    num_random_steps: int = 3
-    feedback_gain: np.ndarray = field(default_factory=lambda: pd_gain(2.0, 3.0))
-    target: np.ndarray = field(
-        default_factory=lambda: np.array([10.0, 0.0, 10.0, 0.0])
-    )
     tail_params: str = "sampled"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.num_samples < 1:
             raise ValueError("num_samples must be at least 1")
         if self.tail_params not in ("sampled", "nominal"):
             raise ValueError(
                 f"tail_params must be 'sampled' or 'nominal', got {self.tail_params!r}"
             )
-        if not (0 <= self.num_random_steps < self.horizon):
-            raise ValueError("num_random_steps must satisfy 0 <= T_r < horizon")
         x0_low, x0_high = _check_box(self.x0_low, self.x0_high, 4, "x0")
-        c_low, c_high = _check_box(self.control_low, self.control_high, 2, "control")
-        gain = np.asarray(self.feedback_gain, dtype=float)
-        target = np.asarray(self.target, dtype=float)
-        if gain.shape != (2, 4):
-            raise ValueError(f"feedback gain must be 2x4, got {gain.shape}")
-        if target.shape != (4,):
-            raise ValueError(f"target must be a 4-vector, got {target.shape}")
         object.__setattr__(self, "x0_low", x0_low)
         object.__setattr__(self, "x0_high", x0_high)
-        object.__setattr__(self, "control_low", c_low)
-        object.__setattr__(self, "control_high", c_high)
-        object.__setattr__(self, "feedback_gain", gain)
-        object.__setattr__(self, "target", target)
 
 
 @dataclass(frozen=True)
-class LibraryGenConfig:
+class LibraryGenConfig(ControlLawSpec):
     """Settings for control-library generation.
 
     ``grid_resolution`` gives the number of grid points per control
@@ -138,38 +152,20 @@ class LibraryGenConfig:
     The library size is (prod(grid_resolution))**num_random_steps.
     """
 
-    horizon: int
     grid_resolution: tuple[int, ...] = (3, 3)
-    control_low: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    control_high: np.ndarray = field(default_factory=lambda: np.ones(2))
-    num_random_steps: int = 3
-    feedback_gain: np.ndarray = field(default_factory=lambda: pd_gain(2.0, 3.0))
-    target: np.ndarray = field(
-        default_factory=lambda: np.array([10.0, 0.0, 10.0, 0.0])
-    )
     initial_state: np.ndarray = field(default_factory=lambda: np.zeros(4))
     max_sequences: int = 20000
 
     def __post_init__(self):
+        super().__post_init__()
         res = self.grid_resolution
-        if np.isscalar(res):
-            res = (int(res), int(res))
-        res = tuple(int(g) for g in res)
+        res = tuple(int(g) for g in ((res, res) if np.isscalar(res) else res))
         if len(res) != 2 or any(g < 1 for g in res):
             raise ValueError("grid_resolution needs a positive count per coordinate")
-        if not (0 <= self.num_random_steps < self.horizon):
-            raise ValueError("num_random_steps must satisfy 0 <= T_r < horizon")
-        c_low, c_high = _check_box(self.control_low, self.control_high, 2, "control")
-        gain = np.asarray(self.feedback_gain, dtype=float)
-        target = np.asarray(self.target, dtype=float)
         x0 = np.asarray(self.initial_state, dtype=float)
-        if gain.shape != (2, 4) or target.shape != (4,) or x0.shape != (4,):
-            raise ValueError("feedback gain must be 2x4; target and x0 4-vectors")
+        if x0.shape != (4,):
+            raise ValueError(f"initial_state must be a 4-vector, got {x0.shape}")
         object.__setattr__(self, "grid_resolution", res)
-        object.__setattr__(self, "control_low", c_low)
-        object.__setattr__(self, "control_high", c_high)
-        object.__setattr__(self, "feedback_gain", gain)
-        object.__setattr__(self, "target", target)
         object.__setattr__(self, "initial_state", x0)
         if self.num_sequences > self.max_sequences:
             raise ValueError(

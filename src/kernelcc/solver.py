@@ -16,7 +16,7 @@ This is exact and needs no external LP dependency.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,8 +121,8 @@ def assemble(
     a time, at most ``_CROSS_BLOCK_ELEMENTS`` elements per block, and each
     block's product is written into the two rows, so no M x P matrix is
     ever held. The cost row adds the (known) control cost of each library
-    sequence; the safety row holds the estimated probability that a
-    trajectory satisfies every constraint.
+    sequence, a block at a time as well; the safety row holds the estimated
+    probability that a trajectory satisfies every constraint.
     """
     if sc.horizon != model.horizon:
         raise ValueError(
@@ -138,24 +138,15 @@ def assemble(
     rows = np.empty((2, lib.num_sequences))
     for start in range(0, lib.num_sequences, block):
         stop = start + block
-        rows[:, start:stop] = alpha.T @ cross_matrix(
-            model, x0, lib.sequences[start:stop]
-        )
-    state_row, safety_row = rows
+        sequences = lib.sequences[start:stop]
+        rows[:, start:stop] = alpha.T @ cross_matrix(model, x0, sequences)
+        rows[0, start:stop] += control_cost(sc, sequences)
+    cost_row, safety_row = rows
     return LPInstance(
-        cost_row=state_row + control_cost(sc, lib.sequences),
+        cost_row=cost_row,
         safety_row=safety_row,
         threshold=1.0 - sc.delta,
     )
-
-
-def with_threshold(inst: LPInstance, delta: float) -> LPInstance:
-    """The same LP rows with a different risk budget.
-
-    Only the threshold depends on the risk budget, so a sweep reuses one
-    assembled instance instead of re-solving the kernel system per level.
-    """
-    return replace(inst, threshold=1.0 - delta)
 
 
 def solve_lp(inst: LPInstance) -> SolveResult:

@@ -5,6 +5,7 @@ full run doubles as a release report. The shipped experiment configuration
 (configs/experiment.json) drives the pipeline-level checks.
 """
 
+import dataclasses
 import json
 import time
 import warnings
@@ -24,7 +25,6 @@ from kernelcc.solver import (
     assemble,
     brute_oracle,
     solve_lp,
-    with_threshold,
 )
 from kernelcc.systems import (
     DisturbanceSpec,
@@ -65,7 +65,7 @@ class TestDeltaSweepReproduction:
         scale_ok = (
             cfg.dataset.num_samples == 1000
             and cfg.library.num_sequences == 1000
-            and cfg.horizon == 15
+            and cfg.scenario.horizon == 15
             and cfg.trials == 1000
             and cfg.deltas == (0.05, 0.1, 0.2, 0.3)
         )
@@ -149,7 +149,7 @@ class TestRiskCostMonotonicity:
         objectives = []
         statuses = []
         for delta in deltas:
-            res = solve_lp(with_threshold(inst, delta))
+            res = solve_lp(dataclasses.replace(inst, threshold=1.0 - delta))
             statuses.append(res.status)
             objectives.append(res.objective)
         feasible = all(s == "optimal" for s in statuses)

@@ -425,6 +425,131 @@ class TestValidate:
         assert first != second
 
 
+def with_value(path, value):
+    """small_raw with the value at ``path``, a list of keys, replaced."""
+    raw = small_raw()
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+MALFORMED_INPUTS = [
+    pytest.param(
+        with_value(["seed"], "abc"), ["experiment"], "invalid seed:", id="seed=abc"
+    ),
+    pytest.param(
+        with_value(["seed"], -1), ["experiment"], "invalid seed:", id="seed=-1"
+    ),
+    pytest.param(
+        with_value(["montecarlo", "seed"], -1),
+        ["experiment"],
+        "invalid montecarlo.seed:",
+        id="montecarlo.seed=-1",
+    ),
+    pytest.param(
+        with_value(["scenario", "goal", "radius"], -1),
+        ["experiment"],
+        "invalid scenario.goal: goal radius",
+        id="scenario.goal.radius=-1",
+    ),
+    pytest.param(
+        with_value(["library", "nominal_mass"], -1),
+        ["experiment"],
+        "invalid library: mass",
+        id="library.nominal_mass=-1",
+    ),
+    pytest.param(
+        with_value(["disturbance"], {"per_step_std": [-1, 0, 0, 0]}),
+        ["experiment"],
+        "invalid disturbance: per_step_std",
+        id="disturbance.per_step_std<0",
+    ),
+    pytest.param(
+        with_value(["scenario", "horizon"], "x"),
+        ["experiment"],
+        "invalid scenario.horizon:",
+        id="scenario.horizon=x",
+    ),
+    pytest.param(
+        with_value(["montecarlo", "trials"], None),
+        ["experiment"],
+        "invalid montecarlo.trials:",
+        id="montecarlo.trials=null",
+    ),
+    pytest.param(
+        with_value(
+            ["scenario", "obstacles"],
+            [{"rect": [1.0, 2.0, 1.0, 2.0], "active_steps": [4]}],
+        ),
+        ["experiment"],
+        "invalid scenario.obstacles[0].active_steps:",
+        id="obstacles[0].active_steps=[4]",
+    ),
+    pytest.param(
+        with_value(
+            ["scenario", "obstacles"],
+            [{"rect": [1.0, 2.0, 1.0, 2.0], "active_steps": [3, 20]}],
+        ),
+        ["experiment"],
+        "invalid scenario: obstacle active through step 20",
+        id="obstacles[0].active_steps=[3,20]",
+    ),
+    pytest.param(
+        with_value(["scenario", "costs"], []),
+        ["experiment"],
+        "scenario.costs must be an object",
+        id="scenario.costs=[]",
+    ),
+    pytest.param(
+        with_value(["scenario", "deltas"], [1e-300]),
+        ["experiment"],
+        "invalid scenario.deltas[0]:",
+        id="scenario.deltas=[1e-300]",
+    ),
+    pytest.param(
+        small_raw(),
+        ["experiment", "--seed", "-1"],
+        "invalid --seed:",
+        id="experiment --seed=-1",
+    ),
+    pytest.param(
+        small_raw(),
+        ["validate", "--seed", "-1"],
+        "invalid --seed:",
+        id="validate --seed=-1",
+    ),
+    pytest.param(
+        small_raw(),
+        ["experiment", "--x0", "nan", "0", "0", "0"],
+        "invalid --x0:",
+        id="experiment --x0=nan",
+    ),
+    pytest.param(
+        small_raw(),
+        ["validate", "--x0", "inf", "0", "0", "0"],
+        "invalid --x0:",
+        id="validate --x0=inf",
+    ),
+    pytest.param(
+        small_raw(),
+        ["solve", "--delta", "1e-300"],
+        "invalid --delta:",
+        id="solve --delta=1e-300",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def solved_dir(tmp_path_factory):
+    """A directory holding a complete run of small_raw."""
+    tmp_path = tmp_path_factory.mktemp("solved")
+    out = tmp_path / "out"
+    assert run_step(tmp_path, small_raw(), ["experiment"], out) == EXIT_OK
+    return out
+
+
 class TestErrors:
     def test_missing_section_exit_code(self, tmp_path, capsys):
         raw = small_raw()
@@ -467,6 +592,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "overflows" in err
+
+
+    @pytest.mark.parametrize("raw, argv, shown", MALFORMED_INPUTS)
+    def test_malformed_input_is_one_line_config_error(
+        self, tmp_path, capsys, solved_dir, raw, argv, shown
+    ):
+        # each input is checked before any stage runs: exit 2, one line that
+        # names the key or flag, and no file of a current directory touched
+        if argv[0] == "validate":
+            argv = [*argv, "--policy", str(solved_dir / "policy_delta_0.3.json")]
+        before = {p.name: p.read_bytes() for p in solved_dir.iterdir()}
+        rc = run_step(tmp_path, raw, argv, solved_dir)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert shown in err
+        assert {p.name: p.read_bytes() for p in solved_dir.iterdir()} == before
 
 
 class TestEarlierDirectory:

@@ -9,6 +9,8 @@ import pytest
 from kernelcc.config import ConfigError, load_config, parse_config
 from kernelcc.data import dataset_key, library_key
 
+SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "experiment.json"
+
 
 def base_raw():
     return {
@@ -58,7 +60,7 @@ class TestParseConfig:
     def test_values_land(self):
         cfg = parse_config(base_raw())
         assert cfg.master_seed == 7
-        assert cfg.horizon == 8
+        assert cfg.scenario.horizon == 8
         assert cfg.deltas == (0.1, 0.2)
         assert cfg.dataset.num_samples == 50
         assert cfg.dataset.tail_params == "nominal"
@@ -68,7 +70,7 @@ class TestParseConfig:
         assert cfg.control_kernel.bandwidth == 0.1
         assert cfg.regularization == 1e-4
         assert cfg.trials == 40 and cfg.mc_seed == 99
-        assert len(cfg.obstacles) == 1
+        assert len(cfg.scenario.obstacles) == 1
         np.testing.assert_array_equal(cfg.initial_state, np.zeros(4))
 
     def test_scenario_for_builds_task(self):
@@ -190,10 +192,21 @@ class TestLoadConfig:
             load_config(tmp_path / "nope.json")
 
     def test_shipped_experiment_config_parses(self):
-        shipped = Path(__file__).resolve().parents[1] / "configs" / "experiment.json"
-        cfg = load_config(shipped)
+        cfg = load_config(SHIPPED)
         assert cfg.master_seed == 101
         assert cfg.dataset.num_samples == 1000
         assert cfg.library.num_sequences == 1000
         assert cfg.deltas == (0.05, 0.1, 0.2, 0.3)
         assert cfg.trials == 1000
+
+    def test_shipped_experiment_keys_are_pinned(self):
+        # the keys the shipped run's dataset.jsonl and library.jsonl record;
+        # another value means a cached shipped run is regenerated, and
+        # usually that its bytes moved
+        cfg = load_config(SHIPPED)
+        assert dataset_key(cfg.dataset, cfg.model) == (
+            "f063d21accdc7dd1119c51e6f9d62d4ccc50a9d6eda43537ab9b259fd55e4938"
+        )
+        assert library_key(cfg.library, cfg.model, cfg.nominal_params) == (
+            "af642952b172999f5fcdbd19ecaa3894df4cf3923ff2f596954676232d0ca536"
+        )

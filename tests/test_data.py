@@ -74,6 +74,38 @@ class TestDatasetGenConfig:
             DatasetGenConfig(num_samples=0, horizon=10)
 
 
+class TestControlLawSpec:
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            # a one-point grid keeps the library under its size cap
+            pytest.param(
+                lambda **law: DatasetGenConfig(num_samples=5, **law), id="dataset"
+            ),
+            pytest.param(
+                lambda **law: LibraryGenConfig(grid_resolution=(1, 1), **law),
+                id="library",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "law",
+        [
+            pytest.param({"num_random_steps": 8}, id="random_steps=horizon"),
+            pytest.param(
+                {"control_low": [0.0, 2.0], "control_high": [1.0, 1.0]},
+                id="unordered_box",
+            ),
+            pytest.param({"control_low": [0.0]}, id="box_shape"),
+            pytest.param({"feedback_gain": np.zeros((2, 3))}, id="gain_shape"),
+            pytest.param({"target": np.zeros(3)}, id="target_shape"),
+        ],
+    )
+    def test_dataset_and_library_check_the_law_alike(self, settings, law):
+        with pytest.raises(ValueError):
+            settings(horizon=8, **law)
+
+
 class TestGenerateDataset:
     def test_shapes_and_boxes(self):
         cfg = DatasetGenConfig(num_samples=30, horizon=15)

@@ -1,5 +1,6 @@
 """Tests for LP assembly and the exact simplex-constrained solver."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,6 @@ from kernelcc.solver import (
     brute_oracle,
     safety_diagnostics,
     solve_lp,
-    with_threshold,
 )
 
 UNIT = KernelSpec(bandwidth=1.0)
@@ -128,7 +128,7 @@ class TestSolveLp:
 
     def test_with_threshold_reuses_rows(self):
         inst = make_instance([1.0, 2.0], [0.5, 1.0], delta=0.2)
-        swapped = with_threshold(inst, 0.5)
+        swapped = dataclasses.replace(inst, threshold=0.5)
         assert swapped.threshold == 0.5
         np.testing.assert_array_equal(swapped.cost_row, inst.cost_row)
         assert swapped.diagnostics == inst.diagnostics
@@ -153,7 +153,7 @@ class TestSolveLp:
         inst = random_instance(rng)
         objectives = []
         for delta in (0.01, 0.05, 0.1, 0.2, 0.5):
-            result = solve_lp(with_threshold(inst, delta))
+            result = solve_lp(dataclasses.replace(inst, threshold=1.0 - delta))
             objectives.append(
                 np.inf if result.status == "infeasible" else result.objective
             )

@@ -7,22 +7,25 @@ them breaks ``perfbench/run.py --trace 1``; these tests catch that here.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    """Import ``perfbench/<name>.py``, which is a script, not a package module."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACING_MODULE = load_tracing()
+TRACING_MODULE = load_perfbench("tracing")
 WRAPPED = TRACING_MODULE.WRAPPED_FUNCTIONS
 
 
@@ -53,6 +56,29 @@ def test_solve_lp_hook_reads_a_real_instance():
     tracer = TRACING_MODULE.Tracer()
     before(tracer, (inst,))
     assert tracer.counters["solver.pair_candidates"] == 4
+
+
+def test_checker_runs_on_a_small_directory(tmp_path):
+    # the benchmark's checker rebuilds the LP rows with the program's own
+    # names; loading it and running it on a directory fails here, not in the
+    # benchmark, when one of them is renamed
+    from kernelcc.cli import main
+
+    check = load_perfbench("check")
+    raw = json.loads((ROOT / "configs" / "experiment.json").read_text())
+    raw["dataset"]["num_samples"] = 40
+    raw["library"]["grid_resolution"] = [2, 1]
+    # a goal ball around every trajectory makes the solve feasible
+    raw["scenario"].update(deltas=[0.3], obstacles=[])
+    raw["scenario"]["goal"]["radius"] = 50.0
+    raw["montecarlo"]["trials"] = 30
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out-dir", str(out)]) == 0
+    result = check.check_directory(str(config), out)
+    assert result["failures"] == []
+    assert result["estimate_gap"] is not None
 
 
 def fit_tiny_dataset():
