@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,7 @@ from .data import (
     library_key,
     load_dataset,
     load_library,
+    read_header,
     save_dataset,
     save_library,
 )
@@ -87,16 +90,18 @@ def _read_json(path: Path) -> dict:
 
 
 def _recorded_key(artifact):
-    """The key an artifact carries: its JSONL header fields or inputs digest."""
-    if isinstance(artifact, Dataset):
+    """The key an artifact carries: a JSON file's inputs digest, or the config
+    digest (with the seed, for a dataset) of a JSONL file's header or of what
+    the file loads to."""
+    if isinstance(artifact, dict):
+        return artifact.get("inputs_digest")
+    if isinstance(artifact, Dataset) or getattr(artifact, "kind", "") == "dataset":
         return [artifact.config_digest, artifact.master_seed]
-    if isinstance(artifact, ControlLibrary):
-        return artifact.config_digest
-    return artifact.get("inputs_digest")
+    return artifact.config_digest
 
 
-def _current(path: Path, load, key):
-    """The artifact at path if it loads and records ``key``, else None.
+def _current(path: Path, read, key):
+    """What ``read`` makes of path if it reads and records ``key``, else None.
 
     The one rule for every stage: a key covers the config sections the stage
     reads and the keys of the artifacts it was built from, so an artifact is
@@ -105,21 +110,30 @@ def _current(path: Path, load, key):
     if not path.exists():
         return None
     try:
-        artifact = load(path)
+        artifact = read(path)
     except (DataLoadError, PolicyFileError):
         return None
     return artifact if _recorded_key(artifact) == key else None
 
 
-def _policy_key(cfg: RunConfig, ds: Dataset, lib: ControlLibrary, delta) -> str:
-    # built from the keys the inputs record, by the one rule every stage
+@dataclasses.dataclass(frozen=True)
+class _Input:
+    """A dataset or library of this run: its key, and ``get``, which returns
+    the artifact; a cached file is parsed at the first call, and only then."""
+
+    key: object
+    get: Callable[[], object]
+
+
+def _policy_key(cfg: RunConfig, ds_key, lib_key, delta) -> str:
+    # built from the dataset and library keys, by the one rule every stage
     # follows: the library enters by its config key, not its content
     # digest; the scenario carries delta
     return digest_of(
         {
             "format_version": POLICY_FORMAT_VERSION,
-            "dataset": _recorded_key(ds),
-            "library": _recorded_key(lib),
+            "dataset": ds_key,
+            "library": lib_key,
             "kernels": [cfg.state_kernel, cfg.control_kernel],
             "regularization": cfg.regularization,
             "scenario": cfg.scenario_for(delta),
@@ -142,37 +156,51 @@ def _report_key(cfg: RunConfig, policy_path: Path, delta, x0) -> str:
     )
 
 
-def cmd_generate(cfg: RunConfig, out: Path) -> tuple[Dataset, ControlLibrary]:
-    """Produce dataset.jsonl and library.jsonl, reusing current ones."""
+def cmd_generate(cfg: RunConfig, out: Path) -> tuple[_Input, _Input]:
+    """Produce dataset.jsonl and library.jsonl, reusing current ones.
+
+    A file is current when its header records this run's key and its bytes
+    match the header's sha256; its records are left unparsed until a stage
+    asks for them.
+    """
     ds_path = out / "dataset.jsonl"
     lib_path = out / "library.jsonl"
     ds_key = [dataset_key(cfg.dataset, cfg.model), cfg.master_seed]
-    ds = _current(ds_path, load_dataset, ds_key)
-    if ds is not None:
-        print(f"dataset: cached ({ds.num_samples} samples, seed {ds.master_seed})")
+    header = _current(ds_path, functools.partial(read_header, kind="dataset"), ds_key)
+    if header is not None:
+        print(f"dataset: cached ({header.count} samples, seed {header.master_seed})")
+        ds = _Input(ds_key, functools.cache(lambda: load_dataset(ds_path)))
     else:
-        ds = generate_dataset(cfg.dataset, cfg.model, cfg.master_seed)
-        save_dataset(ds, ds_path)
+        dataset = generate_dataset(cfg.dataset, cfg.model, cfg.master_seed)
+        save_dataset(dataset, ds_path)
         print(
-            f"dataset: {ds.num_samples} samples, horizon {ds.horizon}, "
-            f"seed {ds.master_seed} -> {ds_path}"
+            f"dataset: {dataset.num_samples} samples, horizon {dataset.horizon}, "
+            f"seed {dataset.master_seed} -> {ds_path}"
         )
+        ds = _Input(ds_key, lambda: dataset)
     lib_key = library_key(cfg.library, cfg.model, cfg.nominal_params)
-    lib = _current(lib_path, load_library, lib_key)
-    if lib is not None:
-        print(f"library: cached ({lib.num_sequences} sequences)")
+    header = _current(lib_path, functools.partial(read_header, kind="library"), lib_key)
+    if header is not None:
+        print(f"library: cached ({header.count} sequences)")
+        lib = _Input(lib_key, functools.cache(lambda: load_library(lib_path)))
     else:
-        lib = generate_library(cfg.library, cfg.model, cfg.nominal_params)
-        save_library(lib, lib_path)
+        library = generate_library(cfg.library, cfg.model, cfg.nominal_params)
+        save_library(library, lib_path)
         print(
-            f"library: {lib.num_sequences} sequences, horizon {lib.horizon} "
+            f"library: {library.num_sequences} sequences, horizon {library.horizon} "
             f"-> {lib_path}"
         )
+        lib = _Input(lib_key, lambda: library)
     return ds, lib
 
 
-def _solve(cfg: RunConfig, out: Path, ds, lib, deltas) -> dict[float, dict]:
-    """Fit, solve the LP for each risk level, write and return the policies."""
+def _solve(
+    cfg: RunConfig, out: Path, ds: Dataset, lib: ControlLibrary, keys, deltas
+) -> dict[float, dict]:
+    """Fit, solve the LP for each risk level, write and return the policies.
+
+    ``keys`` are the dataset and library keys the policies record.
+    """
     model = fit(ds, cfg.state_kernel, cfg.control_kernel, cfg.regularization)
     # one kernel solve covers the whole sweep; only the threshold changes
     base = assemble(model, cfg.scenario_for(deltas[0]), lib, cfg.initial_state)
@@ -191,7 +219,7 @@ def _solve(cfg: RunConfig, out: Path, ds, lib, deltas) -> dict[float, dict]:
             "master_seed": ds.master_seed,
             "library_digest": lib.content_digest,
             "embedding_digest": model.digest,
-            "inputs_digest": _policy_key(cfg, ds, lib, delta),
+            "inputs_digest": _policy_key(cfg, *keys, delta),
             "solve": result.to_dict(),
             "safety_estimates": {
                 "threshold": inst.threshold,
@@ -231,7 +259,8 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     """Fit the embedding and solve the LP for each risk level; write policies."""
     ds = load_dataset(out / "dataset.jsonl")
     lib = load_library(out / "library.jsonl")
-    return _exit_code(_solve(cfg, out, ds, lib, cfg.deltas).values())
+    keys = _recorded_key(ds), _recorded_key(lib)
+    return _exit_code(_solve(cfg, out, ds, lib, keys, cfg.deltas).values())
 
 
 def _policy_from_record(record: dict, lib: ControlLibrary, path: Path) -> MixedPolicy:
@@ -272,10 +301,11 @@ def cmd_validate(
     cfg: RunConfig,
     out: Path,
     policy_paths: list[Path],
+    lib: ControlLibrary,
     x0_override: np.ndarray | None = None,
 ) -> dict[float, dict]:
-    """Monte-Carlo validate saved policies; write and return their reports by delta."""
-    lib = load_library(out / "library.jsonl")
+    """Monte-Carlo validate saved policies of the library ``lib``; write and
+    return their reports by delta."""
     reports = {}
     for policy_path in policy_paths:
         record = _read_json(policy_path)
@@ -341,13 +371,14 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> int:
     ds, lib = cmd_generate(cfg, out)
     policies = {}
     for delta in cfg.deltas:
-        key = _policy_key(cfg, ds, lib, delta)
+        key = _policy_key(cfg, ds.key, lib.key, delta)
         policies[delta] = _current(_delta_path(out, "policy", delta), _read_json, key)
         if policies[delta] is not None:
             print(f"delta={delta}: cached policy")
     stale = [delta for delta in cfg.deltas if policies[delta] is None]
     if stale:
-        policies.update(_solve(cfg, out, ds, lib, stale))
+        keys = ds.key, lib.key
+        policies.update(_solve(cfg, out, ds.get(), lib.get(), keys, stale))
     reports, unvalidated = {}, []
     for delta in cfg.deltas:
         if policies[delta]["solve"]["status"] != "optimal":
@@ -360,7 +391,7 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> int:
         else:
             unvalidated.append(policy_path)
     if unvalidated:
-        reports.update(cmd_validate(cfg, out, unvalidated))
+        reports.update(cmd_validate(cfg, out, unvalidated, lib.get()))
     rows = [_summary_row(d, policies[d], reports.get(d)) for d in cfg.deltas]
     _write_summary(cfg, out, rows)
     print(f"summary -> {out / 'summary.csv'}")
@@ -435,7 +466,8 @@ def main(argv=None) -> int:
         if args.command == "validate":
             # validate's --x0 replaces the initial state of the policy
             x0 = None if args.x0 is None else cfg.initial_state
-            cmd_validate(cfg, out, [Path(args.policy)], x0)
+            lib = load_library(out / "library.jsonl")
+            cmd_validate(cfg, out, [Path(args.policy)], lib, x0)
             return EXIT_OK
         if args.command == "generate":
             cmd_generate(cfg, out)

@@ -5,7 +5,9 @@ dataset, library, kernel, embedding, scenario, montecarlo, output) plus a
 top-level master seed and solve-time initial state. Parsing validates each
 section eagerly: any ValueError or TypeError raised while a section, nested
 object or key is read becomes a ConfigError naming it. JSON syntax errors
-carry the line number. The parsed form keeps a digest of the raw file.
+carry the line number. Each object of the file records the keys the parser
+reads from it, and a key that no parse step read (a misspelling, say) is an
+error too. The parsed form keeps a digest of the raw file.
 
 A seed, a risk level and an initial state are each checked by one function
 (``check_seed``, ``check_delta``, ``check_state``), which the command-line
@@ -55,8 +57,26 @@ def _name(where: str, key) -> str:
     return f"{where}.{key}" if where else str(key)
 
 
-def _reject_non_finite(value, where: str) -> None:
-    """Raise ConfigError at the first NaN or infinite number under value.
+class _Object(dict):
+    """A JSON object of the config that records the keys read from it."""
+
+    def __init__(self, items: dict, where: str):
+        super().__init__(items)
+        self.where = where
+        self.read: set = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _tracked(value, where: str):
+    """value with every JSON object an _Object; raises ConfigError at the
+    first NaN or infinite number.
 
     JSON text may spell these NaN, Infinity, -Infinity, or as a literal too
     large for a float (1e400 parses as inf).
@@ -64,11 +84,26 @@ def _reject_non_finite(value, where: str) -> None:
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"non-finite number {value} at {where}")
     if isinstance(value, dict):
-        for key, item in value.items():
-            _reject_non_finite(item, _name(where, key))
-    elif isinstance(value, list):
-        for index, item in enumerate(value):
-            _reject_non_finite(item, f"{where}[{index}]")
+        items = {key: _tracked(item, _name(where, key)) for key, item in value.items()}
+        return _Object(items, where)
+    if isinstance(value, list):
+        return [_tracked(item, f"{where}[{index}]") for index, item in enumerate(value)]
+    return value
+
+
+def _unread(value) -> list[str]:
+    """The names of the keys under value that parsing never read."""
+    if isinstance(value, _Object):
+        return [
+            name
+            for key, item in value.items()
+            for name in (
+                _unread(item) if key in value.read else [_name(value.where, key)]
+            )
+        ]
+    if isinstance(value, list):
+        return [name for item in value for name in _unread(item)]
+    return []
 
 
 _REQUIRED = object()
@@ -100,6 +135,20 @@ def _nested(section: dict, key: str, where: str, default=_REQUIRED) -> dict:
     return _object(_get(section, key, where, default=default), _name(where, key))
 
 
+def _integer(value) -> int:
+    """A ``kind`` for _get: an integer (a bool, a float or a string is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(value):
+    """A ``kind`` for _get: an integer, or a list of integers."""
+    if isinstance(value, list):
+        return [_integer(item) for item in value]
+    return _integer(value)
+
+
 def _vector(length: int):
     """A ``kind`` for _get: a finite float vector of ``length`` entries."""
 
@@ -117,10 +166,10 @@ def _vector(length: int):
 def check_seed(value, where: str) -> int:
     """A seed: a non-negative integer (a bool or a float is not one)."""
     with _invalid(where):
-        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if not (integer and value >= 0):
+        seed = _integer(value)
+        if seed < 0:
             raise ValueError(f"must be a non-negative integer, got {value!r}")
-        return int(value)
+        return seed
 
 
 def check_delta(value, where: str) -> float:
@@ -164,7 +213,7 @@ def _control_law(section: dict, where: str, horizon: int) -> dict:
         "horizon": horizon,
         "control_low": _get(section, "control_low", where),
         "control_high": _get(section, "control_high", where),
-        "num_random_steps": _get(section, "num_random_steps", where, int),
+        "num_random_steps": _get(section, "num_random_steps", where, _integer),
         "feedback_gain": pd_gain(
             _get(feedback, "kp", f"{where}.feedback", float),
             _get(feedback, "kd", f"{where}.feedback", float),
@@ -202,7 +251,7 @@ def parse_config(raw: dict) -> RunConfig:
     """Build a RunConfig from a parsed JSON object."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_non_finite(raw, "")
+    raw = _tracked(raw, "")
     master_seed = check_seed(_get(raw, "seed", ""), "seed")
 
     dt = _get(_nested(raw, "system", ""), "dt", "system", float, 0.1)
@@ -218,7 +267,7 @@ def parse_config(raw: dict) -> RunConfig:
         model = PlanarQuadrotor(dt=dt, prior=prior, disturbance=disturbance)
 
     scenario_raw = _nested(raw, "scenario", "")
-    horizon = _get(scenario_raw, "horizon", "scenario", int)
+    horizon = _get(scenario_raw, "horizon", "scenario", _integer)
     deltas = tuple(
         check_delta(d, f"scenario.deltas[{i}]")
         for i, d in enumerate(_get(scenario_raw, "deltas", "scenario", list))
@@ -254,7 +303,7 @@ def parse_config(raw: dict) -> RunConfig:
     with _invalid("dataset"):
         dataset = DatasetGenConfig(
             **_control_law(ds_raw, "dataset", horizon),
-            num_samples=_get(ds_raw, "num_samples", "dataset", int),
+            num_samples=_get(ds_raw, "num_samples", "dataset", _integer),
             x0_low=_get(ds_raw, "x0_low", "dataset"),
             x0_high=_get(ds_raw, "x0_high", "dataset"),
             tail_params=ds_raw.get("tail_params", "sampled"),
@@ -264,9 +313,9 @@ def parse_config(raw: dict) -> RunConfig:
     with _invalid("library"):
         library = LibraryGenConfig(
             **_control_law(lib_raw, "library", horizon),
-            grid_resolution=_get(lib_raw, "grid_resolution", "library"),
+            grid_resolution=_get(lib_raw, "grid_resolution", "library", _integers),
             initial_state=_get(lib_raw, "initial_state", "library"),
-            max_sequences=_get(lib_raw, "max_sequences", "library", int, 20000),
+            max_sequences=_get(lib_raw, "max_sequences", "library", _integer, 20000),
         )
         nominal = QuadrotorParams(
             mass=_get(lib_raw, "nominal_mass", "library", float),
@@ -283,13 +332,19 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("embedding.regularization must be positive")
 
     mc_raw = _nested(raw, "montecarlo", "")
-    trials = _get(mc_raw, "trials", "montecarlo", int)
+    trials = _get(mc_raw, "trials", "montecarlo", _integer)
     if trials < 1:
         raise ConfigError("montecarlo.trials must be at least 1")
     mc_seed = check_seed(_get(mc_raw, "seed", "montecarlo"), "montecarlo.seed")
 
     initial_state = check_state(raw.get("initial_state", np.zeros(4)), "initial_state")
     output_dir = str(_nested(raw, "output", "", {}).get("directory", "out"))
+
+    unread = _unread(raw)
+    if unread:
+        plural = "s" if len(unread) > 1 else ""
+        names = ", ".join(map(repr, unread))
+        raise ConfigError(f"unknown config key{plural} {names}")
 
     return RunConfig(
         master_seed=master_seed,

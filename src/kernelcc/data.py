@@ -15,21 +15,25 @@ the nominal deterministic system. Box and law are one ``ControlLawSpec``.
 
 Each artifact records a key, a digest of every input it was generated from
 (``dataset_key``, ``library_key``), so a cached file is reused only while
-those inputs are unchanged.
+those inputs are unchanged. Its header line also records the sha256 of the
+rest of the file, so ``read_header`` checks that a file is intact without
+decoding its records.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .serialize import array_digest, canonical_json, digest_of
 from .systems import PlanarQuadrotor, QuadrotorParams, rollout
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class DataLoadError(ValueError):
@@ -414,17 +418,53 @@ def generate_library(
     )
 
 
+# per kind: the header key counting its records, and for each record field
+# the header keys that give its shape
+_LAYOUTS = {
+    "dataset": ("M", {"x0": ("n",), "u": ("N", "m"), "x": ("N", "n")}),
+    "library": ("P", {"u": ("N", "m")}),
+}
+
+
+class JsonlHeader(NamedTuple):
+    """The checked header line of a dataset or library file."""
+
+    kind: str
+    count: int
+    master_seed: int
+    config_digest: str
+    sha256: str
+    shapes: dict
+
+
+def _content_hash(header: dict):
+    """A sha256 fed a header's fields other than ``sha256``, in canonical
+    form, and the newline that ends the header line. Fed the bytes after that
+    line as well, it is the digest the header records."""
+    fields = {key: value for key, value in header.items() if key != "sha256"}
+    return hashlib.sha256((canonical_json(fields) + "\n").encode("utf-8"))
+
+
 def _save_jsonl(path, kind: str, header: dict, fields: dict) -> None:
-    """Write a header line, then one record per row of the arrays in fields."""
+    """Write a header line, then one record per row of the arrays in fields.
+
+    The header's ``sha256`` covers every other byte of the file, so an edit
+    anywhere in it shows.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [canonical_json({"format_version": FORMAT_VERSION, "kind": kind, **header})]
+    header = {"format_version": FORMAT_VERSION, "kind": kind, **header}
     count = len(next(iter(fields.values())))
-    lines.extend(
-        canonical_json({name: arr[i] for name, arr in fields.items()})
+    records = "".join(
+        canonical_json({name: arr[i] for name, arr in fields.items()}) + "\n"
         for i in range(count)
-    )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ).encode("utf-8")
+    content = _content_hash(header)
+    content.update(records)
+    head = canonical_json({**header, "sha256": content.hexdigest()}) + "\n"
+    with path.open("wb") as handle:
+        handle.write(head.encode("utf-8"))
+        handle.write(records)
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -454,23 +494,16 @@ def save_library(lib: ControlLibrary, path) -> None:
     _save_jsonl(path, "library", header, {"u": lib.sequences})
 
 
-def _load_jsonl(path, build, kind: str, count_key: str, field_shapes: dict):
-    """Read a file _save_jsonl wrote and return ``build(*arrays, seed, digest)``.
+def _parse_header(path, line: bytes, kind: str):
+    """The header line of a ``kind`` file as a JsonlHeader, and its _content_hash.
 
-    ``field_shapes`` maps each record field to the header keys that give its
-    shape; errors name the offending line (the header is line 1).
+    Errors name line 1.
     """
-    # keep only the lines: holding the text as well while the records are
-    # parsed doubles the memory a large file takes
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataLoadError(path, 0, f"cannot read file: {exc}") from exc
-    if not lines:
+    if not line:
         raise DataLoadError(path, 1, "empty file")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = json.loads(line)
+    except ValueError as exc:
         raise DataLoadError(path, 1, f"malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise DataLoadError(path, 1, "header is not a JSON object")
@@ -482,12 +515,14 @@ def _load_jsonl(path, build, kind: str, count_key: str, field_shapes: dict):
         raise DataLoadError(
             path, 1, f"expected kind {kind!r}, found {header.get('kind')!r}"
         )
+    count_key, field_shapes = _LAYOUTS[kind]
     used = {key for shape in field_shapes.values() for key in shape}
     dim_keys = [key for key in ("n", "m", "N") if key in used]
     try:
         # checked in this order, so a header missing several keys names n first
         ints = {key: header[key] for key in [*dim_keys, count_key, "master_seed"]}
         digest = str(header["config_digest"])
+        sha256 = str(header["sha256"])
     except KeyError as exc:
         raise DataLoadError(path, 1, f"incomplete header: {exc}") from exc
     for key, value in ints.items():
@@ -495,29 +530,76 @@ def _load_jsonl(path, build, kind: str, count_key: str, field_shapes: dict):
         # is compared exactly and 2.5, 1000.0, "3" and true are all rejected
         if type(value) is not int:
             raise DataLoadError(path, 1, f"header {key}={value!r} is not an integer")
-    dims = {key: ints[key] for key in dim_keys}
-    count, seed = ints[count_key], ints["master_seed"]
-    for key, value in dims.items():
-        if value < 0:
-            raise DataLoadError(path, 1, f"negative dimension {key}={value}")
-    records = lines[1:]
-    if len(records) != count:
-        raise DataLoadError(
-            path, len(lines), f"expected {count} records, found {len(records)}"
-        )
+    for key in dim_keys:
+        if ints[key] < 0:
+            raise DataLoadError(path, 1, f"negative dimension {key}={ints[key]}")
+    try:
+        content = _content_hash(header)
+    except ValueError as exc:
+        raise DataLoadError(path, 1, f"malformed header: {exc}") from exc
     shapes = {
-        name: tuple(dims[key] for key in shape) for name, shape in field_shapes.items()
+        name: tuple(ints[key] for key in shape) for name, shape in field_shapes.items()
     }
-    arrays = {name: np.empty((count, *shape)) for name, shape in shapes.items()}
+    seed = ints["master_seed"]
+    return JsonlHeader(kind, ints[count_key], seed, digest, sha256, shapes), content
+
+
+def _check_sha256(path, header: JsonlHeader, content) -> None:
+    if content.hexdigest() != header.sha256:
+        raise DataLoadError(path, 1, "file content does not match the header's sha256")
+
+
+def read_header(path, kind: str) -> JsonlHeader:
+    """The header of a ``kind`` ("dataset" or "library") file whose bytes
+    match its sha256, checked as load_dataset and load_library check it.
+
+    Only the header line is decoded; the records are hashed in chunks. So
+    this checks that a file is intact without loading it.
+    """
+    try:
+        with Path(path).open("rb") as handle:
+            header, content = _parse_header(path, handle.readline(), kind)
+            while chunk := handle.read(1 << 20):
+                content.update(chunk)
+    except OSError as exc:
+        raise DataLoadError(path, 0, f"cannot read file: {exc}") from exc
+    _check_sha256(path, header, content)
+    return header
+
+
+def _load_jsonl(path, kind: str, build):
+    """Read a file _save_jsonl wrote and return ``build(*arrays, seed, digest)``.
+
+    Errors name the offending line (the header is line 1). The sha256 is
+    checked last, so a malformed line is reported as what it is.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataLoadError(path, 0, f"cannot read file: {exc}") from exc
+    lines = data.splitlines()
+    header, content = _parse_header(path, lines[0] if lines else b"", kind)
+    content.update(memoryview(data)[len(lines[0]) + 1 :])
+    # keep only the lines: holding the whole file as well while the records
+    # are parsed doubles the memory a large file takes
+    del data
+    records = lines[1:]
+    if len(records) != header.count:
+        raise DataLoadError(
+            path, len(lines), f"expected {header.count} records, found {len(records)}"
+        )
+    arrays = {
+        name: np.empty((header.count, *shape)) for name, shape in header.shapes.items()
+    }
     for i, line in enumerate(records):
         lineno = i + 2
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise DataLoadError(path, lineno, f"malformed record: {exc}") from exc
         if not isinstance(rec, dict):
             raise DataLoadError(path, lineno, "record is not a JSON object")
-        for name, shape in shapes.items():
+        for name, shape in header.shapes.items():
             if name not in rec:
                 raise DataLoadError(path, lineno, f"record missing field {name!r}")
             try:
@@ -534,17 +616,18 @@ def _load_jsonl(path, build, kind: str, count_key: str, field_shapes: dict):
                 )
             arrays[name][i] = arr
     try:
-        return build(*arrays.values(), seed, digest)
+        artifact = build(*arrays.values(), header.master_seed, header.config_digest)
     except ValueError as exc:
         raise DataLoadError(path, 1, str(exc)) from exc
+    _check_sha256(path, header, content)
+    return artifact
 
 
 def load_dataset(path) -> Dataset:
     """Load a dataset written by save_dataset; errors name the offending line."""
-    shapes = {"x0": ("n",), "u": ("N", "m"), "x": ("N", "n")}
-    return _load_jsonl(path, Dataset, "dataset", "M", shapes)
+    return _load_jsonl(path, "dataset", Dataset)
 
 
 def load_library(path) -> ControlLibrary:
     """Load a control library written by save_library."""
-    return _load_jsonl(path, ControlLibrary, "library", "P", {"u": ("N", "m")})
+    return _load_jsonl(path, "library", ControlLibrary)

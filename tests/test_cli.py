@@ -16,6 +16,7 @@ from kernelcc.cli import (
 )
 from kernelcc.config import parse_config
 from kernelcc.data import generate_dataset, generate_library
+from kernelcc.serialize import canonical_json
 
 
 def small_raw(deltas=(0.3,), regularization=1e-4, trials=30):
@@ -130,19 +131,6 @@ class TestExperiment:
         main(["experiment", "--config", str(cfg2), "--out-dir", str(out)])
         text = capsys.readouterr().out
         assert "dataset: 41 samples" in text
-
-    def test_cold_run_loads_library_once(self, tmp_path, monkeypatch):
-        loads = []
-
-        def counting(path):
-            loads.append(path)
-            return load_library(path)
-
-        load_library = kernelcc.cli.load_library
-        monkeypatch.setattr(kernelcc.cli, "load_library", counting)
-        out = tmp_path / "out"
-        assert run_step(tmp_path, small_raw(deltas=(0.3, 0.4)), ["experiment"], out) == 0
-        assert loads == [out / "library.jsonl"]
 
     def test_seed_override_changes_dataset(self, tmp_path):
         cfg = write_config(tmp_path, small_raw())
@@ -282,6 +270,63 @@ class TestStageReuse:
         lines = path.read_text().splitlines()
         lines[line] = corrupt(lines[line])
         path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_step(tmp_path, small_raw(), ["experiment"], reused) == EXIT_OK
+        assert "dataset: 40 samples" in capsys.readouterr().out
+        run_step(tmp_path, small_raw(), ["experiment"], fresh)
+        for p in fresh.iterdir():
+            assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
+
+    @pytest.mark.parametrize(
+        "earlier, raw, command, loads",
+        [
+            (False, small_raw(), "experiment", (0, 0)),
+            (True, small_raw(), "experiment", (0, 0)),
+            (True, small_raw(trials=31), "experiment", (0, 1)),
+            (True, small_raw(regularization=2e-4), "experiment", (1, 1)),
+            (True, small_raw(), "solve", (1, 1)),
+        ],
+        ids=["cold", "rerun", "trials_changed", "regularization_changed", "solve"],
+    )
+    def test_jsonl_loads_per_operation(
+        self, tmp_path, monkeypatch, earlier, raw, command, loads
+    ):
+        # a stage that runs is handed the dataset and library it needs; a
+        # cached file is parsed only when a stale stage needs its records
+        out = tmp_path / "out"
+        if earlier:
+            run_step(tmp_path, small_raw(), ["experiment"], out)
+        calls = {"load_dataset": [], "load_library": []}
+        for name, paths in calls.items():
+
+            def counting(path, load=getattr(kernelcc.cli, name), paths=paths):
+                paths.append(path)
+                return load(path)
+
+            monkeypatch.setattr(kernelcc.cli, name, counting)
+        assert run_step(tmp_path, raw, [command], out) == EXIT_OK
+        assert (len(calls["load_dataset"]), len(calls["load_library"])) == loads
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: [*lines[:3], lines[3].replace("1", "2", 1), *lines[4:]],
+            lambda lines: lines[:-1],
+        ],
+        ids=["one_digit_of_a_record", "last_record_dropped"],
+    )
+    def test_edited_dataset_is_regenerated(self, tmp_path, capsys, edit):
+        # every line of the edited file still parses; only the header's
+        # sha256 tells that a record changed
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        run_step(tmp_path, small_raw(), ["experiment"], reused)
+        path = reused / "dataset.jsonl"
+        lines = path.read_text().splitlines()
+        edited = edit(lines)
+        assert edited != lines
+        for line in edited:
+            json.loads(line)
+        path.write_text("\n".join(edited) + "\n")
         capsys.readouterr()
         assert run_step(tmp_path, small_raw(), ["experiment"], reused) == EXIT_OK
         assert "dataset: 40 samples" in capsys.readouterr().out
@@ -509,6 +554,24 @@ MALFORMED_INPUTS = [
         id="scenario.deltas=[1e-300]",
     ),
     pytest.param(
+        with_value(["montecarlo", "trials"], 2.5),
+        ["experiment"],
+        "invalid montecarlo.trials: must be an integer, got 2.5",
+        id="montecarlo.trials=2.5",
+    ),
+    pytest.param(
+        with_value(["dataset", "num_samples"], 50.9),
+        ["experiment"],
+        "invalid dataset.num_samples: must be an integer, got 50.9",
+        id="dataset.num_samples=50.9",
+    ),
+    pytest.param(
+        with_value(["dataset", "tail_param"], "nominal"),
+        ["experiment"],
+        "unknown config key 'dataset.tail_param'",
+        id="dataset.tail_param",
+    ),
+    pytest.param(
         small_raw(),
         ["experiment", "--seed", "-1"],
         "invalid --seed:",
@@ -613,14 +676,15 @@ class TestErrors:
 
 class TestEarlierDirectory:
     # small_raw's library digest and file bytes as recorded by earlier
-    # versions (the library digest and the policy since policy format 4
+    # versions (the JSONL files since JSONL format 2 put a sha256 in the
+    # header, the library digest and the policy since policy format 4
     # hashed the library's bytes and built its rows in column blocks, the
     # rest before the JSONL and CSV writers were shared); equal values here
     # mean a directory written then is the directory written now
     LIBRARY_DIGEST = "51a1782f6a360bc2f128fb73450667a68c23f3935115d752ebd90a531153a94f"
     FILE_SHA256 = {
-        "dataset.jsonl": "768ee7b8cefca950674d4fff51075d2ceb2e3b1acc3f8794633f9e69c3429aa4",
-        "library.jsonl": "da7fa260f6cb5d49da3601ca5219cae7313cc30728f757390ff2eead86499ad3",
+        "dataset.jsonl": "c0c8abbac19d8c6dc0bb6fe525611c0b98a5dd7ca43615b9ed44c0bff7ef146e",
+        "library.jsonl": "925452a1c3267ff0856a5772761dc543703adc9ec74ca351f650d8e4442659c0",
         "policy_delta_0.3.json": (
             "0a941d971b6a1762aab768cea20962ab5d731e871aa53d69b62f9f224bccda56"
         ),
@@ -649,3 +713,32 @@ class TestEarlierDirectory:
         ):
             assert line in text
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    # the JSONL files of small_raw as JSONL format 1 wrote them
+    FORMAT_1_SHA256 = {
+        "dataset.jsonl": "768ee7b8cefca950674d4fff51075d2ceb2e3b1acc3f8794633f9e69c3429aa4",
+        "library.jsonl": "da7fa260f6cb5d49da3601ca5219cae7313cc30728f757390ff2eead86499ad3",
+    }
+
+    def test_format_1_jsonl_is_rewritten_and_the_rest_reused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_step(tmp_path, small_raw(), ["experiment"], out) == EXIT_OK
+        current = {p.name: p.read_bytes() for p in out.iterdir()}
+        for name, sha256 in self.FORMAT_1_SHA256.items():
+            # format 1 had the same records under a header without sha256
+            head, records = current[name].split(b"\n", 1)
+            header = {**json.loads(head), "format_version": 1}
+            del header["sha256"]
+            (out / name).write_bytes(canonical_json(header).encode() + b"\n" + records)
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha256, name
+        capsys.readouterr()
+        assert run_step(tmp_path, small_raw(), ["experiment"], out) == EXIT_OK
+        text = capsys.readouterr().out
+        for line in (
+            "dataset: 40 samples",
+            "library: 4 sequences",
+            "delta=0.3: cached policy",
+            "delta=0.3: cached report",
+        ):
+            assert line in text
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == current

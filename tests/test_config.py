@@ -122,6 +122,70 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="max_sequences"):
             parse_config(raw)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("montecarlo", "trials", 2.5),
+            ("dataset", "num_samples", 50.9),
+            ("dataset", "num_samples", 50.0),
+            ("scenario", "horizon", "8"),
+            ("dataset", "num_random_steps", True),
+            ("library", "max_sequences", 1e4),
+            ("library", "grid_resolution", [2.5, 1]),
+            ("library", "grid_resolution", 2.0),
+        ],
+    )
+    def test_integer_keys_are_not_truncated(self, section, key, value):
+        raw = base_raw()
+        raw[section][key] = value
+        with pytest.raises(
+            ConfigError, match=f"invalid {section}.{key}: must be an integer, got"
+        ):
+            parse_config(raw)
+
+    def test_integer_keys_keep_their_values(self):
+        raw = base_raw()
+        raw["library"]["grid_resolution"] = 2
+        raw["library"]["max_sequences"] = 64
+        cfg = parse_config(raw)
+        assert cfg.library.grid_resolution == (2, 2)
+        assert cfg.library.max_sequences == 64
+
+    @pytest.mark.parametrize(
+        "edit, names",
+        [
+            (lambda raw: raw["dataset"].update(tail_param="nominal"),
+             "'dataset.tail_param'"),
+            (lambda raw: raw.update(sed=7), "'sed'"),
+            (lambda raw: raw["scenario"]["goal"].update(centre=[1.0, 1.0]),
+             "'scenario.goal.centre'"),
+            (lambda raw: raw["scenario"]["obstacles"][0].update(steps=[3, 4]),
+             r"'scenario.obstacles\[0\].steps'"),
+            (lambda raw: raw["kernel"]["state"].update(bandwith=10.0),
+             "'kernel.state.bandwith'"),
+            (lambda raw: raw["library"]["feedback"].update(kv=1.0)
+             or raw["montecarlo"].update(trails=40),
+             "'library.feedback.kv', 'montecarlo.trails'"),
+        ],
+        ids=["section_key", "top_level", "nested", "list_item", "kernel", "two"],
+    )
+    def test_unread_keys_are_named(self, edit, names):
+        raw = base_raw()
+        edit(raw)
+        with pytest.raises(ConfigError, match=f"^unknown config keys? {names}$"):
+            parse_config(raw)
+
+    def test_optional_keys_are_read(self):
+        # every key the parser reads only when present counts as read
+        raw = base_raw()
+        raw["prior"] = None
+        raw["disturbance"] = {"per_step_std": [0.001, 0.01, 0.001, 0.01]}
+        raw["library"]["max_sequences"] = 100
+        raw["kernel"]["state"]["family"] = "gaussian"
+        raw["scenario"]["costs"] = {"state_weights": None, "control_weight": 0.2}
+        raw["output"] = {"directory": "elsewhere"}
+        assert parse_config(raw).output_dir == "elsewhere"
+
     def test_prior_disturbance_defaults(self):
         cfg = parse_config(base_raw())
         assert cfg.model.prior.mass.mean == pytest.approx(1.0)

@@ -1,11 +1,13 @@
 """Tests for dataset/library generation and JSON-lines persistence."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from kernelcc.data import (
+    FORMAT_VERSION,
     ControlLibrary,
     DataLoadError,
     Dataset,
@@ -17,10 +19,11 @@ from kernelcc.data import (
     load_dataset,
     load_library,
     pd_gain,
+    read_header,
     save_dataset,
     save_library,
 )
-from kernelcc.serialize import array_digest
+from kernelcc.serialize import array_digest, canonical_json
 from kernelcc.systems import (
     BetaSpec,
     DisturbanceSpec,
@@ -396,7 +399,9 @@ class TestPersistence:
         path = tmp_path / "ds.jsonl"
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
-        lines[0] = lines[0].replace('"format_version":1', '"format_version":99')
+        current = f'"format_version":{FORMAT_VERSION}'
+        assert current in lines[0]
+        lines[0] = lines[0].replace(current, '"format_version":99')
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataLoadError, match="format_version"):
             load_dataset(path)
@@ -488,6 +493,102 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataLoadError, match=":1: header P=4.0 is not an integer"):
             load_library(path)
+
+
+class TestReadHeader:
+    def saved(self, tmp_path):
+        ds = TestPersistence().make_dataset()
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, path)
+        return ds, path
+
+    def test_header_of_an_intact_file(self, tmp_path):
+        ds, path = self.saved(tmp_path)
+        header = read_header(path, "dataset")
+        assert header.kind == "dataset"
+        assert header.count == ds.num_samples
+        assert header.master_seed == ds.master_seed
+        assert header.config_digest == ds.config_digest
+        assert header.shapes == {"x0": (4,), "u": (5, 2), "x": (5, 4)}
+
+    def test_sha256_covers_the_rest_of_the_file(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        head, records = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        sha256 = header.pop("sha256")
+        content = canonical_json(header).encode() + b"\n" + records
+        assert hashlib.sha256(content).hexdigest() == sha256
+
+    def test_records_are_hashed_not_parsed(self, tmp_path):
+        # records that are not JSON under a sha256 that matches them: the
+        # header reader accepts the file, the full loader names the line
+        _, path = self.saved(tmp_path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["sha256"]
+        records = "".join("{not json\n" for _ in lines[1:])
+        sha256 = hashlib.sha256(
+            (canonical_json(header) + "\n" + records).encode()
+        ).hexdigest()
+        path.write_text(canonical_json({**header, "sha256": sha256}) + "\n" + records)
+        assert read_header(path, "dataset").count == 6
+        with pytest.raises(DataLoadError, match=":2: malformed record"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: [*lines[:3], lines[3].replace("1", "2", 1), *lines[4:]],
+            lambda lines: [lines[0].replace('"master_seed":21', '"master_seed":22'),
+                           *lines[1:]],
+            lambda lines: lines[:-1],
+        ],
+        ids=["record_digit", "header_value", "last_record_dropped"],
+    )
+    def test_any_edit_breaks_the_sha256(self, tmp_path, edit):
+        _, path = self.saved(tmp_path)
+        lines = path.read_text().splitlines()
+        edited = edit(lines)
+        assert edited != lines
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(DataLoadError, match=":1: file content does not match"):
+            read_header(path, "dataset")
+
+    def test_full_loader_checks_the_sha256_last(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace("1", "2", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataLoadError, match=":1: file content does not match"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda head: head.replace('"m":2', '"m":-2'), "negative dimension m=-2"),
+            (lambda head: head.replace('"M":6', '"M":6.0'), "header M=6.0 is not"),
+            (lambda head: head.replace('"kind":"dataset"', '"kind":"library"'),
+             "expected kind 'dataset'"),
+            (lambda head: head.replace(',"sha256":', ',"sha":'),
+             "incomplete header: 'sha256'"),
+        ],
+        ids=["negative_dimension", "fractional_count", "kind", "no_sha256"],
+    )
+    def test_header_checked_like_the_full_loader(self, tmp_path, edit, reason):
+        _, path = self.saved(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([edit(lines[0]), *lines[1:]]) + "\n")
+        for read in (lambda p: read_header(p, "dataset"), load_dataset):
+            with pytest.raises(DataLoadError, match=f":1: {reason}"):
+                read(path)
+
+    def test_empty_or_missing_file(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        with pytest.raises(DataLoadError, match=":1: empty file"):
+            read_header(path, "library")
+        with pytest.raises(DataLoadError, match="cannot read file"):
+            read_header(tmp_path / "nope.jsonl", "library")
 
 
 class TestDatasetInvariants:
