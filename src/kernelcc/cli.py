@@ -89,19 +89,24 @@ def _read_json(path: Path) -> dict:
     return obj
 
 
-def _recorded_key(artifact):
-    """The key an artifact carries: a JSON file's inputs digest, or the config
-    digest (with the seed, for a dataset) of a JSONL file's header or of what
-    the file loads to."""
-    if isinstance(artifact, dict):
-        return artifact.get("inputs_digest")
-    if isinstance(artifact, Dataset) or getattr(artifact, "kind", "") == "dataset":
-        return [artifact.config_digest, artifact.master_seed]
-    return artifact.config_digest
+def _dataset_key_of(ds) -> list:
+    """The key a dataset, or the header of its file, records."""
+    return [ds.config_digest, ds.master_seed]
 
 
-def _current(path: Path, read, key):
-    """What ``read`` makes of path if it reads and records ``key``, else None.
+def _library_key_of(lib) -> str:
+    """The key a library, or the header of its file, records."""
+    return lib.config_digest
+
+
+def _inputs_digest(record: dict):
+    """The key a policy or report file records."""
+    return record.get("inputs_digest")
+
+
+def _current(path: Path, read, recorded_key, key):
+    """What ``read`` makes of path if it reads and ``recorded_key`` of that
+    is ``key``, else None.
 
     The one rule for every stage: a key covers the config sections the stage
     reads and the keys of the artifacts it was built from, so an artifact is
@@ -113,7 +118,7 @@ def _current(path: Path, read, key):
         artifact = read(path)
     except (DataLoadError, PolicyFileError):
         return None
-    return artifact if _recorded_key(artifact) == key else None
+    return artifact if recorded_key(artifact) == key else None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,10 +171,16 @@ def cmd_generate(cfg: RunConfig, out: Path) -> tuple[_Input, _Input]:
     ds_path = out / "dataset.jsonl"
     lib_path = out / "library.jsonl"
     ds_key = [dataset_key(cfg.dataset, cfg.model), cfg.master_seed]
-    header = _current(ds_path, functools.partial(read_header, kind="dataset"), ds_key)
-    if header is not None:
-        print(f"dataset: cached ({header.count} samples, seed {header.master_seed})")
-        ds = _Input(ds_key, functools.cache(lambda: load_dataset(ds_path)))
+    read_dataset_header = functools.partial(read_header, kind="dataset")
+    ds_header = _current(ds_path, read_dataset_header, _dataset_key_of, ds_key)
+    if ds_header is not None:
+        print(
+            f"dataset: cached ({ds_header.count} samples, "
+            f"seed {ds_header.master_seed})"
+        )
+        ds = _Input(
+            ds_key, functools.cache(lambda: load_dataset(ds_path, checked=ds_header))
+        )
     else:
         dataset = generate_dataset(cfg.dataset, cfg.model, cfg.master_seed)
         save_dataset(dataset, ds_path)
@@ -179,10 +190,13 @@ def cmd_generate(cfg: RunConfig, out: Path) -> tuple[_Input, _Input]:
         )
         ds = _Input(ds_key, lambda: dataset)
     lib_key = library_key(cfg.library, cfg.model, cfg.nominal_params)
-    header = _current(lib_path, functools.partial(read_header, kind="library"), lib_key)
-    if header is not None:
-        print(f"library: cached ({header.count} sequences)")
-        lib = _Input(lib_key, functools.cache(lambda: load_library(lib_path)))
+    read_library_header = functools.partial(read_header, kind="library")
+    lib_header = _current(lib_path, read_library_header, _library_key_of, lib_key)
+    if lib_header is not None:
+        print(f"library: cached ({lib_header.count} sequences)")
+        lib = _Input(
+            lib_key, functools.cache(lambda: load_library(lib_path, checked=lib_header))
+        )
     else:
         library = generate_library(cfg.library, cfg.model, cfg.nominal_params)
         save_library(library, lib_path)
@@ -259,7 +273,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     """Fit the embedding and solve the LP for each risk level; write policies."""
     ds = load_dataset(out / "dataset.jsonl")
     lib = load_library(out / "library.jsonl")
-    keys = _recorded_key(ds), _recorded_key(lib)
+    keys = _dataset_key_of(ds), _library_key_of(lib)
     return _exit_code(_solve(cfg, out, ds, lib, keys, cfg.deltas).values())
 
 
@@ -372,7 +386,9 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> int:
     policies = {}
     for delta in cfg.deltas:
         key = _policy_key(cfg, ds.key, lib.key, delta)
-        policies[delta] = _current(_delta_path(out, "policy", delta), _read_json, key)
+        policies[delta] = _current(
+            _delta_path(out, "policy", delta), _read_json, _inputs_digest, key
+        )
         if policies[delta] is not None:
             print(f"delta={delta}: cached policy")
     stale = [delta for delta in cfg.deltas if policies[delta] is None]
@@ -385,7 +401,9 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> int:
             continue
         policy_path = _delta_path(out, "policy", delta)
         key = _report_key(cfg, policy_path, delta, cfg.initial_state)
-        reports[delta] = _current(_delta_path(out, "report", delta), _read_json, key)
+        reports[delta] = _current(
+            _delta_path(out, "report", delta), _read_json, _inputs_digest, key
+        )
         if reports[delta] is not None:
             print(f"delta={delta}: cached report")
         else:

@@ -495,9 +495,10 @@ def save_library(lib: ControlLibrary, path) -> None:
 
 
 def _parse_header(path, line: bytes, kind: str):
-    """The header line of a ``kind`` file as a JsonlHeader, and its _content_hash.
+    """The first line of a ``kind`` file, up to and with its newline, as a
+    JsonlHeader, and its _content_hash.
 
-    Errors name line 1.
+    Errors name line 1; only a file with no bytes at all is empty.
     """
     if not line:
         raise DataLoadError(path, 1, "empty file")
@@ -567,21 +568,28 @@ def read_header(path, kind: str) -> JsonlHeader:
     return header
 
 
-def _load_jsonl(path, kind: str, build):
+def _load_jsonl(path, kind: str, build, checked: JsonlHeader | None):
     """Read a file _save_jsonl wrote and return ``build(*arrays, seed, digest)``.
 
     Errors name the offending line (the header is line 1). The sha256 is
-    checked last, so a malformed line is reported as what it is.
+    checked last, so a malformed line is reported as what it is. It is not
+    computed again when the header line parses to ``checked``, a header that
+    read_header returned for this file.
     """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise DataLoadError(path, 0, f"cannot read file: {exc}") from exc
-    lines = data.splitlines()
-    header, content = _parse_header(path, lines[0] if lines else b"", kind)
-    content.update(memoryview(data)[len(lines[0]) + 1 :])
+    # the header line as read_header reads it, up to and with its newline
+    end = data.find(b"\n") + 1 or len(data)
+    header, content = _parse_header(path, data[:end], kind)
+    if header == checked:
+        content = None
+    else:
+        content.update(memoryview(data)[end:])
     # keep only the lines: holding the whole file as well while the records
     # are parsed doubles the memory a large file takes
+    lines = data.splitlines()
     del data
     records = lines[1:]
     if len(records) != header.count:
@@ -619,15 +627,21 @@ def _load_jsonl(path, kind: str, build):
         artifact = build(*arrays.values(), header.master_seed, header.config_digest)
     except ValueError as exc:
         raise DataLoadError(path, 1, str(exc)) from exc
-    _check_sha256(path, header, content)
+    if content is not None:
+        _check_sha256(path, header, content)
     return artifact
 
 
-def load_dataset(path) -> Dataset:
-    """Load a dataset written by save_dataset; errors name the offending line."""
-    return _load_jsonl(path, "dataset", Dataset)
+def load_dataset(path, checked: JsonlHeader | None = None) -> Dataset:
+    """Load a dataset written by save_dataset; errors name the offending line.
+
+    ``checked``, the header read_header returned for this file, spares
+    hashing the file a second time.
+    """
+    return _load_jsonl(path, "dataset", Dataset, checked)
 
 
-def load_library(path) -> ControlLibrary:
-    """Load a control library written by save_library."""
-    return _load_jsonl(path, "library", ControlLibrary)
+def load_library(path, checked: JsonlHeader | None = None) -> ControlLibrary:
+    """Load a control library written by save_library; ``checked`` is as for
+    load_dataset."""
+    return _load_jsonl(path, "library", ControlLibrary, checked)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kernelcc.cli
+import kernelcc.data
 from kernelcc.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -278,34 +279,43 @@ class TestStageReuse:
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
 
     @pytest.mark.parametrize(
-        "earlier, raw, command, loads",
+        "earlier, raw, command, loads, hashed",
         [
-            (False, small_raw(), "experiment", (0, 0)),
-            (True, small_raw(), "experiment", (0, 0)),
-            (True, small_raw(trials=31), "experiment", (0, 1)),
-            (True, small_raw(regularization=2e-4), "experiment", (1, 1)),
-            (True, small_raw(), "solve", (1, 1)),
+            (False, small_raw(), "experiment", (0, 0), 0),
+            (True, small_raw(), "experiment", (0, 0), 2),
+            (True, small_raw(trials=31), "experiment", (0, 1), 2),
+            (True, small_raw(regularization=2e-4), "experiment", (1, 1), 2),
+            (True, small_raw(), "solve", (1, 1), 2),
         ],
         ids=["cold", "rerun", "trials_changed", "regularization_changed", "solve"],
     )
     def test_jsonl_loads_per_operation(
-        self, tmp_path, monkeypatch, earlier, raw, command, loads
+        self, tmp_path, monkeypatch, earlier, raw, command, loads, hashed
     ):
         # a stage that runs is handed the dataset and library it needs; a
-        # cached file is parsed only when a stale stage needs its records
+        # cached file is parsed only when a stale stage needs its records,
+        # and its sha256 is computed once either way
         out = tmp_path / "out"
         if earlier:
             run_step(tmp_path, small_raw(), ["experiment"], out)
-        calls = {"load_dataset": [], "load_library": []}
-        for name, paths in calls.items():
+        calls = {"load_dataset": [], "load_library": [], "_check_sha256": []}
+        for name in ("load_dataset", "load_library"):
 
-            def counting(path, load=getattr(kernelcc.cli, name), paths=paths):
+            def counting(path, load=getattr(kernelcc.cli, name), paths=calls[name],
+                         **kwargs):
                 paths.append(path)
-                return load(path)
+                return load(path, **kwargs)
 
             monkeypatch.setattr(kernelcc.cli, name, counting)
+        check = kernelcc.data._check_sha256
+        monkeypatch.setattr(
+            kernelcc.data,
+            "_check_sha256",
+            lambda path, *args: calls["_check_sha256"].append(path) or check(path, *args),
+        )
         assert run_step(tmp_path, raw, [command], out) == EXIT_OK
         assert (len(calls["load_dataset"]), len(calls["load_library"])) == loads
+        assert len(calls["_check_sha256"]) == hashed
 
     @pytest.mark.parametrize(
         "edit",

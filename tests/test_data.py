@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import kernelcc.data
 from kernelcc.data import (
     FORMAT_VERSION,
     ControlLibrary,
@@ -571,8 +572,10 @@ class TestReadHeader:
              "expected kind 'dataset'"),
             (lambda head: head.replace(',"sha256":', ',"sha":'),
              "incomplete header: 'sha256'"),
+            (lambda head: "\n" + head, "malformed header"),
         ],
-        ids=["negative_dimension", "fractional_count", "kind", "no_sha256"],
+        ids=["negative_dimension", "fractional_count", "kind", "no_sha256",
+             "blank_first_line"],
     )
     def test_header_checked_like_the_full_loader(self, tmp_path, edit, reason):
         _, path = self.saved(tmp_path)
@@ -581,6 +584,23 @@ class TestReadHeader:
         for read in (lambda p: read_header(p, "dataset"), load_dataset):
             with pytest.raises(DataLoadError, match=f":1: {reason}"):
                 read(path)
+
+    def test_checked_header_is_not_hashed_again(self, tmp_path, monkeypatch):
+        ds, path = self.saved(tmp_path)
+        header = read_header(path, "dataset")
+        hashed = []
+        check = kernelcc.data._check_sha256
+        monkeypatch.setattr(
+            kernelcc.data,
+            "_check_sha256",
+            lambda path, *args: hashed.append(path) or check(path, *args),
+        )
+        loaded = load_dataset(path, checked=header)
+        np.testing.assert_array_equal(loaded.trajectories, ds.trajectories)
+        assert hashed == []
+        # a header that is not this file's leaves the check to the loader
+        load_dataset(path, checked=header._replace(sha256="0" * 64))
+        assert hashed == [path]
 
     def test_empty_or_missing_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
