@@ -6,8 +6,8 @@ config sections it depends on and the keys of the artifacts it was built
 from. ``experiment`` rebuilds a stage exactly when its key changes, so a
 rerun reuses what is current and reproduces every file byte for byte.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible solve, 4 IO
-error.
+Exit codes: 0 success, 2 configuration or policy-file error, 3 infeasible
+solve, 4 IO error.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .data import (
 )
 from .embedding import FitError, fit
 from .policy import MixedPolicy, run_monte_carlo, trajectories_to_csv
-from .serialize import canonical_json, digest_of, file_digest, write_csv
+from .serialize import canonical_json, digest_of, file_digest, integer, write_csv
 from .solver import assemble, solve_lp
 
 EXIT_OK = 0
@@ -277,7 +277,19 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     return _exit_code(_solve(cfg, out, ds, lib, keys, cfg.deltas).values())
 
 
+def _weights(solve: dict, size: int) -> np.ndarray:
+    """The weight vector of a solve's [index, weight] pairs."""
+    weights = np.zeros(size)
+    for index, weight in solve.get("weights"):
+        if not (0 <= integer(index, "index") < size):
+            raise ValueError(f"index {index} out of range")
+        weights[index] = float(weight)
+    return weights
+
+
 def _policy_from_record(record: dict, lib: ControlLibrary, path: Path) -> MixedPolicy:
+    """The policy a policy file records; a PolicyFileError names the file and
+    the first field at fault."""
     for key in ("delta", "x0", "solve", "library_digest", "master_seed"):
         if key not in record:
             raise PolicyFileError(f"{path}: policy file missing field {key!r}")
@@ -293,22 +305,23 @@ def _policy_from_record(record: dict, lib: ControlLibrary, path: Path) -> MixedP
             f"{lib.content_digest[:12]}...); regenerate or re-solve"
         )
     solve = record["solve"]
+    if not isinstance(solve, dict):
+        raise PolicyFileError(f"{path}: policy field 'solve' must be an object")
     if solve.get("status") != "optimal":
         raise PolicyFileError(
             f"{path}: policy records an unsuccessful solve "
             f"(status {solve.get('status')!r}); nothing to validate"
         )
-    weights = np.zeros(lib.num_sequences)
-    for index, weight in solve["weights"]:
-        if not (0 <= int(index) < lib.num_sequences):
-            raise PolicyFileError(f"{path}: weight index {index} out of range")
-        weights[int(index)] = float(weight)
-    return MixedPolicy(
-        weights=weights,
-        library=lib,
-        x0=np.asarray(record["x0"], dtype=float),
-        delta=float(record["delta"]),
-    )
+    try:
+        delta = check_delta(record["delta"], "delta")
+        x0 = check_state(record["x0"], "x0")
+    except ConfigError as exc:
+        raise PolicyFileError(f"{path}: {exc}") from None
+    try:
+        weights = _weights(solve, lib.num_sequences)
+        return MixedPolicy(weights=weights, library=lib, x0=x0, delta=delta)
+    except (ValueError, TypeError) as exc:
+        raise PolicyFileError(f"{path}: invalid solve.weights: {exc}") from None
 
 
 def cmd_validate(

@@ -2,16 +2,18 @@
 
 The file is divided into named sections (system, prior, disturbance,
 dataset, library, kernel, embedding, scenario, montecarlo, output) plus a
-top-level master seed and solve-time initial state. Parsing validates each
-section eagerly: any ValueError or TypeError raised while a section, nested
-object or key is read becomes a ConfigError naming it. JSON syntax errors
-carry the line number. Each object of the file records the keys the parser
-reads from it, and a key that no parse step read (a misspelling, say) is an
-error too. The parsed form keeps a digest of the raw file.
+top-level master seed and solve-time initial state. Parsing maps keys to
+constructor arguments and does nothing else: an optional key the file omits
+is not passed, so the constructors hold the only defaults. Each object of
+the file carries its dotted name (``scenario.goal``) and records the keys
+read from it. Any ValueError or TypeError raised while a section, nested
+object or key is read becomes a ConfigError naming it, and so does a key no
+parse step read (a misspelling, say). JSON syntax errors carry the line
+number. The parsed form keeps a digest of the raw file.
 
 A seed, a risk level and an initial state are each checked by one function
 (``check_seed``, ``check_delta``, ``check_state``), which the command-line
-overrides of those values call too.
+overrides of those values and the policy files ``validate`` reads use too.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .data import DatasetGenConfig, LibraryGenConfig, pd_gain
 from .kernels import KernelSpec
 from .scenario import CostSpec, GoalSet, Obstacle, Scenario
-from .serialize import digest_of
+from .serialize import digest_of, integer
 from .systems import (
     BetaSpec,
     DisturbanceSpec,
@@ -106,47 +108,49 @@ def _unread(value) -> list[str]:
     return []
 
 
-_REQUIRED = object()
-
-
-def _get(section: dict, key: str, where: str, kind=None, default=_REQUIRED):
-    """``kind(section[key])``, or the value itself without a ``kind``.
-
-    A missing key without a default, and any ValueError or TypeError that
-    ``kind`` raises, is a ConfigError naming ``where.key``.
-    """
-    if key not in section and default is _REQUIRED:
-        raise ConfigError(f"missing config key {_name(where, key)!r}")
-    value = section.get(key, default)
+def _get(section: _Object, key: str, kind=None):
+    """``kind(section[key])``, or the value itself without a ``kind``; a
+    missing key, and any ValueError or TypeError that ``kind`` raises, is a
+    ConfigError naming the key after ``section.where``."""
+    where = _name(section.where, key)
+    if key not in section:
+        raise ConfigError(f"missing config key {where!r}")
     if kind is None:
-        return value
-    with _invalid(_name(where, key)):
-        return kind(value)
+        return section[key]
+    with _invalid(where):
+        return kind(section[key])
 
 
-def _object(value, where: str) -> dict:
+def _optional(section: _Object, *keys: str, **kinds) -> dict:
+    """Keyword arguments for the keys that section holds, each read by _get
+    (with the ``kind`` given as key=kind); a key the file omits is left to
+    the constructor's default."""
+    kinds = {**dict.fromkeys(keys), **kinds}
+    return {k: _get(section, k, kind) for k, kind in kinds.items() if k in section}
+
+
+def _object(value, where: str) -> _Object:
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be an object")
     return value
 
 
-def _nested(section: dict, key: str, where: str, default=_REQUIRED) -> dict:
-    """The object at section[key]; errors name where.key."""
-    return _object(_get(section, key, where, default=default), _name(where, key))
+def _nested(section: _Object, key: str) -> _Object:
+    """The object at section[key]; errors name it."""
+    return _object(_get(section, key), _name(section.where, key))
 
 
-def _integer(value) -> int:
-    """A ``kind`` for _get: an integer (a bool, a float or a string is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
+def _steps(value) -> tuple[int, int]:
+    """A ``kind`` for _get: a (first, last) pair of integers."""
+    _vector(2)(value)
+    return tuple(map(integer, value))
 
 
 def _integers(value):
     """A ``kind`` for _get: an integer, or a list of integers."""
     if isinstance(value, list):
-        return [_integer(item) for item in value]
-    return _integer(value)
+        return [integer(item) for item in value]
+    return integer(value)
 
 
 def _vector(length: int):
@@ -166,7 +170,7 @@ def _vector(length: int):
 def check_seed(value, where: str) -> int:
     """A seed: a non-negative integer (a bool or a float is not one)."""
     with _invalid(where):
-        seed = _integer(value)
+        seed = integer(value)
         if seed < 0:
             raise ValueError(f"must be a non-negative integer, got {value!r}")
         return seed
@@ -187,38 +191,41 @@ def check_state(value, where: str) -> np.ndarray:
         return _vector(4)(value)
 
 
-def _beta(prior: dict, key: str) -> BetaSpec:
-    where = f"prior.{key}"
-    sub = _nested(prior, key, "prior")
+def _beta(sub: _Object) -> BetaSpec:
     names = ("shape_a", "shape_b", "offset", "scale")
-    with _invalid(where):
-        return BetaSpec(*(_get(sub, name, where, float) for name in names))
+    with _invalid(sub.where):
+        return BetaSpec(*(_get(sub, name, float) for name in names))
 
 
-def _kernel(section: dict, key: str) -> KernelSpec:
-    sub = _nested(section, key, "kernel")
-    bandwidth = sub.get("bandwidth")
-    with _invalid(f"kernel.{key}"):
-        return KernelSpec(
-            family=sub.get("family", "gaussian"),
-            bandwidth=None if bandwidth is None else float(bandwidth),
-            bandwidth_mode=sub.get("bandwidth_mode", "fixed"),
-        )
+def _kernel(sub: _Object) -> KernelSpec:
+    with _invalid(sub.where):
+        return KernelSpec(**_optional(sub, "family", "bandwidth", "bandwidth_mode"))
 
 
-def _control_law(section: dict, where: str, horizon: int) -> dict:
+def _obstacles(items) -> list[Obstacle]:
+    """A ``kind`` for _get: the scenario's list of obstacles."""
+    obstacles = []
+    for k, obs in enumerate(items):
+        obs = _object(obs, f"scenario.obstacles[{k}]")
+        rect = _get(obs, "rect", _vector(4))
+        steps = _get(obs, "active_steps", _steps)
+        with _invalid(obs.where):
+            obstacles.append(Obstacle.rectangle(*rect, steps))
+    return obstacles
+
+
+def _control_law(section: _Object, horizon: int) -> dict:
     """The ControlLawSpec settings, read alike from the dataset and library."""
-    feedback = _nested(section, "feedback", where)
+    feedback = _nested(section, "feedback")
     return {
         "horizon": horizon,
-        "control_low": _get(section, "control_low", where),
-        "control_high": _get(section, "control_high", where),
-        "num_random_steps": _get(section, "num_random_steps", where, _integer),
+        "control_low": _get(section, "control_low"),
+        "control_high": _get(section, "control_high"),
+        "num_random_steps": _get(section, "num_random_steps", integer),
         "feedback_gain": pd_gain(
-            _get(feedback, "kp", f"{where}.feedback", float),
-            _get(feedback, "kd", f"{where}.feedback", float),
+            _get(feedback, "kp", float), _get(feedback, "kd", float)
         ),
-        "target": _get(section, "target", where),
+        "target": _get(section, "target"),
     }
 
 
@@ -252,93 +259,82 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     raw = _tracked(raw, "")
-    master_seed = check_seed(_get(raw, "seed", ""), "seed")
+    master_seed = check_seed(_get(raw, "seed"), "seed")
 
-    dt = _get(_nested(raw, "system", ""), "dt", "system", float, 0.1)
-    prior, disturbance = ParamPrior(), DisturbanceSpec.default()
+    system = _nested(raw, "system")
+    model_args = _optional(system, dt=float)
     if raw.get("prior") is not None:
-        prior_raw = _nested(raw, "prior", "")
-        prior = ParamPrior(_beta(prior_raw, "mass"), _beta(prior_raw, "drag"))
+        prior = _nested(raw, "prior")
+        mass, drag = (_beta(_nested(prior, key)) for key in ("mass", "drag"))
+        model_args["prior"] = ParamPrior(mass, drag)
     if raw.get("disturbance") is not None:
-        dist_raw = _nested(raw, "disturbance", "")
-        with _invalid("disturbance"):
-            disturbance = DisturbanceSpec(_get(dist_raw, "per_step_std", "disturbance"))
-    with _invalid("system"):
-        model = PlanarQuadrotor(dt=dt, prior=prior, disturbance=disturbance)
+        dist = _nested(raw, "disturbance")
+        with _invalid(dist.where):
+            model_args["disturbance"] = DisturbanceSpec(_get(dist, "per_step_std"))
+    with _invalid(system.where):
+        model = PlanarQuadrotor(**model_args)
 
-    scenario_raw = _nested(raw, "scenario", "")
-    horizon = _get(scenario_raw, "horizon", "scenario", _integer)
+    scenario_raw = _nested(raw, "scenario")
+    horizon = _get(scenario_raw, "horizon", integer)
     deltas = tuple(
         check_delta(d, f"scenario.deltas[{i}]")
-        for i, d in enumerate(_get(scenario_raw, "deltas", "scenario", list))
+        for i, d in enumerate(_get(scenario_raw, "deltas", list))
     )
     if not deltas:
         raise ConfigError("scenario.deltas must be a nonempty list")
-    goal_raw = _nested(scenario_raw, "goal", "scenario")
-    with _invalid("scenario.goal"):
-        goal = GoalSet(
-            center=_get(goal_raw, "center", "scenario.goal"),
-            radius=_get(goal_raw, "radius", "scenario.goal", float),
-        )
-    obstacles = []
-    for k, obs in enumerate(_get(scenario_raw, "obstacles", "scenario", list, [])):
-        where = f"scenario.obstacles[{k}]"
-        obs = _object(obs, where)
-        rect = _get(obs, "rect", where, _vector(4))
-        steps = _get(obs, "active_steps", where, _vector(2))
-        with _invalid(where):
-            obstacles.append(Obstacle.rectangle(*rect, tuple(steps)))
-    costs_raw = _nested(scenario_raw, "costs", "scenario", {})
-    with _invalid("scenario.costs"):
-        costs = CostSpec(
-            state_weights=costs_raw.get("state_weights"),
-            control_weight=_get(
-                costs_raw, "control_weight", "scenario.costs", float, 0.1
-            ),
-        )
-    with _invalid("scenario"):
-        scenario = Scenario(horizon, deltas[0], goal, obstacles, costs, model.dt)
+    goal_raw = _nested(scenario_raw, "goal")
+    with _invalid(goal_raw.where):
+        goal = GoalSet(_get(goal_raw, "center"), _get(goal_raw, "radius", float))
+    task = _optional(scenario_raw, obstacles=_obstacles)
+    if "costs" in scenario_raw:
+        costs = _nested(scenario_raw, "costs")
+        with _invalid(costs.where):
+            task["costs"] = CostSpec(
+                **_optional(costs, "state_weights", control_weight=float)
+            )
+    with _invalid(scenario_raw.where):
+        scenario = Scenario(horizon, deltas[0], goal, dt=model.dt, **task)
 
-    ds_raw = _nested(raw, "dataset", "")
-    with _invalid("dataset"):
+    ds_raw = _nested(raw, "dataset")
+    with _invalid(ds_raw.where):
         dataset = DatasetGenConfig(
-            **_control_law(ds_raw, "dataset", horizon),
-            num_samples=_get(ds_raw, "num_samples", "dataset", _integer),
-            x0_low=_get(ds_raw, "x0_low", "dataset"),
-            x0_high=_get(ds_raw, "x0_high", "dataset"),
-            tail_params=ds_raw.get("tail_params", "sampled"),
+            **_control_law(ds_raw, horizon),
+            num_samples=_get(ds_raw, "num_samples", integer),
+            x0_low=_get(ds_raw, "x0_low"),
+            x0_high=_get(ds_raw, "x0_high"),
+            **_optional(ds_raw, "tail_params"),
         )
 
-    lib_raw = _nested(raw, "library", "")
-    with _invalid("library"):
+    lib_raw = _nested(raw, "library")
+    with _invalid(lib_raw.where):
         library = LibraryGenConfig(
-            **_control_law(lib_raw, "library", horizon),
-            grid_resolution=_get(lib_raw, "grid_resolution", "library", _integers),
-            initial_state=_get(lib_raw, "initial_state", "library"),
-            max_sequences=_get(lib_raw, "max_sequences", "library", _integer, 20000),
+            **_control_law(lib_raw, horizon),
+            grid_resolution=_get(lib_raw, "grid_resolution", _integers),
+            initial_state=_get(lib_raw, "initial_state"),
+            **_optional(lib_raw, max_sequences=integer),
         )
         nominal = QuadrotorParams(
-            mass=_get(lib_raw, "nominal_mass", "library", float),
-            drag=_get(lib_raw, "nominal_drag", "library", float),
+            mass=_get(lib_raw, "nominal_mass", float),
+            drag=_get(lib_raw, "nominal_drag", float),
         )
 
-    kernel_raw = _nested(raw, "kernel", "")
-    state_kernel = _kernel(kernel_raw, "state")
-    control_kernel = _kernel(kernel_raw, "control")
+    kernel_raw = _nested(raw, "kernel")
+    state_kernel = _kernel(_nested(kernel_raw, "state"))
+    control_kernel = _kernel(_nested(kernel_raw, "control"))
 
-    emb_raw = _nested(raw, "embedding", "")
-    regularization = _get(emb_raw, "regularization", "embedding", float)
+    regularization = _get(_nested(raw, "embedding"), "regularization", float)
     if regularization <= 0:
         raise ConfigError("embedding.regularization must be positive")
 
-    mc_raw = _nested(raw, "montecarlo", "")
-    trials = _get(mc_raw, "trials", "montecarlo", _integer)
+    mc_raw = _nested(raw, "montecarlo")
+    trials = _get(mc_raw, "trials", integer)
     if trials < 1:
         raise ConfigError("montecarlo.trials must be at least 1")
-    mc_seed = check_seed(_get(mc_raw, "seed", "montecarlo"), "montecarlo.seed")
+    mc_seed = check_seed(_get(mc_raw, "seed"), "montecarlo.seed")
 
     initial_state = check_state(raw.get("initial_state", np.zeros(4)), "initial_state")
-    output_dir = str(_nested(raw, "output", "", {}).get("directory", "out"))
+    output = _nested(raw, "output") if "output" in raw else {}
+    output_dir = str(output.get("directory", "out"))
 
     unread = _unread(raw)
     if unread:

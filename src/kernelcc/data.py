@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .serialize import array_digest, canonical_json, digest_of
+from .serialize import array_digest, canonical_json, digest_of, integer
 from .systems import PlanarQuadrotor, QuadrotorParams, rollout
 
 FORMAT_VERSION = 2
@@ -98,6 +98,8 @@ class ControlLawSpec:
     )
 
     def __post_init__(self):
+        for name in ("horizon", "num_random_steps"):
+            integer(getattr(self, name), name)
         if not (0 <= self.num_random_steps < self.horizon):
             raise ValueError("num_random_steps must satisfy 0 <= T_r < horizon")
         c_low, c_high = _check_box(self.control_low, self.control_high, 2, "control")
@@ -136,7 +138,7 @@ class DatasetGenConfig(ControlLawSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.num_samples < 1:
+        if integer(self.num_samples, "num_samples") < 1:
             raise ValueError("num_samples must be at least 1")
         if self.tail_params not in ("sampled", "nominal"):
             raise ValueError(
@@ -163,7 +165,8 @@ class LibraryGenConfig(ControlLawSpec):
     def __post_init__(self):
         super().__post_init__()
         res = self.grid_resolution
-        res = tuple(int(g) for g in ((res, res) if np.isscalar(res) else res))
+        res = (res, res) if np.isscalar(res) else res
+        res = tuple(integer(g, "grid_resolution") for g in res)
         if len(res) != 2 or any(g < 1 for g in res):
             raise ValueError("grid_resolution needs a positive count per coordinate")
         x0 = np.asarray(self.initial_state, dtype=float)
@@ -171,7 +174,7 @@ class LibraryGenConfig(ControlLawSpec):
             raise ValueError(f"initial_state must be a 4-vector, got {x0.shape}")
         object.__setattr__(self, "grid_resolution", res)
         object.__setattr__(self, "initial_state", x0)
-        if self.num_sequences > self.max_sequences:
+        if self.num_sequences > integer(self.max_sequences, "max_sequences"):
             raise ValueError(
                 f"library would contain {self.num_sequences} sequences, "
                 f"exceeding max_sequences={self.max_sequences}"

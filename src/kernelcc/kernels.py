@@ -41,7 +41,8 @@ class KernelSpec:
     """Kernel family plus bandwidth policy.
 
     ``bandwidth_mode`` is either "fixed" (use ``bandwidth`` as given) or
-    "median_heuristic" (resolve ``bandwidth`` from data before use).
+    "median_heuristic" (resolve ``bandwidth`` from data before use). A
+    ``bandwidth`` that is not None is stored as a float.
     """
 
     family: str = "gaussian"
@@ -49,6 +50,8 @@ class KernelSpec:
     bandwidth_mode: str = "fixed"
 
     def __post_init__(self):
+        if self.bandwidth is not None:
+            object.__setattr__(self, "bandwidth", float(self.bandwidth))
         if self.family != "gaussian":
             raise ValueError(f"unsupported kernel family: {self.family!r}")
         if self.bandwidth_mode not in ("fixed", "median_heuristic"):

@@ -43,8 +43,9 @@ class MixedPolicy:
             )
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
+        # written so that a NaN weight fails too
+        if not abs(w.sum() - 1.0) <= 1e-9:
+            raise ValueError(f"weights must sum to 1, got {w.sum()}")
         x0 = np.asarray(self.x0, dtype=float)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "x0", x0)

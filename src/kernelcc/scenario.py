@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .serialize import integer
+
 
 @dataclass(frozen=True)
 class GoalSet:
@@ -57,12 +59,12 @@ class Obstacle:
             raise ValueError("one offset per halfspace required")
         if not (np.all(np.isfinite(normals)) and np.all(np.isfinite(offsets))):
             raise ValueError("non-finite obstacle geometry")
-        first, last = self.active_steps
+        first, last = (integer(step, "active step") for step in self.active_steps)
         if not (1 <= first <= last):
             raise ValueError(f"invalid active step range {self.active_steps}")
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "active_steps", (int(first), int(last)))
+        object.__setattr__(self, "active_steps", (first, last))
 
     @staticmethod
     def rectangle(xmin, xmax, ymin, ymax, active_steps) -> "Obstacle":

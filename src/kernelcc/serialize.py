@@ -16,6 +16,10 @@ There are two content digests. ``digest_of`` hashes the canonical JSON text
 of a value and keys every artifact by its inputs. ``array_digest`` hashes an
 array's shape and its little-endian float64 bytes, with no text in between,
 and identifies the content of a library, which can hold millions of floats.
+
+``integer`` is the one rule for a count or an index, whether a config file
+or a caller gives it: a bool, a float or a string is not an integer, whatever
+its value.
 """
 
 from __future__ import annotations
@@ -49,6 +53,13 @@ def jsonable(obj):
     if isinstance(obj, float) and not np.isfinite(obj):
         raise ValueError(f"non-finite value {obj} cannot be serialized")
     return obj
+
+
+def integer(value, name: str = "") -> int:
+    """value as an int, or a ValueError that starts with ``name``, if given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}".lstrip())
+    return int(value)
 
 
 def canonical_json(obj) -> str:

@@ -468,6 +468,48 @@ class TestValidate:
                    "--policy", str(out / "nope.json")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            # solved_dir's policy at delta 0.3 weighs library elements 2 and 3
+            (["solve", "weights"], [[2, 0.25], [3, 0.25]], "invalid solve.weights:"),
+            (["solve", "weights"], [[2, 1.5], [3, -0.5]], "invalid solve.weights:"),
+            (["solve", "weights", 0, 0], "1.7", "invalid solve.weights:"),
+            (["solve", "weights", 0, 0], 2.9, "invalid solve.weights:"),
+            (["solve", "weights", 0, 1], float("nan"), "invalid solve.weights:"),
+            (["solve", "weights"], [1, 2], "invalid solve.weights:"),
+            (["solve"], [1], "policy field 'solve' must be an object"),
+            (["x0"], "abc", "invalid x0:"),
+            (["x0"], [0, 0], "invalid x0:"),
+            (["delta"], "abc", "invalid delta:"),
+            (["delta"], 2.0, "invalid delta:"),
+        ],
+        ids=[
+            "weights_sum_0.5", "negative_weight", "index='1.7'", "index=2.9",
+            "weight=NaN", "weights=[1,2]", "solve=[1]", "x0=abc", "x0=[0,0]",
+            "delta=abc", "delta=2.0",
+        ],
+    )
+    def test_malformed_policy_is_one_line_error(
+        self, tmp_path, capsys, solved_dir, field, value, shown
+    ):
+        # a policy file is checked like every other input: exit 2, one line
+        # that names the file and the field, and no report written
+        record = json.loads((solved_dir / "policy_delta_0.3.json").read_text())
+        node = record
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(record))
+        before = {p.name: p.read_bytes() for p in solved_dir.iterdir()}
+        argv = ["validate", "--policy", str(policy)]
+        assert run_step(tmp_path, small_raw(), argv, solved_dir) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {policy}: ") and err.count("\n") == 1, err
+        assert shown in err
+        assert {p.name: p.read_bytes() for p in solved_dir.iterdir()} == before
+
     def test_validate_seed_override_changes_trials(self, tmp_path):
         cfg, out, policy = self.make_policy(tmp_path)
         main(["validate", "--config", str(cfg), "--out-dir", str(out),
@@ -550,6 +592,66 @@ MALFORMED_INPUTS = [
         ["experiment"],
         "invalid scenario: obstacle active through step 20",
         id="obstacles[0].active_steps=[3,20]",
+    ),
+    pytest.param(
+        with_value(
+            ["scenario", "obstacles"],
+            [{"rect": [1.0, 2.0, 1.0, 2.0], "active_steps": [3.5, 4.9]}],
+        ),
+        ["experiment"],
+        "invalid scenario.obstacles[0].active_steps: must be an integer, got 3.5",
+        id="obstacles[0].active_steps=[3.5,4.9]",
+    ),
+    pytest.param(
+        with_value(
+            ["scenario", "obstacles"],
+            [{"rect": [1.0, 2.0, 1.0, 2.0], "active_steps": [True, 4]}],
+        ),
+        ["experiment"],
+        "invalid scenario.obstacles[0].active_steps: must be an integer, got True",
+        id="obstacles[0].active_steps=[true,4]",
+    ),
+    pytest.param(
+        with_value(
+            ["scenario", "obstacles"],
+            [
+                {"rect": [1.0, 2.0, 1.0, 2.0], "active_steps": [3, 4]},
+                {"rect": [1.0, 2.0, 1.0], "active_steps": [3, 4]},
+            ],
+        ),
+        ["experiment"],
+        "invalid scenario.obstacles[1].rect: must be a 4-vector",
+        id="obstacles[1].rect=3-vector",
+    ),
+    pytest.param(
+        with_value(["scenario", "costs"], {"control_weight": "x"}),
+        ["experiment"],
+        "invalid scenario.costs.control_weight:",
+        id="scenario.costs.control_weight=x",
+    ),
+    pytest.param(
+        with_value(["dataset", "feedback"], {"kd": 2.0}),
+        ["experiment"],
+        "missing config key 'dataset.feedback.kp'",
+        id="dataset.feedback.kp missing",
+    ),
+    pytest.param(
+        with_value(
+            ["prior"],
+            {
+                "mass": {"shape_a": "x", "shape_b": 2.0, "offset": 0.75, "scale": 0.5},
+                "drag": {"shape_a": 2.0, "shape_b": 5.0, "offset": 0.4, "scale": 0.2},
+            },
+        ),
+        ["experiment"],
+        "invalid prior.mass.shape_a:",
+        id="prior.mass.shape_a=x",
+    ),
+    pytest.param(
+        with_value(["kernel", "control", "bandwidth"], "abc"),
+        ["experiment"],
+        "invalid kernel.control: could not convert string to float: 'abc'",
+        id="kernel.control.bandwidth=abc",
     ),
     pytest.param(
         with_value(["scenario", "costs"], []),

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kernelcc.cli import _policy_key
 from kernelcc.config import ConfigError, load_config, parse_config
 from kernelcc.data import dataset_key, library_key
 
@@ -217,6 +218,19 @@ class TestParseConfig:
         after = stage_keys(raw)
         assert after[0] != before[0]
         assert after[1] == before[1]
+
+    def test_keys_of_constructor_defaults_are_pinned(self):
+        # base_raw leaves max_sequences, the kernel family, prior,
+        # disturbance, costs and output to their constructors' defaults, so a
+        # default that drifts moves one of these keys
+        cfg = parse_config(base_raw())
+        ds_key, lib_key = stage_keys(base_raw())
+        assert ds_key == "f9198358825d47b14af331c25143f3a796d46616a384280c154d655148a7845b"
+        assert lib_key == "91678db5f57ede6fae740835adf3baf551adde1fcb1da5671fae952977025184"
+        policy_key = _policy_key(cfg, [ds_key, cfg.master_seed], lib_key, cfg.deltas[0])
+        assert policy_key == (
+            "1a9f1c018013c12b7b8d083686956b559961009b01c0d43346ca9ea7cac7ca44"
+        )
 
     def test_mc_section_does_not_touch_stage_digests(self):
         raw = base_raw()

@@ -77,6 +77,44 @@ class TestDatasetGenConfig:
         with pytest.raises(ValueError):
             DatasetGenConfig(num_samples=0, horizon=10)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            pytest.param(
+                lambda: DatasetGenConfig(horizon=5, num_samples=2.5), id="num_samples=2.5"
+            ),
+            pytest.param(
+                lambda: DatasetGenConfig(horizon=5, num_samples=True), id="num_samples=true"
+            ),
+            pytest.param(
+                lambda: DatasetGenConfig(horizon=5.5, num_samples=2), id="horizon=5.5"
+            ),
+            pytest.param(
+                lambda: DatasetGenConfig(horizon="5", num_samples=2), id="horizon='5'"
+            ),
+            pytest.param(
+                lambda: LibraryGenConfig(horizon=5, num_random_steps=1.5),
+                id="num_random_steps=1.5",
+            ),
+            pytest.param(
+                lambda: LibraryGenConfig(horizon=5, grid_resolution=(2.5, 1)),
+                id="grid_resolution=(2.5,1)",
+            ),
+            pytest.param(
+                lambda: LibraryGenConfig(horizon=5, grid_resolution=2.0),
+                id="grid_resolution=2.0",
+            ),
+            pytest.param(
+                lambda: LibraryGenConfig(horizon=5, max_sequences=1e4),
+                id="max_sequences=1e4",
+            ),
+        ],
+    )
+    def test_counts_must_be_integers(self, settings):
+        # a float, a bool or a string is not truncated or compared, but refused
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            settings()
+
 
 class TestControlLawSpec:
     @pytest.mark.parametrize(

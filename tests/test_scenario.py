@@ -92,6 +92,11 @@ class TestObstacle:
         with pytest.raises(ValueError):
             Obstacle.rectangle(0, 1, 0, 1, active_steps=(3, 2))
 
+    @pytest.mark.parametrize("steps", [(3.5, 4.9), (True, 4), (3, "4")])
+    def test_active_steps_must_be_integers(self, steps):
+        with pytest.raises(ValueError, match="active step must be an integer"):
+            Obstacle.rectangle(0, 1, 0, 1, active_steps=steps)
+
     def test_triangle(self):
         # x >= 0, y >= 0, x + y <= 1
         tri = Obstacle(

@@ -8,6 +8,7 @@ them breaks ``perfbench/run.py --trace 1``; these tests catch that here.
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ def load_perfbench(name):
     path = ROOT / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    # a dataclass of the module looks its module up by name while it is built
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -79,6 +82,41 @@ def test_checker_runs_on_a_small_directory(tmp_path):
     result = check.check_directory(str(config), out)
     assert result["failures"] == []
     assert result["estimate_gap"] is not None
+
+
+# the dataset and library keys of each benchmark workload's config at seed 101
+WORKLOAD_KEYS = {
+    "wide_library": (
+        "f063d21accdc7dd1119c51e6f9d62d4ccc50a9d6eda43537ab9b259fd55e4938",
+        "36622c9853a7a96f28b3ac81f82e49b782105c4be6d5240e009b7bd347fb02de",
+    ),
+    "deep_dataset": (
+        "62253c684ca85948324aed09baf8dc4171635ea9d85988b4fa4721b195a6aeeb",
+        "a2dbb1e7bd2a07aaaede24183b2eda4bd5b893ee1e6f429277e5a6e1e58f4a64",
+    ),
+    "toy": (
+        "06ac0c06bcd22e7c32420014be01e14a2eb92bae5724dcaa5510c27631d02e97",
+        "a2dbb1e7bd2a07aaaede24183b2eda4bd5b893ee1e6f429277e5a6e1e58f4a64",
+    ),
+}
+
+
+def test_workload_configs_parse_to_pinned_keys(monkeypatch):
+    # the benchmark writes each workload's config from the shipped one; a
+    # parser change that rejects one, or moves its keys (and so the bytes the
+    # benchmark compares), fails here rather than as a failed benchmark run
+    from kernelcc.config import parse_config
+    from kernelcc.data import dataset_key, library_key
+
+    monkeypatch.chdir(ROOT)  # workload_config reads configs/ from the cwd
+    run = load_perfbench("run")
+    assert set(run.ALL_WORKLOADS) == set(WORKLOAD_KEYS)
+    for name, keys in WORKLOAD_KEYS.items():
+        cfg = parse_config(json.loads(run.workload_config(name, 101)))
+        assert (
+            dataset_key(cfg.dataset, cfg.model),
+            library_key(cfg.library, cfg.model, cfg.nominal_params),
+        ) == keys, name
 
 
 def fit_tiny_dataset():
