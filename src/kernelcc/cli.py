@@ -332,36 +332,53 @@ def cmd_validate(
     x0_override: np.ndarray | None = None,
 ) -> dict[float, dict]:
     """Monte-Carlo validate saved policies of the library ``lib``; write and
-    return their reports by delta."""
-    reports = {}
+    return their reports by delta.
+
+    Every policy file is read and checked before any simulation. The
+    policies that start from one x0 are validated together, on one set of
+    draws.
+    """
+    by_x0: dict[bytes, list] = {}
     for policy_path in policy_paths:
         record = _read_json(policy_path)
         policy = _policy_from_record(record, lib, policy_path)
-        sc = cfg.scenario_for(policy.delta)
         x0 = policy.x0 if x0_override is None else x0_override
-        report = run_monte_carlo(policy, cfg.model, sc, x0, cfg.trials, cfg.mc_seed)
-        report_path = _delta_path(out, "report", policy.delta)
-        # the seed and library recorded are the policy's, fixed by the inputs
-        # digest like everything else here
-        reports[policy.delta] = {
-            "kind": "report",
-            "delta": policy.delta,
-            "x0": [float(v) for v in x0],
-            "master_seed": record["master_seed"],
-            "library_digest": record["library_digest"],
-            "objective": record["solve"].get("objective"),
-            "inputs_digest": _report_key(cfg, policy_path, policy.delta, x0),
-            "report": report.to_dict(),
-        }
-        _write_json(report_path, reports[policy.delta])
-        trajectories_to_csv(
-            report, _delta_path(out, "trajectories", policy.delta, "csv")
+        # keyed by its bytes, so that 0.0 and -0.0 stay apart
+        by_x0.setdefault(x0.tobytes(), []).append((policy_path, record, policy, x0))
+    reports = {}
+    for group in by_x0.values():
+        mc_reports = run_monte_carlo(
+            [policy for _, _, policy, _ in group],
+            cfg.model,
+            cfg.scenario,
+            group[0][3],
+            cfg.trials,
+            cfg.mc_seed,
         )
-        print(
-            f"delta={policy.delta}: success rate {report.success_rate:.4f} "
-            f"({report.successes}/{report.trials}), Wilson 95% "
-            f"[{report.wilson_low:.4f}, {report.wilson_high:.4f}] -> {report_path}"
-        )
+        for (policy_path, record, policy, x0), report in zip(group, mc_reports):
+            report_path = _delta_path(out, "report", policy.delta)
+            # the seed and library recorded are the policy's, fixed by the
+            # inputs digest like everything else here
+            reports[policy.delta] = {
+                "kind": "report",
+                "delta": policy.delta,
+                "x0": [float(v) for v in x0],
+                "master_seed": record["master_seed"],
+                "library_digest": record["library_digest"],
+                "objective": record["solve"].get("objective"),
+                "inputs_digest": _report_key(cfg, policy_path, policy.delta, x0),
+                "report": report.to_dict(),
+            }
+            _write_json(report_path, reports[policy.delta])
+            trajectories_to_csv(
+                report, _delta_path(out, "trajectories", policy.delta, "csv")
+            )
+            print(
+                f"delta={policy.delta}: success rate {report.success_rate:.4f} "
+                f"({report.successes}/{report.trials}), Wilson 95% "
+                f"[{report.wilson_low:.4f}, {report.wilson_high:.4f}] "
+                f"-> {report_path}"
+            )
     return reports
 
 

@@ -153,6 +153,13 @@ def _integers(value):
     return integer(value)
 
 
+def _text(value) -> str:
+    """A ``kind`` for _get: a string, taken as it is."""
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    return value
+
+
 def _vector(length: int):
     """A ``kind`` for _get: a finite float vector of ``length`` entries."""
 
@@ -334,7 +341,7 @@ def parse_config(raw: dict) -> RunConfig:
 
     initial_state = check_state(raw.get("initial_state", np.zeros(4)), "initial_state")
     output = _nested(raw, "output") if "output" in raw else {}
-    output_dir = str(output.get("directory", "out"))
+    output_dir = _optional(output, directory=_text).get("directory", "out")
 
     unread = _unread(raw)
     if unread:

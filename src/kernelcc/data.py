@@ -79,6 +79,16 @@ def _check_box(low, high, dim, name):
     return low, high
 
 
+def _check_state(value, name):
+    """value as a finite float 4-vector, or a ValueError naming it."""
+    x = np.asarray(value, dtype=float)
+    if x.shape != (4,):
+        raise ValueError(f"{name} must be a 4-vector, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite, got {x.tolist()}")
+    return x
+
+
 @dataclass(frozen=True, kw_only=True)
 class ControlLawSpec:
     """The exploration law the dataset and the library share.
@@ -104,11 +114,9 @@ class ControlLawSpec:
             raise ValueError("num_random_steps must satisfy 0 <= T_r < horizon")
         c_low, c_high = _check_box(self.control_low, self.control_high, 2, "control")
         gain = np.asarray(self.feedback_gain, dtype=float)
-        target = np.asarray(self.target, dtype=float)
         if gain.shape != (2, 4):
             raise ValueError(f"feedback gain must be 2x4, got {gain.shape}")
-        if target.shape != (4,):
-            raise ValueError(f"target must be a 4-vector, got {target.shape}")
+        target = _check_state(self.target, "target")
         object.__setattr__(self, "control_low", c_low)
         object.__setattr__(self, "control_high", c_high)
         object.__setattr__(self, "feedback_gain", gain)
@@ -169,9 +177,7 @@ class LibraryGenConfig(ControlLawSpec):
         res = tuple(integer(g, "grid_resolution") for g in res)
         if len(res) != 2 or any(g < 1 for g in res):
             raise ValueError("grid_resolution needs a positive count per coordinate")
-        x0 = np.asarray(self.initial_state, dtype=float)
-        if x0.shape != (4,):
-            raise ValueError(f"initial_state must be a 4-vector, got {x0.shape}")
+        x0 = _check_state(self.initial_state, "initial_state")
         object.__setattr__(self, "grid_resolution", res)
         object.__setattr__(self, "initial_state", x0)
         if self.num_sequences > integer(self.max_sequences, "max_sequences"):

@@ -5,6 +5,12 @@ trial samples one library sequence, simulates it on the true stochastic
 system, and checks the trajectory against the scenario's constraints. Trials
 use independent random streams derived from (seed, trial index), so results
 never depend on execution order.
+
+A sweep of risk levels is validated on one set of draws (common random
+numbers): each trial's uniform, parameters and noise are drawn once, every
+policy maps the shared uniform to a library element, and each distinct
+(trial, element) pair is simulated once and its CSV rows formatted once,
+however many policies draw it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from .data import ControlLibrary
 from .scenario import Scenario, indicator_T
-from .serialize import write_csv
+from .serialize import write_csv_text
 from .systems import PlanarQuadrotor, rollout
 
 # two-sided 95% normal quantile used for the Wilson interval
@@ -58,17 +64,21 @@ class MixedPolicy:
         return tuple(int(i) for i in np.flatnonzero(self.weights > 0.0))
 
 
-def sample_control(policy: MixedPolicy, rng: np.random.Generator):
-    """Draw (index, control sequence) from the policy.
+def _draw_indices(policy: MixedPolicy, u):
+    """The library indices that uniforms ``u`` draw from the policy.
 
     Inverse-CDF sampling over cumulative weights in index order; indices with
     zero weight are never drawn.
     """
-    u = rng.random()
-    index = int(np.searchsorted(policy._cumulative, u, side="right"))
+    index = np.searchsorted(policy._cumulative, u, side="right")
     # the weights may sum to slightly less than 1, so u can fall beyond the
     # last cumulative value; that draw belongs to the last positive weight
-    index = min(index, policy._last_drawable)
+    return np.minimum(index, policy._last_drawable)
+
+
+def sample_control(policy: MixedPolicy, rng: np.random.Generator):
+    """Draw (index, control sequence) from the policy with one uniform."""
+    index = int(_draw_indices(policy, rng.random()))
     return index, policy.library.sequences[index]
 
 
@@ -86,6 +96,9 @@ class MonteCarloReport:
     indices: np.ndarray
     feasible: np.ndarray
     trajectories: np.ndarray | None = field(repr=False, default=None)
+    # CSV text of a kept trial by (trial, library index); the reports of one
+    # run_monte_carlo call share it, so a block is formatted once per sweep
+    trial_rows: dict = field(repr=False, compare=False, default_factory=dict)
 
     def to_dict(self) -> dict:
         """JSON-ready summary including per-trial index and feasibility records."""
@@ -122,67 +135,105 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def run_monte_carlo(
-    policy: MixedPolicy,
+    policies,
     model: PlanarQuadrotor,
     sc: Scenario,
     x0,
     trials: int,
     seed: int,
-) -> MonteCarloReport:
-    """Validate a policy by repeated simulation on the true system.
+) -> list[MonteCarloReport]:
+    """Validate policies of one library by repeated simulation on the true
+    system from the initial state x0; one report per policy, in order.
 
-    Each trial draws a control sequence from the policy and a realization of
-    the system from its own stream; all trials are then rolled out together
-    and checked against the scenario indicator. A diverging simulation counts
+    Trial t draws a uniform, then a realization of the system, from its own
+    stream (seed, t), once for all policies; each policy maps the uniform to
+    a library element as ``sample_control`` does. Every distinct (trial,
+    element) pair is rolled out and checked against the constraints of
+    ``sc`` once; its risk level is not read. A diverging simulation counts
     as a failure and never aborts the run. Trajectories are retained for
-    plotting up to ``MAX_KEPT_TRAJECTORIES``; diverged trials record NaN
-    states.
+    plotting up to ``MAX_KEPT_TRAJECTORIES`` trials; diverged trials record
+    NaN states.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    policies = list(policies)
+    if not policies:
+        raise ValueError("run_monte_carlo needs at least one policy")
+    library = policies[0].library
+    if any(policy.library is not library for policy in policies):
+        raise ValueError("the policies of one run must share one library")
     x0 = np.asarray(x0, dtype=float)
-    horizon = policy.library.horizon
-    indices = np.empty(trials, dtype=int)
+    horizon = library.horizon
+    uniforms = np.empty(trials)
     params = np.empty((trials, 2))
     noise = np.empty((trials, horizon, model.state_dim))
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        indices[t], _ = sample_control(policy, rng)
+        uniforms[t] = rng.random()
         params[t], noise[t] = model.draw_realization(rng, horizon)
+    # (policy, trial) library indices; the distinct (trial, index) pairs
+    # are the rollouts, in the order of their key trial * P + index
+    indices = np.stack([_draw_indices(policy, uniforms) for policy in policies])
+    pairs, pair_of = np.unique(
+        np.arange(trials) * library.num_sequences + indices, return_inverse=True
+    )
+    pair_trial, pair_index = np.divmod(pairs, library.num_sequences)
     _, states, diverged = rollout(
         model,
-        np.tile(x0, (trials, 1)),
-        policy.library.sequences[indices],
-        params,
-        noise,
+        np.tile(x0, (pairs.shape[0], 1)),
+        library.sequences[pair_index],
+        params[pair_trial],
+        noise[pair_trial],
     )
     states[diverged > 0] = np.nan
-    feasible = (diverged == 0) & (indicator_T(sc, states) == 1)
-    successes = int(feasible.sum())
-    rate = successes / trials
-    low, high = wilson_interval(successes, trials)
-    return MonteCarloReport(
-        trials=trials,
-        successes=successes,
-        success_rate=rate,
-        standard_error=float(np.sqrt(rate * (1.0 - rate) / trials)),
-        wilson_low=low,
-        wilson_high=high,
-        seed=int(seed),
-        indices=indices,
-        feasible=feasible,
-        trajectories=states[:MAX_KEPT_TRAJECTORIES],
-    )
+    pair_feasible = (diverged == 0) & (indicator_T(sc, states) == 1)
+    trial_rows: dict = {}
+    reports = []
+    for policy_indices, rows in zip(indices, pair_of.reshape(indices.shape)):
+        feasible = pair_feasible[rows]
+        successes = int(feasible.sum())
+        rate = successes / trials
+        low, high = wilson_interval(successes, trials)
+        reports.append(
+            MonteCarloReport(
+                trials=trials,
+                successes=successes,
+                success_rate=rate,
+                standard_error=float(np.sqrt(rate * (1.0 - rate) / trials)),
+                wilson_low=low,
+                wilson_high=high,
+                seed=int(seed),
+                indices=policy_indices,
+                feasible=feasible,
+                trajectories=states[rows[:MAX_KEPT_TRAJECTORIES]],
+                trial_rows=trial_rows,
+            )
+        )
+    return reports
 
 
 def trajectories_to_csv(report: MonteCarloReport, path) -> None:
-    """Write retained trajectories as CSV, one row per (trial, step)."""
+    """Write retained trajectories as CSV, one row per (trial, step).
+
+    A trial's rows are formatted once per (trial, library index) and kept in
+    ``report.trial_rows`` for the other reports of its run.
+    """
     if report.trajectories is None:
         raise ValueError("report holds no trajectories")
     n = report.trajectories.shape[2]
-    rows = (
-        [t, step, *state, int(report.feasible[t])]
-        for t, trajectory in enumerate(report.trajectories)
-        for step, state in enumerate(trajectory.tolist(), start=1)
-    )
-    write_csv(path, ["trial", "step", *(f"s{i}" for i in range(n)), "feasible"], rows)
+    header = ["trial", "step", *(f"s{i}" for i in range(n)), "feasible"]
+    # the cell rule of write_csv: integers and floats by their repr
+    row = ",".join(["%d", "%d", *["%r"] * n, "%d"]) + "\n"
+    memo = report.trial_rows
+    blocks = []
+    for t, trajectory in enumerate(report.trajectories):
+        key = (t, int(report.indices[t]))
+        block = memo.get(key)
+        if block is None:
+            flag = int(report.feasible[t])
+            block = memo[key] = "".join(
+                row % (t, step, *state, flag)
+                for step, state in enumerate(trajectory.tolist(), start=1)
+            )
+        blocks.append(block)
+    write_csv_text(path, header, blocks)

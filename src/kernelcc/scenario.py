@@ -140,6 +140,9 @@ class Scenario:
             raise ValueError(f"risk budget must lie in (0,1), got {self.delta}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        # a length that does not match the horizon raises here, not in a
+        # later cost evaluation
+        self.costs.resolved_state_weights(self.horizon)
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         for obs in self.obstacles:
             first, last = obs.active_steps

@@ -80,12 +80,18 @@ def write_csv(path, header, rows) -> None:
             return ""
         return value if isinstance(value, str) else repr(value)
 
+    lines = (",".join(cell(value) for value in row) + "\n" for row in rows)
+    write_csv_text(path, header, lines)
+
+
+def write_csv_text(path, header, text) -> None:
+    """Write a header, then ``text``: strings of whole CSV lines, each line
+    formatted by the cell rule of ``write_csv`` and ending in a newline."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(cell(value) for value in row) + "\n")
+        handle.writelines(text)
 
 
 def digest_of(obj) -> str:

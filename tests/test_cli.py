@@ -510,6 +510,34 @@ class TestValidate:
         assert shown in err
         assert {p.name: p.read_bytes() for p in solved_dir.iterdir()} == before
 
+    def test_policies_of_one_x0_are_validated_together(
+        self, tmp_path, monkeypatch, solved_dir
+    ):
+        # one Monte-Carlo call per distinct x0, and every file it writes is
+        # the file a lone validation of that policy writes
+        record = json.loads((solved_dir / "policy_delta_0.3.json").read_text())
+        paths = []
+        for delta, x0 in ((0.3, [0.0] * 4), (0.25, [0.5, 0, 0, 0]), (0.2, [0.0] * 4)):
+            paths.append(tmp_path / f"policy_{delta}.json")
+            paths[-1].write_text(json.dumps({**record, "delta": delta, "x0": x0}))
+        cfg = parse_config(small_raw())
+        lib = kernelcc.data.load_library(solved_dir / "library.jsonl")
+        sizes = []
+        run = kernelcc.cli.run_monte_carlo
+        monkeypatch.setattr(
+            kernelcc.cli,
+            "run_monte_carlo",
+            lambda policies, *args: sizes.append(len(policies)) or run(policies, *args),
+        )
+        together = tmp_path / "together"
+        kernelcc.cli.cmd_validate(cfg, together, paths, lib)
+        assert sizes == [2, 1]
+        for path in paths:
+            alone = tmp_path / f"alone_{path.stem}"
+            kernelcc.cli.cmd_validate(cfg, alone, [path], lib)
+            for written in alone.iterdir():
+                assert written.read_bytes() == (together / written.name).read_bytes()
+
     def test_validate_seed_override_changes_trials(self, tmp_path):
         cfg, out, policy = self.make_policy(tmp_path)
         main(["validate", "--config", str(cfg), "--out-dir", str(out),
@@ -684,6 +712,42 @@ MALFORMED_INPUTS = [
         id="dataset.tail_param",
     ),
     pytest.param(
+        with_value(["dataset", "target"], [None, 0.0, 10.0, 0.0]),
+        ["experiment"],
+        "invalid dataset: target must be finite, got [nan, 0.0, 10.0, 0.0]",
+        id="dataset.target=[null,...]",
+    ),
+    pytest.param(
+        with_value(["library", "target"], [10.0, 0.0, None, 0.0]),
+        ["experiment"],
+        "invalid library: target must be finite",
+        id="library.target=[...,null,...]",
+    ),
+    pytest.param(
+        with_value(["library", "initial_state"], [0.0, None, 0.0, 0.0]),
+        ["experiment"],
+        "invalid library: initial_state must be finite",
+        id="library.initial_state=[...,null,...]",
+    ),
+    pytest.param(
+        with_value(["scenario", "costs"], {"state_weights": [1.0, 2.0]}),
+        ["experiment"],
+        "invalid scenario: state weights have length 2, horizon is 8",
+        id="scenario.costs.state_weights=2-vector",
+    ),
+    pytest.param(
+        with_value(["output"], {"directory": None}),
+        ["experiment"],
+        "invalid output.directory: must be a string, got None",
+        id="output.directory=null",
+    ),
+    pytest.param(
+        with_value(["output"], {"directory": 7}),
+        ["experiment"],
+        "invalid output.directory: must be a string, got 7",
+        id="output.directory=7",
+    ),
+    pytest.param(
         small_raw(),
         ["experiment", "--seed", "-1"],
         "invalid --seed:",
@@ -734,6 +798,14 @@ class TestErrors:
                    str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
         assert "kernel" in capsys.readouterr().err
+
+    def test_state_weights_checked_before_any_stage(self, tmp_path, capsys):
+        raw = with_value(["scenario", "costs"], {"state_weights": [1.0, 2.0]})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_step(tmp_path, raw, ["experiment"], out) == EXIT_CONFIG
+        assert "state weights have length 2, horizon is 8" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_config_syntax_error_exit_code(self, tmp_path):
         cfg = tmp_path / "broken.json"

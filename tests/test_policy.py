@@ -131,8 +131,8 @@ class TestWilsonInterval:
 class TestRunMonteCarlo:
     def test_always_feasible(self):
         policy = make_policy([0.5, 0.5])
-        report = run_monte_carlo(
-            policy, quiet_model(), near_origin_scenario(), np.zeros(4), 50, seed=9
+        (report,) = run_monte_carlo(
+            [policy], quiet_model(), near_origin_scenario(), np.zeros(4), 50, seed=9
         )
         assert report.successes == 50
         assert report.success_rate == 1.0
@@ -140,8 +140,8 @@ class TestRunMonteCarlo:
 
     def test_never_feasible(self):
         policy = make_policy([1.0])
-        report = run_monte_carlo(
-            policy, quiet_model(), unreachable_scenario(), np.zeros(4), 30, seed=9
+        (report,) = run_monte_carlo(
+            [policy], quiet_model(), unreachable_scenario(), np.zeros(4), 30, seed=9
         )
         assert report.successes == 0
         assert report.success_rate == 0.0
@@ -149,9 +149,9 @@ class TestRunMonteCarlo:
     def test_reproducible(self):
         policy = make_policy([0.3, 0.7])
         model = PlanarQuadrotor()  # noisy, random parameters
-        args = (policy, model, near_origin_scenario(), np.zeros(4), 40)
-        a = run_monte_carlo(*args, seed=5)
-        b = run_monte_carlo(*args, seed=5)
+        args = ([policy], model, near_origin_scenario(), np.zeros(4), 40)
+        (a,) = run_monte_carlo(*args, seed=5)
+        (b,) = run_monte_carlo(*args, seed=5)
         assert a.successes == b.successes
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.trajectories, b.trajectories)
@@ -160,15 +160,15 @@ class TestRunMonteCarlo:
         policy = make_policy([0.3, 0.7])
         model = PlanarQuadrotor()
         sc = near_origin_scenario()
-        small = run_monte_carlo(policy, model, sc, np.zeros(4), 10, seed=5)
-        large = run_monte_carlo(policy, model, sc, np.zeros(4), 25, seed=5)
+        (small,) = run_monte_carlo([policy], model, sc, np.zeros(4), 10, seed=5)
+        (large,) = run_monte_carlo([policy], model, sc, np.zeros(4), 25, seed=5)
         np.testing.assert_array_equal(small.indices, large.indices[:10])
         np.testing.assert_array_equal(small.feasible, large.feasible[:10])
 
     def test_single_trial_rate_binary(self):
         policy = make_policy([1.0])
-        report = run_monte_carlo(
-            policy, PlanarQuadrotor(), near_origin_scenario(), np.zeros(4), 1, seed=0
+        (report,) = run_monte_carlo(
+            [policy], PlanarQuadrotor(), near_origin_scenario(), np.zeros(4), 1, seed=0
         )
         assert report.success_rate in (0.0, 1.0)
 
@@ -180,8 +180,8 @@ class TestRunMonteCarlo:
         policy = MixedPolicy(np.ones(1), library, np.zeros(4), 0.1)
         model = quiet_model(drag=0.9)
         with np.errstate(over="ignore"):
-            report = run_monte_carlo(
-                policy, model, near_origin_scenario(), np.zeros(4), 5, seed=1
+            (report,) = run_monte_carlo(
+                [policy], model, near_origin_scenario(), np.zeros(4), 5, seed=1
             )
         assert report.successes == 0
         assert np.all(np.isnan(report.trajectories))
@@ -189,8 +189,8 @@ class TestRunMonteCarlo:
     def test_trajectory_retention_cap(self, monkeypatch):
         monkeypatch.setattr("kernelcc.policy.MAX_KEPT_TRAJECTORIES", 4)
         policy = make_policy([1.0])
-        report = run_monte_carlo(
-            policy,
+        (report,) = run_monte_carlo(
+            [policy],
             quiet_model(),
             near_origin_scenario(),
             np.zeros(4),
@@ -202,8 +202,8 @@ class TestRunMonteCarlo:
 
     def test_report_dict_round_trips_counts(self):
         policy = make_policy([0.5, 0.5])
-        report = run_monte_carlo(
-            policy, PlanarQuadrotor(), near_origin_scenario(), np.zeros(4), 20, seed=2
+        (report,) = run_monte_carlo(
+            [policy], PlanarQuadrotor(), near_origin_scenario(), np.zeros(4), 20, seed=2
         )
         d = report.to_dict()
         assert d["trials"] == 20
@@ -214,8 +214,8 @@ class TestRunMonteCarlo:
 class TestCsvExport:
     def test_rows_and_flags(self, tmp_path):
         policy = make_policy([1.0])
-        report = run_monte_carlo(
-            policy, quiet_model(), near_origin_scenario(), np.zeros(4), 3, seed=7
+        (report,) = run_monte_carlo(
+            [policy], quiet_model(), near_origin_scenario(), np.zeros(4), 3, seed=7
         )
         path = tmp_path / "traj.csv"
         trajectories_to_csv(report, path)
@@ -236,8 +236,9 @@ class TestCsvExport:
             np.array([0.5, 0.5]), ControlLibrary(sequences, 0, "mixed"), np.zeros(4), 0.1
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            report = run_monte_carlo(
-                policy, quiet_model(drag=0.9), near_origin_scenario(), np.zeros(4), 6, seed=4
+            (report,) = run_monte_carlo(
+                [policy], quiet_model(drag=0.9), near_origin_scenario(), np.zeros(4), 6,
+                seed=4,
             )
         assert 0 < np.isnan(report.trajectories[:, 0, 0]).sum() < 6
         path, reference = tmp_path / "traj.csv", tmp_path / "ref.csv"
@@ -253,10 +254,117 @@ class TestCsvExport:
 
     def test_byte_stable(self, tmp_path):
         policy = make_policy([0.4, 0.6])
-        report = run_monte_carlo(
-            policy, PlanarQuadrotor(), near_origin_scenario(), np.zeros(4), 5, seed=11
+        (report,) = run_monte_carlo(
+            [policy], PlanarQuadrotor(), near_origin_scenario(), np.zeros(4), 5, seed=11
         )
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         trajectories_to_csv(report, p1)
         trajectories_to_csv(report, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def diverging_library():
+    # element 1 overflows the quadratic drag term, so its trials are NaN
+    sequences = make_library(3).sequences.copy()
+    sequences[1] = 1e155
+    return ControlLibrary(sequences, 0, "hot")
+
+
+# a library and the weights of the policies one call validates together
+SWEEPS = {
+    "overlapping": (make_library(4), [[0.5, 0.5, 0, 0], [0, 0.5, 0.5, 0], [0.25] * 4]),
+    "disjoint": (make_library(4), [[1.0, 0, 0, 0], [0, 0, 0.5, 0.5]]),
+    "identical": (make_library(4), [[0.3, 0.7, 0, 0], [0.3, 0.7, 0, 0]]),
+    "diverging": (diverging_library(), [[0.5, 0.5, 0], [0, 1.0, 0], [0.2, 0.3, 0.5]]),
+}
+
+
+def sweep_policies(name):
+    library, weights = SWEEPS[name]
+    return [
+        MixedPolicy(np.asarray(w, dtype=float), library, np.zeros(4), 0.1)
+        for w in weights
+    ]
+
+
+def assert_same_report(a, b, tmp_path):
+    for name in (
+        "trials", "successes", "success_rate", "standard_error",
+        "wilson_low", "wilson_high", "seed",
+    ):
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ("indices", "feasible", "trajectories"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+    trajectories_to_csv(a, tmp_path / "a.csv")
+    trajectories_to_csv(b, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestSweep:
+    def run(self, policies, trials=40):
+        with np.errstate(over="ignore", invalid="ignore"):
+            model, sc = PlanarQuadrotor(), near_origin_scenario()
+            return run_monte_carlo(policies, model, sc, np.zeros(4), trials, 8)
+
+    @pytest.mark.parametrize("name", SWEEPS)
+    def test_equals_one_policy_calls(self, tmp_path, name):
+        policies = sweep_policies(name)
+        swept = self.run(policies)
+        assert len(swept) == len(policies)
+        for policy, report in zip(policies, swept):
+            (alone,) = self.run([policy])
+            assert_same_report(report, alone, tmp_path)
+        if name == "diverging":
+            assert 0 < np.isnan(swept[0].trajectories[:, 0, 0]).sum() < 40
+
+    def test_equals_one_policy_calls_above_kept_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("kernelcc.policy.MAX_KEPT_TRAJECTORIES", 4)
+        policies = sweep_policies("overlapping")
+        swept = self.run(policies, trials=12)
+        for policy, report in zip(policies, swept):
+            assert report.trajectories.shape == (4, HORIZON, 4)
+            assert_same_report(report, self.run([policy], trials=12)[0], tmp_path)
+
+    def test_indices_follow_sample_control_on_the_trial_streams(self):
+        policies = sweep_policies("overlapping")
+        for policy, report in zip(policies, self.run(policies)):
+            for t, index in enumerate(report.indices):
+                rng = np.random.default_rng(np.random.SeedSequence((8, t)))
+                assert sample_control(policy, rng)[0] == index
+
+    @pytest.mark.parametrize("name", ["overlapping", "identical"])
+    def test_draws_each_trial_once_and_rolls_out_distinct_pairs(
+        self, monkeypatch, name
+    ):
+        import kernelcc.policy as policy_module
+
+        model = PlanarQuadrotor()
+        draws, rollouts = [], []
+        draw = model.draw_realization
+        monkeypatch.setattr(
+            model, "draw_realization", lambda *a: draws.append(1) or draw(*a)
+        )
+        rollout = policy_module.rollout
+        monkeypatch.setattr(
+            policy_module,
+            "rollout",
+            lambda *a: rollouts.append(len(a[1])) or rollout(*a),
+        )
+        policies = sweep_policies(name)
+        reports = run_monte_carlo(
+            policies, model, near_origin_scenario(), np.zeros(4), 30, 8
+        )
+        pairs = {(t, int(i)) for r in reports for t, i in enumerate(r.indices)}
+        assert len(draws) == 30
+        assert rollouts == [len(pairs)]
+        if name == "identical":
+            assert rollouts == [30]
+
+    def test_rejects_policies_of_different_libraries(self):
+        policies = [make_policy([1.0, 0.0]), make_policy([0.0, 1.0])]
+        with pytest.raises(ValueError, match="share one library"):
+            self.run(policies)
+
+    def test_rejects_no_policy(self):
+        with pytest.raises(ValueError, match="at least one policy"):
+            self.run([])

@@ -222,6 +222,5 @@ class TestCosts:
 
     def test_weight_length_checked(self):
         costs = CostSpec(state_weights=np.ones(3))
-        sc = make_scenario(n=5, costs=costs)
-        with pytest.raises(ValueError):
-            state_cost(sc, np.zeros((1, 5, 4)))
+        with pytest.raises(ValueError, match="have length 3, horizon is 5"):
+            make_scenario(n=5, costs=costs)

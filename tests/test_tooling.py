@@ -84,6 +84,36 @@ def test_checker_runs_on_a_small_directory(tmp_path):
     assert result["estimate_gap"] is not None
 
 
+def test_traced_experiment_counts_one_sweep_of_trials(tmp_path, monkeypatch):
+    # install the tracer the way a traced benchmark run does; its hooks read
+    # run_monte_carlo's trial count and trajectories_to_csv's file path by
+    # position, so a signature change fails here
+    from kernelcc.cli import main
+    from kernelcc.data import ControlLibrary
+
+    for module_name, attr, _ in WRAPPED:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    monkeypatch.setattr(ControlLibrary, "content_digest", ControlLibrary.content_digest)
+    tracer = TRACING_MODULE.Tracer()
+    TRACING_MODULE.install(tracer)
+    raw = json.loads((ROOT / "configs" / "experiment.json").read_text())
+    raw["dataset"]["num_samples"] = 40
+    raw["library"]["grid_resolution"] = [2, 1]
+    raw["scenario"].update(deltas=[0.3, 0.4], obstacles=[])
+    raw["scenario"]["goal"]["radius"] = 50.0
+    raw["montecarlo"]["trials"] = 30
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out-dir", str(out)]) == 0
+    figures = tracer.layer_figures()
+    csv_files = sorted(out.glob("trajectories_delta_*.csv"))
+    assert len(csv_files) == 2
+    assert figures["policy.trials"] == 30
+    assert figures["policy.csv_bytes"] == sum(p.stat().st_size for p in csv_files)
+
+
 # the dataset and library keys of each benchmark workload's config at seed 101
 WORKLOAD_KEYS = {
     "wide_library": (
