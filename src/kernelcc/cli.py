@@ -54,7 +54,7 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
-POLICY_FORMAT_VERSION = 4
+POLICY_FORMAT_VERSION = 5
 
 
 class PolicyFileError(ValueError):

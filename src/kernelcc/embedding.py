@@ -10,8 +10,9 @@ training trajectories, so no trajectory-space kernel is ever materialized.
 In representer form the estimate is the inner product alpha @ k(query) with
 alpha = (G + lam*M*I)^{-1} g_vals: one solve against the fitted factor per
 function, after which every query costs one cross-kernel vector and a dot
-product. ``fit`` builds G + lam*M*I in one M x M buffer and factorizes it
-in that buffer, so the fit holds one M x M matrix.
+product. ``fit`` builds one triangle of G + lam*M*I in rectangular full
+packed form and factorizes it in that buffer, so the fit holds M(M+1)/2
+entries and no M x M matrix.
 """
 
 from __future__ import annotations
@@ -105,11 +106,10 @@ def fit(ds: Dataset, kx: KernelSpec, ku: KernelSpec, lam: float) -> EmbeddingMod
     flat_u = ds.flattened_controls()
     kx = resolve_bandwidth(kx, ds.initial_states)
     ku = resolve_bandwidth(ku, flat_u)
-    gram = gram_product(ds.initial_states, flat_u, kx, ku)
-    # add lam*M to the diagonal and factor in place: G is not needed on its own
-    gram.flat[:: m_count + 1] += ridge
+    # G + lam*M*I, factored in place: G is not needed on its own
+    packed = gram_product(ds.initial_states, flat_u, kx, ku, ridge=ridge)
     try:
-        factor = spd_factor(gram, overwrite_a=True)
+        factor = spd_factor(packed, overwrite_a=True)
     except FactorizationError as exc:
         raise FitError(
             f"regularized Gram matrix is not positive definite (pivot "

@@ -95,10 +95,18 @@ class MonteCarloReport:
     seed: int
     indices: np.ndarray
     feasible: np.ndarray
-    trajectories: np.ndarray | None = field(repr=False, default=None)
+    # rollout states the reports of one run_monte_carlo call share; kept
+    # trial t's trajectory is states[kept_rows[t]]
+    states: np.ndarray = field(repr=False)
+    kept_rows: np.ndarray = field(repr=False)
     # CSV text of a kept trial by (trial, library index); the reports of one
     # run_monte_carlo call share it, so a block is formatted once per sweep
     trial_rows: dict = field(repr=False, compare=False, default_factory=dict)
+
+    @property
+    def trajectories(self) -> np.ndarray:
+        """The kept trials' trajectories, copied out of the shared states."""
+        return self.states[self.kept_rows]
 
     def to_dict(self) -> dict:
         """JSON-ready summary including per-trial index and feasibility records."""
@@ -151,8 +159,8 @@ def run_monte_carlo(
     element) pair is rolled out and checked against the constraints of
     ``sc`` once; its risk level is not read. A diverging simulation counts
     as a failure and never aborts the run. Trajectories are retained for
-    plotting up to ``MAX_KEPT_TRAJECTORIES`` trials; diverged trials record
-    NaN states.
+    plotting up to ``MAX_KEPT_TRAJECTORIES`` trials, in one states array
+    the reports share; diverged trials record NaN states.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -187,6 +195,10 @@ def run_monte_carlo(
     )
     states[diverged > 0] = np.nan
     pair_feasible = (diverged == 0) & (indicator_T(sc, states) == 1)
+    # pairs are ordered by trial, so the kept trials' pairs are a prefix
+    kept = int(np.searchsorted(pair_trial, MAX_KEPT_TRAJECTORIES))
+    if kept < states.shape[0]:
+        states = states[:kept].copy()
     trial_rows: dict = {}
     reports = []
     for policy_indices, rows in zip(indices, pair_of.reshape(indices.shape)):
@@ -205,7 +217,8 @@ def run_monte_carlo(
                 seed=int(seed),
                 indices=policy_indices,
                 feasible=feasible,
-                trajectories=states[rows[:MAX_KEPT_TRAJECTORIES]],
+                states=states,
+                kept_rows=rows[:MAX_KEPT_TRAJECTORIES],
                 trial_rows=trial_rows,
             )
         )
@@ -218,22 +231,21 @@ def trajectories_to_csv(report: MonteCarloReport, path) -> None:
     A trial's rows are formatted once per (trial, library index) and kept in
     ``report.trial_rows`` for the other reports of its run.
     """
-    if report.trajectories is None:
-        raise ValueError("report holds no trajectories")
-    n = report.trajectories.shape[2]
+    n = report.states.shape[2]
     header = ["trial", "step", *(f"s{i}" for i in range(n)), "feasible"]
     # the cell rule of write_csv: integers and floats by their repr
     row = ",".join(["%d", "%d", *["%r"] * n, "%d"]) + "\n"
     memo = report.trial_rows
     blocks = []
-    for t, trajectory in enumerate(report.trajectories):
+    for t, state_row in enumerate(report.kept_rows):
         key = (t, int(report.indices[t]))
         block = memo.get(key)
         if block is None:
             flag = int(report.feasible[t])
+            trajectory = report.states[state_row].tolist()
             block = memo[key] = "".join(
                 row % (t, step, *state, flag)
-                for step, state in enumerate(trajectory.tolist(), start=1)
+                for step, state in enumerate(trajectory, start=1)
             )
         blocks.append(block)
     write_csv_text(path, header, blocks)

@@ -13,12 +13,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from kernelcc.cli import main
 from kernelcc.config import load_config
 from kernelcc.data import ControlLibrary, Dataset, generate_dataset
 from kernelcc.embedding import cross_matrix, fit
-from kernelcc.kernels import KernelSpec, gram_product, spd_factor, spd_solve
+from kernelcc.kernels import (
+    KernelSpec,
+    gram_product,
+    kernel_matrix,
+    spd_factor,
+    spd_solve,
+)
 from kernelcc.scenario import GoalSet, Scenario
 from kernelcc.solver import (
     LPInstance,
@@ -277,23 +284,28 @@ class TestNumericalCore:
         ds = generate_dataset(
             replace(cfg.dataset, num_samples=2500), cfg.model, master_seed=77
         )
-        gram = gram_product(
-            ds.initial_states,
-            ds.flattened_controls(),
-            cfg.state_kernel,
-            cfg.control_kernel,
+        x0, u = ds.initial_states, ds.flattened_controls()
+        ridge = 1e-7 * 2500
+        packed = gram_product(
+            x0, u, cfg.state_kernel, cfg.control_kernel, ridge=ridge
         )
-        sym_err = float(np.max(np.abs(gram - gram.T)))
-        diag_err = float(np.max(np.abs(np.diag(gram) - 1.0)))
-        lam = 1e-7
-        regularized = gram + lam * 2500 * np.eye(2500)
-        factor = spd_factor(regularized)
+        # the dense product kernel matrix, regularized; gram_product stores
+        # its lower triangle in rectangular full packed form
+        regularized = kernel_matrix(cfg.state_kernel, x0, x0)
+        regularized *= kernel_matrix(cfg.control_kernel, u, u)
+        sym_err = float(np.max(np.abs(regularized - regularized.T)))
+        diag_err = float(np.max(np.abs(np.diag(regularized) - 1.0)))
+        regularized.flat[::2501] += ridge
+        expected, _ = lapack.dtrttf(regularized, transr="N", uplo="L")
+        layout_ok = packed.tobytes() == expected.tobytes()
+        factor = spd_factor(packed, overwrite_a=True)
         rhs = np.random.default_rng(3).normal(size=2500)
         solution = spd_solve(factor, rhs)
         residual = float(np.max(np.abs(regularized @ solution - rhs)))
-        ok = sym_err == 0.0 and diag_err == 0.0 and residual <= 1e-8
+        ok = sym_err == 0.0 and diag_err == 0.0 and layout_ok and residual <= 1e-8
         detail = (
             f"M=2500: symmetry gap {sym_err:.1e}, diagonal gap {diag_err:.1e}, "
+            f"packed layout {'exact' if layout_ok else 'differs'}, "
             f"solve residual {residual:.2e} (tol 1e-8)"
         )
         line = report(5, "numerical core soundness", ok, detail)

@@ -344,7 +344,7 @@ class TestStageReuse:
         for p in fresh.iterdir():
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
 
-    @pytest.mark.parametrize("earlier", [2, 3])
+    @pytest.mark.parametrize("earlier", [2, 3, 4])
     def test_earlier_policy_format_is_resolved(
         self, tmp_path, capsys, monkeypatch, earlier
     ):
@@ -360,7 +360,7 @@ class TestStageReuse:
         assert "dataset: cached" in text and "library: cached" in text
         assert "cached policy" not in text and "cached report" not in text
         policy = json.loads((reused / "policy_delta_0.3.json").read_text())
-        assert policy["format_version"] == kernelcc.cli.POLICY_FORMAT_VERSION == 4
+        assert policy["format_version"] == kernelcc.cli.POLICY_FORMAT_VERSION == 5
         run_step(tmp_path, small_raw(), ["experiment"], fresh)
         for p in fresh.iterdir():
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
@@ -861,16 +861,16 @@ class TestErrors:
 class TestEarlierDirectory:
     # small_raw's library digest and file bytes as recorded by earlier
     # versions (the JSONL files since JSONL format 2 put a sha256 in the
-    # header, the library digest and the policy since policy format 4
-    # hashed the library's bytes and built its rows in column blocks, the
-    # rest before the JSONL and CSV writers were shared); equal values here
-    # mean a directory written then is the directory written now
+    # header, the library digest since policy format 4 hashed the library's
+    # bytes, the policy since policy format 5 factored the packed Gram
+    # matrix, the rest before the JSONL and CSV writers were shared); equal
+    # values here mean a directory written then is the directory written now
     LIBRARY_DIGEST = "51a1782f6a360bc2f128fb73450667a68c23f3935115d752ebd90a531153a94f"
     FILE_SHA256 = {
         "dataset.jsonl": "c0c8abbac19d8c6dc0bb6fe525611c0b98a5dd7ca43615b9ed44c0bff7ef146e",
         "library.jsonl": "925452a1c3267ff0856a5772761dc543703adc9ec74ca351f650d8e4442659c0",
         "policy_delta_0.3.json": (
-            "0a941d971b6a1762aab768cea20962ab5d731e871aa53d69b62f9f224bccda56"
+            "b2ff29a4ae1c8710608a744e5169b65e14d9c6dde72469ce77b5edcb7728f03f"
         ),
         "trajectories_delta_0.3.csv": (
             "2dd990497df33a863590a6b0f3a7eeaa6c8171b1da3c27c65daddcf40e7a405e"

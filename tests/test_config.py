@@ -222,14 +222,15 @@ class TestParseConfig:
     def test_keys_of_constructor_defaults_are_pinned(self):
         # base_raw leaves max_sequences, the kernel family, prior,
         # disturbance, costs and output to their constructors' defaults, so a
-        # default that drifts moves one of these keys
+        # default that drifts moves one of these keys; the policy key also
+        # moves with POLICY_FORMAT_VERSION (5 here)
         cfg = parse_config(base_raw())
         ds_key, lib_key = stage_keys(base_raw())
         assert ds_key == "f9198358825d47b14af331c25143f3a796d46616a384280c154d655148a7845b"
         assert lib_key == "91678db5f57ede6fae740835adf3baf551adde1fcb1da5671fae952977025184"
         policy_key = _policy_key(cfg, [ds_key, cfg.master_seed], lib_key, cfg.deltas[0])
         assert policy_key == (
-            "1a9f1c018013c12b7b8d083686956b559961009b01c0d43346ca9ea7cac7ca44"
+            "0260f6d5c0f4dfe86209d46c9ad854f2b0a2a63b5bba1cf9b274ff1abd60a802"
         )
 
     def test_mc_section_does_not_touch_stage_digests(self):

@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from kernelcc.data import Dataset
 from kernelcc.embedding import FitError, cross_matrix, fit
-from kernelcc.kernels import KernelSpec, gram_product, spd_factor, spd_solve
+from kernelcc.kernels import KernelSpec, kernel_matrix, spd_factor, spd_solve
 
 UNIT = KernelSpec(bandwidth=1.0)
 
@@ -32,6 +33,12 @@ def loop_cross_column(model, x0, u):
         du = sum((a - b) ** 2 for a, b in zip(ui, flat_u))
         column.append(math.exp(-model.kx.resolved * dx) * math.exp(-model.ku.resolved * du))
     return np.array(column)
+
+
+def dense_gram(ds):
+    """The product-kernel Gram matrix of a dataset under UNIT kernels, dense."""
+    x0, u = ds.initial_states, ds.flattened_controls()
+    return kernel_matrix(UNIT, x0, x0) * kernel_matrix(UNIT, u, u)
 
 
 def make_dataset(m=8, n=4, horizon=5, cdim=2, seed=0, spread=1.0):
@@ -69,7 +76,7 @@ class TestFit:
         ds = make_dataset(m=1)
         model = fit(ds, UNIT, UNIT, lam=0.5)
         # (G + lam*M*I) = [[1.5]], Cholesky factor sqrt(1.5)
-        assert model.factor.lower_triangular_factor[0, 0] == pytest.approx(
+        assert model.factor.packed_factor[0] == pytest.approx(
             np.sqrt(1.5), rel=1e-14
         )
 
@@ -103,15 +110,15 @@ class TestFit:
     def test_factor_of_regularized_gram(self):
         ds = make_dataset(m=30)
         model = fit(ds, UNIT, UNIT, lam=1e-3)
-        gram = gram_product(ds.initial_states, ds.flattened_controls(), UNIT, UNIT)
-        expected = spd_factor(gram + 1e-3 * 30 * np.eye(30))
+        packed, _ = lapack.dtrttf(dense_gram(ds) + 1e-3 * 30 * np.eye(30), uplo="L")
+        expected = spd_factor(packed)
         np.testing.assert_array_equal(
-            model.factor.lower_triangular_factor, expected.lower_triangular_factor
+            model.factor.packed_factor, expected.packed_factor
         )
 
     def test_peak_memory_two_gram_buffers(self):
-        # the Gram matrix is built, regularized and checked in one M x M
-        # buffer; the Cholesky factor is the second
+        # the Gram matrix and its Cholesky factor together stay below two
+        # M x M matrices; test_peak_memory_one_gram_buffer bounds it tighter
         m = 1200
         ds = make_dataset(m=m)
         tracemalloc.start()
@@ -124,7 +131,8 @@ class TestFit:
         assert peak / (m * m * 8) <= 2.2
 
     def test_peak_memory_one_gram_buffer(self):
-        # the Cholesky factor overwrites G + lam*M*I instead of copying it
+        # G + lam*M*I is built as one packed triangle of M(M+1)/2 entries,
+        # and the Cholesky factor overwrites it instead of copying it
         m = 1200
         ds = make_dataset(m=m)
         tracemalloc.start()
@@ -134,7 +142,7 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert model.factor.dimension == m
-        assert peak / (m * m * 8) <= 1.2
+        assert peak / (m * m * 8) <= 0.6
 
 
 class TestCoefficientVector:
@@ -157,7 +165,7 @@ class TestCoefficientVector:
         ds = make_dataset(m=3)
         lam = 1e-3
         model = fit(ds, UNIT, UNIT, lam=lam)
-        gram = gram_product(ds.initial_states, ds.flattened_controls(), UNIT, UNIT)
+        gram = dense_gram(ds)
         query_x0 = np.zeros(4)
         query_u = np.full((5, 2), 0.5)
         k = loop_cross_column(model, query_x0, query_u)

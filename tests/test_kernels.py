@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from kernelcc import kernels
 from kernelcc.kernels import (
@@ -21,6 +22,22 @@ from kernelcc.kernels import (
 
 UNIT = KernelSpec(bandwidth=1.0)
 GRAM_BLOCK = kernels._GRAM_BLOCK_ROWS
+
+
+def pack(a):
+    """The packed layout spd_factor takes, of a dense symmetric matrix."""
+    packed, info = lapack.dtrttf(a, transr="N", uplo="L")
+    assert info == 0
+    return packed
+
+
+def unpack(packed):
+    """The dense symmetric matrix of a packed triangle."""
+    m = (math.isqrt(8 * packed.shape[0] + 1) - 1) // 2
+    full, info = lapack.dtfttr(m, packed, transr="N", uplo="L")
+    assert info == 0
+    lower = np.tril(full)
+    return lower + np.tril(lower, -1).T
 
 
 def kernel(spec, a, b):
@@ -129,44 +146,63 @@ class TestMedianBandwidth:
 class TestGramProduct:
     def test_single_sample(self):
         g = gram_product([[0.5, 0.5]], [[1.0, 2.0]], UNIT, UNIT)
-        assert g.shape == (1, 1)
-        assert g[0, 0] == 1.0
+        assert g.shape == (1,)
+        assert g[0] == 1.0
 
     def test_identical_samples(self):
         g = gram_product([[1.0], [1.0]], [[2.0], [2.0]], UNIT, UNIT)
-        np.testing.assert_array_equal(g, np.ones((2, 2)))
+        np.testing.assert_array_equal(g, np.ones(3))
 
     def test_product_of_factors(self):
         # k_x = k_u = exp(-1) off-diagonal, product exp(-2)
-        g = gram_product([[0.0], [1.0]], [[0.0], [1.0]], UNIT, UNIT)
+        g = unpack(gram_product([[0.0], [1.0]], [[0.0], [1.0]], UNIT, UNIT))
         assert g[0, 1] == pytest.approx(np.exp(-2.0), rel=1e-14)
 
     def test_symmetric_unit_diagonal(self):
+        # one triangle is stored, so the matrix is symmetric by construction
         rng = np.random.default_rng(5)
         x0 = rng.normal(size=(40, 4))
         u = rng.normal(size=(40, 30))
         g = gram_product(x0, u, UNIT, KernelSpec(bandwidth=0.1))
-        np.testing.assert_array_equal(g, g.T)
-        np.testing.assert_array_equal(np.diag(g), np.ones(40))
+        assert g.shape == (40 * 41 // 2,)
+        np.testing.assert_array_equal(np.diag(unpack(g)), np.ones(40))
         assert np.all(g > 0.0) and np.all(g <= 1.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             gram_product([[0.0], [1.0]], [[0.0]], UNIT, UNIT)
 
-    @pytest.mark.parametrize(
-        "m", [1, GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1, 2 * GRAM_BLOCK + 5]
-    )
-    def test_blocks_equal_dense_product(self, m):
+    # odd and even orders whose two packed halves hold less than a block of
+    # rows, exactly one, and more than one
+    ORDERS = [
+        1, 2, 3,
+        GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1,
+        2 * GRAM_BLOCK, 2 * GRAM_BLOCK + 1, 2 * GRAM_BLOCK + 5,
+    ]
+
+    @staticmethod
+    def dense_product(m):
         rng = np.random.default_rng(m)
         x0 = rng.normal(size=(m, 4))
         u = rng.normal(size=(m, 30))
         ku = KernelSpec(bandwidth=0.1)
-        dense = kernel_matrix(UNIT, x0, x0) * kernel_matrix(ku, u, u)
-        assert gram_product(x0, u, UNIT, ku).tobytes() == dense.tobytes()
+        return x0, u, ku, kernel_matrix(UNIT, x0, x0) * kernel_matrix(ku, u, u)
+
+    @pytest.mark.parametrize("m", ORDERS)
+    def test_blocks_equal_dense_product(self, m):
+        # the layout is LAPACK's dtrttf of the dense product, bit for bit
+        x0, u, ku, dense = self.dense_product(m)
+        assert gram_product(x0, u, UNIT, ku).tobytes() == pack(dense).tobytes()
+
+    @pytest.mark.parametrize("m", ORDERS)
+    def test_ridge_is_added_on_the_packed_diagonal(self, m):
+        x0, u, ku, dense = self.dense_product(m)
+        dense.flat[:: m + 1] += 0.37
+        packed = gram_product(x0, u, UNIT, ku, ridge=0.37)
+        assert packed.tobytes() == pack(dense).tobytes()
 
     def test_peak_memory_one_gram_buffer(self):
-        # G plus one block of rows, not the two dense kernel matrices
+        # one packed triangle plus one block of rows, not an M x M matrix
         m = 1200
         rng = np.random.default_rng(4)
         x0 = rng.normal(size=(m, 4))
@@ -177,8 +213,8 @@ class TestGramProduct:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert g.shape == (m, m)
-        assert peak / (m * m * 8) <= 1.1
+        assert g.shape == (m * (m + 1) // 2,)
+        assert peak / (m * m * 8) <= 0.6
 
 
 class TestCrossVector:
@@ -202,123 +238,124 @@ class TestCrossVector:
         rng = np.random.default_rng(9)
         x0 = rng.normal(size=(15, 4))
         u = rng.normal(size=(15, 6))
-        g = gram_product(x0, u, UNIT, UNIT)
+        g = unpack(gram_product(x0, u, UNIT, UNIT))
         k = [loop_kernel(UNIT, x0[i], x0[4]) * loop_kernel(UNIT, u[i], u[4]) for i in range(15)]
         np.testing.assert_allclose(k, g[:, 4], rtol=0.0, atol=1e-12)
 
 
 class TestSpdSolve:
     def test_identity(self):
-        f = spd_factor(np.eye(4))
+        f = spd_factor(pack(np.eye(4)))
         v = np.array([1.0, -2.0, 3.0, 0.5])
         np.testing.assert_array_equal(spd_solve(f, v), v)
 
     def test_diagonal(self):
-        f = spd_factor(np.array([[4.0]]))
+        f = spd_factor(np.array([4.0]))
         np.testing.assert_array_equal(spd_solve(f, np.array([2.0])), [0.5])
 
     def test_indefinite_reports_pivot(self):
         with pytest.raises(FactorizationError) as exc:
-            spd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            spd_factor(pack(np.array([[1.0, 2.0], [2.0, 1.0]])))
         assert exc.value.pivot == 2
 
-    def test_nonsymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            spd_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_pivot_in_each_half_is_potrf_pivot(self, m):
+        # the leading minor of order k + 1 fails through its Schur
+        # complement, not a negative diagonal entry; k runs over both halves
+        rng = np.random.default_rng(m)
+        b = rng.normal(size=(m, m))
+        spd = b @ b.T + np.eye(m)
+        for k in range(m):
+            a = spd.copy()
+            head = a[:k, :k]
+            a[k, k] = a[k, :k] @ np.linalg.solve(head, a[:k, k]) if k else 0.0
+            a[k, k] -= 0.25
+            _, potrf_info = lapack.dpotrf(a, lower=1)
+            assert potrf_info == k + 1
+            with pytest.raises(FactorizationError) as exc:
+                spd_factor(pack(a))
+            assert exc.value.pivot == potrf_info
+
+    @pytest.mark.parametrize("shape", [(2,), (5,), (3, 3)])
+    def test_not_a_packed_triangle_rejected(self, shape):
+        with pytest.raises(ValueError, match="packed triangle"):
+            spd_factor(np.ones(shape))
 
     @staticmethod
-    def blocked_spd(m):
-        """An SPD matrix whose symmetry check runs over several tiles."""
-        assert m > 2 * kernels._SYMMETRY_TILE
+    def blocked_spd(m=600):
+        """A packed SPD matrix whose finiteness check runs over several chunks."""
+        assert m * (m + 1) // 2 > 2 * kernels._FINITE_CHUNK
         rng = np.random.default_rng(m)
         b = rng.normal(size=(m, 8))
         return b @ b.T + m * np.eye(m)
 
-    @pytest.mark.parametrize(
-        "where",
-        ["last_row_block", "far_corner", "interior_tile", "last_partial_tile"],
-    )
-    def test_asymmetry_rejected(self, where):
-        tile = kernels._SYMMETRY_TILE
-        m = 2 * tile + 5
-        i, j = {
-            "last_row_block": (m - 1, m - 2),
-            "far_corner": (0, m - 1),
-            # below the diagonal, in tile (1, 0)
-            "interior_tile": (tile + 3, tile // 2),
-            # in the partial last row of tiles, off the diagonal
-            "last_partial_tile": (m - 2, tile + 1),
-        }[where]
-        a = self.blocked_spd(m)
-        spd_factor(a)
-        a[i, j] += 1e-9
-        with pytest.raises(ValueError, match="not symmetric"):
-            spd_factor(a)
-
-    def test_asymmetry_within_tolerance_accepted(self):
-        m = 2 * kernels._SYMMETRY_TILE + 5
-        a = self.blocked_spd(m)
-        a[m - 1, m - 2] += 1e-11
-        spd_factor(a)
+    # one diagonal and one off-diagonal entry in each half of the packed
+    # layout: rows 0 and 1 lie in its first half, rows m - 2 and m - 1 in
+    # its second
+    NON_FINITE_AT = {
+        "diagonal": [(1, 1), (-1, -1)],
+        "off_diagonal": [(0, -1), (-2, -1)],
+    }
 
     @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
     def test_nan_rejected(self, where):
-        m = 2 * kernels._SYMMETRY_TILE + 5
-        a = self.blocked_spd(m)
-        if where == "diagonal":
-            a[m - 1, m - 1] = np.nan
-        else:
-            a[m - 2, m - 1] = a[m - 1, m - 2] = np.nan
-        with pytest.raises(ValueError, match="not symmetric"):
-            spd_factor(a)
+        for i, j in self.NON_FINITE_AT[where]:
+            a = self.blocked_spd()
+            a[i, j] = a[j, i] = np.nan
+            with pytest.raises(ValueError, match="non-finite"):
+                spd_factor(pack(a))
 
     @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
     def test_inf_rejected(self, where):
-        # allclose would pass matched infinities; the factor then holds inf
-        m = 2 * kernels._SYMMETRY_TILE + 5
-        a = self.blocked_spd(m)
-        if where == "diagonal":
-            a[m - 1, m - 1] = np.inf
-        else:
-            a[m - 2, m - 1] = a[m - 1, m - 2] = np.inf
-        with pytest.raises(ValueError, match="not symmetric"):
-            spd_factor(a)
+        # the factor of a matrix holding inf would hold inf or NaN
+        for i, j in self.NON_FINITE_AT[where]:
+            a = self.blocked_spd()
+            a[i, j] = a[j, i] = np.inf
+            with pytest.raises(ValueError, match="non-finite"):
+                spd_factor(pack(a))
+
+    @staticmethod
+    def strided(packed):
+        """A non-contiguous view holding the same entries."""
+        spaced = np.zeros(2 * packed.shape[0])
+        spaced[::2] = packed
+        return spaced[::2]
 
     def test_memory_order_does_not_change_factor(self):
-        a = self.blocked_spd(2 * kernels._SYMMETRY_TILE + 5)
-        c_factor = spd_factor(np.ascontiguousarray(a)).lower_triangular_factor
-        f_factor = spd_factor(np.asfortranarray(a)).lower_triangular_factor
-        assert c_factor.tobytes() == f_factor.tobytes()
+        packed = pack(self.blocked_spd())
+        contiguous = spd_factor(packed).packed_factor
+        strided = spd_factor(self.strided(packed)).packed_factor
+        assert contiguous.tobytes() == strided.tobytes()
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_argument_unmodified(self, order):
-        a = np.array(self.blocked_spd(2 * kernels._SYMMETRY_TILE + 5), order=order)
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_argument_unmodified(self, layout):
+        a = pack(self.blocked_spd())
+        if layout == "strided":
+            a = self.strided(a)
         before = a.copy()
         spd_factor(a)
         assert a.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_overwrite_gives_default_factor(self, order):
-        a = self.blocked_spd(2 * kernels._SYMMETRY_TILE + 5)
-        expected = spd_factor(a).lower_triangular_factor
-        factor = spd_factor(np.array(a, order=order), overwrite_a=True)
-        assert factor.lower_triangular_factor.tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_overwrite_gives_default_factor(self, layout):
+        a = pack(self.blocked_spd())
+        expected = spd_factor(a).packed_factor
+        if layout == "strided":
+            a = self.strided(a)
+        factor = spd_factor(a, overwrite_a=True)
+        assert factor.packed_factor.tobytes() == expected.tobytes()
 
     def test_overwrite_factors_c_argument_in_place(self):
-        a = np.ascontiguousarray(self.blocked_spd(2 * kernels._SYMMETRY_TILE + 5))
+        a = pack(self.blocked_spd())
         factor = spd_factor(a, overwrite_a=True)
-        assert np.shares_memory(factor.lower_triangular_factor, a)
+        assert np.shares_memory(factor.packed_factor, a)
 
-    @pytest.mark.parametrize("defect", ["asymmetric", "nan"])
+    @pytest.mark.parametrize("defect", ["nan", "inf"])
     def test_overwrite_leaves_rejected_argument_unmodified(self, defect):
-        m = 2 * kernels._SYMMETRY_TILE + 5
-        a = np.ascontiguousarray(self.blocked_spd(m))
-        if defect == "asymmetric":
-            a[m - 1, 0] += 1e-9
-        else:
-            a[m - 2, m - 1] = np.nan
+        a = pack(self.blocked_spd())
+        a[-1] = np.nan if defect == "nan" else np.inf
         before = a.copy()
-        with pytest.raises(ValueError, match="not symmetric"):
+        with pytest.raises(ValueError, match="non-finite"):
             spd_factor(a, overwrite_a=True)
         assert a.tobytes() == before.tobytes()
 
@@ -326,15 +363,15 @@ class TestSpdSolve:
         rng = np.random.default_rng(2)
         b = rng.normal(size=(30, 30))
         a = b @ b.T + 30 * np.eye(30)
-        f = spd_factor(a)
-        assert np.all(np.diag(f.lower_triangular_factor) > 0)
+        f = spd_factor(pack(a))
+        assert np.all(np.diag(unpack(f.packed_factor)) > 0)
 
     @pytest.mark.parametrize("m", [5, 50, 500])
     def test_random_spd_residual(self, m):
         rng = np.random.default_rng(m)
         b = rng.normal(size=(m, m))
         a = b @ b.T + m * np.eye(m)
-        f = spd_factor(a)
+        f = spd_factor(pack(a))
         rhs = rng.normal(size=(m, 3))
         x = spd_solve(f, rhs)
         residual = np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs)
@@ -346,7 +383,7 @@ class TestSpdSolve:
         a = b @ b.T + 12 * np.eye(12)
         rhs = rng.normal(size=12)
         np.testing.assert_allclose(
-            spd_solve(spd_factor(a), rhs), np.linalg.solve(a, rhs), rtol=1e-10
+            spd_solve(spd_factor(pack(a)), rhs), np.linalg.solve(a, rhs), rtol=1e-10
         )
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -354,21 +391,20 @@ class TestSpdSolve:
         rhs = np.ones((3, 2))
         rhs[2, 1] = value
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            spd_solve(spd_factor(np.eye(3)), rhs)
+            spd_solve(spd_factor(pack(np.eye(3))), rhs)
 
     @pytest.mark.parametrize("overwrite_a", [False, True])
     def test_factor_is_read_only(self, overwrite_a):
-        a = np.ascontiguousarray(self.blocked_spd(2 * kernels._SYMMETRY_TILE + 5))
-        factor = spd_factor(a, overwrite_a=overwrite_a)
-        assert not factor.lower_triangular_factor.flags.writeable
+        factor = spd_factor(pack(self.blocked_spd()), overwrite_a=overwrite_a)
+        assert not factor.packed_factor.flags.writeable
 
     def test_solve_peak_memory_skips_the_factor(self):
         # the factor was checked when it was built: a solve scans only its
-        # right-hand side, never the M x M factor
+        # right-hand side, never the packed factor
         m = 1200
         rng = np.random.default_rng(12)
         b = rng.normal(size=(m, 8))
-        factor = spd_factor(b @ b.T + m * np.eye(m))
+        factor = spd_factor(pack(b @ b.T + m * np.eye(m)))
         rhs = rng.normal(size=(m, 2))
         tracemalloc.start()
         try:
@@ -384,11 +420,9 @@ class TestSpdSolve:
         # duplicated samples make G singular; the ridge restores definiteness
         x0 = np.vstack([rng.normal(size=(10, 2))] * 2)
         u = np.vstack([rng.normal(size=(10, 4))] * 2)
-        g = gram_product(x0, u, UNIT, UNIT)
-        m = g.shape[0]
         with pytest.raises(FactorizationError):
-            spd_factor(g)
-        spd_factor(g + 1e-7 * m * np.eye(m))
+            spd_factor(gram_product(x0, u, UNIT, UNIT))
+        spd_factor(gram_product(x0, u, UNIT, UNIT, ridge=1e-7 * 20))
 
 
 class TestKernelMatrix:

@@ -1,6 +1,7 @@
 """Tests for mixed policies, control sampling, and Monte-Carlo validation."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,24 @@ class TestSweep:
         for policy, report in zip(policies, swept):
             assert report.trajectories.shape == (4, HORIZON, 4)
             assert_same_report(report, self.run([policy], trials=12)[0], tmp_path)
+
+    def test_reports_share_kept_states(self):
+        # four policies that draw the same elements roll out what one does;
+        # a kept-trajectory copy per report would add a unit to the peak
+        def traced_peak(policies):
+            tracemalloc.start()
+            try:
+                reports = self.run(policies, trials=1000)
+                return tracemalloc.get_traced_memory()[1], reports
+            finally:
+                tracemalloc.stop()
+
+        policies = sweep_policies("identical") * 2
+        one, _ = traced_peak(policies[:1])
+        four, reports = traced_peak(policies)
+        assert all(report.states is reports[0].states for report in reports)
+        unit = reports[0].trajectories.nbytes
+        assert four <= one + unit / 2
 
     def test_indices_follow_sample_control_on_the_trial_streams(self):
         policies = sweep_policies("overlapping")

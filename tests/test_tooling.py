@@ -185,8 +185,8 @@ def test_fit_calls_the_traced_kernel_names_once_each(monkeypatch):
 
 
 def test_fit_factors_the_gram_buffer_in_place(monkeypatch):
-    # fit owns the buffer gram_product returns; a copy in between, or a
-    # factor call without overwrite_a, brings back a second M x M buffer
+    # fit owns the packed buffer gram_product returns; a copy in between, or
+    # a factor call without overwrite_a, brings back a second buffer
     from kernelcc import embedding
 
     seen = {}
@@ -204,6 +204,8 @@ def test_fit_factors_the_gram_buffer_in_place(monkeypatch):
     monkeypatch.setattr(embedding, "spd_factor", recording_spd_factor)
     fit_tiny_dataset()
     assert seen["factored"] is seen["gram"]
+    # one packed triangle of the six samples' Gram matrix, not 6 x 6
+    assert seen["factored"].size == 6 * 7 // 2
     assert seen["kwargs"] == {"overwrite_a": True}
 
 
