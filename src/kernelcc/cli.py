@@ -89,6 +89,26 @@ def _read_json(path: Path) -> dict:
     return obj
 
 
+def _read_record(fields: dict, path: Path) -> dict:
+    """A policy or report file whose sections hold the given fields, or a
+    PolicyFileError naming the first one missing."""
+    record = _read_json(path)
+    for section, names in fields.items():
+        values = record.get(section)
+        for name in names:
+            if not isinstance(values, dict) or name not in values:
+                raise PolicyFileError(f"{path}: missing field {section}.{name}")
+    return record
+
+
+# what experiment and its summary read of a cached policy and report; a file
+# without them is stale
+_read_policy = functools.partial(_read_record, {"solve": ("status", "objective")})
+_read_report = functools.partial(
+    _read_record, {"report": ("success_rate", "wilson_95", "trials")}
+)
+
+
 def _dataset_key_of(ds) -> list:
     """The key a dataset, or the header of its file, records."""
     return [ds.config_digest, ds.master_seed]
@@ -161,50 +181,61 @@ def _report_key(cfg: RunConfig, policy_path: Path, delta, x0) -> str:
     )
 
 
-def cmd_generate(cfg: RunConfig, out: Path) -> tuple[_Input, _Input]:
-    """Produce dataset.jsonl and library.jsonl, reusing current ones.
+# per kind: what the records of its file are, and the artifact property
+# that counts them
+_RECORDS = {
+    "dataset": ("samples", "num_samples"),
+    "library": ("sequences", "num_sequences"),
+}
 
-    A file is current when its header records this run's key and its bytes
-    match the header's sha256; its records are left unparsed until a stage
-    asks for them.
+
+def _load_or_build(out: Path, kind: str, key, key_of, build, save, load) -> _Input:
+    """The ``kind`` input of this run: <kind>.jsonl in out if it is current,
+    else what ``build()`` returns, saved there by ``save``.
+
+    A file is current when its header records ``key`` and its bytes match
+    the header's sha256; ``load`` parses it when a stage first asks for its
+    records, and hashes it again as it does.
     """
-    ds_path = out / "dataset.jsonl"
-    lib_path = out / "library.jsonl"
-    ds_key = [dataset_key(cfg.dataset, cfg.model), cfg.master_seed]
-    read_dataset_header = functools.partial(read_header, kind="dataset")
-    ds_header = _current(ds_path, read_dataset_header, _dataset_key_of, ds_key)
-    if ds_header is not None:
-        print(
-            f"dataset: cached ({ds_header.count} samples, "
-            f"seed {ds_header.master_seed})"
-        )
-        ds = _Input(
-            ds_key, functools.cache(lambda: load_dataset(ds_path, checked=ds_header))
-        )
-    else:
-        dataset = generate_dataset(cfg.dataset, cfg.model, cfg.master_seed)
-        save_dataset(dataset, ds_path)
-        print(
-            f"dataset: {dataset.num_samples} samples, horizon {dataset.horizon}, "
-            f"seed {dataset.master_seed} -> {ds_path}"
-        )
-        ds = _Input(ds_key, lambda: dataset)
-    lib_key = library_key(cfg.library, cfg.model, cfg.nominal_params)
-    read_library_header = functools.partial(read_header, kind="library")
-    lib_header = _current(lib_path, read_library_header, _library_key_of, lib_key)
-    if lib_header is not None:
-        print(f"library: cached ({lib_header.count} sequences)")
-        lib = _Input(
-            lib_key, functools.cache(lambda: load_library(lib_path, checked=lib_header))
-        )
-    else:
-        library = generate_library(cfg.library, cfg.model, cfg.nominal_params)
-        save_library(library, lib_path)
-        print(
-            f"library: {library.num_sequences} sequences, horizon {library.horizon} "
-            f"-> {lib_path}"
-        )
-        lib = _Input(lib_key, lambda: library)
+    path = out / f"{kind}.jsonl"
+    noun, count = _RECORDS[kind]
+    header = _current(path, functools.partial(read_header, kind=kind), key_of, key)
+    if header is not None:
+        print(f"{kind}: cached ({header.count} {noun})")
+        return _Input(key, functools.cache(functools.partial(load, path)))
+    artifact = build()
+    save(artifact, path)
+    print(
+        f"{kind}: {getattr(artifact, count)} {noun}, horizon {artifact.horizon} "
+        f"-> {path}"
+    )
+    return _Input(key, lambda: artifact)
+
+
+def cmd_generate(cfg: RunConfig, out: Path) -> tuple[_Input, _Input]:
+    """Produce dataset.jsonl and library.jsonl, reusing current ones."""
+    # the functions are looked up here, at call time, so a caller can patch
+    # the names this module imported
+    ds = _load_or_build(
+        out,
+        "dataset",
+        [dataset_key(cfg.dataset, cfg.model), cfg.master_seed],
+        _dataset_key_of,
+        functools.partial(generate_dataset, cfg.dataset, cfg.model, cfg.master_seed),
+        save_dataset,
+        load_dataset,
+    )
+    lib = _load_or_build(
+        out,
+        "library",
+        library_key(cfg.library, cfg.model, cfg.nominal_params),
+        _library_key_of,
+        functools.partial(
+            generate_library, cfg.library, cfg.model, cfg.nominal_params
+        ),
+        save_library,
+        load_library,
+    )
     return ds, lib
 
 
@@ -417,7 +448,7 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> int:
     for delta in cfg.deltas:
         key = _policy_key(cfg, ds.key, lib.key, delta)
         policies[delta] = _current(
-            _delta_path(out, "policy", delta), _read_json, _inputs_digest, key
+            _delta_path(out, "policy", delta), _read_policy, _inputs_digest, key
         )
         if policies[delta] is not None:
             print(f"delta={delta}: cached policy")
@@ -432,7 +463,7 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> int:
         policy_path = _delta_path(out, "policy", delta)
         key = _report_key(cfg, policy_path, delta, cfg.initial_state)
         reports[delta] = _current(
-            _delta_path(out, "report", delta), _read_json, _inputs_digest, key
+            _delta_path(out, "report", delta), _read_report, _inputs_digest, key
         )
         if reports[delta] is not None:
             print(f"delta={delta}: cached report")

@@ -577,13 +577,12 @@ def read_header(path, kind: str) -> JsonlHeader:
     return header
 
 
-def _load_jsonl(path, kind: str, build, checked: JsonlHeader | None):
+def _load_jsonl(path, kind: str, build):
     """Read a file _save_jsonl wrote and return ``build(*arrays, seed, digest)``.
 
-    Errors name the offending line (the header is line 1). The sha256 is
-    checked last, so a malformed line is reported as what it is. It is not
-    computed again when the header line parses to ``checked``, a header that
-    read_header returned for this file.
+    Errors name the offending line (the header is line 1). The sha256 of the
+    bytes parsed is checked last, so a malformed line is reported as what it
+    is.
     """
     try:
         data = Path(path).read_bytes()
@@ -592,10 +591,7 @@ def _load_jsonl(path, kind: str, build, checked: JsonlHeader | None):
     # the header line as read_header reads it, up to and with its newline
     end = data.find(b"\n") + 1 or len(data)
     header, content = _parse_header(path, data[:end], kind)
-    if header == checked:
-        content = None
-    else:
-        content.update(memoryview(data)[end:])
+    content.update(memoryview(data)[end:])
     # keep only the lines: holding the whole file as well while the records
     # are parsed doubles the memory a large file takes
     lines = data.splitlines()
@@ -636,21 +632,16 @@ def _load_jsonl(path, kind: str, build, checked: JsonlHeader | None):
         artifact = build(*arrays.values(), header.master_seed, header.config_digest)
     except ValueError as exc:
         raise DataLoadError(path, 1, str(exc)) from exc
-    if content is not None:
-        _check_sha256(path, header, content)
+    _check_sha256(path, header, content)
     return artifact
 
 
-def load_dataset(path, checked: JsonlHeader | None = None) -> Dataset:
-    """Load a dataset written by save_dataset; errors name the offending line.
-
-    ``checked``, the header read_header returned for this file, spares
-    hashing the file a second time.
-    """
-    return _load_jsonl(path, "dataset", Dataset, checked)
+def load_dataset(path) -> Dataset:
+    """Load a dataset written by save_dataset; errors name the offending line."""
+    return _load_jsonl(path, "dataset", Dataset)
 
 
-def load_library(path, checked: JsonlHeader | None = None) -> ControlLibrary:
-    """Load a control library written by save_library; ``checked`` is as for
-    load_dataset."""
-    return _load_jsonl(path, "library", ControlLibrary, checked)
+def load_library(path) -> ControlLibrary:
+    """Load a control library written by save_library; errors name the
+    offending line."""
+    return _load_jsonl(path, "library", ControlLibrary)

@@ -50,22 +50,6 @@ class EmbeddingModel:
     factor: SpdFactor
 
     @property
-    def horizon(self) -> int:
-        return self.dataset.horizon
-
-    @property
-    def control_dim(self) -> int:
-        return self.dataset.control_dim
-
-    @property
-    def initial_states(self) -> np.ndarray:
-        return self.dataset.initial_states
-
-    @property
-    def flat_controls(self) -> np.ndarray:
-        return self.dataset.flattened_controls()
-
-    @property
     def digest(self) -> str:
         """Digest identifying the fit: dataset, kernels, regularization."""
         return digest_of(
@@ -129,20 +113,19 @@ def cross_matrix(model: EmbeddingModel, x0, controls) -> np.ndarray:
     (``solver.assemble``) passes them a block at a time and holds one
     M x block matrix instead of M x P.
     """
+    ds = model.dataset
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.dataset.state_dim,):
-        raise ValueError(
-            f"x0 must have shape ({model.dataset.state_dim},), got {x0.shape}"
-        )
+    if x0.shape != (ds.state_dim,):
+        raise ValueError(f"x0 must have shape ({ds.state_dim},), got {x0.shape}")
     controls = np.asarray(controls, dtype=float)
-    if controls.shape[1:] != (model.horizon, model.control_dim):
+    if controls.shape[1:] != (ds.horizon, ds.control_dim):
         raise ValueError(
-            f"control sequences must have shape (P, {model.horizon}, "
-            f"{model.control_dim}), got {controls.shape}"
+            f"control sequences must have shape (P, {ds.horizon}, "
+            f"{ds.control_dim}), got {controls.shape}"
         )
-    kx_col = kernel_matrix(model.kx, model.initial_states, x0.reshape(1, -1))[:, 0]
+    kx_col = kernel_matrix(model.kx, ds.initial_states, x0.reshape(1, -1))[:, 0]
     ku_block = kernel_matrix(
-        model.ku, model.flat_controls, controls.reshape(controls.shape[0], -1)
+        model.ku, ds.flattened_controls(), controls.reshape(controls.shape[0], -1)
     )
     ku_block *= kx_col[:, None]
     return ku_block

@@ -76,12 +76,6 @@ def _draw_indices(policy: MixedPolicy, u):
     return np.minimum(index, policy._last_drawable)
 
 
-def sample_control(policy: MixedPolicy, rng: np.random.Generator):
-    """Draw (index, control sequence) from the policy with one uniform."""
-    index = int(_draw_indices(policy, rng.random()))
-    return index, policy.library.sequences[index]
-
-
 @dataclass(frozen=True)
 class MonteCarloReport:
     """Aggregated validation results plus per-trial records."""
@@ -155,7 +149,7 @@ def run_monte_carlo(
 
     Trial t draws a uniform, then a realization of the system, from its own
     stream (seed, t), once for all policies; each policy maps the uniform to
-    a library element as ``sample_control`` does. Every distinct (trial,
+    a library element by inverse-CDF sampling. Every distinct (trial,
     element) pair is rolled out and checked against the constraints of
     ``sc`` once; its risk level is not read. A diverging simulation counts
     as a failure and never aborts the run. Trajectories are retained for

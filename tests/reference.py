@@ -1,0 +1,69 @@
+"""Reference implementations that tests check the package against.
+
+``brute_oracle`` solves the chance-constrained LP by exhaustive search, as an
+independent check of ``solver.solve_lp``; ``sample_control`` draws one
+library element from a policy with one uniform, the draw each Monte-Carlo
+trial makes.
+"""
+
+import numpy as np
+
+from kernelcc.policy import MixedPolicy, _draw_indices
+from kernelcc.solver import TIE_TOLERANCE, LPInstance, SolveResult
+
+
+def brute_oracle(inst: LPInstance) -> SolveResult:
+    """Exhaustive reference solver for test-scale instances.
+
+    Evaluates every pure strategy and every two-point boundary mixture with
+    plain loops; intended as an independent check of solve_lp.
+    """
+    c, a, thr = inst.cost_row, inst.safety_row, inst.threshold
+    p = inst.num_sequences
+    if p > 200:
+        raise ValueError("brute_oracle is limited to 200 sequences")
+    best = None  # (objective, support, weights)
+    for j in range(p):
+        if a[j] >= thr:
+            weights = np.zeros(p)
+            weights[j] = 1.0
+            best = _better(best, (float(c[j]), (j,), weights))
+    for j in range(p):
+        for k in range(j + 1, p):
+            lo, hi = (j, k) if a[j] <= a[k] else (k, j)
+            if not (a[lo] < thr <= a[hi]):
+                continue
+            t = (thr - a[lo]) / (a[hi] - a[lo])
+            if not (0.0 < t < 1.0):
+                continue
+            weights = np.zeros(p)
+            weights[lo] = 1.0 - t
+            weights[hi] = t
+            obj = float((1.0 - t) * c[lo] + t * c[hi])
+            best = _better(best, (obj, (j, k), weights))
+    if best is None:
+        return SolveResult(
+            weights=np.zeros(p), objective=None, support=(), status="infeasible"
+        )
+    obj, _, weights = best
+    support = tuple(int(i) for i in np.flatnonzero(weights > 0.0))
+    return SolveResult(
+        weights=weights, objective=obj, support=support, status="optimal"
+    )
+
+
+def _better(current, candidate):
+    """Keep the candidate with smaller objective; break near-ties by support."""
+    if current is None:
+        return candidate
+    if candidate[0] < current[0] - TIE_TOLERANCE:
+        return candidate
+    if candidate[0] <= current[0] + TIE_TOLERANCE and candidate[1] < current[1]:
+        return candidate
+    return current
+
+
+def sample_control(policy: MixedPolicy, rng: np.random.Generator):
+    """Draw (index, control sequence) from the policy with one uniform."""
+    index = int(_draw_indices(policy, rng.random()))
+    return index, policy.library.sequences[index]

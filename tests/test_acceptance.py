@@ -30,7 +30,6 @@ from kernelcc.scenario import GoalSet, Scenario
 from kernelcc.solver import (
     LPInstance,
     assemble,
-    brute_oracle,
     solve_lp,
 )
 from kernelcc.systems import (
@@ -39,6 +38,7 @@ from kernelcc.systems import (
     PlanarQuadrotor,
     sample_params,
 )
+from reference import brute_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED_CONFIG = ROOT / "configs" / "experiment.json"

@@ -283,8 +283,8 @@ class TestStageReuse:
         [
             (False, small_raw(), "experiment", (0, 0), 0),
             (True, small_raw(), "experiment", (0, 0), 2),
-            (True, small_raw(trials=31), "experiment", (0, 1), 2),
-            (True, small_raw(regularization=2e-4), "experiment", (1, 1), 2),
+            (True, small_raw(trials=31), "experiment", (0, 1), 3),
+            (True, small_raw(regularization=2e-4), "experiment", (1, 1), 4),
             (True, small_raw(), "solve", (1, 1), 2),
         ],
         ids=["cold", "rerun", "trials_changed", "regularization_changed", "solve"],
@@ -293,8 +293,8 @@ class TestStageReuse:
         self, tmp_path, monkeypatch, earlier, raw, command, loads, hashed
     ):
         # a stage that runs is handed the dataset and library it needs; a
-        # cached file is parsed only when a stale stage needs its records,
-        # and its sha256 is computed once either way
+        # cached file's header is checked against its sha256, and the file is
+        # parsed, and hashed again, only when a stale stage needs its records
         out = tmp_path / "out"
         if earlier:
             run_step(tmp_path, small_raw(), ["experiment"], out)
@@ -340,6 +340,36 @@ class TestStageReuse:
         capsys.readouterr()
         assert run_step(tmp_path, small_raw(), ["experiment"], reused) == EXIT_OK
         assert "dataset: 40 samples" in capsys.readouterr().out
+        run_step(tmp_path, small_raw(), ["experiment"], fresh)
+        for p in fresh.iterdir():
+            assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
+
+    @pytest.mark.parametrize(
+        "stem, drop, rebuilt",
+        [
+            ("policy", lambda record: record.pop("solve"), "delta=0.3: objective"),
+            (
+                "report",
+                lambda record: record["report"].pop("trials"),
+                "delta=0.3: success rate",
+            ),
+        ],
+        ids=["policy", "report"],
+    )
+    def test_record_missing_a_field_is_rebuilt(
+        self, tmp_path, capsys, stem, drop, rebuilt
+    ):
+        # the file still records the current key; a field the summary reads
+        # is gone, so the file does not read and is stale
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        run_step(tmp_path, small_raw(), ["experiment"], reused)
+        path = reused / f"{stem}_delta_0.3.json"
+        record = json.loads(path.read_text())
+        drop(record)
+        path.write_text(canonical_json(record) + "\n")
+        capsys.readouterr()
+        assert run_step(tmp_path, small_raw(), ["experiment"], reused) == EXIT_OK
+        assert rebuilt in capsys.readouterr().out
         run_step(tmp_path, small_raw(), ["experiment"], fresh)
         for p in fresh.iterdir():
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name

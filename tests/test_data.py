@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import kernelcc.data
+from kernelcc.cli import cmd_generate
+from kernelcc.config import parse_config
 from kernelcc.data import (
     FORMAT_VERSION,
     ControlLibrary,
@@ -34,6 +36,7 @@ from kernelcc.systems import (
     quadrotor_step,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 NOMINAL = QuadrotorParams(1.0, 0.005)
 
 
@@ -623,22 +626,23 @@ class TestReadHeader:
             with pytest.raises(DataLoadError, match=f":1: {reason}"):
                 read(path)
 
-    def test_checked_header_is_not_hashed_again(self, tmp_path, monkeypatch):
-        ds, path = self.saved(tmp_path)
-        header = read_header(path, "dataset")
-        hashed = []
-        check = kernelcc.data._check_sha256
-        monkeypatch.setattr(
-            kernelcc.data,
-            "_check_sha256",
-            lambda path, *args: hashed.append(path) or check(path, *args),
-        )
-        loaded = load_dataset(path, checked=header)
-        np.testing.assert_array_equal(loaded.trajectories, ds.trajectories)
-        assert hashed == []
-        # a header that is not this file's leaves the check to the loader
-        load_dataset(path, checked=header._replace(sha256="0" * 64))
-        assert hashed == [path]
+    def test_cached_file_edited_before_it_is_parsed(self, tmp_path):
+        # generate finds the file current by its header, then one digit of a
+        # record changes before a stage asks for the records: the parse
+        # hashes the bytes it parses, so it refuses them
+        raw = json.loads((ROOT / "configs" / "experiment.json").read_text())
+        raw["dataset"]["num_samples"] = 6
+        raw["library"]["grid_resolution"] = [2, 1]
+        cfg = parse_config(raw)
+        cmd_generate(cfg, tmp_path)
+        ds, _ = cmd_generate(cfg, tmp_path)
+        path = tmp_path / "dataset.jsonl"
+        lines = path.read_text().splitlines()
+        edited = lines[3].replace("1", "2", 1)
+        assert edited != lines[3]
+        path.write_text("\n".join([*lines[:3], edited, *lines[4:]]) + "\n")
+        with pytest.raises(DataLoadError, match=":1: file content does not match"):
+            ds.get()
 
     def test_empty_or_missing_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -28,7 +28,8 @@ def loop_cross_column(model, x0, u):
     """Plain-loop reference for the product-kernel column of one query."""
     flat_u = np.ravel(u)
     column = []
-    for xi, ui in zip(model.initial_states, model.flat_controls):
+    ds = model.dataset
+    for xi, ui in zip(ds.initial_states, ds.flattened_controls()):
         dx = sum((a - b) ** 2 for a, b in zip(xi, x0))
         du = sum((a - b) ** 2 for a, b in zip(ui, flat_u))
         column.append(math.exp(-model.kx.resolved * dx) * math.exp(-model.ku.resolved * du))

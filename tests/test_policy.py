@@ -10,12 +10,12 @@ from kernelcc.data import ControlLibrary
 from kernelcc.policy import (
     MixedPolicy,
     run_monte_carlo,
-    sample_control,
     trajectories_to_csv,
     wilson_interval,
 )
 from kernelcc.scenario import GoalSet, Scenario
 from kernelcc.systems import DisturbanceSpec, ParamPrior, PlanarQuadrotor
+from reference import sample_control
 
 HORIZON = 6
 

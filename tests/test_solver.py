@@ -23,10 +23,10 @@ from kernelcc.solver import (
     LPInstance,
     SafetyDiagnostics,
     assemble,
-    brute_oracle,
     safety_diagnostics,
     solve_lp,
 )
+from reference import brute_oracle
 
 UNIT = KernelSpec(bandwidth=1.0)
 

@@ -87,7 +87,8 @@ def test_checker_runs_on_a_small_directory(tmp_path):
 def test_traced_experiment_counts_one_sweep_of_trials(tmp_path, monkeypatch):
     # install the tracer the way a traced benchmark run does; its hooks read
     # run_monte_carlo's trial count and trajectories_to_csv's file path by
-    # position, so a signature change fails here
+    # position, so a signature change fails here, and it patches names after
+    # import, so a caller that kept the unpatched functions fails here too
     from kernelcc.cli import main
     from kernelcc.data import ControlLibrary
 
@@ -112,6 +113,15 @@ def test_traced_experiment_counts_one_sweep_of_trials(tmp_path, monkeypatch):
     assert len(csv_files) == 2
     assert figures["policy.trials"] == 30
     assert figures["policy.csv_bytes"] == sum(p.stat().st_size for p in csv_files)
+    # the cold run builds and saves each input once through the patched
+    # names; a rerun finds both current by their headers and parses neither
+    names = [span[0] for span in tracer.spans]
+    for kind in ("dataset", "library"):
+        for step in ("generate", "save"):
+            assert names.count(f"data.{step}_{kind}") == 1, (step, kind)
+    tracer.reset()
+    assert main(["experiment", "--config", str(config), "--out-dir", str(out)]) == 0
+    assert not [s for s in tracer.spans if s[0].startswith("data.load_")]
 
 
 # the dataset and library keys of each benchmark workload's config at seed 101
