@@ -15,17 +15,16 @@ from kernelcc.systems import (
     DisturbanceSpec,
     ParamPrior,
     PlanarQuadrotor,
+    draw_streams,
     rollout,
 )
 
 
 def flights(model, x0, controls, trials, seed):
     """Final states of independent flights replaying one control sequence."""
-    params = np.empty((trials, 2))
-    noise = np.empty((trials, len(controls), 4))
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        params[t], noise[t] = model.draw_realization(rng, len(controls))
+    params, noise = model.realizations(
+        *draw_streams(seed, trials, model.realization_pieces(len(controls)))
+    )
     _, states, _ = rollout(
         model,
         np.tile(x0, (trials, 1)),

@@ -21,7 +21,7 @@ from kernelcc.data import generate_dataset, generate_library
 from kernelcc.embedding import fit
 from kernelcc.scenario import indicator_T
 from kernelcc.solver import assemble
-from kernelcc.systems import rollout
+from kernelcc.systems import draw_streams, rollout
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "experiment.json"
 
@@ -29,11 +29,9 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "experiment.json"
 def true_rate(model, sc, x0, controls, trials, seed):
     """Share of independent flights replaying controls that meet every
     constraint; a diverged flight counts as a failure."""
-    params = np.empty((trials, 2))
-    noise = np.empty((trials, len(controls), 4))
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        params[t], noise[t] = model.draw_realization(rng, len(controls))
+    params, noise = model.realizations(
+        *draw_streams(seed, trials, model.realization_pieces(len(controls)))
+    )
     _, states, diverged = rollout(
         model,
         np.tile(x0, (trials, 1)),

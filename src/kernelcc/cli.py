@@ -89,23 +89,35 @@ def _read_json(path: Path) -> dict:
     return obj
 
 
-def _read_record(fields: dict, path: Path) -> dict:
-    """A policy or report file whose sections hold the given fields, or a
-    PolicyFileError naming the first one missing."""
+def _read_record(fields: tuple, path: Path) -> dict:
+    """A policy or report file that holds the given fields, each a key or a
+    section.key, or a PolicyFileError naming the first one missing."""
     record = _read_json(path)
-    for section, names in fields.items():
-        values = record.get(section)
-        for name in names:
-            if not isinstance(values, dict) or name not in values:
-                raise PolicyFileError(f"{path}: missing field {section}.{name}")
+    for name in fields:
+        values = record
+        for key in name.split("."):
+            if not isinstance(values, dict) or key not in values:
+                raise PolicyFileError(f"{path}: missing field {name}")
+            values = values[key]
     return record
 
 
-# what experiment and its summary read of a cached policy and report; a file
-# without them is stale
-_read_policy = functools.partial(_read_record, {"solve": ("status", "objective")})
+# what experiment, its summary and validation read of a cached policy and
+# report; a file without them is stale
+_read_policy = functools.partial(
+    _read_record,
+    (
+        "delta",
+        "x0",
+        "library_digest",
+        "master_seed",
+        "solve.status",
+        "solve.objective",
+        "solve.weights",
+    ),
+)
 _read_report = functools.partial(
-    _read_record, {"report": ("success_rate", "wilson_95", "trials")}
+    _read_record, ("report.success_rate", "report.wilson_95", "report.trials")
 )
 
 

@@ -18,22 +18,29 @@ Each artifact records a key, a digest of every input it was generated from
 those inputs are unchanged. Its header line also records the sha256 of the
 rest of the file, so ``read_header`` checks that a file is intact without
 decoding its records.
+
+Each record is a canonical JSON object that maps a field to the base64 of
+its row's little-endian float64 bytes in C order, not to decimal text: the
+bytes round-trip exactly and encode and decode without formatting or
+parsing a float.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .serialize import array_digest, canonical_json, digest_of, integer
-from .systems import PlanarQuadrotor, QuadrotorParams, rollout
+from .serialize import array_digest, canonical_json, check_finite, digest_of, integer
+from .systems import PlanarQuadrotor, QuadrotorParams, draw_streams, rollout
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class DataLoadError(ValueError):
@@ -323,29 +330,30 @@ def generate_dataset(
     samples are then simulated together, once with the feedback law to fix
     their control sequences and once more to replay those controls.
     """
-    m = model.control_dim
     big_m, big_n = cfg.num_samples, cfg.horizon
-    x0s = np.empty((big_m, model.state_dim))
-    leading = np.empty((big_m, cfg.num_random_steps, m))
-    tail_params = np.empty((big_m, 2))
-    tail_noise = np.zeros((big_m, big_n, model.state_dim))
-    params = np.empty((big_m, 2))
-    noise = np.empty((big_m, big_n, model.state_dim))
     nominal = cfg.tail_params == "nominal"
+    realization = model.realization_pieces(big_n)
+    # the independent realization that replays the frozen controls, drawn
+    # last, gives an unbiased draw from the trajectory law given (x0, u)
+    u_x0, u_leading, *realizations = draw_streams(
+        master_seed,
+        big_m,
+        [
+            ("uniform", (model.state_dim,)),
+            ("uniform", (cfg.num_random_steps, model.control_dim)),
+            *([] if nominal else realization),
+            *realization,
+        ],
+    )
+    x0s = cfg.x0_low + (cfg.x0_high - cfg.x0_low) * u_x0
+    leading = cfg.control_low + (cfg.control_high - cfg.control_low) * u_leading
+    params, noise = model.realizations(*realizations[-2:])
     if nominal:
         mean = model.mean_params()
-        tail_params[:] = (mean.mass, mean.drag)
-    for i in range(big_m):
-        rng = np.random.default_rng(np.random.SeedSequence((master_seed, i)))
-        x0s[i] = rng.uniform(cfg.x0_low, cfg.x0_high)
-        leading[i] = rng.uniform(
-            cfg.control_low, cfg.control_high, size=(cfg.num_random_steps, m)
-        )
-        if not nominal:
-            tail_params[i], tail_noise[i] = model.draw_realization(rng, big_n)
-        # the independent realization that replays the frozen controls gives
-        # an unbiased draw from the trajectory law given (x0, u)
-        params[i], noise[i] = model.draw_realization(rng, big_n)
+        tail_params = np.tile((mean.mass, mean.drag), (big_m, 1))
+        tail_noise = np.zeros_like(noise)
+    else:
+        tail_params, tail_noise = model.realizations(*realizations[:2])
     controls, _, tail_diverged = rollout(
         model, x0s, leading, tail_params, tail_noise, cfg.feedback_gain, cfg.target
     )
@@ -457,17 +465,25 @@ def _content_hash(header: dict):
 def _save_jsonl(path, kind: str, header: dict, fields: dict) -> None:
     """Write a header line, then one record per row of the arrays in fields.
 
-    The header's ``sha256`` covers every other byte of the file, so an edit
-    anywhere in it shows.
+    A record maps each field to the base64 of its row's little-endian
+    float64 bytes in C order. The header's ``sha256`` covers every other
+    byte of the file, so an edit anywhere in it shows.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = {"format_version": FORMAT_VERSION, "kind": kind, **header}
-    count = len(next(iter(fields.values())))
+    encoded = {}
+    for name, arr in fields.items():
+        values = np.ascontiguousarray(arr, dtype="<f8")
+        check_finite(values)
+        encoded[name] = [base64.b64encode(row).decode("ascii") for row in values]
+    # base64 needs no JSON escaping, so this template writes each record as
+    # canonical_json would: keys sorted, no whitespace
+    names = sorted(encoded)
+    template = "{" + ",".join(f'"{name}":"%s"' for name in names) + "}\n"
     records = "".join(
-        canonical_json({name: arr[i] for name, arr in fields.items()}) + "\n"
-        for i in range(count)
-    ).encode("utf-8")
+        template % row for row in zip(*(encoded[name] for name in names))
+    ).encode("ascii")
     content = _content_hash(header)
     content.update(records)
     head = canonical_json({**header, "sha256": content.hexdigest()}) + "\n"
@@ -601,8 +617,16 @@ def _load_jsonl(path, kind: str, build):
         raise DataLoadError(
             path, len(lines), f"expected {header.count} records, found {len(records)}"
         )
+    # each field's rows are decoded straight into its array; np.empty touches
+    # no memory, so a header that claims huge shapes costs nothing until the
+    # first record fails its byte count
+    sizes = {name: 8 * math.prod(shape) for name, shape in header.shapes.items()}
     arrays = {
-        name: np.empty((header.count, *shape)) for name, shape in header.shapes.items()
+        name: np.empty((header.count, *shape), dtype="<f8")
+        for name, shape in header.shapes.items()
+    }
+    buffers = {
+        name: memoryview(arr.reshape(-1).view(np.uint8)) for name, arr in arrays.items()
     }
     for i, line in enumerate(records):
         lineno = i + 2
@@ -616,18 +640,27 @@ def _load_jsonl(path, kind: str, build):
             if name not in rec:
                 raise DataLoadError(path, lineno, f"record missing field {name!r}")
             try:
-                arr = np.asarray(rec[name], dtype=float)
+                raw = base64.b64decode(rec[name], validate=True)
             except (TypeError, ValueError) as exc:
                 raise DataLoadError(
-                    path, lineno, f"field {name!r} is not numeric: {exc}"
+                    path, lineno, f"field {name!r} is not numeric: not base64: {exc}"
                 ) from exc
-            if arr.shape != shape:
+            size = sizes[name]
+            if len(raw) != size:
                 raise DataLoadError(
                     path,
                     lineno,
-                    f"field {name!r} has shape {arr.shape}, expected {shape}",
+                    f"field {name!r} holds {len(raw)} bytes, expected "
+                    f"{size} for float64 shape {shape}",
                 )
-            arrays[name][i] = arr
+            buffers[name][i * size : (i + 1) * size] = raw
+    for name, arr in arrays.items():
+        finite = np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+        bad = np.flatnonzero(~finite)
+        if bad.size:
+            raise DataLoadError(
+                path, int(bad[0]) + 2, f"field {name!r} holds a non-finite value"
+            )
     try:
         artifact = build(*arrays.values(), header.master_seed, header.config_digest)
     except ValueError as exc:

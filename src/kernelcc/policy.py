@@ -22,7 +22,7 @@ import numpy as np
 from .data import ControlLibrary
 from .scenario import Scenario, indicator_T
 from .serialize import write_csv_text
-from .systems import PlanarQuadrotor, rollout
+from .systems import PlanarQuadrotor, draw_streams, rollout
 
 # two-sided 95% normal quantile used for the Wilson interval
 _Z95 = 1.959963984540054
@@ -166,13 +166,11 @@ def run_monte_carlo(
         raise ValueError("the policies of one run must share one library")
     x0 = np.asarray(x0, dtype=float)
     horizon = library.horizon
-    uniforms = np.empty(trials)
-    params = np.empty((trials, 2))
-    noise = np.empty((trials, horizon, model.state_dim))
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        uniforms[t] = rng.random()
-        params[t], noise[t] = model.draw_realization(rng, horizon)
+    choice, *realization = draw_streams(
+        seed, trials, [("uniform", (1,)), *model.realization_pieces(horizon)]
+    )
+    uniforms = choice[:, 0]
+    params, noise = model.realizations(*realization)
     # (policy, trial) library indices; the distinct (trial, index) pairs
     # are the rollouts, in the order of their key trial * P + index
     indices = np.stack([_draw_indices(policy, uniforms) for policy in policies])

@@ -1,9 +1,10 @@
 """Canonical JSON and CSV serialization and content digests.
 
-All persisted artifacts are JSON with sorted keys, compact separators, and
-floats rendered by Python's shortest round-trip repr, so equal values always
-produce byte-identical text and 64-bit floats survive a save/load round trip
-exactly.
+All persisted artifacts are JSON with sorted keys and compact separators,
+so equal values always produce byte-identical text. Floats are rendered by
+Python's shortest round-trip repr, so 64-bit floats survive a save/load round
+trip exactly; the records of the dataset and library files are the
+exception, and hold base64 float64 bytes instead (see ``kernelcc.data``).
 
 A numeric array is checked for non-finite values with one ``np.isfinite``
 over the whole array and converted with one ``tolist``, which yields the same
@@ -32,15 +33,20 @@ from pathlib import Path
 import numpy as np
 
 
+def check_finite(array: np.ndarray) -> None:
+    """Raise a ValueError naming the first non-finite value of a numeric array."""
+    finite = np.isfinite(array)
+    if not finite.all():
+        first = array[~finite][0].item()
+        raise ValueError(f"non-finite value {first} cannot be serialized")
+
+
 def jsonable(obj):
     """Recursively convert arrays, numpy scalars, and dataclasses to JSON types."""
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind not in "biuf":
             return jsonable(obj.tolist())
-        finite = np.isfinite(obj)
-        if not finite.all():
-            first = obj[~finite][0].item()
-            raise ValueError(f"non-finite value {first} cannot be serialized")
+        check_finite(obj)
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()

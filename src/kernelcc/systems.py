@@ -34,8 +34,8 @@ class BetaSpec:
     """Shifted/scaled Beta distribution: offset + scale * Beta(shape_a, shape_b).
 
     ``scale == 0`` degenerates to a point mass at ``offset`` (used for
-    deterministic tests); the draw still consumes exactly one uniform so
-    random streams stay aligned across configurations.
+    deterministic tests). A draw is the quantile of one uniform, whatever the
+    scale, so random streams stay aligned across configurations.
     """
 
     shape_a: float
@@ -49,12 +49,12 @@ class BetaSpec:
         if self.scale < 0:
             raise ValueError("scale must be nonnegative")
 
-    def draw(self, rng: np.random.Generator) -> float:
-        # Inverse-transform sampling: one uniform per draw, always.
-        u = rng.random()
+    def quantile(self, u) -> np.ndarray:
+        """The quantile of each uniform in ``u``: inverse-transform sampling."""
+        u = np.asarray(u, dtype=float)
         if self.scale == 0.0:
-            return self.offset
-        return self.offset + self.scale * float(betaincinv(self.shape_a, self.shape_b, u))
+            return np.full(u.shape, self.offset)
+        return self.offset + self.scale * betaincinv(self.shape_a, self.shape_b, u)
 
     @property
     def mean(self) -> float:
@@ -76,10 +76,32 @@ class ParamPrior:
             drag=BetaSpec(2.0, 5.0, drag, 0.0),
         )
 
+    def quantile(self, u) -> np.ndarray:
+        """(K, 2) rows of (mass, drag) from (K, 2) rows of uniforms."""
+        u = np.asarray(u, dtype=float)
+        return np.stack(
+            [self.mass.quantile(u[:, 0]), self.drag.quantile(u[:, 1])], axis=1
+        )
 
-def sample_params(prior: ParamPrior, rng: np.random.Generator) -> QuadrotorParams:
-    """Draw quadrotor parameters from the prior (mass first, then drag)."""
-    return QuadrotorParams(mass=prior.mass.draw(rng), drag=prior.drag.draw(rng))
+
+def draw_streams(seed: int, count: int, pieces) -> list[np.ndarray]:
+    """What each of the random streams (seed, 0), ..., (seed, count - 1) draws.
+
+    ``pieces`` lists a stream's draws in order, each a ("uniform", shape) of
+    uniforms on [0, 1) or a ("normal", shape) of standard normals, with
+    ``shape`` at least one-dimensional. Returns one (count, *shape) array per
+    piece; row i holds stream i's draws, so a stream's values never depend
+    on how many streams are drawn.
+    """
+    arrays = [np.empty((count, *shape)) for _, shape in pieces]
+    for i in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        for (kind, _), array in zip(pieces, arrays):
+            if kind == "uniform":
+                rng.random(out=array[i])
+            else:
+                rng.standard_normal(out=array[i])
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -172,17 +194,18 @@ class PlanarQuadrotor:
         """Parameters at the prior means, for deterministic nominal simulation."""
         return QuadrotorParams(mass=self.prior.mass.mean, drag=self.prior.drag.mean)
 
-    def draw_realization(
-        self, rng: np.random.Generator, horizon: int
-    ) -> tuple[tuple[float, float], np.ndarray]:
-        """One trajectory's randomness: its (mass, drag), then the disturbance
-        of each of its ``horizon`` steps, drawn from ``rng`` in that order."""
-        params = sample_params(self.prior, rng)
+    def realization_pieces(self, horizon: int) -> list:
+        """The ``draw_streams`` pieces of one trajectory's randomness: a
+        uniform each for mass and drag, then a standard normal per step of
+        ``horizon`` and state coordinate, in that order."""
+        return [("uniform", (2,)), ("normal", (horizon, self.state_dim))]
+
+    def realizations(self, uniforms, normals) -> tuple[np.ndarray, np.ndarray]:
+        """The (K, 2) (mass, drag) rows and (K, N, 4) disturbances of K
+        trajectories, from the draws ``realization_pieces`` lists."""
         # Scaling by a zero std still consumes the same number of draws,
         # so noiseless and noisy configurations share random streams.
-        std = self.disturbance.per_step_std
-        noise = std * rng.standard_normal((horizon, std.shape[0]))
-        return (params.mass, params.drag), noise
+        return self.prior.quantile(uniforms), self.disturbance.per_step_std * normals
 
 
 def rollout(

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import base64
 import hashlib
 import json
 
@@ -371,6 +372,27 @@ class TestStageReuse:
         assert run_step(tmp_path, small_raw(), ["experiment"], reused) == EXIT_OK
         assert rebuilt in capsys.readouterr().out
         run_step(tmp_path, small_raw(), ["experiment"], fresh)
+        for p in fresh.iterdir():
+            assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
+
+    def test_policy_without_weights_is_resolved_before_validation(
+        self, tmp_path, capsys
+    ):
+        # a new trial count makes the report stale, so validation reads the
+        # cached policy's weights; a policy without them is stale itself
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        run_step(tmp_path, small_raw(), ["experiment"], reused)
+        path = reused / "policy_delta_0.3.json"
+        record = json.loads(path.read_text())
+        del record["solve"]["weights"]
+        path.write_text(canonical_json(record) + "\n")
+        capsys.readouterr()
+        assert run_step(tmp_path, small_raw(trials=31), ["experiment"], reused) == EXIT_OK
+        assert "delta=0.3: objective" in capsys.readouterr().out
+        run_step(tmp_path, small_raw(trials=31), ["experiment"], fresh)
+        assert sorted(p.name for p in reused.iterdir()) == sorted(
+            p.name for p in fresh.iterdir()
+        )
         for p in fresh.iterdir():
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
 
@@ -888,17 +910,43 @@ class TestErrors:
         assert {p.name: p.read_bytes() for p in solved_dir.iterdir()} == before
 
 
+def decimal_jsonl(data: bytes, version: int) -> bytes:
+    """A format-3 JSONL file's bytes as an earlier format wrote them: every
+    record field a nested list of decimal floats, under a header of format
+    ``version``, with the sha256 that format 2 added and format 1 lacked."""
+    head, *records = data.decode().splitlines()
+    header = {**json.loads(head), "format_version": version}
+    del header["sha256"]
+    shapes = kernelcc.data._LAYOUTS[header["kind"]][1]
+    text = "".join(
+        canonical_json(
+            {
+                name: np.frombuffer(base64.b64decode(value), "<f8").reshape(
+                    [header[key] for key in shapes[name]]
+                )
+                for name, value in json.loads(record).items()
+            }
+        )
+        + "\n"
+        for record in records
+    )
+    if version >= 2:
+        content = canonical_json(header) + "\n" + text
+        header["sha256"] = hashlib.sha256(content.encode()).hexdigest()
+    return (canonical_json(header) + "\n" + text).encode()
+
+
 class TestEarlierDirectory:
     # small_raw's library digest and file bytes as recorded by earlier
-    # versions (the JSONL files since JSONL format 2 put a sha256 in the
-    # header, the library digest since policy format 4 hashed the library's
+    # versions (the JSONL files since JSONL format 3 stored base64 float64
+    # bytes, the library digest since policy format 4 hashed the library's
     # bytes, the policy since policy format 5 factored the packed Gram
     # matrix, the rest before the JSONL and CSV writers were shared); equal
     # values here mean a directory written then is the directory written now
     LIBRARY_DIGEST = "51a1782f6a360bc2f128fb73450667a68c23f3935115d752ebd90a531153a94f"
     FILE_SHA256 = {
-        "dataset.jsonl": "c0c8abbac19d8c6dc0bb6fe525611c0b98a5dd7ca43615b9ed44c0bff7ef146e",
-        "library.jsonl": "925452a1c3267ff0856a5772761dc543703adc9ec74ca351f650d8e4442659c0",
+        "dataset.jsonl": "1e1b7334dc1dfbc76fe1fb44d26fbd40a650fecd19322259662f641bc3e4c661",
+        "library.jsonl": "1791d7f3448813856131cd23c15640cc74f1e94c4648bc03f73ee34c493bd665",
         "policy_delta_0.3.json": (
             "b2ff29a4ae1c8710608a744e5169b65e14d9c6dde72469ce77b5edcb7728f03f"
         ),
@@ -928,22 +976,40 @@ class TestEarlierDirectory:
             assert line in text
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    # the JSONL files of small_raw as JSONL format 1 wrote them
-    FORMAT_1_SHA256 = {
-        "dataset.jsonl": "768ee7b8cefca950674d4fff51075d2ceb2e3b1acc3f8794633f9e69c3429aa4",
-        "library.jsonl": "da7fa260f6cb5d49da3601ca5219cae7313cc30728f757390ff2eead86499ad3",
+    # the JSONL files of small_raw as each earlier JSONL format wrote them:
+    # format 1 had decimal records under a header without sha256, format 2
+    # the same records under a header with it
+    EARLIER_SHA256 = {
+        1: {
+            "dataset.jsonl": (
+                "768ee7b8cefca950674d4fff51075d2ceb2e3b1acc3f8794633f9e69c3429aa4"
+            ),
+            "library.jsonl": (
+                "da7fa260f6cb5d49da3601ca5219cae7313cc30728f757390ff2eead86499ad3"
+            ),
+        },
+        2: {
+            "dataset.jsonl": (
+                "c0c8abbac19d8c6dc0bb6fe525611c0b98a5dd7ca43615b9ed44c0bff7ef146e"
+            ),
+            "library.jsonl": (
+                "925452a1c3267ff0856a5772761dc543703adc9ec74ca351f650d8e4442659c0"
+            ),
+        },
     }
 
     def test_format_1_jsonl_is_rewritten_and_the_rest_reused(self, tmp_path, capsys):
+        self.check_rewritten_and_the_rest_reused(tmp_path, capsys, 1)
+
+    def test_format_2_jsonl_is_rewritten_and_the_rest_reused(self, tmp_path, capsys):
+        self.check_rewritten_and_the_rest_reused(tmp_path, capsys, 2)
+
+    def check_rewritten_and_the_rest_reused(self, tmp_path, capsys, version):
         out = tmp_path / "out"
         assert run_step(tmp_path, small_raw(), ["experiment"], out) == EXIT_OK
         current = {p.name: p.read_bytes() for p in out.iterdir()}
-        for name, sha256 in self.FORMAT_1_SHA256.items():
-            # format 1 had the same records under a header without sha256
-            head, records = current[name].split(b"\n", 1)
-            header = {**json.loads(head), "format_version": 1}
-            del header["sha256"]
-            (out / name).write_bytes(canonical_json(header).encode() + b"\n" + records)
+        for name, sha256 in self.EARLIER_SHA256[version].items():
+            (out / name).write_bytes(decimal_jsonl(current[name], version))
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha256, name
         capsys.readouterr()
         assert run_step(tmp_path, small_raw(), ["experiment"], out) == EXIT_OK

@@ -1,5 +1,6 @@
 """Tests for dataset/library generation and JSON-lines persistence."""
 
+import base64
 import hashlib
 import json
 from pathlib import Path
@@ -17,6 +18,7 @@ from kernelcc.data import (
     DatasetGenerationError,
     DatasetGenConfig,
     LibraryGenConfig,
+    _save_jsonl,
     generate_dataset,
     generate_library,
     load_dataset,
@@ -483,6 +485,104 @@ class TestPersistence:
             load_dataset(path)
         assert exc.value.line == 4
 
+    def edit_record(self, tmp_path, edit):
+        """A saved dataset whose fourth line's record is replaced by edit(record)."""
+        ds = self.make_dataset()
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        lines[3] = canonical_json(edit(json.loads(lines[3])))
+        path.write_text("\n".join(lines) + "\n")
+        return ds, path
+
+    def test_records_are_canonical_base64_float64_rows(self, tmp_path):
+        ds = self.make_dataset()
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + ds.num_samples
+        for i, line in enumerate(lines[1:]):
+            rec = json.loads(line)
+            assert line == canonical_json(rec)
+            x = np.frombuffer(base64.b64decode(rec["x"]), "<f8").reshape(5, 4)
+            np.testing.assert_array_equal(x, ds.trajectories[i])
+            u = np.frombuffer(base64.b64decode(rec["u"]), "<f8").reshape(5, 2)
+            np.testing.assert_array_equal(u, ds.controls[i])
+            x0 = np.frombuffer(base64.b64decode(rec["x0"]), "<f8")
+            np.testing.assert_array_equal(x0, ds.initial_states[i])
+
+    def test_wrong_byte_count_names_line_field_and_shape(self, tmp_path):
+        # valid base64 of one float64 too few
+        def short(rec):
+            raw = base64.b64decode(rec["x"])[:-8]
+            return {**rec, "x": base64.b64encode(raw).decode()}
+
+        _, path = self.edit_record(tmp_path, short)
+        with pytest.raises(
+            DataLoadError,
+            match=r":4: field 'x' holds 152 bytes, expected 160 for float64 "
+            r"shape \(5, 4\)",
+        ) as exc:
+            load_dataset(path)
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "A" * 42 + "*" + "=",
+            "A" * 41 + " " + "==",
+            "A" * 42 + "é" + "=",
+            "A" * 43,
+        ],
+        ids=["outside_alphabet", "space", "non_ascii", "bad_padding"],
+    )
+    def test_value_that_is_not_strict_base64_is_rejected(self, tmp_path, value):
+        _, path = self.edit_record(tmp_path, lambda rec: {**rec, "x0": value})
+        with pytest.raises(
+            DataLoadError, match=":4: field 'x0' is not numeric: not base64"
+        ):
+            load_dataset(path)
+
+    def test_format_2_decimal_record_is_not_numeric(self, tmp_path):
+        # a record as format 2 wrote it, of the right shape, under a
+        # format-3 header
+        ds = self.make_dataset()
+        _, path = self.edit_record(
+            tmp_path,
+            lambda rec: {
+                "x0": ds.initial_states[2],
+                "u": ds.controls[2],
+                "x": ds.trajectories[2],
+            },
+        )
+        with pytest.raises(
+            DataLoadError,
+            match=":4: field 'x0' is not numeric: not base64: .* not 'list'",
+        ):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_refused(self, tmp_path, value):
+        def poisoned(rec):
+            x = np.frombuffer(base64.b64decode(rec["x"]), "<f8").copy()
+            x[7] = value
+            return {**rec, "x": base64.b64encode(x).decode()}
+
+        _, path = self.edit_record(tmp_path, poisoned)
+        with pytest.raises(DataLoadError, match=":4: field 'x' holds a non-finite"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_is_not_saved(self, tmp_path, value):
+        # a Dataset or ControlLibrary refuses one already; the writer checks
+        # every array it is handed all the same
+        seq = np.zeros((2, 3, 2))
+        seq[1, 2, 0] = value
+        path = tmp_path / "lib.jsonl"
+        with pytest.raises(ValueError, match="non-finite value .* cannot be serialized"):
+            _save_jsonl(path, "library", {"P": 2}, {"u": seq})
+        assert not path.exists()
+
     @pytest.mark.parametrize("record", ["5", "[1, 2]", '"x0 u x"', "null"])
     def test_record_not_an_object_names_line(self, tmp_path, record):
         ds = self.make_dataset()
@@ -525,6 +625,16 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataLoadError, match=f":1: header {key}=.* not an integer"):
             load_dataset(path)
+
+    def test_library_without_sequences_rejected(self, tmp_path):
+        # zero records under a header that counts zero: the arrays are empty
+        cfg = LibraryGenConfig(horizon=5, grid_resolution=(2, 1), num_random_steps=2)
+        path = tmp_path / "lib.jsonl"
+        save_library(generate_library(cfg, deterministic_model(), NOMINAL), path)
+        header = json.loads(path.read_text().splitlines()[0])
+        path.write_text(json.dumps({**header, "P": 0}) + "\n")
+        with pytest.raises(DataLoadError, match=":1: library must contain"):
+            load_library(path)
 
     def test_fractional_library_count_rejected(self, tmp_path):
         cfg = LibraryGenConfig(horizon=5, grid_resolution=(2, 1), num_random_steps=2)

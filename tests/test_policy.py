@@ -358,10 +358,18 @@ class TestSweep:
         import kernelcc.policy as policy_module
 
         model = PlanarQuadrotor()
-        draws, rollouts = [], []
-        draw = model.draw_realization
+        streams, draws, rollouts = [], [], []
+        seed_sequence = np.random.SeedSequence
         monkeypatch.setattr(
-            model, "draw_realization", lambda *a: draws.append(1) or draw(*a)
+            np.random,
+            "SeedSequence",
+            lambda entropy: streams.append(entropy) or seed_sequence(entropy),
+        )
+        draw_streams = policy_module.draw_streams
+        monkeypatch.setattr(
+            policy_module,
+            "draw_streams",
+            lambda *a: draws.append(a[:2]) or draw_streams(*a),
         )
         rollout = policy_module.rollout
         monkeypatch.setattr(
@@ -374,7 +382,9 @@ class TestSweep:
             policies, model, near_origin_scenario(), np.zeros(4), 30, 8
         )
         pairs = {(t, int(i)) for r in reports for t, i in enumerate(r.indices)}
-        assert len(draws) == 30
+        # one draw of the 30 trial streams, each stream opened once
+        assert draws == [(8, 30)]
+        assert sorted(streams) == [(8, t) for t in range(30)]
         assert rollouts == [len(pairs)]
         if name == "identical":
             assert rollouts == [30]

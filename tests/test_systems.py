@@ -9,9 +9,9 @@ from kernelcc.systems import (
     ParamPrior,
     PlanarQuadrotor,
     QuadrotorParams,
+    draw_streams,
     quadrotor_step,
     rollout,
-    sample_params,
 )
 
 ZERO4 = np.zeros(4)
@@ -109,41 +109,43 @@ class TestBetaSpec:
     def test_point_mass(self):
         spec = BetaSpec(2.0, 2.0, 0.8, 0.0)
         rng = np.random.default_rng(0)
-        assert all(spec.draw(rng) == 0.8 for _ in range(10))
+        np.testing.assert_array_equal(spec.quantile(rng.random(10)), np.full(10, 0.8))
 
     def test_draw_consumes_one_uniform(self):
-        # point-mass and full-width draws must advance the stream identically
-        point = BetaSpec(2.0, 2.0, 1.0, 0.0)
-        wide = BetaSpec(2.0, 2.0, 0.75, 0.5)
-        rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
-        point.draw(rng_a)
-        wide.draw(rng_b)
-        assert rng_a.random() == rng_b.random()
+        # point-mass and full-width priors must advance the stream identically,
+        # so the disturbances drawn after the parameters coincide
+        point = PlanarQuadrotor(prior=ParamPrior.point(1.0, 0.5))
+        wide = PlanarQuadrotor(prior=ParamPrior(mass=BetaSpec(2.0, 2.0, 0.75, 0.5)))
+        assert point.realization_pieces(5) == wide.realization_pieces(5)
+        draws = draw_streams(42, 3, point.realization_pieces(5))
+        (point_params, point_noise), (wide_params, wide_noise) = (
+            point.realizations(*draws),
+            wide.realizations(*draws),
+        )
+        np.testing.assert_array_equal(point_noise, wide_noise)
+        assert np.all(point_params[:, 0] == 1.0)
+        assert np.all(wide_params[:, 0] != 1.0)
 
 
 class TestSampleParams:
+    def draw(self, prior, count, seed):
+        # rows of (mass, drag) uniforms, drawn mass first as a stream draws them
+        return prior.quantile(np.random.default_rng(seed).random((count, 2)))
+
     def test_supports_are_closed_intervals(self):
-        rng = np.random.default_rng(0)
-        prior = ParamPrior()
-        for _ in range(2000):
-            params = sample_params(prior, rng)
-            assert 0.75 <= params.mass <= 1.25
-            assert 0.4 <= params.drag <= 0.6
+        params = self.draw(ParamPrior(), 2000, 0)
+        assert np.all((0.75 <= params[:, 0]) & (params[:, 0] <= 1.25))
+        assert np.all((0.4 <= params[:, 1]) & (params[:, 1] <= 0.6))
 
     def test_sample_means(self):
-        rng = np.random.default_rng(123)
-        prior = ParamPrior()
-        draws = np.array(
-            [(p.mass, p.drag) for p in (sample_params(prior, rng) for _ in range(10**5))]
-        )
+        draws = self.draw(ParamPrior(), 10**5, 123)
         # Beta(2,2) mean 1/2 -> mass 1.0; Beta(2,5) mean 2/7 -> drag 0.4 + 0.2*2/7
         assert abs(draws[:, 0].mean() - 1.0) < 0.002
         assert abs(draws[:, 1].mean() - (0.4 + 0.2 * 2 / 7)) < 0.002
 
     def test_point_prior(self):
-        rng = np.random.default_rng(0)
-        params = sample_params(ParamPrior.point(1.0, 0.005), rng)
-        assert params.mass == 1.0 and params.drag == 0.005
+        params = self.draw(ParamPrior.point(1.0, 0.005), 1, 0)
+        assert params[0, 0] == 1.0 and params[0, 1] == 0.005
 
     def test_model_mean_params(self):
         params = PlanarQuadrotor().mean_params()
@@ -151,17 +153,32 @@ class TestSampleParams:
         assert params.drag == pytest.approx(0.4 + 0.2 * 2 / 7)
 
 
-def simulate(model, x0, controls, rng):
-    """Replay one control sequence on a realization drawn from rng."""
-    params, noise = model.draw_realization(rng, len(controls))
-    _, states, diverged = rollout(model, [x0], [controls], [params], [noise])
+class TestDrawStreams:
+    PIECES = [("uniform", (3,)), ("normal", (4, 2)), ("uniform", (1,))]
+
+    def test_rows_follow_each_stream_in_piece_order(self):
+        arrays = draw_streams(8, 3, self.PIECES)
+        assert [a.shape for a in arrays] == [(3, 3), (3, 4, 2), (3, 1)]
+        for i in range(3):
+            rng = np.random.default_rng(np.random.SeedSequence((8, i)))
+            np.testing.assert_array_equal(arrays[0][i], rng.random(3))
+            np.testing.assert_array_equal(arrays[1][i], rng.standard_normal((4, 2)))
+            np.testing.assert_array_equal(arrays[2][i], rng.random(1))
+
+
+def simulate(model, x0, controls, seed):
+    """Replay one control sequence on the realization stream (seed, 0) draws."""
+    params, noise = model.realizations(
+        *draw_streams(seed, 1, model.realization_pieces(len(controls)))
+    )
+    _, states, diverged = rollout(model, [x0], [controls], params, noise)
     return states[0], diverged[0]
 
 
 class TestRollout:
     def test_zero_everything_stays_at_origin(self):
         model = deterministic_model()
-        traj, diverged = simulate(model, ZERO4, np.zeros((15, 2)), np.random.default_rng(0))
+        traj, diverged = simulate(model, ZERO4, np.zeros((15, 2)), 0)
         assert traj.shape == (15, 4)
         assert diverged == 0
         np.testing.assert_array_equal(traj, np.zeros((15, 4)))
@@ -171,7 +188,7 @@ class TestRollout:
         rng = np.random.default_rng(8)
         x0 = rng.normal(size=4)
         controls = rng.uniform(0, 1, size=(10, 2))
-        traj, _ = simulate(model, x0, controls, np.random.default_rng(0))
+        traj, _ = simulate(model, x0, controls, 0)
         x = x0.copy()
         for t in range(10):
             x = quadrotor_step(x, controls[t], ZERO4, (1.1, 0.45))
@@ -197,15 +214,15 @@ class TestRollout:
     def test_same_seed_identical(self):
         model = PlanarQuadrotor(disturbance=DisturbanceSpec.default())
         controls = np.full((15, 2), 0.5)
-        t1, _ = simulate(model, ZERO4, controls, np.random.default_rng(99))
-        t2, _ = simulate(model, ZERO4, controls, np.random.default_rng(99))
+        t1, _ = simulate(model, ZERO4, controls, 99)
+        t2, _ = simulate(model, ZERO4, controls, 99)
         np.testing.assert_array_equal(t1, t2)
 
     def test_different_seeds_differ(self):
         model = PlanarQuadrotor(disturbance=DisturbanceSpec.default())
         controls = np.full((15, 2), 0.5)
-        t1, _ = simulate(model, ZERO4, controls, np.random.default_rng(1))
-        t2, _ = simulate(model, ZERO4, controls, np.random.default_rng(2))
+        t1, _ = simulate(model, ZERO4, controls, 1)
+        t2, _ = simulate(model, ZERO4, controls, 2)
         assert np.any(t1 != t2)
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -214,7 +231,7 @@ class TestRollout:
         model = deterministic_model(drag=0.5)
         controls = np.zeros((5, 2))
         controls[2] = [1e200, 0.0]
-        traj, diverged = simulate(model, ZERO4, controls, np.random.default_rng(0))
+        traj, diverged = simulate(model, ZERO4, controls, 0)
         assert diverged == 4
         assert np.all(np.isnan(traj[4:]))
 
@@ -229,15 +246,15 @@ class TestRollout:
             model, np.zeros((2, 4)), np.stack([hot, calm]), [(1.0, 0.5)] * 2, np.zeros((2, 5, 4))
         )
         np.testing.assert_array_equal(diverged, [4, 0])
-        alone, _ = simulate(model, ZERO4, calm, np.random.default_rng(0))
+        alone, _ = simulate(model, ZERO4, calm, 0)
         np.testing.assert_array_equal(states[1], alone)
 
     def test_rejects_non_finite_controls(self):
         controls = np.zeros((5, 2))
         controls[1, 0] = np.nan
         with pytest.raises(ValueError):
-            simulate(deterministic_model(), ZERO4, controls, np.random.default_rng(0))
+            simulate(deterministic_model(), ZERO4, controls, 0)
 
     def test_rejects_bad_control_shape(self):
         with pytest.raises(ValueError):
-            simulate(deterministic_model(), ZERO4, np.zeros((5, 3)), np.random.default_rng(0))
+            simulate(deterministic_model(), ZERO4, np.zeros((5, 3)), 0)
