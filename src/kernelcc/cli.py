@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -46,7 +47,7 @@ from .data import (
 )
 from .embedding import FitError, fit
 from .policy import MixedPolicy, run_monte_carlo, trajectories_to_csv
-from .serialize import canonical_json, digest_of, file_digest, integer, write_csv
+from .serialize import canonical_json, digest_of, file_digest, integer, real, write_csv
 from .solver import assemble, solve_lp
 
 EXIT_OK = 0
@@ -75,15 +76,26 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(canonical_json(obj) + "\n", encoding="utf-8")
 
 
+def _finite(text: str) -> float:
+    """A JSON number or NaN/Infinity constant, refused unless finite:
+    ``canonical_json`` writes no other."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _read_json(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise PolicyFileError(f"cannot read {path}: {exc}") from None
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_finite, parse_float=_finite)
     except json.JSONDecodeError as exc:
         raise PolicyFileError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    except ValueError as exc:
+        raise PolicyFileError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise PolicyFileError(f"{path}: expected a JSON object")
     return obj
@@ -323,19 +335,16 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
 def _weights(solve: dict, size: int) -> np.ndarray:
     """The weight vector of a solve's [index, weight] pairs."""
     weights = np.zeros(size)
-    for index, weight in solve.get("weights"):
+    for index, weight in solve["weights"]:
         if not (0 <= integer(index, "index") < size):
             raise ValueError(f"index {index} out of range")
-        weights[index] = float(weight)
+        weights[index] = real(weight, "weight")
     return weights
 
 
 def _policy_from_record(record: dict, lib: ControlLibrary, path: Path) -> MixedPolicy:
-    """The policy a policy file records; a PolicyFileError names the file and
-    the first field at fault."""
-    for key in ("delta", "x0", "solve", "library_digest", "master_seed"):
-        if key not in record:
-            raise PolicyFileError(f"{path}: policy file missing field {key!r}")
+    """The policy a record read by ``_read_policy`` holds; a PolicyFileError
+    names the file and the first field at fault."""
     if record.get("format_version") != POLICY_FORMAT_VERSION:
         raise PolicyFileError(
             f"{path}: unsupported policy format_version "
@@ -348,12 +357,10 @@ def _policy_from_record(record: dict, lib: ControlLibrary, path: Path) -> MixedP
             f"{lib.content_digest[:12]}...); regenerate or re-solve"
         )
     solve = record["solve"]
-    if not isinstance(solve, dict):
-        raise PolicyFileError(f"{path}: policy field 'solve' must be an object")
-    if solve.get("status") != "optimal":
+    if solve["status"] != "optimal":
         raise PolicyFileError(
             f"{path}: policy records an unsuccessful solve "
-            f"(status {solve.get('status')!r}); nothing to validate"
+            f"(status {solve['status']!r}); nothing to validate"
         )
     try:
         delta = check_delta(record["delta"], "delta")
@@ -383,7 +390,7 @@ def cmd_validate(
     """
     by_x0: dict[bytes, list] = {}
     for policy_path in policy_paths:
-        record = _read_json(policy_path)
+        record = _read_policy(policy_path)
         policy = _policy_from_record(record, lib, policy_path)
         x0 = policy.x0 if x0_override is None else x0_override
         # keyed by its bytes, so that 0.0 and -0.0 stay apart
@@ -408,7 +415,7 @@ def cmd_validate(
                 "x0": [float(v) for v in x0],
                 "master_seed": record["master_seed"],
                 "library_digest": record["library_digest"],
-                "objective": record["solve"].get("objective"),
+                "objective": record["solve"]["objective"],
                 "inputs_digest": _report_key(cfg, policy_path, policy.delta, x0),
                 "report": report.to_dict(),
             }

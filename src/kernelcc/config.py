@@ -4,7 +4,10 @@ The file is divided into named sections (system, prior, disturbance,
 dataset, library, kernel, embedding, scenario, montecarlo, output) plus a
 top-level master seed and solve-time initial state. Parsing maps keys to
 constructor arguments and does nothing else: an optional key the file omits
-is not passed, so the constructors hold the only defaults. Each object of
+is not passed, so the constructors hold the only defaults. A count is read
+by ``serialize.integer`` and a real number, alone or as a vector entry, by
+``serialize.real``, so a bool or a string is never taken for a number. Each
+object of
 the file carries its dotted name (``scenario.goal``) and records the keys
 read from it. Any ValueError or TypeError raised while a section, nested
 object or key is read becomes a ConfigError naming it, and so does a key no
@@ -29,7 +32,7 @@ import numpy as np
 from .data import DatasetGenConfig, LibraryGenConfig, pd_gain
 from .kernels import KernelSpec
 from .scenario import CostSpec, GoalSet, Obstacle, Scenario
-from .serialize import digest_of, integer
+from .serialize import digest_of, integer, real
 from .systems import (
     BetaSpec,
     DisturbanceSpec,
@@ -142,7 +145,8 @@ def _nested(section: _Object, key: str) -> _Object:
 
 def _steps(value) -> tuple[int, int]:
     """A ``kind`` for _get: a (first, last) pair of integers."""
-    _vector(2)(value)
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"must be a pair of integers, got {value!r}")
     return tuple(map(integer, value))
 
 
@@ -160,11 +164,18 @@ def _text(value) -> str:
     return value
 
 
+def _reals(value) -> np.ndarray:
+    """A ``kind`` for _get: a list of real numbers, as a float array."""
+    if not isinstance(value, (list, np.ndarray)):
+        raise TypeError(f"must be a list of real numbers, got {value!r}")
+    return np.array([real(item, f"entry {i}") for i, item in enumerate(value)])
+
+
 def _vector(length: int):
     """A ``kind`` for _get: a finite float vector of ``length`` entries."""
 
     def kind(value) -> np.ndarray:
-        arr = np.asarray(value, dtype=float)
+        arr = _reals(value)
         if arr.shape != (length,):
             raise ValueError(f"must be a {length}-vector, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -186,7 +197,7 @@ def check_seed(value, where: str) -> int:
 def check_delta(value, where: str) -> float:
     """A risk level: 0 < delta < 1 with a threshold 1 - delta below 1."""
     with _invalid(where):
-        delta = float(value)
+        delta = real(value)
         if not (0.0 < delta < 1.0 and 1.0 - delta < 1.0):
             raise ValueError(f"must lie in (0, 1) with 1 - delta < 1, got {delta!r}")
         return delta
@@ -201,12 +212,12 @@ def check_state(value, where: str) -> np.ndarray:
 def _beta(sub: _Object) -> BetaSpec:
     names = ("shape_a", "shape_b", "offset", "scale")
     with _invalid(sub.where):
-        return BetaSpec(*(_get(sub, name, float) for name in names))
+        return BetaSpec(*(_get(sub, name, real) for name in names))
 
 
 def _kernel(sub: _Object) -> KernelSpec:
     with _invalid(sub.where):
-        return KernelSpec(**_optional(sub, "family", "bandwidth", "bandwidth_mode"))
+        return KernelSpec(_get(sub, "bandwidth", real))
 
 
 def _obstacles(items) -> list[Obstacle]:
@@ -226,13 +237,13 @@ def _control_law(section: _Object, horizon: int) -> dict:
     feedback = _nested(section, "feedback")
     return {
         "horizon": horizon,
-        "control_low": _get(section, "control_low"),
-        "control_high": _get(section, "control_high"),
+        "control_low": _get(section, "control_low", _reals),
+        "control_high": _get(section, "control_high", _reals),
         "num_random_steps": _get(section, "num_random_steps", integer),
         "feedback_gain": pd_gain(
-            _get(feedback, "kp", float), _get(feedback, "kd", float)
+            _get(feedback, "kp", real), _get(feedback, "kd", real)
         ),
-        "target": _get(section, "target"),
+        "target": _get(section, "target", _reals),
     }
 
 
@@ -269,7 +280,7 @@ def parse_config(raw: dict) -> RunConfig:
     master_seed = check_seed(_get(raw, "seed"), "seed")
 
     system = _nested(raw, "system")
-    model_args = _optional(system, dt=float)
+    model_args = _optional(system, dt=real)
     if raw.get("prior") is not None:
         prior = _nested(raw, "prior")
         mass, drag = (_beta(_nested(prior, key)) for key in ("mass", "drag"))
@@ -277,7 +288,8 @@ def parse_config(raw: dict) -> RunConfig:
     if raw.get("disturbance") is not None:
         dist = _nested(raw, "disturbance")
         with _invalid(dist.where):
-            model_args["disturbance"] = DisturbanceSpec(_get(dist, "per_step_std"))
+            std = _get(dist, "per_step_std", _reals)
+            model_args["disturbance"] = DisturbanceSpec(std)
     with _invalid(system.where):
         model = PlanarQuadrotor(**model_args)
 
@@ -285,30 +297,35 @@ def parse_config(raw: dict) -> RunConfig:
     horizon = _get(scenario_raw, "horizon", integer)
     deltas = tuple(
         check_delta(d, f"scenario.deltas[{i}]")
-        for i, d in enumerate(_get(scenario_raw, "deltas", list))
+        for i, d in enumerate(_get(scenario_raw, "deltas", _reals))
     )
     if not deltas:
         raise ConfigError("scenario.deltas must be a nonempty list")
     goal_raw = _nested(scenario_raw, "goal")
     with _invalid(goal_raw.where):
-        goal = GoalSet(_get(goal_raw, "center"), _get(goal_raw, "radius", float))
+        center = _get(goal_raw, "center", _reals)
+        goal = GoalSet(center, _get(goal_raw, "radius", real))
     task = _optional(scenario_raw, obstacles=_obstacles)
     if "costs" in scenario_raw:
         costs = _nested(scenario_raw, "costs")
         with _invalid(costs.where):
             task["costs"] = CostSpec(
-                **_optional(costs, "state_weights", control_weight=float)
+                **_optional(
+                    costs,
+                    state_weights=lambda w: None if w is None else _reals(w),
+                    control_weight=real,
+                )
             )
     with _invalid(scenario_raw.where):
-        scenario = Scenario(horizon, deltas[0], goal, dt=model.dt, **task)
+        scenario = Scenario(horizon, deltas[0], goal, **task)
 
     ds_raw = _nested(raw, "dataset")
     with _invalid(ds_raw.where):
         dataset = DatasetGenConfig(
             **_control_law(ds_raw, horizon),
             num_samples=_get(ds_raw, "num_samples", integer),
-            x0_low=_get(ds_raw, "x0_low"),
-            x0_high=_get(ds_raw, "x0_high"),
+            x0_low=_get(ds_raw, "x0_low", _reals),
+            x0_high=_get(ds_raw, "x0_high", _reals),
             **_optional(ds_raw, "tail_params"),
         )
 
@@ -317,19 +334,19 @@ def parse_config(raw: dict) -> RunConfig:
         library = LibraryGenConfig(
             **_control_law(lib_raw, horizon),
             grid_resolution=_get(lib_raw, "grid_resolution", _integers),
-            initial_state=_get(lib_raw, "initial_state"),
+            initial_state=_get(lib_raw, "initial_state", _reals),
             **_optional(lib_raw, max_sequences=integer),
         )
         nominal = QuadrotorParams(
-            mass=_get(lib_raw, "nominal_mass", float),
-            drag=_get(lib_raw, "nominal_drag", float),
+            mass=_get(lib_raw, "nominal_mass", real),
+            drag=_get(lib_raw, "nominal_drag", real),
         )
 
     kernel_raw = _nested(raw, "kernel")
     state_kernel = _kernel(_nested(kernel_raw, "state"))
     control_kernel = _kernel(_nested(kernel_raw, "control"))
 
-    regularization = _get(_nested(raw, "embedding"), "regularization", float)
+    regularization = _get(_nested(raw, "embedding"), "regularization", real)
     if regularization <= 0:
         raise ConfigError("embedding.regularization must be positive")
 

@@ -29,7 +29,6 @@ from .kernels import (
     SpdFactor,
     gram_product,
     kernel_matrix,
-    resolve_bandwidth,
     spd_factor,
 )
 from .serialize import digest_of
@@ -41,7 +40,7 @@ class FitError(ArithmeticError):
 
 @dataclass(frozen=True)
 class EmbeddingModel:
-    """Fitted embedding: dataset, resolved kernels, factorized linear system."""
+    """Fitted embedding: dataset, kernels, factorized linear system."""
 
     dataset: Dataset
     kx: KernelSpec
@@ -64,10 +63,7 @@ class EmbeddingModel:
 
 
 def fit(ds: Dataset, kx: KernelSpec, ku: KernelSpec, lam: float) -> EmbeddingModel:
-    """Fit the embedding: resolve bandwidths, build G, factorize G + lam*M*I.
-
-    The median heuristic, when requested, runs separately over the dataset's
-    initial states and its flattened control sequences.
+    """Fit the embedding: build G and factorize G + lam*M*I.
 
     Raises
     ------
@@ -88,8 +84,6 @@ def fit(ds: Dataset, kx: KernelSpec, ku: KernelSpec, lam: float) -> EmbeddingMod
             f"regularization parameter {lam} times {m_count} samples overflows"
         )
     flat_u = ds.flattened_controls()
-    kx = resolve_bandwidth(kx, ds.initial_states)
-    ku = resolve_bandwidth(ku, flat_u)
     # G + lam*M*I, factored in place: G is not needed on its own
     packed = gram_product(ds.initial_states, flat_u, kx, ku, ridge=ridge)
     try:

@@ -1,11 +1,10 @@
-"""Gaussian kernel evaluation, Gram and cross matrices, bandwidth selection,
-and symmetric positive definite linear solves.
+"""Gaussian kernel evaluation, Gram and cross matrices, and symmetric
+positive definite linear solves.
 
 The kernel convention throughout is k(a, b) = exp(-sigma * ||a - b||^2) with
-sigma multiplying the squared Euclidean distance directly. Under the median
-heuristic, sigma is set to the median pairwise Euclidean distance of the data
-(not an inverse squared length scale); a fixed bandwidth is available as an
-override for data where that heuristic misbehaves.
+sigma, the bandwidth, multiplying the squared Euclidean distance directly
+(it is an inverse squared length scale). Each kernel's bandwidth is chosen
+in the run configuration.
 
 Symmetric positive definite matrices are held in LAPACK's rectangular full
 packed form (TRANSR='N', UPLO='L'; Gustavson, Wasniewski, Dongarra & Langou,
@@ -17,17 +16,12 @@ M x M array.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.spatial.distance import cdist, pdist
-
-
-class DegenerateDataError(ValueError):
-    """Raised when bandwidth selection is asked to run on unusable data."""
+from scipy.spatial.distance import cdist
 
 
 class FactorizationError(ArithmeticError):
@@ -46,66 +40,17 @@ class FactorizationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus bandwidth policy.
+    """A Gaussian kernel: its bandwidth, a positive finite float."""
 
-    ``bandwidth_mode`` is either "fixed" (use ``bandwidth`` as given) or
-    "median_heuristic" (resolve ``bandwidth`` from data before use). A
-    ``bandwidth`` that is not None is stored as a float.
-    """
-
-    family: str = "gaussian"
-    bandwidth: float | None = None
-    bandwidth_mode: str = "fixed"
+    bandwidth: float
 
     def __post_init__(self):
-        if self.bandwidth is not None:
-            object.__setattr__(self, "bandwidth", float(self.bandwidth))
-        if self.family != "gaussian":
-            raise ValueError(f"unsupported kernel family: {self.family!r}")
-        if self.bandwidth_mode not in ("fixed", "median_heuristic"):
-            raise ValueError(f"unknown bandwidth_mode: {self.bandwidth_mode!r}")
-        if self.bandwidth_mode == "fixed":
-            if self.bandwidth is None or not np.isfinite(self.bandwidth):
-                raise ValueError("fixed bandwidth_mode requires a finite bandwidth")
-            if self.bandwidth <= 0:
-                raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-
-    @property
-    def resolved(self) -> float:
-        """The bandwidth value, or an error if it still needs data to resolve."""
-        if self.bandwidth is None:
-            raise ValueError("bandwidth not resolved; call resolve_bandwidth first")
-        return float(self.bandwidth)
-
-
-def median_bandwidth(points) -> float:
-    """Median Euclidean distance over distinct pairs of points.
-
-    Points are rows of a 2-d array (or a sequence of equal-length vectors).
-    With an even number of pairs the mean of the two central order statistics
-    is returned.
-
-    Raises
-    ------
-    DegenerateDataError
-        If fewer than 2 points are given or all pairwise distances are zero.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] < 2:
-        raise DegenerateDataError("median bandwidth needs at least 2 points")
-    med = float(np.median(pdist(pts)))
-    if med <= 0.0:
-        raise DegenerateDataError("all pairwise distances are zero")
-    return med
-
-
-def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
-    """Return a fixed-bandwidth copy of spec, resolving the median heuristic if set."""
-    if spec.bandwidth_mode == "fixed":
-        return spec
-    return dataclasses.replace(
-        spec, bandwidth=median_bandwidth(points), bandwidth_mode="fixed"
-    )
+        bandwidth = float(self.bandwidth)
+        if not (bandwidth > 0 and math.isfinite(bandwidth)):
+            raise ValueError(
+                f"bandwidth must be positive and finite, got {self.bandwidth}"
+            )
+        object.__setattr__(self, "bandwidth", bandwidth)
 
 
 def kernel_matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
@@ -117,7 +62,7 @@ def kernel_matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
             f"dimension mismatch: {rows.shape[1]} vs {cols.shape[1]}"
         )
     k = cdist(rows, cols, "sqeuclidean")
-    k *= -spec.resolved
+    k *= -spec.bandwidth
     np.exp(k, out=k)
     return k
 

@@ -15,6 +15,9 @@ import numpy as np
 
 from .serialize import integer
 
+# the state coordinates that hold the position: (px, vx, py, vy)
+POSITION_INDICES = [0, 2]
+
 
 @dataclass(frozen=True)
 class GoalSet:
@@ -22,7 +25,6 @@ class GoalSet:
 
     center: np.ndarray
     radius: float
-    position_indices: tuple[int, int] = (0, 2)
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float)
@@ -91,16 +93,10 @@ class CostSpec:
     ``control_weight`` multiplies the summed squared control norms.
     """
 
-    state_kind: str = "quadratic_to_goal"
     state_weights: np.ndarray | None = None
-    control_kind: str = "quadratic_effort"
     control_weight: float = 0.1
 
     def __post_init__(self):
-        if self.state_kind != "quadratic_to_goal":
-            raise ValueError(f"unsupported state cost kind: {self.state_kind!r}")
-        if self.control_kind != "quadratic_effort":
-            raise ValueError(f"unsupported control cost kind: {self.control_kind!r}")
         if self.control_weight < 0:
             raise ValueError("control weight must be nonnegative")
         if self.state_weights is not None:
@@ -124,22 +120,19 @@ class CostSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete task: horizon, risk budget, goal, obstacles, costs, step size."""
+    """Complete task: horizon, risk budget, goal, obstacles, costs."""
 
     horizon: int
     delta: float
     goal: GoalSet
     obstacles: tuple[Obstacle, ...] = ()
     costs: CostSpec = field(default_factory=CostSpec)
-    dt: float = 0.1
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"risk budget must lie in (0,1), got {self.delta}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         # a length that does not match the horizon raises here, not in a
         # later cost evaluation
         self.costs.resolved_state_weights(self.horizon)
@@ -169,7 +162,7 @@ def indicator_T(sc: Scenario, trajs) -> np.ndarray:
     after each step (x_1, ..., x_N).
     """
     trajs = _check_stack(sc, trajs, "trajectories")
-    pos = trajs[:, :, list(sc.goal.position_indices)]
+    pos = trajs[:, :, POSITION_INDICES]
     ok = sc.goal.contains(pos[:, -1, :])
     for obs in sc.obstacles:
         first, last = obs.active_steps
@@ -181,7 +174,7 @@ def indicator_T(sc: Scenario, trajs) -> np.ndarray:
 def state_cost(sc: Scenario, trajs) -> np.ndarray:
     """Weighted squared distance of positions to the goal center, per trajectory."""
     trajs = _check_stack(sc, trajs, "trajectories")
-    pos = trajs[:, :, list(sc.goal.position_indices)]
+    pos = trajs[:, :, POSITION_INDICES]
     w = sc.costs.resolved_state_weights(sc.horizon)
     return np.sum(w[None, :] * np.sum((pos - sc.goal.center) ** 2, axis=2), axis=1)
 

@@ -20,7 +20,8 @@ and identifies the content of a library, which can hold millions of floats.
 
 ``integer`` is the one rule for a count or an index, whether a config file
 or a caller gives it: a bool, a float or a string is not an integer, whatever
-its value.
+its value. ``real`` is the one rule for a real number: an int or a float,
+never a bool or a string.
 """
 
 from __future__ import annotations
@@ -66,6 +67,15 @@ def integer(value, name: str = "") -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}".lstrip())
     return int(value)
+
+
+def real(value, name: str = "") -> float:
+    """value as a float, or a ValueError that starts with ``name``, if given."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise ValueError(f"{name} must be a real number, got {value!r}".lstrip())
+    return float(value)
 
 
 def canonical_json(obj) -> str:

@@ -213,6 +213,14 @@ class TestLpOracleEquivalence:
         assert ok, line
 
 
+# the median pairwise distances of the initial states and of the flattened
+# controls of the interpolation dataset, as bandwidths
+INTERPOLATION_KERNELS = (
+    KernelSpec(bandwidth=0.5281172784461637),
+    KernelSpec(bandwidth=1.7736721051910553),
+)
+
+
 class TestEmbeddingInterpolation:
     def test_training_queries_and_algebra(self):
         model_sys = PlanarQuadrotor(
@@ -225,8 +233,7 @@ class TestEmbeddingInterpolation:
         )
         model = fit(
             ds,
-            KernelSpec(bandwidth_mode="median_heuristic"),
-            KernelSpec(bandwidth_mode="median_heuristic"),
+            *INTERPOLATION_KERNELS,
             lam=1e-10,
         )
         rng = np.random.default_rng(0)
@@ -257,8 +264,7 @@ class TestEmbeddingInterpolation:
         )
         model_perm = fit(
             ds_perm,
-            KernelSpec(bandwidth_mode="median_heuristic"),
-            KernelSpec(bandwidth_mode="median_heuristic"),
+            *INTERPOLATION_KERNELS,
             lam=1e-10,
         )
         a = estimate(model, g1, x0q, uq)

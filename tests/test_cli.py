@@ -48,8 +48,8 @@ def small_raw(deltas=(0.3,), regularization=1e-4, trials=30):
             "nominal_drag": 0.457,
         },
         "kernel": {
-            "state": {"bandwidth_mode": "fixed", "bandwidth": 10.0},
-            "control": {"bandwidth_mode": "fixed", "bandwidth": 0.1},
+            "state": {"bandwidth": 10.0},
+            "control": {"bandwidth": 0.1},
         },
         "embedding": {"regularization": regularization},
         "scenario": {
@@ -354,20 +354,27 @@ class TestStageReuse:
                 lambda record: record["report"].pop("trials"),
                 "delta=0.3: success rate",
             ),
+            (
+                "policy",
+                lambda record: record["solve"].update(objective=float("nan")),
+                "delta=0.3: objective",
+            ),
         ],
-        ids=["policy", "report"],
+        ids=["policy", "report", "objective=NaN"],
     )
     def test_record_missing_a_field_is_rebuilt(
         self, tmp_path, capsys, stem, drop, rebuilt
     ):
         # the file still records the current key; a field the summary reads
-        # is gone, so the file does not read and is stale
+        # is gone, or holds a number canonical JSON never writes, so the file
+        # does not read and is stale
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"
         run_step(tmp_path, small_raw(), ["experiment"], reused)
         path = reused / f"{stem}_delta_0.3.json"
         record = json.loads(path.read_text())
         drop(record)
-        path.write_text(canonical_json(record) + "\n")
+        text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        path.write_text(text + "\n")
         capsys.readouterr()
         assert run_step(tmp_path, small_raw(), ["experiment"], reused) == EXIT_OK
         assert rebuilt in capsys.readouterr().out
@@ -528,9 +535,14 @@ class TestValidate:
             (["solve", "weights"], [[2, 1.5], [3, -0.5]], "invalid solve.weights:"),
             (["solve", "weights", 0, 0], "1.7", "invalid solve.weights:"),
             (["solve", "weights", 0, 0], 2.9, "invalid solve.weights:"),
-            (["solve", "weights", 0, 1], float("nan"), "invalid solve.weights:"),
+            (["solve", "weights", 0, 1], float("nan"), "non-finite number NaN"),
+            (
+                ["solve", "weights"],
+                [[2, "0.5"], [3, 0.5]],
+                "invalid solve.weights: weight must be a real number, got '0.5'",
+            ),
             (["solve", "weights"], [1, 2], "invalid solve.weights:"),
-            (["solve"], [1], "policy field 'solve' must be an object"),
+            (["solve"], [1], "missing field solve.status"),
             (["x0"], "abc", "invalid x0:"),
             (["x0"], [0, 0], "invalid x0:"),
             (["delta"], "abc", "invalid delta:"),
@@ -538,8 +550,8 @@ class TestValidate:
         ],
         ids=[
             "weights_sum_0.5", "negative_weight", "index='1.7'", "index=2.9",
-            "weight=NaN", "weights=[1,2]", "solve=[1]", "x0=abc", "x0=[0,0]",
-            "delta=abc", "delta=2.0",
+            "weight=NaN", "weight='0.5'", "weights=[1,2]", "solve=[1]", "x0=abc",
+            "x0=[0,0]", "delta=abc", "delta=2.0",
         ],
     )
     def test_malformed_policy_is_one_line_error(
@@ -730,7 +742,7 @@ MALFORMED_INPUTS = [
     pytest.param(
         with_value(["kernel", "control", "bandwidth"], "abc"),
         ["experiment"],
-        "invalid kernel.control: could not convert string to float: 'abc'",
+        "invalid kernel.control.bandwidth: must be a real number, got 'abc'",
         id="kernel.control.bandwidth=abc",
     ),
     pytest.param(
@@ -766,19 +778,19 @@ MALFORMED_INPUTS = [
     pytest.param(
         with_value(["dataset", "target"], [None, 0.0, 10.0, 0.0]),
         ["experiment"],
-        "invalid dataset: target must be finite, got [nan, 0.0, 10.0, 0.0]",
+        "invalid dataset.target: entry 0 must be a real number, got None",
         id="dataset.target=[null,...]",
     ),
     pytest.param(
         with_value(["library", "target"], [10.0, 0.0, None, 0.0]),
         ["experiment"],
-        "invalid library: target must be finite",
+        "invalid library.target: entry 2 must be a real number, got None",
         id="library.target=[...,null,...]",
     ),
     pytest.param(
         with_value(["library", "initial_state"], [0.0, None, 0.0, 0.0]),
         ["experiment"],
-        "invalid library: initial_state must be finite",
+        "invalid library.initial_state: entry 1 must be a real number, got None",
         id="library.initial_state=[...,null,...]",
     ),
     pytest.param(
@@ -798,6 +810,118 @@ MALFORMED_INPUTS = [
         ["experiment"],
         "invalid output.directory: must be a string, got 7",
         id="output.directory=7",
+    ),
+    # a real number is a JSON int or float, never a bool or a string
+    pytest.param(
+        with_value(["embedding", "regularization"], True),
+        ["experiment"],
+        "invalid embedding.regularization: must be a real number, got True",
+        id="embedding.regularization=true",
+    ),
+    pytest.param(
+        with_value(["kernel", "state", "bandwidth"], "10"),
+        ["experiment"],
+        "invalid kernel.state.bandwidth: must be a real number, got '10'",
+        id="kernel.state.bandwidth='10'",
+    ),
+    pytest.param(
+        with_value(["scenario", "deltas"], ["0.05"]),
+        ["experiment"],
+        "invalid scenario.deltas: entry 0 must be a real number, got '0.05'",
+        id="scenario.deltas=['0.05']",
+    ),
+    pytest.param(
+        with_value(["dataset", "feedback", "kp"], "12"),
+        ["experiment"],
+        "invalid dataset.feedback.kp: must be a real number, got '12'",
+        id="dataset.feedback.kp='12'",
+    ),
+    pytest.param(
+        with_value(["dataset", "control_low"], ["0", "0"]),
+        ["experiment"],
+        "invalid dataset.control_low: entry 0 must be a real number, got '0'",
+        id="dataset.control_low=['0','0']",
+    ),
+    pytest.param(
+        with_value(["library", "control_high"], [2.0, True]),
+        ["experiment"],
+        "invalid library.control_high: entry 1 must be a real number, got True",
+        id="library.control_high=[2,true]",
+    ),
+    pytest.param(
+        with_value(["dataset", "x0_high"], [0.5, 0.05, 0.5, True]),
+        ["experiment"],
+        "invalid dataset.x0_high: entry 3 must be a real number, got True",
+        id="dataset.x0_high=[...,true]",
+    ),
+    pytest.param(
+        with_value(["library", "target"], ["10", 0.0, 10.0, 0.0]),
+        ["experiment"],
+        "invalid library.target: entry 0 must be a real number, got '10'",
+        id="library.target=['10',...]",
+    ),
+    pytest.param(
+        with_value(["library", "initial_state"], [0.0, 0.0, "0", 0.0]),
+        ["experiment"],
+        "invalid library.initial_state: entry 2 must be a real number, got '0'",
+        id="library.initial_state=[...,'0',...]",
+    ),
+    pytest.param(
+        with_value(["initial_state"], [False, 0.0, 0.0, 0.0]),
+        ["experiment"],
+        "invalid initial_state: entry 0 must be a real number, got False",
+        id="initial_state=[false,...]",
+    ),
+    pytest.param(
+        with_value(["system", "dt"], True),
+        ["experiment"],
+        "invalid system.dt: must be a real number, got True",
+        id="system.dt=true",
+    ),
+    pytest.param(
+        with_value(["library", "nominal_drag"], "0.457"),
+        ["experiment"],
+        "invalid library.nominal_drag: must be a real number, got '0.457'",
+        id="library.nominal_drag='0.457'",
+    ),
+    pytest.param(
+        with_value(["scenario", "goal", "center"], ["3", "3"]),
+        ["experiment"],
+        "invalid scenario.goal.center: entry 0 must be a real number, got '3'",
+        id="scenario.goal.center=['3','3']",
+    ),
+    pytest.param(
+        with_value(
+            ["scenario", "obstacles"],
+            [{"rect": [1.0, "2", 1.0, 2.0], "active_steps": [3, 4]}],
+        ),
+        ["experiment"],
+        "invalid scenario.obstacles[0].rect: entry 1 must be a real number, got '2'",
+        id="obstacles[0].rect=[...,'2',...]",
+    ),
+    pytest.param(
+        with_value(["scenario", "costs"], {"state_weights": [True] * 8}),
+        ["experiment"],
+        "invalid scenario.costs.state_weights: entry 0 must be a real number",
+        id="scenario.costs.state_weights=[true,...]",
+    ),
+    pytest.param(
+        with_value(["disturbance"], {"per_step_std": ["0.001", 0.01, 0.001, 0.01]}),
+        ["experiment"],
+        "invalid disturbance.per_step_std: entry 0 must be a real number, got '0.001'",
+        id="disturbance.per_step_std=['0.001',...]",
+    ),
+    pytest.param(
+        with_value(
+            ["prior"],
+            {
+                "mass": {"shape_a": 2.0, "shape_b": 2.0, "offset": 0.75, "scale": True},
+                "drag": {"shape_a": 2.0, "shape_b": 5.0, "offset": 0.4, "scale": 0.2},
+            },
+        ),
+        ["experiment"],
+        "invalid prior.mass.scale: must be a real number, got True",
+        id="prior.mass.scale=true",
     ),
     pytest.param(
         small_raw(),
@@ -940,15 +1064,16 @@ class TestEarlierDirectory:
     # small_raw's library digest and file bytes as recorded by earlier
     # versions (the JSONL files since JSONL format 3 stored base64 float64
     # bytes, the library digest since policy format 4 hashed the library's
-    # bytes, the policy since policy format 5 factored the packed Gram
-    # matrix, the rest before the JSONL and CSV writers were shared); equal
-    # values here mean a directory written then is the directory written now
+    # bytes, the policy since its keys stopped digesting the kernel, cost
+    # and scenario fields that had one usable value, the rest before the
+    # JSONL and CSV writers were shared); equal values here mean a directory
+    # written then is the directory written now
     LIBRARY_DIGEST = "51a1782f6a360bc2f128fb73450667a68c23f3935115d752ebd90a531153a94f"
     FILE_SHA256 = {
         "dataset.jsonl": "1e1b7334dc1dfbc76fe1fb44d26fbd40a650fecd19322259662f641bc3e4c661",
         "library.jsonl": "1791d7f3448813856131cd23c15640cc74f1e94c4648bc03f73ee34c493bd665",
         "policy_delta_0.3.json": (
-            "b2ff29a4ae1c8710608a744e5169b65e14d9c6dde72469ce77b5edcb7728f03f"
+            "d66250efffd2af5384a1cbf74a2d257a021a082cc6b8e0eb48b5bcefeccbdfee"
         ),
         "trajectories_delta_0.3.csv": (
             "2dd990497df33a863590a6b0f3a7eeaa6c8171b1da3c27c65daddcf40e7a405e"
@@ -975,6 +1100,49 @@ class TestEarlierDirectory:
         ):
             assert line in text
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    # the keys small_raw's policy and report recorded while KernelSpec held
+    # a family and a bandwidth mode, CostSpec two cost kinds, GoalSet the
+    # position indices and Scenario a step size, and the bytes of those files
+    EARLIER_KEYS = {
+        "policy_delta_0.3.json": {
+            "embedding_digest": (
+                "80448ef261ae69cfe63c8d7e3036475014a832cf4ae7b5188834fdcb2e237401"
+            ),
+            "inputs_digest": (
+                "34e04c36a60d677d8931086ac406a4b050d02e68b42edfdaec383e09631c625e"
+            ),
+        },
+        "report_delta_0.3.json": {
+            "inputs_digest": (
+                "d4df6d42f603561bdf7280a356f316ebbcf4b2c170bfc70eb39d96e0bb733853"
+            ),
+        },
+    }
+    EARLIER_KEYS_SHA256 = {
+        "policy_delta_0.3.json": (
+            "b2ff29a4ae1c8710608a744e5169b65e14d9c6dde72469ce77b5edcb7728f03f"
+        ),
+        "report_delta_0.3.json": (
+            "3184cf1925ddaf3df67635818df8159184f650a2a943b55243d715c5ad8631e0"
+        ),
+    }
+
+    def test_policy_and_report_of_earlier_keys_are_rebuilt(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_step(tmp_path, small_raw(), ["experiment"], out) == EXIT_OK
+        current = {p.name: p.read_bytes() for p in out.iterdir()}
+        for name, keys in self.EARLIER_KEYS.items():
+            record = {**json.loads(current[name]), **keys}
+            (out / name).write_text(canonical_json(record) + "\n")
+            sha256 = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert sha256 == self.EARLIER_KEYS_SHA256[name], name
+        capsys.readouterr()
+        assert run_step(tmp_path, small_raw(), ["experiment"], out) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "dataset: cached" in text and "library: cached" in text
+        assert "cached policy" not in text and "cached report" not in text
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == current
 
     # the JSONL files of small_raw as each earlier JSONL format wrote them:
     # format 1 had decimal records under a header without sha256, format 2

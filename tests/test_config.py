@@ -40,8 +40,8 @@ def base_raw():
             "nominal_drag": 0.457,
         },
         "kernel": {
-            "state": {"bandwidth_mode": "fixed", "bandwidth": 10.0},
-            "control": {"bandwidth_mode": "fixed", "bandwidth": 0.1},
+            "state": {"bandwidth": 10.0},
+            "control": {"bandwidth": 0.1},
         },
         "embedding": {"regularization": 1e-4},
         "scenario": {
@@ -79,7 +79,6 @@ class TestParseConfig:
         sc = cfg.scenario_for(0.2)
         assert sc.delta == 0.2
         assert sc.horizon == 8
-        assert sc.dt == cfg.model.dt
         assert sc.goal.radius == 4.0
 
     @pytest.mark.parametrize(
@@ -164,11 +163,18 @@ class TestParseConfig:
              r"'scenario.obstacles\[0\].steps'"),
             (lambda raw: raw["kernel"]["state"].update(bandwith=10.0),
              "'kernel.state.bandwith'"),
+            (lambda raw: raw["kernel"]["state"].update(bandwidth_mode="fixed"),
+             "'kernel.state.bandwidth_mode'"),
+            (lambda raw: raw["kernel"]["control"].update(family="gaussian"),
+             "'kernel.control.family'"),
             (lambda raw: raw["library"]["feedback"].update(kv=1.0)
              or raw["montecarlo"].update(trails=40),
              "'library.feedback.kv', 'montecarlo.trails'"),
         ],
-        ids=["section_key", "top_level", "nested", "list_item", "kernel", "two"],
+        ids=[
+            "section_key", "top_level", "nested", "list_item", "kernel",
+            "bandwidth_mode", "family", "two",
+        ],
     )
     def test_unread_keys_are_named(self, edit, names):
         raw = base_raw()
@@ -182,7 +188,6 @@ class TestParseConfig:
         raw["prior"] = None
         raw["disturbance"] = {"per_step_std": [0.001, 0.01, 0.001, 0.01]}
         raw["library"]["max_sequences"] = 100
-        raw["kernel"]["state"]["family"] = "gaussian"
         raw["scenario"]["costs"] = {"state_weights": None, "control_weight": 0.2}
         raw["output"] = {"directory": "elsewhere"}
         assert parse_config(raw).output_dir == "elsewhere"
@@ -220,17 +225,18 @@ class TestParseConfig:
         assert after[1] == before[1]
 
     def test_keys_of_constructor_defaults_are_pinned(self):
-        # base_raw leaves max_sequences, the kernel family, prior,
-        # disturbance, costs and output to their constructors' defaults, so a
-        # default that drifts moves one of these keys; the policy key also
-        # moves with POLICY_FORMAT_VERSION (5 here)
+        # base_raw leaves max_sequences, prior, disturbance, costs and output
+        # to their constructors' defaults, so a default that drifts moves one
+        # of these keys; the policy key also moves with POLICY_FORMAT_VERSION
+        # (5 here) and with the fields of KernelSpec and Scenario, which it
+        # digests
         cfg = parse_config(base_raw())
         ds_key, lib_key = stage_keys(base_raw())
         assert ds_key == "f9198358825d47b14af331c25143f3a796d46616a384280c154d655148a7845b"
         assert lib_key == "91678db5f57ede6fae740835adf3baf551adde1fcb1da5671fae952977025184"
         policy_key = _policy_key(cfg, [ds_key, cfg.master_seed], lib_key, cfg.deltas[0])
         assert policy_key == (
-            "0260f6d5c0f4dfe86209d46c9ad854f2b0a2a63b5bba1cf9b274ff1abd60a802"
+            "5a799d307cef6ae05d0edbe5f8da821d776a8508758f1cfbd7c14ea970601e3f"
         )
 
     def test_mc_section_does_not_touch_stage_digests(self):

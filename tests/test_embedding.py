@@ -32,7 +32,7 @@ def loop_cross_column(model, x0, u):
     for xi, ui in zip(ds.initial_states, ds.flattened_controls()):
         dx = sum((a - b) ** 2 for a, b in zip(xi, x0))
         du = sum((a - b) ** 2 for a, b in zip(ui, flat_u))
-        column.append(math.exp(-model.kx.resolved * dx) * math.exp(-model.ku.resolved * du))
+        column.append(math.exp(-model.kx.bandwidth * dx) * math.exp(-model.ku.bandwidth * du))
     return np.array(column)
 
 
@@ -92,15 +92,6 @@ class TestFit:
         )
         model = fit(dup, UNIT, UNIT, lam=1e-6)
         assert model.factor.dimension == 8
-
-    def test_median_heuristic_resolved_and_recorded(self):
-        ds = make_dataset(m=10)
-        spec = KernelSpec(bandwidth=None, bandwidth_mode="median_heuristic")
-        model = fit(ds, spec, spec, lam=1e-4)
-        assert model.kx.bandwidth_mode == "fixed"
-        assert model.kx.bandwidth > 0
-        assert model.ku.bandwidth > 0
-        assert model.kx.bandwidth != model.ku.bandwidth
 
     def test_digest_changes_with_lambda(self):
         ds = make_dataset()

@@ -1,4 +1,4 @@
-"""Tests for kernel evaluation, Gram assembly, bandwidth selection, SPD solves."""
+"""Tests for kernel evaluation, Gram assembly and SPD solves."""
 
 import math
 import tracemalloc
@@ -9,13 +9,10 @@ from scipy.linalg import lapack
 
 from kernelcc import kernels
 from kernelcc.kernels import (
-    DegenerateDataError,
     FactorizationError,
     KernelSpec,
     gram_product,
     kernel_matrix,
-    median_bandwidth,
-    resolve_bandwidth,
     spd_factor,
     spd_solve,
 )
@@ -52,34 +49,24 @@ def cross_column(x0, u, kx, ku, query_x0, query_u):
 
 def loop_kernel(spec, a, b):
     """Plain-loop reference for exp(-sigma * ||a - b||^2)."""
-    return math.exp(-spec.resolved * sum((p - q) ** 2 for p, q in zip(a, b)))
+    return math.exp(-spec.bandwidth * sum((p - q) ** 2 for p, q in zip(a, b)))
 
 
 class TestKernelSpec:
     def test_fixed_requires_bandwidth(self):
-        with pytest.raises(ValueError):
-            KernelSpec(bandwidth=None, bandwidth_mode="fixed")
+        with pytest.raises(TypeError):
+            KernelSpec()
+        with pytest.raises(TypeError):
+            KernelSpec(bandwidth=None)
 
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValueError):
             KernelSpec(bandwidth=0.0)
         with pytest.raises(ValueError):
             KernelSpec(bandwidth=-1.0)
-
-    def test_rejects_unknown_family(self):
-        with pytest.raises(ValueError):
-            KernelSpec(family="laplace", bandwidth=1.0)
-
-    def test_median_mode_defers_bandwidth(self):
-        spec = KernelSpec(bandwidth=None, bandwidth_mode="median_heuristic")
-        with pytest.raises(ValueError):
-            spec.resolved
-
-    def test_resolve_bandwidth_from_data(self):
-        spec = KernelSpec(bandwidth=None, bandwidth_mode="median_heuristic")
-        resolved = resolve_bandwidth(spec, [[0.0], [1.0], [3.0]])
-        assert resolved.bandwidth == 2.0
-        assert resolved.bandwidth_mode == "fixed"
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                KernelSpec(bandwidth=value)
 
 
 class TestEvalKernel:
@@ -114,33 +101,6 @@ class TestEvalKernel:
             a, b = rng.normal(scale=3.0, size=(2, 4))
             v = kernel(UNIT, a, b)
             assert 0.0 < v <= 1.0
-
-
-class TestMedianBandwidth:
-    def test_three_points(self):
-        # pairwise distances {1, 2, 3}, median is 2
-        assert median_bandwidth([[0.0], [1.0], [3.0]]) == 2.0
-
-    def test_single_pair(self):
-        assert median_bandwidth([[0.0], [2.0]]) == 2.0
-
-    def test_even_pair_count_averages(self):
-        # distances {1, 2, 3, 4, 5, 7}: median (3 + 4) / 2
-        assert median_bandwidth([[0.0], [1.0], [3.0], [-4.0]]) == 3.5
-
-    def test_all_coincident_points(self):
-        with pytest.raises(DegenerateDataError):
-            median_bandwidth([[0.0], [0.0], [0.0]])
-
-    def test_too_few_points(self):
-        with pytest.raises(DegenerateDataError):
-            median_bandwidth([[1.0]])
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(20, 4))
-        perm = rng.permutation(20)
-        assert median_bandwidth(pts) == median_bandwidth(pts[perm])
 
 
 class TestGramProduct:

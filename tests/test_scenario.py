@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kernelcc.scenario import (
+    POSITION_INDICES,
     CostSpec,
     GoalSet,
     Obstacle,
@@ -38,7 +39,7 @@ def straight_traj(n, end_xy, start_xy=(0.0, 0.0)):
 
 def indicator_loop(sc, traj):
     """Plain-loop reference indicator of one trajectory."""
-    i, j = sc.goal.position_indices
+    i, j = POSITION_INDICES
     dx = traj[-1, i] - sc.goal.center[0]
     dy = traj[-1, j] - sc.goal.center[1]
     if math.sqrt(dx * dx + dy * dy) > sc.goal.radius:
@@ -56,7 +57,7 @@ def indicator_loop(sc, traj):
 
 def state_cost_loop(sc, traj):
     """Plain-loop reference state cost of one trajectory."""
-    i, j = sc.goal.position_indices
+    i, j = POSITION_INDICES
     cx, cy = sc.goal.center
     weights = sc.costs.resolved_state_weights(sc.horizon)
     total = 0.0
