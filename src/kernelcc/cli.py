@@ -324,10 +324,22 @@ def _exit_code(policies) -> int:
     return EXIT_OK if optimal else EXIT_INFEASIBLE
 
 
+def _read_input(cfg: RunConfig, path: Path, load):
+    """What ``load`` reads from path, or a ConfigError if it holds sequences
+    of another horizon than ``scenario.horizon``."""
+    artifact = load(path)
+    if artifact.horizon != cfg.scenario.horizon:
+        raise ConfigError(
+            f"{path} holds horizon {artifact.horizon}, but scenario.horizon is "
+            f"{cfg.scenario.horizon}"
+        )
+    return artifact
+
+
 def cmd_solve(cfg: RunConfig, out: Path) -> int:
     """Fit the embedding and solve the LP for each risk level; write policies."""
-    ds = load_dataset(out / "dataset.jsonl")
-    lib = load_library(out / "library.jsonl")
+    ds = _read_input(cfg, out / "dataset.jsonl", load_dataset)
+    lib = _read_input(cfg, out / "library.jsonl", load_library)
     keys = _dataset_key_of(ds), _library_key_of(lib)
     return _exit_code(_solve(cfg, out, ds, lib, keys, cfg.deltas).values())
 
@@ -350,11 +362,14 @@ def _policy_from_record(record: dict, lib: ControlLibrary, path: Path) -> MixedP
             f"{path}: unsupported policy format_version "
             f"{record.get('format_version')!r}"
         )
-    if record["library_digest"] != lib.content_digest:
+    digest = record["library_digest"]
+    if not isinstance(digest, str):
+        raise PolicyFileError(f"{path}: invalid library_digest: {json.dumps(digest)}")
+    if digest != lib.content_digest:
         raise PolicyFileError(
             f"{path}: policy was solved against a different library "
-            f"(digest {record['library_digest'][:12]}... vs current "
-            f"{lib.content_digest[:12]}...); regenerate or re-solve"
+            f"(digest {digest[:12]}... vs current {lib.content_digest[:12]}...); "
+            "regenerate or re-solve"
         )
     solve = record["solve"]
     if solve["status"] != "optimal":
@@ -379,56 +394,50 @@ def cmd_validate(
     out: Path,
     policy_paths: list[Path],
     lib: ControlLibrary,
-    x0_override: np.ndarray | None = None,
+    x0: np.ndarray | None = None,
 ) -> dict[float, dict]:
-    """Monte-Carlo validate saved policies of the library ``lib``; write and
-    return their reports by delta.
+    """Monte-Carlo validate saved policies of the library ``lib`` from x0,
+    or else from the first policy's own x0, together on one set of draws;
+    write and return their reports by delta.
 
-    Every policy file is read and checked before any simulation. The
-    policies that start from one x0 are validated together, on one set of
-    draws.
+    Every policy file is read and checked before any simulation.
     """
-    by_x0: dict[bytes, list] = {}
-    for policy_path in policy_paths:
-        record = _read_policy(policy_path)
-        policy = _policy_from_record(record, lib, policy_path)
-        x0 = policy.x0 if x0_override is None else x0_override
-        # keyed by its bytes, so that 0.0 and -0.0 stay apart
-        by_x0.setdefault(x0.tobytes(), []).append((policy_path, record, policy, x0))
+    records = [_read_policy(path) for path in policy_paths]
+    policies = [
+        _policy_from_record(record, lib, path)
+        for record, path in zip(records, policy_paths)
+    ]
+    if x0 is None:
+        x0 = policies[0].x0
+    mc_reports = run_monte_carlo(
+        policies, cfg.model, cfg.scenario, x0, cfg.trials, cfg.mc_seed
+    )
     reports = {}
-    for group in by_x0.values():
-        mc_reports = run_monte_carlo(
-            [policy for _, _, policy, _ in group],
-            cfg.model,
-            cfg.scenario,
-            group[0][3],
-            cfg.trials,
-            cfg.mc_seed,
+    for policy_path, record, policy, report in zip(
+        policy_paths, records, policies, mc_reports
+    ):
+        report_path = _delta_path(out, "report", policy.delta)
+        # the seed and library recorded are the policy's, fixed by the
+        # inputs digest like everything else here
+        reports[policy.delta] = {
+            "kind": "report",
+            "delta": policy.delta,
+            "x0": [float(v) for v in x0],
+            "master_seed": record["master_seed"],
+            "library_digest": record["library_digest"],
+            "objective": record["solve"]["objective"],
+            "inputs_digest": _report_key(cfg, policy_path, policy.delta, x0),
+            "report": report.to_dict(),
+        }
+        _write_json(report_path, reports[policy.delta])
+        csv_path = _delta_path(out, "trajectories", policy.delta, "csv")
+        trajectories_to_csv(report, csv_path)
+        print(
+            f"delta={policy.delta}: success rate {report.success_rate:.4f} "
+            f"({report.successes}/{report.trials}), Wilson 95% "
+            f"[{report.wilson_low:.4f}, {report.wilson_high:.4f}] "
+            f"-> {report_path}"
         )
-        for (policy_path, record, policy, x0), report in zip(group, mc_reports):
-            report_path = _delta_path(out, "report", policy.delta)
-            # the seed and library recorded are the policy's, fixed by the
-            # inputs digest like everything else here
-            reports[policy.delta] = {
-                "kind": "report",
-                "delta": policy.delta,
-                "x0": [float(v) for v in x0],
-                "master_seed": record["master_seed"],
-                "library_digest": record["library_digest"],
-                "objective": record["solve"]["objective"],
-                "inputs_digest": _report_key(cfg, policy_path, policy.delta, x0),
-                "report": report.to_dict(),
-            }
-            _write_json(report_path, reports[policy.delta])
-            trajectories_to_csv(
-                report, _delta_path(out, "trajectories", policy.delta, "csv")
-            )
-            print(
-                f"delta={policy.delta}: success rate {report.success_rate:.4f} "
-                f"({report.successes}/{report.trials}), Wilson 95% "
-                f"[{report.wilson_low:.4f}, {report.wilson_high:.4f}] "
-                f"-> {report_path}"
-            )
     return reports
 
 
@@ -489,7 +498,9 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> int:
         else:
             unvalidated.append(policy_path)
     if unvalidated:
-        reports.update(cmd_validate(cfg, out, unvalidated, lib.get()))
+        reports.update(
+            cmd_validate(cfg, out, unvalidated, lib.get(), cfg.initial_state)
+        )
     rows = [_summary_row(d, policies[d], reports.get(d)) for d in cfg.deltas]
     _write_summary(cfg, out, rows)
     print(f"summary -> {out / 'summary.csv'}")
@@ -564,7 +575,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             # validate's --x0 replaces the initial state of the policy
             x0 = None if args.x0 is None else cfg.initial_state
-            lib = load_library(out / "library.jsonl")
+            lib = _read_input(cfg, out / "library.jsonl", load_library)
             cmd_validate(cfg, out, [Path(args.policy)], lib, x0)
             return EXIT_OK
         if args.command == "generate":

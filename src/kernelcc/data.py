@@ -19,10 +19,12 @@ those inputs are unchanged. Its header line also records the sha256 of the
 rest of the file, so ``read_header`` checks that a file is intact without
 decoding its records.
 
-Each record is a canonical JSON object that maps a field to the base64 of
-its row's little-endian float64 bytes in C order, not to decimal text: the
-bytes round-trip exactly and encode and decode without formatting or
-parsing a float.
+After the header, each field is one record line, in sorted field order:
+the canonical JSON object that maps the field to the base64 of the whole
+array's little-endian float64 bytes in C order, not to decimal text. The
+bytes round-trip exactly, and each array encodes and decodes in one call,
+without formatting or parsing a float. The loader accepts a record line only
+in that canonical spelling, and reads the file one record line at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from .serialize import array_digest, canonical_json, check_finite, digest_of, integer
 from .systems import PlanarQuadrotor, QuadrotorParams, draw_streams, rollout
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class DataLoadError(ValueError):
@@ -435,8 +437,8 @@ def generate_library(
     )
 
 
-# per kind: the header key counting its records, and for each record field
-# the header keys that give its shape
+# per kind: the header key counting its samples or sequences, and for each
+# field the header keys that give the shape of one sample or sequence
 _LAYOUTS = {
     "dataset": ("M", {"x0": ("n",), "u": ("N", "m"), "x": ("N", "n")}),
     "library": ("P", {"u": ("N", "m")}),
@@ -462,38 +464,42 @@ def _content_hash(header: dict):
     return hashlib.sha256((canonical_json(fields) + "\n").encode("utf-8"))
 
 
-def _save_jsonl(path, kind: str, header: dict, fields: dict) -> None:
-    """Write a header line, then one record per row of the arrays in fields.
+def _affixes(name: str) -> tuple[bytes, bytes]:
+    """The bytes around the base64 on the record line of field ``name``."""
+    return f'{{"{name}":"'.encode(), b'"}\n'
 
-    A record maps each field to the base64 of its row's little-endian
-    float64 bytes in C order. The header's ``sha256`` covers every other
-    byte of the file, so an edit anywhere in it shows.
+
+def _save_jsonl(path, kind: str, header: dict, fields: dict) -> None:
+    """Write a header line, then one record per array in fields, in sorted
+    field order.
+
+    A record maps its field to the base64 of the whole array's
+    little-endian float64 bytes in C order. The header's ``sha256`` covers
+    every other byte of the file, so an edit anywhere in it shows.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = {"format_version": FORMAT_VERSION, "kind": kind, **header}
-    encoded = {}
-    for name, arr in fields.items():
-        values = np.ascontiguousarray(arr, dtype="<f8")
+    # base64 needs no JSON escaping, so each record is written as
+    # canonical_json would write it
+    records = []
+    for name in sorted(fields):
+        values = np.ascontiguousarray(fields[name], dtype="<f8")
         check_finite(values)
-        encoded[name] = [base64.b64encode(row).decode("ascii") for row in values]
-    # base64 needs no JSON escaping, so this template writes each record as
-    # canonical_json would: keys sorted, no whitespace
-    names = sorted(encoded)
-    template = "{" + ",".join(f'"{name}":"%s"' for name in names) + "}\n"
-    records = "".join(
-        template % row for row in zip(*(encoded[name] for name in names))
-    ).encode("ascii")
+        head, tail = _affixes(name)
+        records += [head, base64.b64encode(values), tail]
     content = _content_hash(header)
-    content.update(records)
+    for piece in records:
+        content.update(piece)
     head = canonical_json({**header, "sha256": content.hexdigest()}) + "\n"
     with path.open("wb") as handle:
         handle.write(head.encode("utf-8"))
-        handle.write(records)
+        handle.writelines(records)
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write a dataset as JSON-lines: one header line then one line per sample."""
+    """Write a dataset as JSON-lines: one header line, then one line per
+    field (u, x, x0), each holding the field for every sample."""
     header = {
         "n": ds.state_dim,
         "m": ds.control_dim,
@@ -507,9 +513,9 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def save_library(lib: ControlLibrary, path) -> None:
-    """Write a control library as JSON-lines, one sequence per line."""
+    """Write a control library as JSON-lines: one header line, then one line
+    (u) holding every sequence."""
     header = {
-        "n": None,
         "m": lib.control_dim,
         "N": lib.horizon,
         "P": lib.num_sequences,
@@ -594,79 +600,60 @@ def read_header(path, kind: str) -> JsonlHeader:
 
 
 def _load_jsonl(path, kind: str, build):
-    """Read a file _save_jsonl wrote and return ``build(*arrays, seed, digest)``.
+    """Read a file _save_jsonl wrote, a record line at a time, and return
+    ``build(*arrays, seed, digest)``.
 
-    Errors name the offending line (the header is line 1). The sha256 of the
-    bytes parsed is checked last, so a malformed line is reported as what it
-    is.
+    Errors name the offending line (the header is line 1); what ``build``
+    refuses, such as a non-finite value, is reported against the header.
+    The sha256 of the bytes read is checked last, so a malformed line is
+    reported as what it is.
     """
     try:
-        data = Path(path).read_bytes()
+        with Path(path).open("rb") as handle:
+            header, content = _parse_header(path, handle.readline(), kind)
+            arrays = {}
+            for lineno, name in enumerate(sorted(header.shapes), 2):
+                line = handle.readline()
+                content.update(line)
+                head, tail = _affixes(name)
+                if not line.startswith(head[:-1]):
+                    expected = f'expected the record {{"{name}":"<base64>"}}'
+                    raise DataLoadError(path, lineno, expected)
+                if not (line.startswith(head) and line.endswith(tail)):
+                    reason = f"field {name!r} is not numeric: not a string"
+                    raise DataLoadError(path, lineno, reason)
+                value = line[len(head) : -len(tail)]
+                # each buffer is dropped once used, so no record is held twice
+                del line
+                shape = (header.count, *header.shapes[name])
+                arrays[name] = _decode(path, lineno, name, value, shape)
+                del value
+            if handle.readline():
+                raise DataLoadError(path, lineno + 1, "a record after the last field")
     except OSError as exc:
         raise DataLoadError(path, 0, f"cannot read file: {exc}") from exc
-    # the header line as read_header reads it, up to and with its newline
-    end = data.find(b"\n") + 1 or len(data)
-    header, content = _parse_header(path, data[:end], kind)
-    content.update(memoryview(data)[end:])
-    # keep only the lines: holding the whole file as well while the records
-    # are parsed doubles the memory a large file takes
-    lines = data.splitlines()
-    del data
-    records = lines[1:]
-    if len(records) != header.count:
-        raise DataLoadError(
-            path, len(lines), f"expected {header.count} records, found {len(records)}"
-        )
-    # each field's rows are decoded straight into its array; np.empty touches
-    # no memory, so a header that claims huge shapes costs nothing until the
-    # first record fails its byte count
-    sizes = {name: 8 * math.prod(shape) for name, shape in header.shapes.items()}
-    arrays = {
-        name: np.empty((header.count, *shape), dtype="<f8")
-        for name, shape in header.shapes.items()
-    }
-    buffers = {
-        name: memoryview(arr.reshape(-1).view(np.uint8)) for name, arr in arrays.items()
-    }
-    for i, line in enumerate(records):
-        lineno = i + 2
-        try:
-            rec = json.loads(line)
-        except ValueError as exc:
-            raise DataLoadError(path, lineno, f"malformed record: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise DataLoadError(path, lineno, "record is not a JSON object")
-        for name, shape in header.shapes.items():
-            if name not in rec:
-                raise DataLoadError(path, lineno, f"record missing field {name!r}")
-            try:
-                raw = base64.b64decode(rec[name], validate=True)
-            except (TypeError, ValueError) as exc:
-                raise DataLoadError(
-                    path, lineno, f"field {name!r} is not numeric: not base64: {exc}"
-                ) from exc
-            size = sizes[name]
-            if len(raw) != size:
-                raise DataLoadError(
-                    path,
-                    lineno,
-                    f"field {name!r} holds {len(raw)} bytes, expected "
-                    f"{size} for float64 shape {shape}",
-                )
-            buffers[name][i * size : (i + 1) * size] = raw
-    for name, arr in arrays.items():
-        finite = np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
-        bad = np.flatnonzero(~finite)
-        if bad.size:
-            raise DataLoadError(
-                path, int(bad[0]) + 2, f"field {name!r} holds a non-finite value"
-            )
+    fields = (arrays[name] for name in header.shapes)
     try:
-        artifact = build(*arrays.values(), header.master_seed, header.config_digest)
+        artifact = build(*fields, header.master_seed, header.config_digest)
     except ValueError as exc:
         raise DataLoadError(path, 1, str(exc)) from exc
     _check_sha256(path, header, content)
     return artifact
+
+
+def _decode(path, lineno: int, name: str, value: bytes, shape: tuple) -> np.ndarray:
+    """The float64 array of ``shape`` whose bytes ``value`` holds in strict
+    base64, or a DataLoadError naming the line and the field."""
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:
+        reason = f"field {name!r} is not numeric: not base64: {exc}"
+        raise DataLoadError(path, lineno, reason) from exc
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        reason = f"holds {len(raw)} bytes, expected {size} for float64 shape {shape}"
+        raise DataLoadError(path, lineno, f"field {name!r} {reason}")
+    return np.frombuffer(raw, "<f8").reshape(shape)
 
 
 def load_dataset(path) -> Dataset:

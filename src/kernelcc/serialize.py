@@ -4,7 +4,8 @@ All persisted artifacts are JSON with sorted keys and compact separators,
 so equal values always produce byte-identical text. Floats are rendered by
 Python's shortest round-trip repr, so 64-bit floats survive a save/load round
 trip exactly; the records of the dataset and library files are the
-exception, and hold base64 float64 bytes instead (see ``kernelcc.data``).
+exception: each holds one whole array's float64 bytes in base64 instead (see
+``kernelcc.data``).
 
 A numeric array is checked for non-finite values with one ``np.isfinite``
 over the whole array and converted with one ``tolist``, which yields the same

@@ -382,6 +382,22 @@ class TestStageReuse:
         for p in fresh.iterdir():
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
 
+    def test_policy_of_a_malformed_library_digest_is_one_line_error(
+        self, tmp_path, capsys
+    ):
+        # the policy still records the current key, so it is reused, and a
+        # new trial count makes validation read it
+        out = tmp_path / "out"
+        run_step(tmp_path, small_raw(), ["experiment"], out)
+        path = out / "policy_delta_0.3.json"
+        record = json.loads(path.read_text())
+        path.write_text(canonical_json({**record, "library_digest": 5}) + "\n")
+        capsys.readouterr()
+        rc = run_step(tmp_path, small_raw(trials=31), ["experiment"], out)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: invalid library_digest: 5\n"
+
     def test_policy_without_weights_is_resolved_before_validation(
         self, tmp_path, capsys
     ):
@@ -489,6 +505,19 @@ class TestSolve:
                    str(tmp_path / "nothing")])
         assert rc == EXIT_IO
 
+    def test_inputs_of_another_horizon_are_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_step(tmp_path, small_raw(), ["generate"], out) == EXIT_OK
+        raw = with_value(["scenario", "horizon"], 10)
+        capsys.readouterr()
+        assert run_step(tmp_path, raw, ["solve"], out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (
+            f"config error: {out / 'dataset.jsonl'} holds horizon 8, but "
+            "scenario.horizon is 10\n"
+        )
+        assert not list(out.glob("policy_*"))
+
 
 class TestValidate:
     def make_policy(self, tmp_path):
@@ -521,6 +550,19 @@ class TestValidate:
                    "--policy", str(tampered)])
         assert rc == EXIT_CONFIG
 
+    def test_library_of_another_horizon_is_one_line_error(self, tmp_path, capsys):
+        _, out, policy = self.make_policy(tmp_path)
+        raw = with_value(["scenario", "horizon"], 10)
+        capsys.readouterr()
+        argv = ["validate", "--policy", str(policy)]
+        assert run_step(tmp_path, raw, argv, out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (
+            f"config error: {out / 'library.jsonl'} holds horizon 8, but "
+            "scenario.horizon is 10\n"
+        )
+        assert not list(out.glob("report_*"))
+
     def test_missing_policy_file(self, tmp_path):
         cfg, out, _ = self.make_policy(tmp_path)
         rc = main(["validate", "--config", str(cfg), "--out-dir", str(out),
@@ -547,11 +589,14 @@ class TestValidate:
             (["x0"], [0, 0], "invalid x0:"),
             (["delta"], "abc", "invalid delta:"),
             (["delta"], 2.0, "invalid delta:"),
+            (["library_digest"], 5, "invalid library_digest: 5"),
+            (["library_digest"], None, "invalid library_digest: null"),
         ],
         ids=[
             "weights_sum_0.5", "negative_weight", "index='1.7'", "index=2.9",
             "weight=NaN", "weight='0.5'", "weights=[1,2]", "solve=[1]", "x0=abc",
-            "x0=[0,0]", "delta=abc", "delta=2.0",
+            "x0=[0,0]", "delta=abc", "delta=2.0", "library_digest=5",
+            "library_digest=null",
         ],
     )
     def test_malformed_policy_is_one_line_error(
@@ -577,13 +622,13 @@ class TestValidate:
     def test_policies_of_one_x0_are_validated_together(
         self, tmp_path, monkeypatch, solved_dir
     ):
-        # one Monte-Carlo call per distinct x0, and every file it writes is
-        # the file a lone validation of that policy writes
+        # one Monte-Carlo call, and every file it writes is the file a lone
+        # validation of that policy writes
         record = json.loads((solved_dir / "policy_delta_0.3.json").read_text())
         paths = []
-        for delta, x0 in ((0.3, [0.0] * 4), (0.25, [0.5, 0, 0, 0]), (0.2, [0.0] * 4)):
+        for delta in (0.3, 0.25, 0.2):
             paths.append(tmp_path / f"policy_{delta}.json")
-            paths[-1].write_text(json.dumps({**record, "delta": delta, "x0": x0}))
+            paths[-1].write_text(json.dumps({**record, "delta": delta}))
         cfg = parse_config(small_raw())
         lib = kernelcc.data.load_library(solved_dir / "library.jsonl")
         sizes = []
@@ -594,8 +639,8 @@ class TestValidate:
             lambda policies, *args: sizes.append(len(policies)) or run(policies, *args),
         )
         together = tmp_path / "together"
-        kernelcc.cli.cmd_validate(cfg, together, paths, lib)
-        assert sizes == [2, 1]
+        kernelcc.cli.cmd_validate(cfg, together, paths, lib, cfg.initial_state)
+        assert sizes == [3]
         for path in paths:
             alone = tmp_path / f"alone_{path.stem}"
             kernelcc.cli.cmd_validate(cfg, alone, [path], lib)
@@ -1034,25 +1079,30 @@ class TestErrors:
         assert {p.name: p.read_bytes() for p in solved_dir.iterdir()} == before
 
 
-def decimal_jsonl(data: bytes, version: int) -> bytes:
-    """A format-3 JSONL file's bytes as an earlier format wrote them: every
-    record field a nested list of decimal floats, under a header of format
-    ``version``, with the sha256 that format 2 added and format 1 lacked."""
+def earlier_jsonl(data: bytes, version: int) -> bytes:
+    """A format-4 JSONL file's bytes as an earlier format wrote them: one
+    record per sample or sequence, under a header of format ``version``
+    whose library header holds "n": null. Format 3 wrote each field of a
+    record as the base64 of its float64 bytes, formats 1 and 2 as a nested
+    list of decimal floats; format 1 had no sha256."""
     head, *records = data.decode().splitlines()
     header = {**json.loads(head), "format_version": version}
     del header["sha256"]
-    shapes = kernelcc.data._LAYOUTS[header["kind"]][1]
+    if header["kind"] == "library":
+        header["n"] = None
+    count, shapes = kernelcc.data._LAYOUTS[header["kind"]]
+    arrays = {}
+    for record in records:
+        ((name, value),) = json.loads(record).items()
+        shape = [header[count], *(header[key] for key in shapes[name])]
+        arrays[name] = np.frombuffer(base64.b64decode(value), "<f8").reshape(shape)
+
+    def field(row):
+        return base64.b64encode(row).decode() if version == 3 else row
+
     text = "".join(
-        canonical_json(
-            {
-                name: np.frombuffer(base64.b64decode(value), "<f8").reshape(
-                    [header[key] for key in shapes[name]]
-                )
-                for name, value in json.loads(record).items()
-            }
-        )
-        + "\n"
-        for record in records
+        canonical_json({name: field(array[i]) for name, array in arrays.items()}) + "\n"
+        for i in range(header[count])
     )
     if version >= 2:
         content = canonical_json(header) + "\n" + text
@@ -1062,16 +1112,16 @@ def decimal_jsonl(data: bytes, version: int) -> bytes:
 
 class TestEarlierDirectory:
     # small_raw's library digest and file bytes as recorded by earlier
-    # versions (the JSONL files since JSONL format 3 stored base64 float64
-    # bytes, the library digest since policy format 4 hashed the library's
+    # versions (the JSONL files since JSONL format 4 stored one record per
+    # array, the library digest since policy format 4 hashed the library's
     # bytes, the policy since its keys stopped digesting the kernel, cost
     # and scenario fields that had one usable value, the rest before the
     # JSONL and CSV writers were shared); equal values here mean a directory
     # written then is the directory written now
     LIBRARY_DIGEST = "51a1782f6a360bc2f128fb73450667a68c23f3935115d752ebd90a531153a94f"
     FILE_SHA256 = {
-        "dataset.jsonl": "1e1b7334dc1dfbc76fe1fb44d26fbd40a650fecd19322259662f641bc3e4c661",
-        "library.jsonl": "1791d7f3448813856131cd23c15640cc74f1e94c4648bc03f73ee34c493bd665",
+        "dataset.jsonl": "4fc653430f20fcece154c27d7d7184b3a8e2fd4e1c3ac1552e0027a6402e7443",
+        "library.jsonl": "dcb8de6ff22187b88db4a90c2630dd52df00be1376a1a4e33203465fb4ec23fe",
         "policy_delta_0.3.json": (
             "d66250efffd2af5384a1cbf74a2d257a021a082cc6b8e0eb48b5bcefeccbdfee"
         ),
@@ -1144,9 +1194,10 @@ class TestEarlierDirectory:
         assert "cached policy" not in text and "cached report" not in text
         assert {p.name: p.read_bytes() for p in out.iterdir()} == current
 
-    # the JSONL files of small_raw as each earlier JSONL format wrote them:
-    # format 1 had decimal records under a header without sha256, format 2
-    # the same records under a header with it
+    # the JSONL files of small_raw as each earlier JSONL format wrote them,
+    # one record per sample or sequence: format 1 had decimal records under a
+    # header without sha256, format 2 the same records under a header with
+    # it, and format 3 base64 float64 rows
     EARLIER_SHA256 = {
         1: {
             "dataset.jsonl": (
@@ -1164,6 +1215,14 @@ class TestEarlierDirectory:
                 "925452a1c3267ff0856a5772761dc543703adc9ec74ca351f650d8e4442659c0"
             ),
         },
+        3: {
+            "dataset.jsonl": (
+                "1e1b7334dc1dfbc76fe1fb44d26fbd40a650fecd19322259662f641bc3e4c661"
+            ),
+            "library.jsonl": (
+                "1791d7f3448813856131cd23c15640cc74f1e94c4648bc03f73ee34c493bd665"
+            ),
+        },
     }
 
     def test_format_1_jsonl_is_rewritten_and_the_rest_reused(self, tmp_path, capsys):
@@ -1172,12 +1231,15 @@ class TestEarlierDirectory:
     def test_format_2_jsonl_is_rewritten_and_the_rest_reused(self, tmp_path, capsys):
         self.check_rewritten_and_the_rest_reused(tmp_path, capsys, 2)
 
+    def test_format_3_jsonl_is_rewritten_and_the_rest_reused(self, tmp_path, capsys):
+        self.check_rewritten_and_the_rest_reused(tmp_path, capsys, 3)
+
     def check_rewritten_and_the_rest_reused(self, tmp_path, capsys, version):
         out = tmp_path / "out"
         assert run_step(tmp_path, small_raw(), ["experiment"], out) == EXIT_OK
         current = {p.name: p.read_bytes() for p in out.iterdir()}
         for name, sha256 in self.EARLIER_SHA256[version].items():
-            (out / name).write_bytes(decimal_jsonl(current[name], version))
+            (out / name).write_bytes(earlier_jsonl(current[name], version))
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha256, name
         capsys.readouterr()
         assert run_step(tmp_path, small_raw(), ["experiment"], out) == EXIT_OK

@@ -3,6 +3,7 @@
 import base64
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,23 @@ class TestPersistence:
         save_library(lib, path)
         back = load_library(path)
         np.testing.assert_array_equal(back.sequences, lib.sequences)
+        # a library has no state dimension, so its header records none
+        assert "n" not in json.loads(path.read_text().splitlines()[0])
+
+    def test_load_peak_stays_below_two_and_a_half_file_sizes(self, tmp_path):
+        # the file is read a record line at a time, so no copy of it is held
+        # whole; a loader that does hold one peaks at three file sizes
+        cfg = DatasetGenConfig(num_samples=400, horizon=15)
+        path = tmp_path / "ds.jsonl"
+        save_dataset(generate_dataset(cfg, noisy_model(), master_seed=3), path)
+        load_dataset(path)
+        tracemalloc.start()
+        try:
+            load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * path.stat().st_size
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -463,7 +481,17 @@ class TestPersistence:
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(DataLoadError, match="expected 6 records"):
+        expected = ':4: expected the record {"x0":"<base64>"}'
+        with pytest.raises(DataLoadError, match=expected):
+            load_dataset(path)
+
+    def test_extra_record_rejected(self, tmp_path):
+        ds = self.make_dataset()
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, lines[-1]]) + "\n")
+        with pytest.raises(DataLoadError, match=":5: a record after the last field"):
             load_dataset(path)
 
     @pytest.mark.parametrize(
@@ -475,56 +503,73 @@ class TestPersistence:
         ],
     )
     def test_non_numeric_field_names_line(self, tmp_path, u, reason):
+        # the record of u, the second line, holds something other than a
+        # base64 string
         ds = self.make_dataset()
         path = tmp_path / "ds.jsonl"
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
-        lines[3] = json.dumps({**json.loads(lines[3]), "u": u})
+        lines[1] = canonical_json({"u": u})
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataLoadError, match=f":4: {reason}") as exc:
+        with pytest.raises(DataLoadError, match=f":2: {reason}") as exc:
             load_dataset(path)
-        assert exc.value.line == 4
+        assert exc.value.line == 2
 
-    def edit_record(self, tmp_path, edit):
-        """A saved dataset whose fourth line's record is replaced by edit(record)."""
+    # the line of each field's record: the fields are in sorted order
+    LINES = {"u": 2, "x": 3, "x0": 4}
+
+    def edit_record(self, tmp_path, name, edit):
+        """A saved dataset whose record of field ``name`` is replaced by
+        {name: edit(its value)}."""
         ds = self.make_dataset()
         path = tmp_path / "ds.jsonl"
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
-        lines[3] = canonical_json(edit(json.loads(lines[3])))
+        index = self.LINES[name] - 1
+        lines[index] = canonical_json({name: edit(json.loads(lines[index])[name])})
         path.write_text("\n".join(lines) + "\n")
         return ds, path
 
     def test_records_are_canonical_base64_float64_rows(self, tmp_path):
+        # one record per field, each the whole array's bytes:
+        # np.frombuffer(base64.b64decode(value), "<f8").reshape(shape)
         ds = self.make_dataset()
         path = tmp_path / "ds.jsonl"
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
-        assert len(lines) == 1 + ds.num_samples
-        for i, line in enumerate(lines[1:]):
+        assert len(lines) == 1 + len(self.LINES)
+        arrays = {"u": ds.controls, "x": ds.trajectories, "x0": ds.initial_states}
+        for name, array in arrays.items():
+            line = lines[self.LINES[name] - 1]
             rec = json.loads(line)
-            assert line == canonical_json(rec)
-            x = np.frombuffer(base64.b64decode(rec["x"]), "<f8").reshape(5, 4)
-            np.testing.assert_array_equal(x, ds.trajectories[i])
-            u = np.frombuffer(base64.b64decode(rec["u"]), "<f8").reshape(5, 2)
-            np.testing.assert_array_equal(u, ds.controls[i])
-            x0 = np.frombuffer(base64.b64decode(rec["x0"]), "<f8")
-            np.testing.assert_array_equal(x0, ds.initial_states[i])
+            assert line == canonical_json(rec) and list(rec) == [name]
+            back = np.frombuffer(base64.b64decode(rec[name]), "<f8")
+            np.testing.assert_array_equal(back.reshape(array.shape), array)
+
+    def test_misnamed_record_names_line(self, tmp_path):
+        ds = self.make_dataset()
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        lines[1], lines[2] = lines[2], lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        expected = ':2: expected the record {"u":"<base64>"}'
+        with pytest.raises(DataLoadError, match=expected):
+            load_dataset(path)
 
     def test_wrong_byte_count_names_line_field_and_shape(self, tmp_path):
         # valid base64 of one float64 too few
-        def short(rec):
-            raw = base64.b64decode(rec["x"])[:-8]
-            return {**rec, "x": base64.b64encode(raw).decode()}
+        def short(value):
+            return base64.b64encode(base64.b64decode(value)[:-8]).decode()
 
-        _, path = self.edit_record(tmp_path, short)
+        _, path = self.edit_record(tmp_path, "x", short)
         with pytest.raises(
             DataLoadError,
-            match=r":4: field 'x' holds 152 bytes, expected 160 for float64 "
-            r"shape \(5, 4\)",
+            match=r":3: field 'x' holds 952 bytes, expected 960 for float64 "
+            r"shape \(6, 5, 4\)",
         ) as exc:
             load_dataset(path)
-        assert exc.value.line == 4
+        assert exc.value.line == 3
 
     @pytest.mark.parametrize(
         "value",
@@ -537,39 +582,32 @@ class TestPersistence:
         ids=["outside_alphabet", "space", "non_ascii", "bad_padding"],
     )
     def test_value_that_is_not_strict_base64_is_rejected(self, tmp_path, value):
-        _, path = self.edit_record(tmp_path, lambda rec: {**rec, "x0": value})
+        _, path = self.edit_record(tmp_path, "x0", lambda _: value)
         with pytest.raises(
             DataLoadError, match=":4: field 'x0' is not numeric: not base64"
         ):
             load_dataset(path)
 
     def test_format_2_decimal_record_is_not_numeric(self, tmp_path):
-        # a record as format 2 wrote it, of the right shape, under a
-        # format-3 header
+        # the field's values as format 2 wrote them, decimal text, under a
+        # format-4 header
         ds = self.make_dataset()
-        _, path = self.edit_record(
-            tmp_path,
-            lambda rec: {
-                "x0": ds.initial_states[2],
-                "u": ds.controls[2],
-                "x": ds.trajectories[2],
-            },
-        )
+        _, path = self.edit_record(tmp_path, "x0", lambda _: ds.initial_states)
         with pytest.raises(
-            DataLoadError,
-            match=":4: field 'x0' is not numeric: not base64: .* not 'list'",
+            DataLoadError, match=":4: field 'x0' is not numeric: not a string"
         ):
             load_dataset(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_is_refused(self, tmp_path, value):
-        def poisoned(rec):
-            x = np.frombuffer(base64.b64decode(rec["x"]), "<f8").copy()
-            x[7] = value
-            return {**rec, "x": base64.b64encode(x).decode()}
+        # Dataset refuses the arrays, against the header whose shapes they take
+        def poisoned(x):
+            x = np.frombuffer(base64.b64decode(x), "<f8").copy()
+            x[37] = value
+            return base64.b64encode(x).decode()
 
-        _, path = self.edit_record(tmp_path, poisoned)
-        with pytest.raises(DataLoadError, match=":4: field 'x' holds a non-finite"):
+        _, path = self.edit_record(tmp_path, "x", poisoned)
+        with pytest.raises(DataLoadError, match=":1: non-finite values in x$"):
             load_dataset(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -591,7 +629,8 @@ class TestPersistence:
         lines = path.read_text().splitlines()
         lines[3] = record
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataLoadError, match=":4: record is not a JSON object"):
+        expected = ':4: expected the record {"x0":"<base64>"}'
+        with pytest.raises(DataLoadError, match=expected):
             load_dataset(path)
 
     def test_negative_dimension_rejected(self, tmp_path):
@@ -627,12 +666,12 @@ class TestPersistence:
             load_dataset(path)
 
     def test_library_without_sequences_rejected(self, tmp_path):
-        # zero records under a header that counts zero: the arrays are empty
+        # an empty record under a header that counts zero sequences
         cfg = LibraryGenConfig(horizon=5, grid_resolution=(2, 1), num_random_steps=2)
         path = tmp_path / "lib.jsonl"
         save_library(generate_library(cfg, deterministic_model(), NOMINAL), path)
         header = json.loads(path.read_text().splitlines()[0])
-        path.write_text(json.dumps({**header, "P": 0}) + "\n")
+        path.write_text(json.dumps({**header, "P": 0}) + '\n{"u":""}\n')
         with pytest.raises(DataLoadError, match=":1: library must contain"):
             load_library(path)
 
@@ -684,7 +723,7 @@ class TestReadHeader:
         ).hexdigest()
         path.write_text(canonical_json({**header, "sha256": sha256}) + "\n" + records)
         assert read_header(path, "dataset").count == 6
-        with pytest.raises(DataLoadError, match=":2: malformed record"):
+        with pytest.raises(DataLoadError, match=":2: expected the record"):
             load_dataset(path)
 
     @pytest.mark.parametrize(
