@@ -46,7 +46,7 @@ from .data import (
     save_library,
 )
 from .embedding import FitError, fit
-from .policy import MixedPolicy, run_monte_carlo, trajectories_to_csv
+from .policy import MixedPolicy, check_weights, run_monte_carlo, trajectories_to_csv
 from .serialize import canonical_json, digest_of, file_digest, integer, real, write_csv
 from .solver import assemble, solve_lp
 
@@ -55,7 +55,7 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
-POLICY_FORMAT_VERSION = 5
+POLICY_FORMAT_VERSION = 6
 
 
 class PolicyFileError(ValueError):
@@ -116,18 +116,43 @@ def _read_record(fields: tuple, path: Path) -> dict:
 
 # what experiment, its summary and validation read of a cached policy and
 # report; a file without them is stale
-_read_policy = functools.partial(
-    _read_record,
-    (
-        "delta",
-        "x0",
-        "library_digest",
-        "master_seed",
-        "solve.status",
-        "solve.objective",
-        "solve.weights",
-    ),
+_POLICY_FIELDS = (
+    "delta",
+    "x0",
+    "library_digest",
+    "master_seed",
+    "solve.status",
+    "solve.objective",
+    "solve.weights",
 )
+
+
+def _read_policy(path: Path) -> dict:
+    """A policy file that holds ``_POLICY_FIELDS``, each well formed as far
+    as it can be checked without the library, or a PolicyFileError naming
+    the file and the first field at fault; a cached policy that does not
+    read is stale, so it is solved again rather than validated."""
+    record = _read_record(_POLICY_FIELDS, path)
+    if record.get("format_version") != POLICY_FORMAT_VERSION:
+        raise PolicyFileError(
+            f"{path}: unsupported policy format_version "
+            f"{record.get('format_version')!r}"
+        )
+    digest = record["library_digest"]
+    if not isinstance(digest, str):
+        raise PolicyFileError(f"{path}: invalid library_digest: {json.dumps(digest)}")
+    try:
+        check_delta(record["delta"], "delta")
+        check_state(record["x0"], "x0")
+    except ConfigError as exc:
+        raise PolicyFileError(f"{path}: {exc}") from None
+    try:
+        _weight_pairs(record["solve"])
+    except (ValueError, TypeError) as exc:
+        raise PolicyFileError(f"{path}: invalid solve.weights: {exc}") from None
+    return record
+
+
 _read_report = functools.partial(
     _read_record, ("report.success_rate", "report.wilson_95", "report.trials")
 )
@@ -344,27 +369,27 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     return _exit_code(_solve(cfg, out, ds, lib, keys, cfg.deltas).values())
 
 
-def _weights(solve: dict, size: int) -> np.ndarray:
-    """The weight vector of a solve's [index, weight] pairs."""
-    weights = np.zeros(size)
+def _weight_pairs(solve: dict) -> tuple[list[int], np.ndarray]:
+    """The indices and weights of a solve's [index, weight] pairs; a
+    ValueError or TypeError if a pair is malformed, or if the solve is
+    optimal and its weights do not form a probability vector."""
+    indices, weights = [], []
     for index, weight in solve["weights"]:
-        if not (0 <= integer(index, "index") < size):
+        if integer(index, "index") < 0:
             raise ValueError(f"index {index} out of range")
-        weights[index] = real(weight, "weight")
-    return weights
+        indices.append(index)
+        weights.append(real(weight, "weight"))
+    weights = np.array(weights)
+    if solve["status"] == "optimal":
+        check_weights(weights)
+    return indices, weights
 
 
 def _policy_from_record(record: dict, lib: ControlLibrary, path: Path) -> MixedPolicy:
-    """The policy a record read by ``_read_policy`` holds; a PolicyFileError
-    names the file and the first field at fault."""
-    if record.get("format_version") != POLICY_FORMAT_VERSION:
-        raise PolicyFileError(
-            f"{path}: unsupported policy format_version "
-            f"{record.get('format_version')!r}"
-        )
+    """The policy of a record ``_read_policy`` returned, if it was solved
+    against ``lib``; a PolicyFileError names the file and the first field
+    at fault."""
     digest = record["library_digest"]
-    if not isinstance(digest, str):
-        raise PolicyFileError(f"{path}: invalid library_digest: {json.dumps(digest)}")
     if digest != lib.content_digest:
         raise PolicyFileError(
             f"{path}: policy was solved against a different library "
@@ -377,15 +402,19 @@ def _policy_from_record(record: dict, lib: ControlLibrary, path: Path) -> MixedP
             f"{path}: policy records an unsuccessful solve "
             f"(status {solve['status']!r}); nothing to validate"
         )
+    indices, values = _weight_pairs(solve)
     try:
-        delta = check_delta(record["delta"], "delta")
-        x0 = check_state(record["x0"], "x0")
-    except ConfigError as exc:
-        raise PolicyFileError(f"{path}: {exc}") from None
-    try:
-        weights = _weights(solve, lib.num_sequences)
-        return MixedPolicy(weights=weights, library=lib, x0=x0, delta=delta)
-    except (ValueError, TypeError) as exc:
+        if max(indices) >= lib.num_sequences:
+            raise ValueError(f"index {max(indices)} out of range")
+        weights = np.zeros(lib.num_sequences)
+        weights[indices] = values
+        return MixedPolicy(
+            weights=weights,
+            library=lib,
+            x0=np.asarray(record["x0"], dtype=float),
+            delta=float(record["delta"]),
+        )
+    except ValueError as exc:
         raise PolicyFileError(f"{path}: invalid solve.weights: {exc}") from None
 
 

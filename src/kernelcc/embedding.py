@@ -26,9 +26,9 @@ from .data import Dataset
 from .kernels import (
     FactorizationError,
     KernelSpec,
+    ProductFeatures,
     SpdFactor,
     gram_product,
-    kernel_matrix,
     spd_factor,
 )
 from .serialize import digest_of
@@ -40,13 +40,15 @@ class FitError(ArithmeticError):
 
 @dataclass(frozen=True)
 class EmbeddingModel:
-    """Fitted embedding: dataset, kernels, factorized linear system."""
+    """Fitted embedding: dataset, kernels, factorized linear system, and the
+    dataset's kernel features, which every cross-kernel block reuses."""
 
     dataset: Dataset
     kx: KernelSpec
     ku: KernelSpec
     lam: float
     factor: SpdFactor
+    features: ProductFeatures
 
     @property
     def digest(self) -> str:
@@ -63,7 +65,8 @@ class EmbeddingModel:
 
 
 def fit(ds: Dataset, kx: KernelSpec, ku: KernelSpec, lam: float) -> EmbeddingModel:
-    """Fit the embedding: build G and factorize G + lam*M*I.
+    """Fit the embedding: build G, factorize G + lam*M*I, and keep the
+    dataset's kernel features for the cross-kernel matrices.
 
     Raises
     ------
@@ -84,7 +87,9 @@ def fit(ds: Dataset, kx: KernelSpec, ku: KernelSpec, lam: float) -> EmbeddingMod
             f"regularization parameter {lam} times {m_count} samples overflows"
         )
     flat_u = ds.flattened_controls()
-    # G + lam*M*I, factored in place: G is not needed on its own
+    # G + lam*M*I, factored in place: G is not needed on its own.
+    # gram_product takes the raw pairs and builds their features again, at
+    # O(M d) against its O(M^2 d)
     packed = gram_product(ds.initial_states, flat_u, kx, ku, ridge=ridge)
     try:
         factor = spd_factor(packed, overwrite_a=True)
@@ -93,7 +98,10 @@ def fit(ds: Dataset, kx: KernelSpec, ku: KernelSpec, lam: float) -> EmbeddingMod
             f"regularized Gram matrix is not positive definite (pivot "
             f"{exc.pivot}); increase the regularization parameter above {lam}"
         ) from exc
-    return EmbeddingModel(dataset=ds, kx=kx, ku=ku, lam=float(lam), factor=factor)
+    features = ProductFeatures.build(ds.initial_states, flat_u, kx, ku)
+    return EmbeddingModel(
+        dataset=ds, kx=kx, ku=ku, lam=float(lam), factor=factor, features=features
+    )
 
 
 def cross_matrix(model: EmbeddingModel, x0, controls) -> np.ndarray:
@@ -105,7 +113,9 @@ def cross_matrix(model: EmbeddingModel, x0, controls) -> np.ndarray:
     at every query are ``alpha @ cross_matrix(...)``; a single query is a
     batch of one. Columns are independent, so a caller with many queries
     (``solver.assemble``) passes them a block at a time and holds one
-    M x block matrix instead of M x P.
+    M x block matrix instead of M x P. Every block reuses the features the
+    fit built, and its squared distances are one BLAS product; an entry
+    may differ between blocks in its last bits.
     """
     ds = model.dataset
     x0 = np.asarray(x0, dtype=float)
@@ -117,9 +127,7 @@ def cross_matrix(model: EmbeddingModel, x0, controls) -> np.ndarray:
             f"control sequences must have shape (P, {ds.horizon}, "
             f"{ds.control_dim}), got {controls.shape}"
         )
-    kx_col = kernel_matrix(model.kx, ds.initial_states, x0.reshape(1, -1))[:, 0]
-    ku_block = kernel_matrix(
-        model.ku, ds.flattened_controls(), controls.reshape(controls.shape[0], -1)
+    p = controls.shape[0]
+    return model.features.cross_kernel(
+        np.broadcast_to(x0, (p, ds.state_dim)), controls.reshape(p, -1)
     )
-    ku_block *= kx_col[:, None]
-    return ku_block

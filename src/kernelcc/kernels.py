@@ -1,17 +1,41 @@
-"""Gaussian kernel evaluation, Gram and cross matrices, and symmetric
-positive definite linear solves.
+"""Gaussian product kernels, packed Gram matrices, and symmetric positive
+definite linear solves.
 
 The kernel convention throughout is k(a, b) = exp(-sigma * ||a - b||^2) with
 sigma, the bandwidth, multiplying the squared Euclidean distance directly
 (it is an inverse squared length scale). Each kernel's bandwidth is chosen
 in the run configuration.
 
+The embedding's kernel is the product k_x(x0, x0') * k_u(u, u') of a kernel
+on initial states and one on flattened control sequences. It is evaluated as
+one exponent over joint features, k = exp(-||z - z'||^2) with
+z = [sqrt(sigma_x) (x0 - mean x0), sqrt(sigma_u) (u - mean u)], the means
+taken over a dataset (``ProductFeatures``). The rules:
+
+* Squared distances between two sets of features come from one level-3
+  product, ||z||^2 + ||z'||^2 - 2 z . z'. It runs on scipy's BLAS
+  (``scipy.linalg.blas.dgemm``), the OpenBLAS that ``pftrf`` and ``pftrs``
+  use, on Fortran-ordered transposed views, so no operand is copied. numpy
+  bundles a second OpenBLAS, whose thread pool would contend with scipy's.
+* The expansion loses about 1e-16 * (||z||^2 + ||z'||^2) to cancellation.
+  Centring at the dataset mean keeps those norms at the spread of the data,
+  not its offset: the shipped dataset's control sequences, whose feedback
+  tails run far from 0, reach a norm of 276, and 17 once centred.
+* A squared distance that rounds below 0 is clamped at 0, so no entry
+  exceeds 1.
+* ``gram_product`` pins the distance of each sample to itself at exactly 0,
+  so G_ii = 1 + ridge.
+
+An entry's last bits depend on where BLAS places it in a block, so entries
+match a plain-loop evaluation to about 1e-13 relative, not bit for bit.
+
 Symmetric positive definite matrices are held in LAPACK's rectangular full
 packed form (TRANSR='N', UPLO='L'; Gustavson, Wasniewski, Dongarra & Langou,
 ACM TOMS 37(2), 2010): one triangle in M(M+1)/2 entries, which ``pftrf``
 and ``pftrs`` factor and solve at level-3 BLAS speed. ``gram_product``
 builds the regularized Gram matrix in that form, so a fit never holds an
-M x M array.
+M x M array, and a matrix stored by one triangle is symmetric by
+construction.
 """
 
 from __future__ import annotations
@@ -21,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.spatial.distance import cdist
+from scipy.linalg.blas import dgemm
 
 
 class FactorizationError(ArithmeticError):
@@ -53,22 +77,78 @@ class KernelSpec:
         object.__setattr__(self, "bandwidth", bandwidth)
 
 
-def kernel_matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
-    """Pairwise kernel evaluations between two point sets (rows of each array)."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    cols = np.atleast_2d(np.asarray(cols, dtype=float))
-    if rows.shape[1] != cols.shape[1]:
+def _joint(initial_states, controls) -> np.ndarray:
+    """The pairs (x0_i, u_i) as rows [x0_i, u_i] of one array."""
+    x0 = np.atleast_2d(np.asarray(initial_states, dtype=float))
+    u = np.atleast_2d(np.asarray(controls, dtype=float))
+    if x0.shape[0] != u.shape[0]:
         raise ValueError(
-            f"dimension mismatch: {rows.shape[1]} vs {cols.shape[1]}"
+            f"length mismatch: {x0.shape[0]} initial states, {u.shape[0]} controls"
         )
-    k = cdist(rows, cols, "sqeuclidean")
-    k *= -spec.bandwidth
-    np.exp(k, out=k)
-    return k
+    return np.hstack([x0, u])
 
 
-# rows per block of gram_product; a block's two kernel factors add
-# 2 * 32 / M of an M x M matrix to the packed G
+@dataclass(frozen=True)
+class ProductFeatures:
+    """Joint features of (initial state, flattened control sequence) pairs
+    under the product kernel k_x * k_u, centred at the mean of the pairs
+    they were built from (``build``).
+
+    ``points[i]`` is z_i = [sqrt(sigma_x) (x0_i - mean x0),
+    sqrt(sigma_u) (u_i - mean u)] and ``sq_norms[i]`` is ||z_i||^2, so the
+    kernel of pairs i and j is exp(-||z_i - z_j||^2).
+    """
+
+    centre: np.ndarray
+    scale: np.ndarray
+    points: np.ndarray
+    sq_norms: np.ndarray
+
+    @classmethod
+    def build(
+        cls, initial_states, controls, kx: KernelSpec, ku: KernelSpec
+    ) -> ProductFeatures:
+        """The features of the pairs (initial_states[i], controls[i])."""
+        joint = _joint(initial_states, controls)
+        state_dim = np.shape(initial_states)[-1]
+        scale = np.repeat(
+            [math.sqrt(kx.bandwidth), math.sqrt(ku.bandwidth)],
+            [state_dim, joint.shape[1] - state_dim],
+        )
+        centre = joint.mean(axis=0)
+        return cls(centre, scale, *_scaled(joint, centre, scale))
+
+    def cross_kernel(self, initial_states, controls) -> np.ndarray:
+        """Kernel matrix of these pairs (rows) against the query pairs
+        (columns), a C-ordered array of shape (len(points), queries)."""
+        points, sq_norms = _scaled(
+            _joint(initial_states, controls), self.centre, self.scale
+        )
+        k = _exponents(self.points, self.sq_norms, points, sq_norms)
+        return np.exp(k, out=k)
+
+
+def _scaled(joint, centre, scale) -> tuple[np.ndarray, np.ndarray]:
+    """The features of joint rows, and their squared norms."""
+    points = joint - centre
+    points *= scale
+    return points, np.einsum("ij,ij->i", points, points)
+
+
+def _exponents(a, a_sq_norms, b, b_sq_norms) -> np.ndarray:
+    """-||a_i - b_j||^2, clamped at 0 from above, for the rows a_i of a and
+    b_j of b, as a C-ordered array of shape (len(a), len(b))."""
+    # dgemm computes 2 b a^T in Fortran order, which is 2 a b^T in C order;
+    # the transposes of C-ordered rows are Fortran-ordered, so it copies
+    # neither operand
+    e = dgemm(2.0, b.T, a.T, trans_a=True).T
+    e -= a_sq_norms[:, None]
+    e -= b_sq_norms
+    return np.minimum(e, 0.0, out=e)
+
+
+# rows per block of gram_product; a block's kernel values add 32 / M of an
+# M x M matrix to the packed G
 _GRAM_BLOCK_ROWS = 32
 
 
@@ -100,28 +180,21 @@ def gram_product(
 
     ``controls`` holds one flattened control sequence per row. The result is
     the M(M+1)/2 array that LAPACK's ``trttf`` makes of G + ridge * I with
-    TRANSR='N' and UPLO='L', the layout ``spd_factor`` takes. G is built a
-    block of rows of its upper triangle at a time, and no block straddles
-    the two halves of the layout: block [a, b) holds the pairs (i, j) with
-    a <= i < b and j >= a, and its entries with j >= i are written to their
-    packed positions. Each pair's kernels are evaluated once, and besides
-    the packed G at most two blocks (the two kernel factors) are held.
+    TRANSR='N' and UPLO='L', the layout ``spd_factor`` takes.
 
-    The result equals bit for bit the packed product of the two dense kernel
-    matrices. cdist computes each squared distance as a sum of squared
-    coordinate differences in the same order whichever block holds the
-    pair, and (a - b)^2 == (b - a)^2 in floating point, so the stored g[i, j]
-    is the value the dense build computes for both g[i, j] and g[j, i]. The
-    distance of a point to itself is exactly 0, and exp(0) = 1, so the
-    diagonal is 1 + ridge.
+    G is built from the ``ProductFeatures`` of the pairs, centred at their
+    mean, a block of rows of its upper triangle at a time, and no block
+    straddles the two halves of the layout: block [a, b) holds the pairs
+    (i, j) with a <= i < b and j >= a, and its entries with j >= i are
+    written to their packed positions. Each block's squared distances are
+    one BLAS product, clamped at 0, and one ``exp`` pass turns them into
+    kernel values, so each pair is evaluated once, and besides the packed G
+    one block is held. The distance of each sample to itself is pinned at
+    exactly 0, so the diagonal is exactly 1 + ridge.
     """
-    x0 = np.atleast_2d(np.asarray(initial_states, dtype=float))
-    u = np.atleast_2d(np.asarray(controls, dtype=float))
-    if x0.shape[0] != u.shape[0]:
-        raise ValueError(
-            f"length mismatch: {x0.shape[0]} initial states, {u.shape[0]} controls"
-        )
-    m = x0.shape[0]
+    features = ProductFeatures.build(initial_states, controls, kx, ku)
+    z, sq_norms = features.points, features.sq_norms
+    m = z.shape[0]
     packed = np.empty(m * (m + 1) // 2)
     head, tail = _rfp_triangles(packed, m)
     n1 = head.shape[0]
@@ -130,10 +203,12 @@ def gram_product(
         for start in range(first, last, _GRAM_BLOCK_ROWS):
             stop = min(start + _GRAM_BLOCK_ROWS, last)
             width = stop - start
-            block = kernel_matrix(kx, x0[start:stop], x0[start:])
-            block *= kernel_matrix(ku, u[start:stop], u[start:])
+            block = _exponents(
+                z[start:stop], sq_norms[start:stop], z[start:], sq_norms[start:]
+            )
+            np.exp(block, out=block)
             diagonal = np.arange(width)
-            block[diagonal, diagonal] += ridge
+            block[diagonal, diagonal] = 1.0 + ridge
             rows = half[start - first : stop - first, start - first :]
             rows[:, width:] = block[:, width:]
             np.copyto(rows[:, :width], block[:, :width], where=upper[:width, :width])

@@ -31,6 +31,15 @@ _Z95 = 1.959963984540054
 MAX_KEPT_TRAJECTORIES = 2000
 
 
+def check_weights(weights: np.ndarray) -> None:
+    """Raise ValueError unless the weights are nonnegative and sum to 1."""
+    if np.any(weights < 0.0):
+        raise ValueError("weights must be nonnegative")
+    # written so that a NaN weight fails too
+    if not abs(weights.sum() - 1.0) <= 1e-9:
+        raise ValueError(f"weights must sum to 1, got {weights.sum()}")
+
+
 @dataclass(frozen=True)
 class MixedPolicy:
     """Mixture weights over a control library, for one x0 and risk level."""
@@ -47,11 +56,7 @@ class MixedPolicy:
                 f"weights must have length {self.library.num_sequences}, "
                 f"got {w.shape}"
             )
-        if np.any(w < 0.0):
-            raise ValueError("weights must be nonnegative")
-        # written so that a NaN weight fails too
-        if not abs(w.sum() - 1.0) <= 1e-9:
-            raise ValueError(f"weights must sum to 1, got {w.sum()}")
+        check_weights(w)
         x0 = np.asarray(self.x0, dtype=float)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "x0", x0)

@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .data import ControlLibrary
 from .embedding import EmbeddingModel, cross_matrix
@@ -139,7 +140,10 @@ def assemble(
     for start in range(0, lib.num_sequences, block):
         stop = start + block
         sequences = lib.sequences[start:stop]
-        rows[:, start:stop] = alpha.T @ cross_matrix(model, x0, sequences)
+        cross = cross_matrix(model, x0, sequences)
+        # alpha^T cross on scipy's BLAS, like the kernel blocks, from the
+        # Fortran-ordered alpha and transpose of the C-ordered block
+        rows[:, start:stop] = dgemm(1.0, alpha, cross.T, trans_a=True, trans_b=True)
         rows[0, start:stop] += control_cost(sc, sequences)
     cost_row, safety_row = rows
     return LPInstance(

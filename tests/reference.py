@@ -3,11 +3,15 @@
 ``brute_oracle`` solves the chance-constrained LP by exhaustive search, as an
 independent check of ``solver.solve_lp``; ``sample_control`` draws one
 library element from a policy with one uniform, the draw each Monte-Carlo
-trial makes.
+trial makes; ``kernel_matrix`` evaluates a Gaussian kernel densely with
+``cdist``, as an independent check of the one-product evaluation in
+``kernelcc.kernels``.
 """
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
+from kernelcc.kernels import KernelSpec
 from kernelcc.policy import MixedPolicy, _draw_indices
 from kernelcc.solver import TIE_TOLERANCE, LPInstance, SolveResult
 
@@ -67,3 +71,22 @@ def sample_control(policy: MixedPolicy, rng: np.random.Generator):
     """Draw (index, control sequence) from the policy with one uniform."""
     index = int(_draw_indices(policy, rng.random()))
     return index, policy.library.sequences[index]
+
+
+def kernel_matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
+    """exp(-sigma * ||a - b||^2) between the rows of two arrays.
+
+    cdist sums squared coordinate differences, so the matrix of a point set
+    against itself is exactly symmetric with a diagonal of exactly 1.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    cols = np.atleast_2d(np.asarray(cols, dtype=float))
+    if rows.shape[1] != cols.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: {rows.shape[1]} vs {cols.shape[1]}"
+        )
+    k = cdist(rows, cols, "sqeuclidean")
+    k *= -spec.bandwidth
+    np.exp(k, out=k)
+    return k
+

@@ -3,6 +3,10 @@
 import base64
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +73,19 @@ def write_config(tmp_path, raw, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return path
+
+
+def test_import_leaves_scipy_spatial_out():
+    # kernels come from one BLAS product, not cdist; a fresh interpreter
+    # shows what importing the command line loads
+    src = str(Path(kernelcc.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, kernelcc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 class TestExperiment:
@@ -382,21 +399,40 @@ class TestStageReuse:
         for p in fresh.iterdir():
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
 
-    def test_policy_of_a_malformed_library_digest_is_one_line_error(
-        self, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("library_digest", 5),
+            ("weights", [[2, 0.25], [3, 0.25]]),
+            ("weights", [[-1, 1.0]]),
+            ("delta", 2.0),
+            ("x0", [0, 0]),
+        ],
+        ids=["library_digest=5", "weights_sum_0.5", "index=-1", "delta=2.0", "x0=[0,0]"],
+    )
+    @pytest.mark.parametrize("trials", [30, 31], ids=["report_current", "report_stale"])
+    def test_cached_policy_of_a_malformed_field_is_resolved(
+        self, tmp_path, capsys, field, value, trials
     ):
-        # the policy still records the current key, so it is reused, and a
-        # new trial count makes validation read it
-        out = tmp_path / "out"
-        run_step(tmp_path, small_raw(), ["experiment"], out)
-        path = out / "policy_delta_0.3.json"
+        # the policy still records the current key, and holds a value that
+        # only validation used to check: it is stale and solved again, with
+        # or without a new trial count that makes validation read it
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        run_step(tmp_path, small_raw(), ["experiment"], reused)
+        path = reused / "policy_delta_0.3.json"
         record = json.loads(path.read_text())
-        path.write_text(canonical_json({**record, "library_digest": 5}) + "\n")
+        if field == "weights":
+            record["solve"]["weights"] = value
+        else:
+            record[field] = value
+        path.write_text(canonical_json(record) + "\n")
         capsys.readouterr()
-        rc = run_step(tmp_path, small_raw(trials=31), ["experiment"], out)
-        assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err == f"error: {path}: invalid library_digest: 5\n"
+        rc = run_step(tmp_path, small_raw(trials=trials), ["experiment"], reused)
+        assert rc == EXIT_OK
+        assert "delta=0.3: objective" in capsys.readouterr().out
+        run_step(tmp_path, small_raw(trials=trials), ["experiment"], fresh)
+        for p in fresh.iterdir():
+            assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
 
     def test_policy_without_weights_is_resolved_before_validation(
         self, tmp_path, capsys
@@ -419,7 +455,7 @@ class TestStageReuse:
         for p in fresh.iterdir():
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
 
-    @pytest.mark.parametrize("earlier", [2, 3, 4])
+    @pytest.mark.parametrize("earlier", [2, 3, 4, 5])
     def test_earlier_policy_format_is_resolved(
         self, tmp_path, capsys, monkeypatch, earlier
     ):
@@ -435,7 +471,7 @@ class TestStageReuse:
         assert "dataset: cached" in text and "library: cached" in text
         assert "cached policy" not in text and "cached report" not in text
         policy = json.loads((reused / "policy_delta_0.3.json").read_text())
-        assert policy["format_version"] == kernelcc.cli.POLICY_FORMAT_VERSION == 5
+        assert policy["format_version"] == kernelcc.cli.POLICY_FORMAT_VERSION == 6
         run_step(tmp_path, small_raw(), ["experiment"], fresh)
         for p in fresh.iterdir():
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
@@ -1123,7 +1159,7 @@ class TestEarlierDirectory:
         "dataset.jsonl": "4fc653430f20fcece154c27d7d7184b3a8e2fd4e1c3ac1552e0027a6402e7443",
         "library.jsonl": "dcb8de6ff22187b88db4a90c2630dd52df00be1376a1a4e33203465fb4ec23fe",
         "policy_delta_0.3.json": (
-            "d66250efffd2af5384a1cbf74a2d257a021a082cc6b8e0eb48b5bcefeccbdfee"
+            "d54aa418a0bd035b5b1100bd75a99e9d19f6da8ae7e6db873c1ac92756fbb38b"
         ),
         "trajectories_delta_0.3.csv": (
             "2dd990497df33a863590a6b0f3a7eeaa6c8171b1da3c27c65daddcf40e7a405e"
@@ -1171,7 +1207,7 @@ class TestEarlierDirectory:
     }
     EARLIER_KEYS_SHA256 = {
         "policy_delta_0.3.json": (
-            "b2ff29a4ae1c8710608a744e5169b65e14d9c6dde72469ce77b5edcb7728f03f"
+            "ae94013ea89a6e177412cce8600cb47129c4d873f8653d046d2858d236aca418"
         ),
         "report_delta_0.3.json": (
             "3184cf1925ddaf3df67635818df8159184f650a2a943b55243d715c5ad8631e0"

@@ -228,7 +228,7 @@ class TestParseConfig:
         # base_raw leaves max_sequences, prior, disturbance, costs and output
         # to their constructors' defaults, so a default that drifts moves one
         # of these keys; the policy key also moves with POLICY_FORMAT_VERSION
-        # (5 here) and with the fields of KernelSpec and Scenario, which it
+        # (6 here) and with the fields of KernelSpec and Scenario, which it
         # digests
         cfg = parse_config(base_raw())
         ds_key, lib_key = stage_keys(base_raw())
@@ -236,7 +236,7 @@ class TestParseConfig:
         assert lib_key == "91678db5f57ede6fae740835adf3baf551adde1fcb1da5671fae952977025184"
         policy_key = _policy_key(cfg, [ds_key, cfg.master_seed], lib_key, cfg.deltas[0])
         assert policy_key == (
-            "5a799d307cef6ae05d0edbe5f8da821d776a8508758f1cfbd7c14ea970601e3f"
+            "ced0c231d524e108a3ede02ca2333b513b5639b901ed590e3c58b839dde2b7a1"
         )
 
     def test_mc_section_does_not_touch_stage_digests(self):

@@ -9,7 +9,8 @@ from scipy.linalg import lapack
 
 from kernelcc.data import Dataset
 from kernelcc.embedding import FitError, cross_matrix, fit
-from kernelcc.kernels import KernelSpec, kernel_matrix, spd_factor, spd_solve
+from kernelcc.kernels import KernelSpec, gram_product, spd_factor, spd_solve
+from reference import kernel_matrix
 
 UNIT = KernelSpec(bandwidth=1.0)
 
@@ -100,9 +101,15 @@ class TestFit:
         assert a.digest != b.digest
 
     def test_factor_of_regularized_gram(self):
+        # the fit factors its own packed G + lam*M*I, which is the dense
+        # reference to rounding
         ds = make_dataset(m=30)
         model = fit(ds, UNIT, UNIT, lam=1e-3)
-        packed, _ = lapack.dtrttf(dense_gram(ds) + 1e-3 * 30 * np.eye(30), uplo="L")
+        packed = gram_product(
+            ds.initial_states, ds.flattened_controls(), UNIT, UNIT, ridge=1e-3 * 30
+        )
+        reference, _ = lapack.dtrttf(dense_gram(ds) + 1e-3 * 30 * np.eye(30), uplo="L")
+        np.testing.assert_allclose(packed, reference, rtol=1e-12, atol=0.0)
         expected = spd_factor(packed)
         np.testing.assert_array_equal(
             model.factor.packed_factor, expected.packed_factor
@@ -288,6 +295,21 @@ class TestCrossMatrix:
         rng = np.random.default_rng(0)
         r = cross_matrix(model, np.zeros(4), rng.uniform(0, 1, size=(4, 5, 2)))
         assert np.all(r > 0.0) and np.all(r <= 1.0)
+
+    @pytest.mark.parametrize("blocks", [2, 3, 7])
+    def test_blocks_equal_one_unblocked_call(self, blocks):
+        # assemble walks the library a block of columns at a time; BLAS may
+        # round an entry differently in another block, in its last bits only
+        ds = make_dataset(m=40, seed=4)
+        model = fit(ds, UNIT, UNIT, 1e-3)
+        rng = np.random.default_rng(6)
+        controls = rng.uniform(0, 1, size=(23, 5, 2))
+        x0 = rng.normal(size=4)
+        whole = cross_matrix(model, x0, controls)
+        blocked = np.hstack(
+            [cross_matrix(model, x0, part) for part in np.array_split(controls, blocks)]
+        )
+        np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0.0)
 
     def test_horizon_mismatch_rejected(self):
         ds = make_dataset(m=6)

@@ -11,11 +11,12 @@ from kernelcc import kernels
 from kernelcc.kernels import (
     FactorizationError,
     KernelSpec,
+    ProductFeatures,
     gram_product,
-    kernel_matrix,
     spd_factor,
     spd_solve,
 )
+from reference import kernel_matrix
 
 UNIT = KernelSpec(bandwidth=1.0)
 GRAM_BLOCK = kernels._GRAM_BLOCK_ROWS
@@ -150,16 +151,48 @@ class TestGramProduct:
 
     @pytest.mark.parametrize("m", ORDERS)
     def test_blocks_equal_dense_product(self, m):
-        # the layout is LAPACK's dtrttf of the dense product, bit for bit
+        # the layout is LAPACK's dtrttf of the dense product; the values
+        # agree with cdist's to rounding
         x0, u, ku, dense = self.dense_product(m)
-        assert gram_product(x0, u, UNIT, ku).tobytes() == pack(dense).tobytes()
+        packed = gram_product(x0, u, UNIT, ku)
+        np.testing.assert_allclose(packed, pack(dense), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("m", ORDERS)
     def test_ridge_is_added_on_the_packed_diagonal(self, m):
         x0, u, ku, dense = self.dense_product(m)
         dense.flat[:: m + 1] += 0.37
         packed = gram_product(x0, u, UNIT, ku, ridge=0.37)
-        assert packed.tobytes() == pack(dense).tobytes()
+        np.testing.assert_allclose(packed, pack(dense), rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(np.diag(unpack(packed)), np.full(m, 1.0 + 0.37))
+
+    def test_entries_match_loop_far_from_the_origin(self):
+        # controls of norm about 120, the size of the feedback tails: the
+        # expansion ||a||^2 + ||b||^2 - 2ab of uncentred points would lose
+        # up to about 1e-16 * 2 * 120^2 to cancellation in each exponent
+        rng = np.random.default_rng(17)
+        x0 = rng.normal(size=(40, 4)) + 3.0
+        u = rng.normal(scale=0.3, size=(40, 30)) + 120.0 / np.sqrt(30)
+        assert 110 < np.linalg.norm(u, axis=1).min() < 130
+
+        def loop(query_x0, query_u):
+            return [
+                [loop_kernel(UNIT, a, p) * loop_kernel(UNIT, b, q) for p, q in zip(query_x0, query_u)]
+                for a, b in zip(x0, u)
+            ]
+
+        g = unpack(gram_product(x0, u, UNIT, UNIT))
+        np.testing.assert_allclose(g, loop(x0, u), rtol=1e-12, atol=0.0)
+        features = ProductFeatures.build(x0, u, UNIT, UNIT)
+        cross = features.cross_kernel(x0[:5] + 0.5, u[:5] - 0.5)
+        np.testing.assert_allclose(cross, loop(x0[:5] + 0.5, u[:5] - 0.5), rtol=1e-12, atol=0.0)
+
+    def test_equal_points_off_the_origin_give_exactly_one(self):
+        # the centre is the points themselves, so their features are exactly
+        # 0; uncentred, ||a||^2 + ||a||^2 - 2aa rounds to about 1e-13 here
+        x0 = [[3.0, -1.5, 0.25, 7.0]] * 2
+        u = [np.linspace(-90.0, 120.0, 30)] * 2
+        g = gram_product(x0, u, UNIT, KernelSpec(bandwidth=0.1), ridge=0.5)
+        np.testing.assert_array_equal(unpack(g), [[1.5, 1.0], [1.0, 1.5]])
 
     def test_peak_memory_one_gram_buffer(self):
         # one packed triangle plus one block of rows, not an M x M matrix
