@@ -32,8 +32,8 @@ def main():
     base = assemble(model, cfg.scenario_for(cfg.deltas[0]), lib, cfg.initial_state)
     print(
         f"\nassembled LP over {base.num_sequences} sequences; safety "
-        f"estimates span [{base.diagnostics.min_value:.3f}, "
-        f"{base.diagnostics.max_value:.3f}]"
+        f"estimates span [{base.safety_row.min():.3f}, "
+        f"{base.safety_row.max():.3f}]"
     )
     print("\n  delta   threshold   objective      support (index: weight)")
     for delta in cfg.deltas:

@@ -35,6 +35,7 @@ from .data import (
     ControlLibrary,
     DataLoadError,
     Dataset,
+    DatasetGenerationError,
     dataset_key,
     generate_dataset,
     generate_library,
@@ -298,11 +299,18 @@ def _solve(
     model = fit(ds, cfg.state_kernel, cfg.control_kernel, cfg.regularization)
     # one kernel solve covers the whole sweep; only the threshold changes
     base = assemble(model, cfg.scenario_for(deltas[0]), lib, cfg.initial_state)
+    # how the estimates spread, which no threshold changes
+    safety = base.safety_row
+    estimates = {
+        "min": float(safety.min()),
+        "max": float(safety.max()),
+        "num_below_zero": int(np.count_nonzero(safety < 0.0)),
+        "num_above_one": int(np.count_nonzero(safety > 1.0)),
+    }
     policies = {}
     for delta in deltas:
         inst = dataclasses.replace(base, threshold=1.0 - delta)
         result = solve_lp(inst)
-        diagnostics = inst.diagnostics
         # only what the inputs digest fixes, so a reused policy and a fresh
         # one are the same bytes
         policies[delta] = {
@@ -315,13 +323,7 @@ def _solve(
             "embedding_digest": model.digest,
             "inputs_digest": _policy_key(cfg, *keys, delta),
             "solve": result.to_dict(),
-            "safety_estimates": {
-                "threshold": inst.threshold,
-                "min": diagnostics.min_value,
-                "max": diagnostics.max_value,
-                "num_below_zero": diagnostics.num_below_zero,
-                "num_above_one": diagnostics.num_above_one,
-            },
+            "safety_estimates": {"threshold": inst.threshold, **estimates},
         }
         path = _delta_path(out, "policy", delta)
         _write_json(path, policies[delta])
@@ -329,7 +331,7 @@ def _solve(
             print(
                 f"delta={delta}: objective {result.objective:.6f}, "
                 f"support {list(result.support)}, safety estimates in "
-                f"[{diagnostics.min_value:.4f}, {diagnostics.max_value:.4f}]"
+                f"[{estimates['min']:.4f}, {estimates['max']:.4f}]"
                 f" -> {path}"
             )
         else:
@@ -408,12 +410,7 @@ def _policy_from_record(record: dict, lib: ControlLibrary, path: Path) -> MixedP
             raise ValueError(f"index {max(indices)} out of range")
         weights = np.zeros(lib.num_sequences)
         weights[indices] = values
-        return MixedPolicy(
-            weights=weights,
-            library=lib,
-            x0=np.asarray(record["x0"], dtype=float),
-            delta=float(record["delta"]),
-        )
+        return MixedPolicy(weights=weights, library=lib)
     except ValueError as exc:
         raise PolicyFileError(f"{path}: invalid solve.weights: {exc}") from None
 
@@ -421,48 +418,47 @@ def _policy_from_record(record: dict, lib: ControlLibrary, path: Path) -> MixedP
 def cmd_validate(
     cfg: RunConfig,
     out: Path,
-    policy_paths: list[Path],
+    records: dict[Path, dict],
     lib: ControlLibrary,
     x0: np.ndarray | None = None,
 ) -> dict[float, dict]:
-    """Monte-Carlo validate saved policies of the library ``lib`` from x0,
-    or else from the first policy's own x0, together on one set of draws;
-    write and return their reports by delta.
+    """Monte-Carlo validate policies of the library ``lib`` from x0, or else
+    from the first policy's own x0, together on one set of draws; write and
+    return their reports by delta.
 
-    Every policy file is read and checked before any simulation.
+    ``records`` maps each policy file to the record ``_read_policy`` made of
+    it, or ``_solve`` wrote there. Every record is checked against ``lib``
+    before any simulation.
     """
-    records = [_read_policy(path) for path in policy_paths]
     policies = [
-        _policy_from_record(record, lib, path)
-        for record, path in zip(records, policy_paths)
+        _policy_from_record(record, lib, path) for path, record in records.items()
     ]
     if x0 is None:
-        x0 = policies[0].x0
+        x0 = np.asarray(next(iter(records.values()))["x0"], dtype=float)
     mc_reports = run_monte_carlo(
         policies, cfg.model, cfg.scenario, x0, cfg.trials, cfg.mc_seed
     )
     reports = {}
-    for policy_path, record, policy, report in zip(
-        policy_paths, records, policies, mc_reports
-    ):
-        report_path = _delta_path(out, "report", policy.delta)
+    for (policy_path, record), report in zip(records.items(), mc_reports):
+        delta = float(record["delta"])
+        report_path = _delta_path(out, "report", delta)
         # the seed and library recorded are the policy's, fixed by the
         # inputs digest like everything else here
-        reports[policy.delta] = {
+        reports[delta] = {
             "kind": "report",
-            "delta": policy.delta,
+            "delta": delta,
             "x0": [float(v) for v in x0],
             "master_seed": record["master_seed"],
             "library_digest": record["library_digest"],
             "objective": record["solve"]["objective"],
-            "inputs_digest": _report_key(cfg, policy_path, policy.delta, x0),
+            "inputs_digest": _report_key(cfg, policy_path, delta, x0),
             "report": report.to_dict(),
         }
-        _write_json(report_path, reports[policy.delta])
-        csv_path = _delta_path(out, "trajectories", policy.delta, "csv")
+        _write_json(report_path, reports[delta])
+        csv_path = _delta_path(out, "trajectories", delta, "csv")
         trajectories_to_csv(report, csv_path)
         print(
-            f"delta={policy.delta}: success rate {report.success_rate:.4f} "
+            f"delta={delta}: success rate {report.success_rate:.4f} "
             f"({report.successes}/{report.trials}), Wilson 95% "
             f"[{report.wilson_low:.4f}, {report.wilson_high:.4f}] "
             f"-> {report_path}"
@@ -513,7 +509,7 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> int:
     if stale:
         keys = ds.key, lib.key
         policies.update(_solve(cfg, out, ds.get(), lib.get(), keys, stale))
-    reports, unvalidated = {}, []
+    reports, unvalidated = {}, {}
     for delta in cfg.deltas:
         if policies[delta]["solve"]["status"] != "optimal":
             continue
@@ -525,7 +521,7 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> int:
         if reports[delta] is not None:
             print(f"delta={delta}: cached report")
         else:
-            unvalidated.append(policy_path)
+            unvalidated[policy_path] = policies[delta]
     if unvalidated:
         reports.update(
             cmd_validate(cfg, out, unvalidated, lib.get(), cfg.initial_state)
@@ -605,7 +601,8 @@ def main(argv=None) -> int:
             # validate's --x0 replaces the initial state of the policy
             x0 = None if args.x0 is None else cfg.initial_state
             lib = _read_input(cfg, out / "library.jsonl", load_library)
-            cmd_validate(cfg, out, [Path(args.policy)], lib, x0)
+            policy_path = Path(args.policy)
+            cmd_validate(cfg, out, {policy_path: _read_policy(policy_path)}, lib, x0)
             return EXIT_OK
         if args.command == "generate":
             cmd_generate(cfg, out)
@@ -616,7 +613,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PolicyFileError, FitError) as exc:
+    except (PolicyFileError, FitError, DatasetGenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataLoadError, OSError) as exc:

@@ -143,18 +143,11 @@ def _nested(section: _Object, key: str) -> _Object:
     return _object(_get(section, key), _name(section.where, key))
 
 
-def _steps(value) -> tuple[int, int]:
-    """A ``kind`` for _get: a (first, last) pair of integers."""
+def _integer_pair(value) -> tuple[int, int]:
+    """A ``kind`` for _get: a pair of integers."""
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"must be a pair of integers, got {value!r}")
     return tuple(map(integer, value))
-
-
-def _integers(value):
-    """A ``kind`` for _get: an integer, or a list of integers."""
-    if isinstance(value, list):
-        return [integer(item) for item in value]
-    return integer(value)
 
 
 def _text(value) -> str:
@@ -226,7 +219,7 @@ def _obstacles(items) -> list[Obstacle]:
     for k, obs in enumerate(items):
         obs = _object(obs, f"scenario.obstacles[{k}]")
         rect = _get(obs, "rect", _vector(4))
-        steps = _get(obs, "active_steps", _steps)
+        steps = _get(obs, "active_steps", _integer_pair)
         with _invalid(obs.where):
             obstacles.append(Obstacle.rectangle(*rect, steps))
     return obstacles
@@ -295,10 +288,15 @@ def parse_config(raw: dict) -> RunConfig:
 
     scenario_raw = _nested(raw, "scenario")
     horizon = _get(scenario_raw, "horizon", integer)
-    deltas = tuple(
-        check_delta(d, f"scenario.deltas[{i}]")
-        for i, d in enumerate(_get(scenario_raw, "deltas", _reals))
-    )
+    deltas = []
+    for i, value in enumerate(_get(scenario_raw, "deltas", _reals)):
+        delta = check_delta(value, f"scenario.deltas[{i}]")
+        # a risk level names its policy and report files
+        if delta in deltas:
+            raise ConfigError(
+                f"invalid scenario.deltas[{i}]: repeats risk level {delta!r}"
+            )
+        deltas.append(delta)
     if not deltas:
         raise ConfigError("scenario.deltas must be a nonempty list")
     goal_raw = _nested(scenario_raw, "goal")
@@ -333,7 +331,7 @@ def parse_config(raw: dict) -> RunConfig:
     with _invalid(lib_raw.where):
         library = LibraryGenConfig(
             **_control_law(lib_raw, horizon),
-            grid_resolution=_get(lib_raw, "grid_resolution", _integers),
+            grid_resolution=_get(lib_raw, "grid_resolution", _integer_pair),
             initial_state=_get(lib_raw, "initial_state", _reals),
             **_optional(lib_raw, max_sequences=integer),
         )
@@ -375,7 +373,7 @@ def parse_config(raw: dict) -> RunConfig:
         state_kernel=state_kernel,
         control_kernel=control_kernel,
         regularization=regularization,
-        deltas=deltas,
+        deltas=tuple(deltas),
         scenario=scenario,
         initial_state=initial_state,
         trials=trials,

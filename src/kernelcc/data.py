@@ -55,14 +55,14 @@ class DataLoadError(ValueError):
 
 
 class DatasetGenerationError(RuntimeError):
-    """Raised when a sample's simulation diverges; names the sample index."""
+    """Raised when the simulation of a dataset sample or a library sequence
+    diverges; names the item ("dataset sample" or "library sequence"), its
+    index and the 1-based step."""
 
-    def __init__(self, sample_index: int, step: int):
-        self.sample_index = sample_index
+    def __init__(self, item: str, index: int, step: int):
+        self.index = index
         self.step = step
-        super().__init__(
-            f"sample {sample_index} diverged at simulation step {step}"
-        )
+        super().__init__(f"{item} {index} diverged at simulation step {step}")
 
 
 def pd_gain(kp: float, kd: float) -> np.ndarray:
@@ -171,7 +171,7 @@ class LibraryGenConfig(ControlLawSpec):
     """Settings for control-library generation.
 
     ``grid_resolution`` gives the number of grid points per control
-    coordinate on each randomized step; a scalar applies to every coordinate.
+    coordinate on each randomized step.
     The library size is (prod(grid_resolution))**num_random_steps.
     """
 
@@ -181,9 +181,7 @@ class LibraryGenConfig(ControlLawSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        res = self.grid_resolution
-        res = (res, res) if np.isscalar(res) else res
-        res = tuple(integer(g, "grid_resolution") for g in res)
+        res = tuple(integer(g, "grid_resolution") for g in self.grid_resolution)
         if len(res) != 2 or any(g < 1 for g in res):
             raise ValueError("grid_resolution needs a positive count per coordinate")
         x0 = _check_state(self.initial_state, "initial_state")
@@ -315,11 +313,11 @@ def library_key(
     return digest_of({"dt": model.dt, "library": cfg, "nominal": nominal})
 
 
-def _raise_first_divergence(diverged: np.ndarray) -> None:
-    """Raise for the lowest sample whose simulation diverged (step > 0)."""
+def _raise_first_divergence(diverged: np.ndarray, item: str) -> None:
+    """Raise for the lowest item whose simulation diverged (step > 0)."""
     failed = np.flatnonzero(diverged)
     if failed.size:
-        raise DatasetGenerationError(int(failed[0]), int(diverged[failed[0]]))
+        raise DatasetGenerationError(item, int(failed[0]), int(diverged[failed[0]]))
 
 
 def generate_dataset(
@@ -370,8 +368,8 @@ def generate_dataset(
         noise[:replayed],
     )
     # every replayed sample comes before the first feedback divergence
-    _raise_first_divergence(diverged)
-    _raise_first_divergence(tail_diverged)
+    _raise_first_divergence(diverged, "dataset sample")
+    _raise_first_divergence(tail_diverged, "dataset sample")
     return Dataset(
         initial_states=x0s,
         controls=controls,
@@ -429,7 +427,7 @@ def generate_library(
         cfg.feedback_gain,
         cfg.target,
     )
-    _raise_first_divergence(diverged)
+    _raise_first_divergence(diverged, "library sequence")
     return ControlLibrary(
         sequences=sequences,
         master_seed=0,
@@ -603,8 +601,9 @@ def _load_jsonl(path, kind: str, build):
     """Read a file _save_jsonl wrote, a record line at a time, and return
     ``build(*arrays, seed, digest)``.
 
-    Errors name the offending line (the header is line 1); what ``build``
-    refuses, such as a non-finite value, is reported against the header.
+    Errors name the offending line (the header is line 1): a field with a
+    non-finite value is reported against its record line, and what else
+    ``build`` refuses against the header, whose shapes the fields take.
     The sha256 of the bytes read is checked last, so a malformed line is
     reported as what it is.
     """
@@ -642,8 +641,8 @@ def _load_jsonl(path, kind: str, build):
 
 
 def _decode(path, lineno: int, name: str, value: bytes, shape: tuple) -> np.ndarray:
-    """The float64 array of ``shape`` whose bytes ``value`` holds in strict
-    base64, or a DataLoadError naming the line and the field."""
+    """The finite float64 array of ``shape`` whose bytes ``value`` holds in
+    strict base64, or a DataLoadError naming the line and the field."""
     try:
         raw = base64.b64decode(value, validate=True)
     except ValueError as exc:
@@ -653,7 +652,10 @@ def _decode(path, lineno: int, name: str, value: bytes, shape: tuple) -> np.ndar
     if len(raw) != size:
         reason = f"holds {len(raw)} bytes, expected {size} for float64 shape {shape}"
         raise DataLoadError(path, lineno, f"field {name!r} {reason}")
-    return np.frombuffer(raw, "<f8").reshape(shape)
+    array = np.frombuffer(raw, "<f8").reshape(shape)
+    if not np.isfinite(array).all():
+        raise DataLoadError(path, lineno, f"non-finite values in {name}")
+    return array
 
 
 def load_dataset(path) -> Dataset:

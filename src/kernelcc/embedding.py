@@ -86,19 +86,18 @@ def fit(ds: Dataset, kx: KernelSpec, ku: KernelSpec, lam: float) -> EmbeddingMod
         raise FitError(
             f"regularization parameter {lam} times {m_count} samples overflows"
         )
-    flat_u = ds.flattened_controls()
-    # G + lam*M*I, factored in place: G is not needed on its own.
-    # gram_product takes the raw pairs and builds their features again, at
-    # O(M d) against its O(M^2 d)
-    packed = gram_product(ds.initial_states, flat_u, kx, ku, ridge=ridge)
+    features = ProductFeatures.build(
+        ds.initial_states, ds.flattened_controls(), kx, ku
+    )
+    # G + lam*M*I, factored in place: G is not needed on its own
+    packed = gram_product(features, ridge=ridge)
     try:
-        factor = spd_factor(packed, overwrite_a=True)
+        factor = spd_factor(packed)
     except FactorizationError as exc:
         raise FitError(
             f"regularized Gram matrix is not positive definite (pivot "
             f"{exc.pivot}); increase the regularization parameter above {lam}"
         ) from exc
-    features = ProductFeatures.build(ds.initial_states, flat_u, kx, ku)
     return EmbeddingModel(
         dataset=ds, kx=kx, ku=ku, lam=float(lam), factor=factor, features=features
     )

@@ -172,18 +172,16 @@ def _rfp_triangles(packed: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return r_transposed[:, ld - m :], r_transposed[n1 - n2 :, :n2].T
 
 
-def gram_product(
-    initial_states, controls, kx: KernelSpec, ku: KernelSpec, ridge: float = 0.0
-) -> np.ndarray:
-    """Product-kernel Gram matrix G_ij = k_x(x0_i, x0_j) * k_u(u_i, u_j), with
-    ``ridge`` added to its diagonal, in rectangular full packed form.
+def gram_product(features: ProductFeatures, ridge: float = 0.0) -> np.ndarray:
+    """Product-kernel Gram matrix G_ij = k_x(x0_i, x0_j) * k_u(u_i, u_j) of
+    the pairs ``features`` was built from, with ``ridge`` added to its
+    diagonal, in rectangular full packed form.
 
-    ``controls`` holds one flattened control sequence per row. The result is
-    the M(M+1)/2 array that LAPACK's ``trttf`` makes of G + ridge * I with
-    TRANSR='N' and UPLO='L', the layout ``spd_factor`` takes.
+    The result is the M(M+1)/2 array that LAPACK's ``trttf`` makes of
+    G + ridge * I with TRANSR='N' and UPLO='L', the layout ``spd_factor``
+    takes.
 
-    G is built from the ``ProductFeatures`` of the pairs, centred at their
-    mean, a block of rows of its upper triangle at a time, and no block
+    G is built a block of rows of its upper triangle at a time, and no block
     straddles the two halves of the layout: block [a, b) holds the pairs
     (i, j) with a <= i < b and j >= a, and its entries with j >= i are
     written to their packed positions. Each block's squared distances are
@@ -192,7 +190,6 @@ def gram_product(
     one block is held. The distance of each sample to itself is pinned at
     exactly 0, so the diagonal is exactly 1 + ridge.
     """
-    features = ProductFeatures.build(initial_states, controls, kx, ku)
     z, sq_norms = features.points, features.sq_norms
     m = z.shape[0]
     packed = np.empty(m * (m + 1) // 2)
@@ -231,7 +228,7 @@ class SpdFactor:
     packed_factor: np.ndarray
 
 
-def spd_factor(packed, overwrite_a: bool = False) -> SpdFactor:
+def spd_factor(packed) -> SpdFactor:
     """Cholesky-factorize a symmetric positive definite matrix held in
     rectangular full packed form.
 
@@ -243,13 +240,12 @@ def spd_factor(packed, overwrite_a: bool = False) -> SpdFactor:
     so the check never holds an M-sized temporary. LAPACK's ``pftrf`` then
     factors the matrix.
 
-    With ``overwrite_a`` false (the default) LAPACK works on a copy and the
-    argument is never modified. With ``overwrite_a`` true, a contiguous
-    float64 argument is factored in place: the returned factor is a view of
-    its memory, and the argument's contents are lost, also when
-    ``FactorizationError`` is raised; any other argument is still copied.
-    The check runs before LAPACK, so on ``ValueError`` the argument is
-    untouched either way. The returned factor array is read-only.
+    A contiguous, writeable float64 argument is factored in place: the
+    returned factor is a view of its memory, and the argument's contents
+    are lost, also when ``FactorizationError`` is raised. Any other argument
+    is copied first and left as it was. The check runs before LAPACK, so on
+    ``ValueError`` the argument is untouched. The returned factor array is
+    read-only.
 
     Raises
     ------
@@ -261,7 +257,9 @@ def spd_factor(packed, overwrite_a: bool = False) -> SpdFactor:
         If the argument is not one-dimensional, its length is not M(M+1)/2,
         or it has a non-finite entry.
     """
-    a = np.asarray(packed, dtype=float)
+    # LAPACK writes the factor over a, and f2py would write into a
+    # read-only array too, so one is copied here, as is a strided one
+    a = np.require(packed, dtype=float, requirements="CW")
     m = (math.isqrt(8 * a.size + 1) - 1) // 2
     if a.ndim != 1 or m * (m + 1) // 2 != a.size:
         raise ValueError(
@@ -271,7 +269,7 @@ def spd_factor(packed, overwrite_a: bool = False) -> SpdFactor:
         if not np.isfinite(a[start : start + _FINITE_CHUNK]).all():
             raise ValueError("matrix has a non-finite entry")
     (pftrf,) = get_lapack_funcs(("pftrf",), (a,))
-    factor, info = pftrf(m, a, transr="N", uplo="L", overwrite_a=overwrite_a)
+    factor, info = pftrf(m, a, transr="N", uplo="L", overwrite_a=True)
     if info > 0:
         # pftrf adds the order of the first half to a pivot in the second,
         # so info is the pivot of the unpacked matrix

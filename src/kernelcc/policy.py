@@ -42,12 +42,11 @@ def check_weights(weights: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class MixedPolicy:
-    """Mixture weights over a control library, for one x0 and risk level."""
+    """Mixture weights over a control library: a probability vector with one
+    weight per library sequence."""
 
     weights: np.ndarray
     library: ControlLibrary
-    x0: np.ndarray
-    delta: float
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -57,9 +56,7 @@ class MixedPolicy:
                 f"got {w.shape}"
             )
         check_weights(w)
-        x0 = np.asarray(self.x0, dtype=float)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "x0", x0)
         # cumulative weights drive inverse-CDF sampling; cache once
         object.__setattr__(self, "_cumulative", np.cumsum(w))
         object.__setattr__(self, "_last_drawable", int(np.flatnonzero(w > 0.0)[-1]))

@@ -16,7 +16,7 @@ This is exact and needs no external LP dependency.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgemm
@@ -36,26 +36,13 @@ _CROSS_BLOCK_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
-class SafetyDiagnostics:
-    """How many estimated success probabilities fall outside [0, 1]."""
-
-    num_below_zero: int
-    num_above_one: int
-    min_value: float
-    max_value: float
-
-
-@dataclass(frozen=True)
 class LPInstance:
-    """Assembled data of the chance-constrained linear program.
-
-    ``diagnostics`` is derived from the safety row, never passed in.
-    """
+    """Assembled data of the chance-constrained linear program: finite cost
+    and safety rows of equal length, and a threshold in (0, 1)."""
 
     cost_row: np.ndarray
     safety_row: np.ndarray
     threshold: float
-    diagnostics: SafetyDiagnostics = field(init=False)
 
     def __post_init__(self):
         cost = np.asarray(self.cost_row, dtype=float)
@@ -73,7 +60,6 @@ class LPInstance:
             raise ValueError(f"threshold must lie in (0,1), got {self.threshold}")
         object.__setattr__(self, "cost_row", cost)
         object.__setattr__(self, "safety_row", safety)
-        object.__setattr__(self, "diagnostics", safety_diagnostics(safety))
 
     @property
     def num_sequences(self) -> int:
@@ -97,16 +83,6 @@ class SolveResult:
             "support": list(self.support),
             "weights": [[int(i), float(self.weights[i])] for i in self.support],
         }
-
-
-def safety_diagnostics(safety_row: np.ndarray) -> SafetyDiagnostics:
-    safety_row = np.asarray(safety_row, dtype=float)
-    return SafetyDiagnostics(
-        num_below_zero=int(np.sum(safety_row < 0.0)),
-        num_above_one=int(np.sum(safety_row > 1.0)),
-        min_value=float(safety_row.min()),
-        max_value=float(safety_row.max()),
-    )
 
 
 def assemble(

@@ -266,9 +266,12 @@ def rollout(
     for t in range(horizon):
         if t >= n_lead:
             controls[rows, t] = (x[rows] - target) @ np.asarray(gain).T
-        step = quadrotor_step(
-            x[rows], controls[rows, t], noise[rows, t], params[rows], model.dt
-        )
+        # a state that overflows is the divergence recorded below, not an
+        # error to warn of
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = quadrotor_step(
+                x[rows], controls[rows, t], noise[rows, t], params[rows], model.dt
+            )
         x[rows] = step
         states[rows, t] = step
         bad = ~np.all(np.isfinite(step), axis=1)

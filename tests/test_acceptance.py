@@ -21,6 +21,7 @@ from kernelcc.data import ControlLibrary, Dataset, generate_dataset
 from kernelcc.embedding import cross_matrix, fit
 from kernelcc.kernels import (
     KernelSpec,
+    ProductFeatures,
     gram_product,
     spd_factor,
     spd_solve,
@@ -290,9 +291,8 @@ class TestNumericalCore:
         )
         x0, u = ds.initial_states, ds.flattened_controls()
         ridge = 1e-7 * 2500
-        packed = gram_product(
-            x0, u, cfg.state_kernel, cfg.control_kernel, ridge=ridge
-        )
+        features = ProductFeatures.build(x0, u, cfg.state_kernel, cfg.control_kernel)
+        packed = gram_product(features, ridge=ridge)
         # the dense product kernel matrix of cdist, regularized, as a
         # reference: gram_product stores its lower triangle in rectangular
         # full packed form, to rounding
@@ -307,7 +307,7 @@ class TestNumericalCore:
         del expected
         regularized, _ = lapack.dtfttr(2500, packed, transr="N", uplo="L")
         regularized = np.tril(regularized) + np.tril(regularized, -1).T
-        factor = spd_factor(packed, overwrite_a=True)
+        factor = spd_factor(packed)
         rhs = np.random.default_rng(3).normal(size=2500)
         solution = spd_solve(factor, rhs)
         residual = float(np.max(np.abs(regularized @ solution - rhs)))

@@ -23,6 +23,7 @@ from kernelcc.cli import (
 from kernelcc.config import parse_config
 from kernelcc.data import generate_dataset, generate_library
 from kernelcc.serialize import canonical_json
+from kernelcc.solver import LPInstance
 
 
 def small_raw(deltas=(0.3,), regularization=1e-4, trials=30):
@@ -252,6 +253,22 @@ class TestStageReuse:
         for tag in ("0.3", "0.4"):
             report = json.loads((out / f"report_delta_{tag}.json").read_text())
             assert report["report"]["trials"] == 31
+
+    def test_stale_reports_parse_each_policy_once(self, tmp_path, monkeypatch):
+        # the policies experiment found current are the records it validates
+        out = tmp_path / "out"
+        run_step(tmp_path, small_raw(deltas=(0.3, 0.4)), ["experiment"], out)
+        parsed = []
+        read_json = kernelcc.cli._read_json
+        monkeypatch.setattr(
+            kernelcc.cli,
+            "_read_json",
+            lambda path: parsed.append(path.name) or read_json(path),
+        )
+        raw = small_raw(deltas=(0.3, 0.4), trials=31)
+        assert run_step(tmp_path, raw, ["experiment"], out) == EXIT_OK
+        policies = [name for name in parsed if name.startswith("policy_")]
+        assert sorted(policies) == ["policy_delta_0.3.json", "policy_delta_0.4.json"]
 
     def test_added_delta_leaves_existing_stages(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -535,6 +552,36 @@ class TestSolve:
         policy = json.loads((out / "policy_delta_0.3.json").read_text())
         assert policy["solve"]["status"] == "infeasible"
 
+    @pytest.mark.filterwarnings("ignore:chance constraint met only")
+    def test_policies_record_the_spread_of_the_safety_estimates(
+        self, tmp_path, monkeypatch
+    ):
+        # the spread is taken once from the assembled safety row, and every
+        # risk level's policy records it beside its own threshold
+        out = tmp_path / "out"
+        assert run_step(tmp_path, small_raw(), ["generate"], out) == EXIT_OK
+        inst = LPInstance(
+            cost_row=[1.0, 2.0, 3.0, 4.0],
+            safety_row=[-0.1, 0.5, 1.3, 1.1],
+            threshold=0.5,
+        )
+        calls = []
+        monkeypatch.setattr(
+            kernelcc.cli, "assemble", lambda *args: calls.append(args) or inst
+        )
+        raw = small_raw(deltas=(0.3, 0.4))
+        assert run_step(tmp_path, raw, ["solve"], out) == EXIT_OK
+        assert len(calls) == 1
+        for delta in (0.3, 0.4):
+            policy = json.loads((out / f"policy_delta_{delta}.json").read_text())
+            assert policy["safety_estimates"] == {
+                "threshold": 1.0 - delta,
+                "min": -0.1,
+                "max": 1.3,
+                "num_below_zero": 1,
+                "num_above_one": 2,
+            }
+
     def test_missing_inputs_io_error(self, tmp_path):
         cfg = write_config(tmp_path, small_raw())
         rc = main(["solve", "--config", str(cfg), "--out-dir",
@@ -674,12 +721,13 @@ class TestValidate:
             "run_monte_carlo",
             lambda policies, *args: sizes.append(len(policies)) or run(policies, *args),
         )
+        records = {path: kernelcc.cli._read_policy(path) for path in paths}
         together = tmp_path / "together"
-        kernelcc.cli.cmd_validate(cfg, together, paths, lib, cfg.initial_state)
+        kernelcc.cli.cmd_validate(cfg, together, records, lib, cfg.initial_state)
         assert sizes == [3]
         for path in paths:
             alone = tmp_path / f"alone_{path.stem}"
-            kernelcc.cli.cmd_validate(cfg, alone, [path], lib)
+            kernelcc.cli.cmd_validate(cfg, alone, {path: records[path]}, lib)
             for written in alone.iterdir():
                 assert written.read_bytes() == (together / written.name).read_bytes()
 
@@ -706,6 +754,18 @@ def with_value(path, value):
 
 
 MALFORMED_INPUTS = [
+    pytest.param(
+        with_value(["scenario", "deltas"], [0.1, 0.1]),
+        ["experiment"],
+        "invalid scenario.deltas[1]: repeats risk level 0.1",
+        id="scenario.deltas=[0.1,0.1]",
+    ),
+    pytest.param(
+        with_value(["library", "grid_resolution"], 2),
+        ["generate"],
+        "invalid library.grid_resolution: must be a pair of integers, got 2",
+        id="library.grid_resolution=2",
+    ),
     pytest.param(
         with_value(["seed"], "abc"), ["experiment"], "invalid seed:", id="seed=abc"
     ),
@@ -1096,6 +1156,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "overflows" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "section, shown",
+        [
+            ("dataset", "dataset sample 0 diverged at simulation step 3"),
+            ("library", "library sequence 0 diverged at simulation step 3"),
+        ],
+    )
+    def test_diverging_simulation_is_one_line_error(
+        self, tmp_path, capsys, section, shown
+    ):
+        # finite in the config, but controls of 1e154 overflow the dynamics
+        raw = with_value([section, "control_high"], [1e154, 1e154])
+        assert run_step(tmp_path, raw, ["generate"], tmp_path / "out") == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {shown}\n"
 
 
     @pytest.mark.parametrize("raw, argv, shown", MALFORMED_INPUTS)

@@ -132,7 +132,6 @@ class TestParseConfig:
             ("dataset", "num_random_steps", True),
             ("library", "max_sequences", 1e4),
             ("library", "grid_resolution", [2.5, 1]),
-            ("library", "grid_resolution", 2.0),
         ],
     )
     def test_integer_keys_are_not_truncated(self, section, key, value):
@@ -145,7 +144,7 @@ class TestParseConfig:
 
     def test_integer_keys_keep_their_values(self):
         raw = base_raw()
-        raw["library"]["grid_resolution"] = 2
+        raw["library"]["grid_resolution"] = [2, 2]
         raw["library"]["max_sequences"] = 64
         cfg = parse_config(raw)
         assert cfg.library.grid_resolution == (2, 2)

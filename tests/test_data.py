@@ -107,10 +107,6 @@ class TestDatasetGenConfig:
                 id="grid_resolution=(2.5,1)",
             ),
             pytest.param(
-                lambda: LibraryGenConfig(horizon=5, grid_resolution=2.0),
-                id="grid_resolution=2.0",
-            ),
-            pytest.param(
                 lambda: LibraryGenConfig(horizon=5, max_sequences=1e4),
                 id="max_sequences=1e4",
             ),
@@ -366,7 +362,7 @@ class TestGenerationDivergence:
     def test_dataset_reports_lowest_sample(self, model, cfg, seed, index, step):
         with pytest.raises(DatasetGenerationError) as exc:
             generate_dataset(cfg, model, master_seed=seed)
-        assert (exc.value.sample_index, exc.value.step) == (index, step)
+        assert (exc.value.index, exc.value.step) == (index, step)
 
     def test_library_reports_lowest_sequence(self):
         # sequence 0 starts with the zero control and stays finite; sequence 1
@@ -379,7 +375,7 @@ class TestGenerationDivergence:
         )
         with pytest.raises(DatasetGenerationError) as exc:
             generate_library(cfg, deterministic_model(), NOMINAL)
-        assert (exc.value.sample_index, exc.value.step) == (1, 2)
+        assert (exc.value.index, exc.value.step) == (1, 2)
 
 
 class TestPersistence:
@@ -600,14 +596,15 @@ class TestPersistence:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_is_refused(self, tmp_path, value):
-        # Dataset refuses the arrays, against the header whose shapes they take
+        # the loader refuses the field against its own record line: u, x and
+        # x0 are lines 2 to 4
         def poisoned(x):
             x = np.frombuffer(base64.b64decode(x), "<f8").copy()
             x[37] = value
             return base64.b64encode(x).decode()
 
         _, path = self.edit_record(tmp_path, "x", poisoned)
-        with pytest.raises(DataLoadError, match=":1: non-finite values in x$"):
+        with pytest.raises(DataLoadError, match=":3: non-finite values in x$"):
             load_dataset(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])

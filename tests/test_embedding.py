@@ -9,7 +9,13 @@ from scipy.linalg import lapack
 
 from kernelcc.data import Dataset
 from kernelcc.embedding import FitError, cross_matrix, fit
-from kernelcc.kernels import KernelSpec, gram_product, spd_factor, spd_solve
+from kernelcc.kernels import (
+    KernelSpec,
+    ProductFeatures,
+    gram_product,
+    spd_factor,
+    spd_solve,
+)
 from reference import kernel_matrix
 
 UNIT = KernelSpec(bandwidth=1.0)
@@ -105,9 +111,10 @@ class TestFit:
         # reference to rounding
         ds = make_dataset(m=30)
         model = fit(ds, UNIT, UNIT, lam=1e-3)
-        packed = gram_product(
-            ds.initial_states, ds.flattened_controls(), UNIT, UNIT, ridge=1e-3 * 30
+        features = ProductFeatures.build(
+            ds.initial_states, ds.flattened_controls(), UNIT, UNIT
         )
+        packed = gram_product(features, ridge=1e-3 * 30)
         reference, _ = lapack.dtrttf(dense_gram(ds) + 1e-3 * 30 * np.eye(30), uplo="L")
         np.testing.assert_allclose(packed, reference, rtol=1e-12, atol=0.0)
         expected = spd_factor(packed)

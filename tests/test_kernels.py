@@ -106,17 +106,18 @@ class TestEvalKernel:
 
 class TestGramProduct:
     def test_single_sample(self):
-        g = gram_product([[0.5, 0.5]], [[1.0, 2.0]], UNIT, UNIT)
+        g = gram_product(ProductFeatures.build([[0.5, 0.5]], [[1.0, 2.0]], UNIT, UNIT))
         assert g.shape == (1,)
         assert g[0] == 1.0
 
     def test_identical_samples(self):
-        g = gram_product([[1.0], [1.0]], [[2.0], [2.0]], UNIT, UNIT)
+        g = gram_product(ProductFeatures.build([[1.0], [1.0]], [[2.0], [2.0]], UNIT, UNIT))
         np.testing.assert_array_equal(g, np.ones(3))
 
     def test_product_of_factors(self):
         # k_x = k_u = exp(-1) off-diagonal, product exp(-2)
-        g = unpack(gram_product([[0.0], [1.0]], [[0.0], [1.0]], UNIT, UNIT))
+        features = ProductFeatures.build([[0.0], [1.0]], [[0.0], [1.0]], UNIT, UNIT)
+        g = unpack(gram_product(features))
         assert g[0, 1] == pytest.approx(np.exp(-2.0), rel=1e-14)
 
     def test_symmetric_unit_diagonal(self):
@@ -124,14 +125,14 @@ class TestGramProduct:
         rng = np.random.default_rng(5)
         x0 = rng.normal(size=(40, 4))
         u = rng.normal(size=(40, 30))
-        g = gram_product(x0, u, UNIT, KernelSpec(bandwidth=0.1))
+        g = gram_product(ProductFeatures.build(x0, u, UNIT, KernelSpec(bandwidth=0.1)))
         assert g.shape == (40 * 41 // 2,)
         np.testing.assert_array_equal(np.diag(unpack(g)), np.ones(40))
         assert np.all(g > 0.0) and np.all(g <= 1.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            gram_product([[0.0], [1.0]], [[0.0]], UNIT, UNIT)
+            ProductFeatures.build([[0.0], [1.0]], [[0.0]], UNIT, UNIT)
 
     # odd and even orders whose two packed halves hold less than a block of
     # rows, exactly one, and more than one
@@ -154,14 +155,14 @@ class TestGramProduct:
         # the layout is LAPACK's dtrttf of the dense product; the values
         # agree with cdist's to rounding
         x0, u, ku, dense = self.dense_product(m)
-        packed = gram_product(x0, u, UNIT, ku)
+        packed = gram_product(ProductFeatures.build(x0, u, UNIT, ku))
         np.testing.assert_allclose(packed, pack(dense), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("m", ORDERS)
     def test_ridge_is_added_on_the_packed_diagonal(self, m):
         x0, u, ku, dense = self.dense_product(m)
         dense.flat[:: m + 1] += 0.37
-        packed = gram_product(x0, u, UNIT, ku, ridge=0.37)
+        packed = gram_product(ProductFeatures.build(x0, u, UNIT, ku), ridge=0.37)
         np.testing.assert_allclose(packed, pack(dense), rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(np.diag(unpack(packed)), np.full(m, 1.0 + 0.37))
 
@@ -180,9 +181,9 @@ class TestGramProduct:
                 for a, b in zip(x0, u)
             ]
 
-        g = unpack(gram_product(x0, u, UNIT, UNIT))
-        np.testing.assert_allclose(g, loop(x0, u), rtol=1e-12, atol=0.0)
         features = ProductFeatures.build(x0, u, UNIT, UNIT)
+        g = unpack(gram_product(features))
+        np.testing.assert_allclose(g, loop(x0, u), rtol=1e-12, atol=0.0)
         cross = features.cross_kernel(x0[:5] + 0.5, u[:5] - 0.5)
         np.testing.assert_allclose(cross, loop(x0[:5] + 0.5, u[:5] - 0.5), rtol=1e-12, atol=0.0)
 
@@ -191,7 +192,8 @@ class TestGramProduct:
         # 0; uncentred, ||a||^2 + ||a||^2 - 2aa rounds to about 1e-13 here
         x0 = [[3.0, -1.5, 0.25, 7.0]] * 2
         u = [np.linspace(-90.0, 120.0, 30)] * 2
-        g = gram_product(x0, u, UNIT, KernelSpec(bandwidth=0.1), ridge=0.5)
+        features = ProductFeatures.build(x0, u, UNIT, KernelSpec(bandwidth=0.1))
+        g = gram_product(features, ridge=0.5)
         np.testing.assert_array_equal(unpack(g), [[1.5, 1.0], [1.0, 1.5]])
 
     def test_peak_memory_one_gram_buffer(self):
@@ -200,9 +202,10 @@ class TestGramProduct:
         rng = np.random.default_rng(4)
         x0 = rng.normal(size=(m, 4))
         u = rng.normal(size=(m, 30))
+        features = ProductFeatures.build(x0, u, UNIT, KernelSpec(bandwidth=0.1))
         tracemalloc.start()
         try:
-            g = gram_product(x0, u, UNIT, KernelSpec(bandwidth=0.1))
+            g = gram_product(features)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -231,7 +234,7 @@ class TestCrossVector:
         rng = np.random.default_rng(9)
         x0 = rng.normal(size=(15, 4))
         u = rng.normal(size=(15, 6))
-        g = unpack(gram_product(x0, u, UNIT, UNIT))
+        g = unpack(gram_product(ProductFeatures.build(x0, u, UNIT, UNIT)))
         k = [loop_kernel(UNIT, x0[i], x0[4]) * loop_kernel(UNIT, u[i], u[4]) for i in range(15)]
         np.testing.assert_allclose(k, g[:, 4], rtol=0.0, atol=1e-12)
 
@@ -316,31 +319,27 @@ class TestSpdSolve:
 
     def test_memory_order_does_not_change_factor(self):
         packed = pack(self.blocked_spd())
-        contiguous = spd_factor(packed).packed_factor
+        # the strided view is copied; the contiguous argument is factored in
+        # place, so it goes second
         strided = spd_factor(self.strided(packed)).packed_factor
+        contiguous = spd_factor(packed).packed_factor
         assert contiguous.tobytes() == strided.tobytes()
 
-    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    @pytest.mark.parametrize("layout", ["strided", "read_only"])
     def test_argument_unmodified(self, layout):
+        # what cannot be factored in place is copied, and left as it was
         a = pack(self.blocked_spd())
         if layout == "strided":
             a = self.strided(a)
+        else:
+            a.flags.writeable = False
         before = a.copy()
         spd_factor(a)
         assert a.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
-    def test_overwrite_gives_default_factor(self, layout):
-        a = pack(self.blocked_spd())
-        expected = spd_factor(a).packed_factor
-        if layout == "strided":
-            a = self.strided(a)
-        factor = spd_factor(a, overwrite_a=True)
-        assert factor.packed_factor.tobytes() == expected.tobytes()
-
     def test_overwrite_factors_c_argument_in_place(self):
         a = pack(self.blocked_spd())
-        factor = spd_factor(a, overwrite_a=True)
+        factor = spd_factor(a)
         assert np.shares_memory(factor.packed_factor, a)
 
     @pytest.mark.parametrize("defect", ["nan", "inf"])
@@ -349,7 +348,7 @@ class TestSpdSolve:
         a[-1] = np.nan if defect == "nan" else np.inf
         before = a.copy()
         with pytest.raises(ValueError, match="non-finite"):
-            spd_factor(a, overwrite_a=True)
+            spd_factor(a)
         assert a.tobytes() == before.tobytes()
 
     def test_factor_diagonal_positive(self):
@@ -386,9 +385,11 @@ class TestSpdSolve:
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
             spd_solve(spd_factor(pack(np.eye(3))), rhs)
 
-    @pytest.mark.parametrize("overwrite_a", [False, True])
-    def test_factor_is_read_only(self, overwrite_a):
-        factor = spd_factor(pack(self.blocked_spd()), overwrite_a=overwrite_a)
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_factor_is_read_only(self, copied):
+        # whether the argument is factored in place or copied first
+        packed = pack(self.blocked_spd())
+        factor = spd_factor(self.strided(packed) if copied else packed)
         assert not factor.packed_factor.flags.writeable
 
     def test_solve_peak_memory_skips_the_factor(self):
@@ -413,9 +414,10 @@ class TestSpdSolve:
         # duplicated samples make G singular; the ridge restores definiteness
         x0 = np.vstack([rng.normal(size=(10, 2))] * 2)
         u = np.vstack([rng.normal(size=(10, 4))] * 2)
+        features = ProductFeatures.build(x0, u, UNIT, UNIT)
         with pytest.raises(FactorizationError):
-            spd_factor(gram_product(x0, u, UNIT, UNIT))
-        spd_factor(gram_product(x0, u, UNIT, UNIT, ridge=1e-7 * 20))
+            spd_factor(gram_product(features))
+        spd_factor(gram_product(features, ridge=1e-7 * 20))
 
 
 class TestKernelMatrix:

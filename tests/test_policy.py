@@ -27,12 +27,7 @@ def make_library(p=3):
 
 def make_policy(weights, library=None):
     library = library if library is not None else make_library(len(weights))
-    return MixedPolicy(
-        weights=np.asarray(weights, dtype=float),
-        library=library,
-        x0=np.zeros(4),
-        delta=0.1,
-    )
+    return MixedPolicy(weights=np.asarray(weights, dtype=float), library=library)
 
 
 def quiet_model(drag=0.0):
@@ -66,7 +61,7 @@ class TestMixedPolicy:
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            MixedPolicy(np.ones(2), make_library(3), np.zeros(4), 0.1)
+            MixedPolicy(np.ones(2), make_library(3))
 
     def test_support(self):
         assert make_policy([0.5, 0.0, 0.5]).support == (0, 2)
@@ -178,7 +173,7 @@ class TestRunMonteCarlo:
         library = ControlLibrary(
             np.full((1, HORIZON, 2), 1e155), 0, "hot"
         )
-        policy = MixedPolicy(np.ones(1), library, np.zeros(4), 0.1)
+        policy = MixedPolicy(np.ones(1), library)
         model = quiet_model(drag=0.9)
         with np.errstate(over="ignore"):
             (report,) = run_monte_carlo(
@@ -233,9 +228,7 @@ class TestCsvExport:
         # finite ones of sequence 0
         sequences = np.zeros((2, HORIZON, 2))
         sequences[1] = 1e155
-        policy = MixedPolicy(
-            np.array([0.5, 0.5]), ControlLibrary(sequences, 0, "mixed"), np.zeros(4), 0.1
-        )
+        policy = MixedPolicy(np.array([0.5, 0.5]), ControlLibrary(sequences, 0, "mixed"))
         with np.errstate(over="ignore", invalid="ignore"):
             (report,) = run_monte_carlo(
                 [policy], quiet_model(drag=0.9), near_origin_scenario(), np.zeros(4), 6,
@@ -283,7 +276,7 @@ SWEEPS = {
 def sweep_policies(name):
     library, weights = SWEEPS[name]
     return [
-        MixedPolicy(np.asarray(w, dtype=float), library, np.zeros(4), 0.1)
+        MixedPolicy(np.asarray(w, dtype=float), library)
         for w in weights
     ]
 

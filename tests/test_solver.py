@@ -19,13 +19,7 @@ from kernelcc.scenario import (
     indicator_T,
     state_cost,
 )
-from kernelcc.solver import (
-    LPInstance,
-    SafetyDiagnostics,
-    assemble,
-    safety_diagnostics,
-    solve_lp,
-)
+from kernelcc.solver import LPInstance, assemble, solve_lp
 from reference import brute_oracle
 
 UNIT = KernelSpec(bandwidth=1.0)
@@ -131,21 +125,7 @@ class TestSolveLp:
         swapped = dataclasses.replace(inst, threshold=0.5)
         assert swapped.threshold == 0.5
         np.testing.assert_array_equal(swapped.cost_row, inst.cost_row)
-        assert swapped.diagnostics == inst.diagnostics
-
-    def test_diagnostics_derived_from_safety_row(self):
-        inst = make_instance([1.0, 2.0, 3.0], [-0.25, 0.5, 1.25], delta=0.2)
-        assert inst.diagnostics == SafetyDiagnostics(
-            num_below_zero=1, num_above_one=1, min_value=-0.25, max_value=1.25
-        )
-        # a caller cannot pass diagnostics that contradict the row
-        with pytest.raises(TypeError):
-            LPInstance(
-                cost_row=inst.cost_row,
-                safety_row=inst.safety_row,
-                threshold=0.8,
-                diagnostics=safety_diagnostics(np.zeros(3)),
-            )
+        np.testing.assert_array_equal(swapped.safety_row, inst.safety_row)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_objective_monotone_in_delta(self):
@@ -468,13 +448,6 @@ class TestAssemble:
         )
         with pytest.raises(ValueError):
             assemble(model, sc, lib, np.zeros(4))
-
-    def test_diagnostics_counts(self):
-        diag = safety_diagnostics(np.array([-0.1, 0.5, 1.3, 1.1]))
-        assert diag.num_below_zero == 1
-        assert diag.num_above_one == 2
-        assert diag.min_value == pytest.approx(-0.1)
-        assert diag.max_value == pytest.approx(1.3)
 
 
 class TestSolveResultSerialization:

@@ -194,29 +194,40 @@ def test_fit_calls_the_traced_kernel_names_once_each(monkeypatch):
     assert calls == {"gram_product": 1, "spd_factor": 1}
 
 
+def test_fit_builds_the_features_once(monkeypatch):
+    # the Gram matrix and every cross-kernel block come from the one set of
+    # features the fit keeps
+    from kernelcc.kernels import ProductFeatures
+
+    builds = []
+    build = ProductFeatures.build
+
+    def counted(*args):
+        builds.append(build(*args))
+        return builds[-1]
+
+    monkeypatch.setattr(ProductFeatures, "build", counted)
+    model = fit_tiny_dataset()
+    assert len(builds) == 1 and builds[0] is model.features
+
+
 def test_fit_factors_the_gram_buffer_in_place(monkeypatch):
     # fit owns the packed buffer gram_product returns; a copy in between, or
-    # a factor call without overwrite_a, brings back a second buffer
+    # a factor that copies, brings back a second buffer
     from kernelcc import embedding
 
     seen = {}
-    gram_product, spd_factor = embedding.gram_product, embedding.spd_factor
+    gram_product = embedding.gram_product
 
     def recording_gram_product(*args, **kwargs):
         seen["gram"] = gram_product(*args, **kwargs)
         return seen["gram"]
 
-    def recording_spd_factor(matrix, **kwargs):
-        seen["factored"], seen["kwargs"] = matrix, kwargs
-        return spd_factor(matrix, **kwargs)
-
     monkeypatch.setattr(embedding, "gram_product", recording_gram_product)
-    monkeypatch.setattr(embedding, "spd_factor", recording_spd_factor)
-    fit_tiny_dataset()
-    assert seen["factored"] is seen["gram"]
+    model = fit_tiny_dataset()
     # one packed triangle of the six samples' Gram matrix, not 6 x 6
-    assert seen["factored"].size == 6 * 7 // 2
-    assert seen["kwargs"] == {"overwrite_a": True}
+    assert seen["gram"].size == 6 * 7 // 2
+    assert np.shares_memory(model.factor.packed_factor, seen["gram"])
 
 
 def test_assemble_calls_the_traced_cross_matrix_once_per_block(monkeypatch):
