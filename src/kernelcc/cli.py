@@ -299,14 +299,8 @@ def _solve(
     model = fit(ds, cfg.state_kernel, cfg.control_kernel, cfg.regularization)
     # one kernel solve covers the whole sweep; only the threshold changes
     base = assemble(model, cfg.scenario_for(deltas[0]), lib, cfg.initial_state)
-    # how the estimates spread, which no threshold changes
-    safety = base.safety_row
-    estimates = {
-        "min": float(safety.min()),
-        "max": float(safety.max()),
-        "num_below_zero": int(np.count_nonzero(safety < 0.0)),
-        "num_above_one": int(np.count_nonzero(safety > 1.0)),
-    }
+    # no threshold changes how the estimates spread
+    estimates = base.safety_spread()
     policies = {}
     for delta in deltas:
         inst = dataclasses.replace(base, threshold=1.0 - delta)

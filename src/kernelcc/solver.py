@@ -65,6 +65,16 @@ class LPInstance:
     def num_sequences(self) -> int:
         return self.cost_row.shape[0]
 
+    def safety_spread(self) -> dict:
+        """Min, max and counts below 0 and above 1 of the safety row."""
+        safety = self.safety_row
+        return {
+            "min": float(safety.min()),
+            "max": float(safety.max()),
+            "num_below_zero": int(np.count_nonzero(safety < 0.0)),
+            "num_above_one": int(np.count_nonzero(safety > 1.0)),
+        }
+
 
 @dataclass(frozen=True)
 class SolveResult:

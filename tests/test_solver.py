@@ -127,6 +127,27 @@ class TestSolveLp:
         np.testing.assert_array_equal(swapped.cost_row, inst.cost_row)
         np.testing.assert_array_equal(swapped.safety_row, inst.safety_row)
 
+    def test_diagnostics_derived_from_safety_row(self):
+        inst = make_instance([1.0, 2.0, 3.0], [-0.25, 0.5, 1.25], delta=0.2)
+        spread = {
+            "min": -0.25,
+            "max": 1.25,
+            "num_below_zero": 1,
+            "num_above_one": 1,
+        }
+        assert inst.safety_spread() == spread
+        # no threshold changes them
+        swapped = dataclasses.replace(inst, threshold=0.5)
+        assert swapped.safety_spread() == spread
+        # a caller cannot pass figures that contradict the row
+        with pytest.raises(TypeError):
+            LPInstance(
+                cost_row=inst.cost_row,
+                safety_row=inst.safety_row,
+                threshold=0.8,
+                diagnostics={**spread, "num_below_zero": 0},
+            )
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_objective_monotone_in_delta(self):
         rng = np.random.default_rng(17)
@@ -448,6 +469,14 @@ class TestAssemble:
         )
         with pytest.raises(ValueError):
             assemble(model, sc, lib, np.zeros(4))
+
+    def test_diagnostics_counts(self):
+        inst = make_instance([1.0] * 4, [-0.1, 0.5, 1.3, 1.1], delta=0.2)
+        spread = inst.safety_spread()
+        assert spread["num_below_zero"] == 1
+        assert spread["num_above_one"] == 2
+        assert spread["min"] == pytest.approx(-0.1)
+        assert spread["max"] == pytest.approx(1.3)
 
 
 class TestSolveResultSerialization:
