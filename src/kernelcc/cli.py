@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import sys
@@ -48,7 +49,7 @@ from .data import (
 )
 from .embedding import FitError, fit
 from .policy import MixedPolicy, check_weights, run_monte_carlo, trajectories_to_csv
-from .serialize import canonical_json, digest_of, file_digest, integer, real, write_csv
+from .serialize import canonical_json, digest_of, integer, real, write_csv
 from .solver import assemble, solve_lp
 
 EXIT_OK = 0
@@ -72,9 +73,14 @@ def _delta_path(out: Path, stem: str, delta: float, suffix: str = "json") -> Pat
     return out / f"{stem}_delta_{_delta_tag(delta)}.{suffix}"
 
 
+def _json_text(obj) -> str:
+    """The text of the JSON file that holds obj."""
+    return canonical_json(obj) + "\n"
+
+
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_json(obj) + "\n", encoding="utf-8")
+    path.write_text(_json_text(obj), encoding="utf-8")
 
 
 def _finite(text: str) -> float:
@@ -145,18 +151,55 @@ def _read_policy(path: Path) -> dict:
     try:
         check_delta(record["delta"], "delta")
         check_state(record["x0"], "x0")
+        check_seed(record["master_seed"], "master_seed")
     except ConfigError as exc:
         raise PolicyFileError(f"{path}: {exc}") from None
+    solve = record["solve"]
+    status, objective = solve["status"], solve["objective"]
+    if status not in ("optimal", "infeasible"):
+        raise PolicyFileError(f"{path}: invalid solve.status: {json.dumps(status)}")
+    # an optimal solve has a real objective, an infeasible one none
     try:
-        _weight_pairs(record["solve"])
+        if status == "optimal":
+            real(objective)
+        elif objective is not None:
+            raise ValueError
+    except ValueError:
+        raise PolicyFileError(
+            f"{path}: invalid solve.objective for an {status} solve: "
+            f"{json.dumps(objective)}"
+        ) from None
+    try:
+        _weight_pairs(solve)
     except (ValueError, TypeError) as exc:
         raise PolicyFileError(f"{path}: invalid solve.weights: {exc}") from None
     return record
 
 
-_read_report = functools.partial(
-    _read_record, ("report.success_rate", "report.wilson_95", "report.trials")
-)
+def _read_report(path: Path) -> dict:
+    """A report file whose success rate and Wilson bounds are reals in
+    [0, 1] and whose trial count is a positive integer, or a
+    PolicyFileError naming the file and the first field at fault; a cached
+    report that does not read is stale, so its policy is validated again."""
+    record = _read_record(
+        ("report.success_rate", "report.wilson_95", "report.trials"), path
+    )
+    mc = record["report"]
+    try:
+        if integer(mc["trials"], "trials") < 1:
+            raise ValueError(f"trials must be positive, got {mc['trials']}")
+        bounds = mc["wilson_95"]
+        if not isinstance(bounds, list) or len(bounds) != 2:
+            raise ValueError(f"wilson_95 must be a pair, got {bounds!r}")
+        for name, value in zip(
+            ("success_rate", "wilson_95[0]", "wilson_95[1]"),
+            (mc["success_rate"], *bounds),
+        ):
+            if not 0.0 <= real(value, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    except ValueError as exc:
+        raise PolicyFileError(f"{path}: invalid report: {exc}") from None
+    return record
 
 
 def _dataset_key_of(ds) -> list:
@@ -217,13 +260,15 @@ def _policy_key(cfg: RunConfig, ds_key, lib_key, delta) -> str:
     )
 
 
-def _report_key(cfg: RunConfig, policy_path: Path, delta, x0) -> str:
+def _report_key(cfg: RunConfig, record: dict, x0) -> str:
+    # the policy enters by the sha256 of the text _write_json gives its
+    # record, which is the sha256 of every policy file this program writes
     model = cfg.model
     return digest_of(
         {
-            "policy": file_digest(policy_path),
+            "policy": hashlib.sha256(_json_text(record).encode("utf-8")).hexdigest(),
             "system": [model.dt, model.prior, model.disturbance],
-            "scenario": cfg.scenario_for(delta),
+            "scenario": cfg.scenario_for(record["delta"]),
             "x0": x0,
             "seed": cfg.mc_seed,
             "trials": cfg.trials,
@@ -433,7 +478,7 @@ def cmd_validate(
         policies, cfg.model, cfg.scenario, x0, cfg.trials, cfg.mc_seed
     )
     reports = {}
-    for (policy_path, record), report in zip(records.items(), mc_reports):
+    for record, report in zip(records.values(), mc_reports):
         delta = float(record["delta"])
         report_path = _delta_path(out, "report", delta)
         # the seed and library recorded are the policy's, fixed by the
@@ -445,7 +490,7 @@ def cmd_validate(
             "master_seed": record["master_seed"],
             "library_digest": record["library_digest"],
             "objective": record["solve"]["objective"],
-            "inputs_digest": _report_key(cfg, policy_path, delta, x0),
+            "inputs_digest": _report_key(cfg, record, x0),
             "report": report.to_dict(),
         }
         _write_json(report_path, reports[delta])
@@ -507,15 +552,14 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> int:
     for delta in cfg.deltas:
         if policies[delta]["solve"]["status"] != "optimal":
             continue
-        policy_path = _delta_path(out, "policy", delta)
-        key = _report_key(cfg, policy_path, delta, cfg.initial_state)
+        key = _report_key(cfg, policies[delta], cfg.initial_state)
         reports[delta] = _current(
             _delta_path(out, "report", delta), _read_report, _inputs_digest, key
         )
         if reports[delta] is not None:
             print(f"delta={delta}: cached report")
         else:
-            unvalidated[policy_path] = policies[delta]
+            unvalidated[_delta_path(out, "policy", delta)] = policies[delta]
     if unvalidated:
         reports.update(
             cmd_validate(cfg, out, unvalidated, lib.get(), cfg.initial_state)

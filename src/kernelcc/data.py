@@ -407,17 +407,11 @@ def generate_library(
     step_grid = np.stack(
         np.meshgrid(*per_coord, indexing="ij"), axis=-1
     ).reshape(-1, m)
-    if cfg.num_random_steps == 0:
-        leading_choices = np.empty((1, 0, m))
-    else:
-        idx = np.stack(
-            np.meshgrid(
-                *[np.arange(step_grid.shape[0])] * cfg.num_random_steps,
-                indexing="ij",
-            ),
-            axis=-1,
-        ).reshape(-1, cfg.num_random_steps)
-        leading_choices = step_grid[idx]
+    # every choice of grid point per step, the last step varying fastest;
+    # zero steps give the one empty choice
+    steps, size = cfg.num_random_steps, step_grid.shape[0]
+    choices = np.indices((size,) * steps).reshape(steps, size**steps).T
+    leading_choices = step_grid[choices]
     sequences, _, diverged = rollout(
         model,
         np.tile(cfg.initial_state, (total, 1)),
@@ -467,17 +461,24 @@ def _affixes(name: str) -> tuple[bytes, bytes]:
     return f'{{"{name}":"'.encode(), b'"}\n'
 
 
-def _save_jsonl(path, kind: str, header: dict, fields: dict) -> None:
+def _save_jsonl(path, kind: str, fields: dict, master_seed, config_digest) -> None:
     """Write a header line, then one record per array in fields, in sorted
     field order.
 
-    A record maps its field to the base64 of the whole array's
-    little-endian float64 bytes in C order. The header's ``sha256`` covers
-    every other byte of the file, so an edit anywhere in it shows.
+    The header's sizes are read off the arrays' shapes by ``_LAYOUTS``, the
+    table the loader reads them back by. A record maps its field to the
+    base64 of the whole array's little-endian float64 bytes in C order. The
+    header's ``sha256`` covers every other byte of the file, so an edit
+    anywhere in it shows.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = {"format_version": FORMAT_VERSION, "kind": kind, **header}
+    header = {"format_version": FORMAT_VERSION, "kind": kind}
+    header.update(master_seed=master_seed, config_digest=config_digest)
+    count_key, field_shapes = _LAYOUTS[kind]
+    for name, keys in field_shapes.items():
+        header[count_key], *sizes = fields[name].shape
+        header.update(zip(keys, sizes))
     # base64 needs no JSON escaping, so each record is written as
     # canonical_json would write it
     records = []
@@ -498,29 +499,15 @@ def _save_jsonl(path, kind: str, header: dict, fields: dict) -> None:
 def save_dataset(ds: Dataset, path) -> None:
     """Write a dataset as JSON-lines: one header line, then one line per
     field (u, x, x0), each holding the field for every sample."""
-    header = {
-        "n": ds.state_dim,
-        "m": ds.control_dim,
-        "N": ds.horizon,
-        "M": ds.num_samples,
-        "master_seed": ds.master_seed,
-        "config_digest": ds.config_digest,
-    }
     fields = {"x0": ds.initial_states, "u": ds.controls, "x": ds.trajectories}
-    _save_jsonl(path, "dataset", header, fields)
+    _save_jsonl(path, "dataset", fields, ds.master_seed, ds.config_digest)
 
 
 def save_library(lib: ControlLibrary, path) -> None:
     """Write a control library as JSON-lines: one header line, then one line
     (u) holding every sequence."""
-    header = {
-        "m": lib.control_dim,
-        "N": lib.horizon,
-        "P": lib.num_sequences,
-        "master_seed": lib.master_seed,
-        "config_digest": lib.config_digest,
-    }
-    _save_jsonl(path, "library", header, {"u": lib.sequences})
+    fields = {"u": lib.sequences}
+    _save_jsonl(path, "library", fields, lib.master_seed, lib.config_digest)
 
 
 def _parse_header(path, line: bytes, kind: str):

@@ -131,8 +131,3 @@ def array_digest(array) -> str:
     )
     digest.update(values)
     return digest.hexdigest()
-
-
-def file_digest(path) -> str:
-    """sha256 hex digest of a file's bytes."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -152,6 +152,18 @@ class TestExperiment:
         text = capsys.readouterr().out
         assert "dataset: 41 samples" in text
 
+    def test_zero_randomized_steps_give_one_sequence(self, tmp_path, capsys):
+        # the library's one sequence is the feedback law from x0; a dataset
+        # of the same law covers it, so the solve is feasible
+        raw = small_raw()
+        raw["dataset"]["num_random_steps"] = raw["library"]["num_random_steps"] = 0
+        out = tmp_path / "out"
+        assert run_step(tmp_path, raw, ["experiment"], out) == EXIT_OK
+        assert "library: 1 sequences, horizon 8" in capsys.readouterr().out
+        policy = json.loads((out / "policy_delta_0.3.json").read_text())
+        assert policy["solve"]["weights"] == [[0, 1.0]]
+        assert (out / "report_delta_0.3.json").exists()
+
     def test_seed_override_changes_dataset(self, tmp_path):
         cfg = write_config(tmp_path, small_raw())
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -216,6 +228,19 @@ STALE_HISTORIES = {
 }
 
 
+# report fields a summary would copy, or fail on, by the id of their case
+MALFORMED_REPORT_FIELDS = {
+    "success_rate=abc": {"success_rate": "abc"},
+    "success_rate=1.5": {"success_rate": 1.5},
+    "wilson_95=[true,null]": {"wilson_95": [True, None]},
+    "wilson_95=[x]": {"wilson_95": ["x"]},
+    "wilson_95=[0.5,-0.1]": {"wilson_95": [0.5, -0.1]},
+    "wilson_95=0.5": {"wilson_95": 0.5},
+    "trials=0": {"trials": 0},
+    "trials=30.0": {"trials": 30.0},
+}
+
+
 def run_step(tmp_path, raw, argv, out):
     cfg = write_config(tmp_path, raw)
     args = [a.format(out=out) for a in argv[1:]]
@@ -268,6 +293,25 @@ class TestStageReuse:
         raw = small_raw(deltas=(0.3, 0.4), trials=31)
         assert run_step(tmp_path, raw, ["experiment"], out) == EXIT_OK
         policies = [name for name in parsed if name.startswith("policy_")]
+        assert sorted(policies) == ["policy_delta_0.3.json", "policy_delta_0.4.json"]
+
+    def test_stale_reports_read_each_policy_file_once(self, tmp_path, monkeypatch):
+        # a report's key digests the policy record in hand, so no policy file
+        # is read back to be hashed
+        out = tmp_path / "out"
+        run_step(tmp_path, small_raw(deltas=(0.3, 0.4)), ["experiment"], out)
+        read = []
+        open_path = Path.open
+        monkeypatch.setattr(
+            Path,
+            "open",
+            lambda path, mode="r", *args, **kwargs: (
+                "r" in mode and read.append(path.name)
+            ) or open_path(path, mode, *args, **kwargs),
+        )
+        raw = small_raw(deltas=(0.3, 0.4), trials=31)
+        assert run_step(tmp_path, raw, ["experiment"], out) == EXIT_OK
+        policies = [name for name in read if name.startswith("policy_")]
         assert sorted(policies) == ["policy_delta_0.3.json", "policy_delta_0.4.json"]
 
     def test_added_delta_leaves_existing_stages(self, tmp_path, capsys):
@@ -393,15 +437,23 @@ class TestStageReuse:
                 lambda record: record["solve"].update(objective=float("nan")),
                 "delta=0.3: objective",
             ),
+            *(
+                (
+                    "report",
+                    lambda record, edit=edit: record["report"].update(edit),
+                    "delta=0.3: success rate",
+                )
+                for edit in MALFORMED_REPORT_FIELDS.values()
+            ),
         ],
-        ids=["policy", "report", "objective=NaN"],
+        ids=["policy", "report", "objective=NaN", *MALFORMED_REPORT_FIELDS],
     )
     def test_record_missing_a_field_is_rebuilt(
         self, tmp_path, capsys, stem, drop, rebuilt
     ):
         # the file still records the current key; a field the summary reads
-        # is gone, or holds a number canonical JSON never writes, so the file
-        # does not read and is stale
+        # is gone, or holds a value the summary cannot use, so the file does
+        # not read and is stale, and only its own stage is rebuilt
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"
         run_step(tmp_path, small_raw(), ["experiment"], reused)
         path = reused / f"{stem}_delta_0.3.json"
@@ -411,7 +463,10 @@ class TestStageReuse:
         path.write_text(text + "\n")
         capsys.readouterr()
         assert run_step(tmp_path, small_raw(), ["experiment"], reused) == EXIT_OK
-        assert rebuilt in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert rebuilt in text
+        kept = {"policy": "report", "report": "policy"}[stem]
+        assert f"delta=0.3: cached {kept}" in text
         run_step(tmp_path, small_raw(), ["experiment"], fresh)
         for p in fresh.iterdir():
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
@@ -424,8 +479,18 @@ class TestStageReuse:
             ("weights", [[-1, 1.0]]),
             ("delta", 2.0),
             ("x0", [0, 0]),
+            ("status", "abc"),
+            ("status", "infeasible"),
+            ("objective", "abc"),
+            ("objective", None),
+            ("master_seed", "abc"),
+            ("master_seed", -1),
         ],
-        ids=["library_digest=5", "weights_sum_0.5", "index=-1", "delta=2.0", "x0=[0,0]"],
+        ids=[
+            "library_digest=5", "weights_sum_0.5", "index=-1", "delta=2.0", "x0=[0,0]",
+            "status=abc", "status=infeasible", "objective=abc", "objective=null",
+            "master_seed=abc", "master_seed=-1",
+        ],
     )
     @pytest.mark.parametrize("trials", [30, 31], ids=["report_current", "report_stale"])
     def test_cached_policy_of_a_malformed_field_is_resolved(
@@ -438,15 +503,15 @@ class TestStageReuse:
         run_step(tmp_path, small_raw(), ["experiment"], reused)
         path = reused / "policy_delta_0.3.json"
         record = json.loads(path.read_text())
-        if field == "weights":
-            record["solve"]["weights"] = value
-        else:
-            record[field] = value
+        (record["solve"] if field in record["solve"] else record)[field] = value
         path.write_text(canonical_json(record) + "\n")
         capsys.readouterr()
         rc = run_step(tmp_path, small_raw(trials=trials), ["experiment"], reused)
         assert rc == EXIT_OK
-        assert "delta=0.3: objective" in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert "delta=0.3: objective" in text
+        # the policy solved again is the one the report was made of
+        assert ("delta=0.3: cached report" in text) == (trials == 30)
         run_step(tmp_path, small_raw(trials=trials), ["experiment"], fresh)
         for p in fresh.iterdir():
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
@@ -674,12 +739,31 @@ class TestValidate:
             (["delta"], 2.0, "invalid delta:"),
             (["library_digest"], 5, "invalid library_digest: 5"),
             (["library_digest"], None, "invalid library_digest: null"),
+            (
+                ["solve", "weights"],
+                [[5000, 1.0]],
+                "invalid solve.weights: index 5000 out of range",
+            ),
+            (["solve", "status"], "abc", 'invalid solve.status: "abc"'),
+            (
+                ["solve", "objective"],
+                "abc",
+                'invalid solve.objective for an optimal solve: "abc"',
+            ),
+            (
+                ["solve", "objective"],
+                None,
+                "invalid solve.objective for an optimal solve: null",
+            ),
+            (["master_seed"], "abc", "invalid master_seed: must be an integer"),
+            (["master_seed"], -1, "invalid master_seed: must be a non-negative"),
         ],
         ids=[
             "weights_sum_0.5", "negative_weight", "index='1.7'", "index=2.9",
             "weight=NaN", "weight='0.5'", "weights=[1,2]", "solve=[1]", "x0=abc",
             "x0=[0,0]", "delta=abc", "delta=2.0", "library_digest=5",
-            "library_digest=null",
+            "library_digest=null", "index=5000", "status=abc", "objective=abc",
+            "objective=null", "master_seed=abc", "master_seed=-1",
         ],
     )
     def test_malformed_policy_is_one_line_error(
@@ -701,6 +785,22 @@ class TestValidate:
         assert err.startswith(f"error: {policy}: ") and err.count("\n") == 1, err
         assert shown in err
         assert {p.name: p.read_bytes() for p in solved_dir.iterdir()} == before
+
+    def test_infeasible_policy_is_one_line_error(self, tmp_path, capsys):
+        # massive regularization leaves no element above the threshold
+        out = tmp_path / "out"
+        raw = small_raw(regularization=1e3)
+        assert run_step(tmp_path, raw, ["generate"], out) == EXIT_OK
+        assert run_step(tmp_path, raw, ["solve"], out) == EXIT_INFEASIBLE
+        policy = out / "policy_delta_0.3.json"
+        capsys.readouterr()
+        argv = ["validate", "--policy", str(policy)]
+        assert run_step(tmp_path, raw, argv, out) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {policy}: policy records an unsuccessful solve "
+            "(status 'infeasible'); nothing to validate\n"
+        )
+        assert not list(out.glob("report_*"))
 
     def test_policies_of_one_x0_are_validated_together(
         self, tmp_path, monkeypatch, solved_dir
@@ -1063,6 +1163,18 @@ MALFORMED_INPUTS = [
         ["experiment"],
         "invalid prior.mass.scale: must be a real number, got True",
         id="prior.mass.scale=true",
+    ),
+    pytest.param(
+        with_value(["embedding", "regularization"], 0),
+        ["experiment"],
+        "embedding.regularization must be positive",
+        id="embedding.regularization=0",
+    ),
+    pytest.param(
+        with_value(["montecarlo", "trials"], 0),
+        ["experiment"],
+        "montecarlo.trials must be at least 1",
+        id="montecarlo.trials=0",
     ),
     pytest.param(
         small_raw(),

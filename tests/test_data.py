@@ -615,7 +615,7 @@ class TestPersistence:
         seq[1, 2, 0] = value
         path = tmp_path / "lib.jsonl"
         with pytest.raises(ValueError, match="non-finite value .* cannot be serialized"):
-            _save_jsonl(path, "library", {"P": 2}, {"u": seq})
+            _save_jsonl(path, "library", {"u": seq}, 0, "test")
         assert not path.exists()
 
     @pytest.mark.parametrize("record", ["5", "[1, 2]", '"x0 u x"', "null"])

@@ -159,6 +159,29 @@ def test_workload_configs_parse_to_pinned_keys(monkeypatch):
         ) == keys, name
 
 
+# the content digest of each benchmark workload's library at seed 101; the
+# keys above cover its config, and this its sequences, so a change to their
+# enumeration order or their rollout shows here
+WORKLOAD_LIBRARY_DIGESTS = {
+    "wide_library": "175bd0fde803861f3120ef74a8beb629b433f6be018a0af84f6f98272f32ff26",
+    "deep_dataset": "a4432963a653f035f2279b5816948c541585607f134c7553fcc25535bfe71c37",
+    "toy": "a4432963a653f035f2279b5816948c541585607f134c7553fcc25535bfe71c37",
+}
+
+
+def test_workload_libraries_hold_pinned_sequences(monkeypatch):
+    from kernelcc.config import parse_config
+    from kernelcc.data import generate_library
+
+    monkeypatch.chdir(ROOT)  # workload_config reads configs/ from the cwd
+    run = load_perfbench("run")
+    assert set(run.ALL_WORKLOADS) == set(WORKLOAD_LIBRARY_DIGESTS)
+    for name, digest in WORKLOAD_LIBRARY_DIGESTS.items():
+        cfg = parse_config(json.loads(run.workload_config(name, 101)))
+        lib = generate_library(cfg.library, cfg.model, cfg.nominal_params)
+        assert lib.content_digest == digest, name
+
+
 def fit_tiny_dataset():
     from kernelcc.data import Dataset
     from kernelcc.embedding import fit
