@@ -212,20 +212,22 @@ def _library_key_of(lib) -> str:
     return lib.config_digest
 
 
-def _inputs_digest(record: dict):
-    """The key a policy or report file records."""
-    return record.get("inputs_digest")
+def _record_key(record: dict) -> tuple:
+    """The key a policy or report file records: its inputs digest and its
+    risk level, which is current only in the file named for it."""
+    return record.get("inputs_digest"), record.get("delta")
 
 
-def _current(path: Path, read, recorded_key, key):
+def _current(path: Path, read, recorded_key, key, *beside: Path):
     """What ``read`` makes of path if it reads and ``recorded_key`` of that
-    is ``key``, else None.
+    is ``key``, else None; None too if a file ``beside`` it that the same
+    stage writes is missing.
 
     The one rule for every stage: a key covers the config sections the stage
     reads and the keys of the artifacts it was built from, so an artifact is
     reused exactly when none of its inputs changed.
     """
-    if not path.exists():
+    if not all(p.exists() for p in (path, *beside)):
         return None
     try:
         artifact = read(path)
@@ -538,9 +540,9 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> int:
     ds, lib = cmd_generate(cfg, out)
     policies = {}
     for delta in cfg.deltas:
-        key = _policy_key(cfg, ds.key, lib.key, delta)
+        key = _policy_key(cfg, ds.key, lib.key, delta), delta
         policies[delta] = _current(
-            _delta_path(out, "policy", delta), _read_policy, _inputs_digest, key
+            _delta_path(out, "policy", delta), _read_policy, _record_key, key
         )
         if policies[delta] is not None:
             print(f"delta={delta}: cached policy")
@@ -552,9 +554,13 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> int:
     for delta in cfg.deltas:
         if policies[delta]["solve"]["status"] != "optimal":
             continue
-        key = _report_key(cfg, policies[delta], cfg.initial_state)
+        key = _report_key(cfg, policies[delta], cfg.initial_state), delta
         reports[delta] = _current(
-            _delta_path(out, "report", delta), _read_report, _inputs_digest, key
+            _delta_path(out, "report", delta),
+            _read_report,
+            _record_key,
+            key,
+            _delta_path(out, "trajectories", delta, "csv"),
         )
         if reports[delta] is not None:
             print(f"delta={delta}: cached report")

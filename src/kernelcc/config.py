@@ -12,7 +12,8 @@ the file carries its dotted name (``scenario.goal``) and records the keys
 read from it. Any ValueError or TypeError raised while a section, nested
 object or key is read becomes a ConfigError naming it, and so does a key no
 parse step read (a misspelling, say). JSON syntax errors carry the line
-number. The parsed form keeps a digest of the raw file.
+number, and a key repeated within one object is refused. The parsed form
+keeps a digest of the raw file.
 
 A seed, a risk level and an initial state are each checked by one function
 (``check_seed``, ``check_delta``, ``check_state``), which the command-line
@@ -383,6 +384,17 @@ def parse_config(raw: dict) -> RunConfig:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object that repeats no key; json.loads would keep the last
+    value of a repeated key and drop the others unseen."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate config key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> RunConfig:
     """Read and parse a JSON run configuration file."""
     path = Path(path)
@@ -391,7 +403,7 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"

@@ -61,10 +61,6 @@ class MixedPolicy:
         object.__setattr__(self, "_cumulative", np.cumsum(w))
         object.__setattr__(self, "_last_drawable", int(np.flatnonzero(w > 0.0)[-1]))
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.weights > 0.0))
-
 
 def _draw_indices(policy: MixedPolicy, u):
     """The library indices that uniforms ``u`` draw from the policy.
@@ -95,14 +91,9 @@ class MonteCarloReport:
     # trial t's trajectory is states[kept_rows[t]]
     states: np.ndarray = field(repr=False)
     kept_rows: np.ndarray = field(repr=False)
-    # CSV text of a kept trial by (trial, library index); the reports of one
-    # run_monte_carlo call share it, so a block is formatted once per sweep
-    trial_rows: dict = field(repr=False, compare=False, default_factory=dict)
-
-    @property
-    def trajectories(self) -> np.ndarray:
-        """The kept trials' trajectories, copied out of the shared states."""
-        return self.states[self.kept_rows]
+    # CSV text of each row of states, None until written; the reports of one
+    # run_monte_carlo call share it, so a row is formatted once per sweep
+    trial_rows: list = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         """JSON-ready summary including per-trial index and feasibility records."""
@@ -166,7 +157,6 @@ def run_monte_carlo(
     library = policies[0].library
     if any(policy.library is not library for policy in policies):
         raise ValueError("the policies of one run must share one library")
-    x0 = np.asarray(x0, dtype=float)
     horizon = library.horizon
     choice, *realization = draw_streams(
         seed, trials, [("uniform", (1,)), *model.realization_pieces(horizon)]
@@ -193,7 +183,7 @@ def run_monte_carlo(
     kept = int(np.searchsorted(pair_trial, MAX_KEPT_TRAJECTORIES))
     if kept < states.shape[0]:
         states = states[:kept].copy()
-    trial_rows: dict = {}
+    trial_rows = [None] * states.shape[0]
     reports = []
     for policy_indices, rows in zip(indices, pair_of.reshape(indices.shape)):
         feasible = pair_feasible[rows]
@@ -222,24 +212,20 @@ def run_monte_carlo(
 def trajectories_to_csv(report: MonteCarloReport, path) -> None:
     """Write retained trajectories as CSV, one row per (trial, step).
 
-    A trial's rows are formatted once per (trial, library index) and kept in
-    ``report.trial_rows`` for the other reports of its run.
+    A kept trial's rows are formatted once per row of ``report.states`` and
+    kept in ``report.trial_rows`` for the other reports of its run.
     """
     n = report.states.shape[2]
     header = ["trial", "step", *(f"s{i}" for i in range(n)), "feasible"]
     # the cell rule of write_csv: integers and floats by their repr
     row = ",".join(["%d", "%d", *["%r"] * n, "%d"]) + "\n"
     memo = report.trial_rows
-    blocks = []
     for t, state_row in enumerate(report.kept_rows):
-        key = (t, int(report.indices[t]))
-        block = memo.get(key)
-        if block is None:
+        if memo[state_row] is None:
             flag = int(report.feasible[t])
             trajectory = report.states[state_row].tolist()
-            block = memo[key] = "".join(
+            memo[state_row] = "".join(
                 row % (t, step, *state, flag)
                 for step, state in enumerate(trajectory, start=1)
             )
-        blocks.append(block)
-    write_csv_text(path, header, blocks)
+    write_csv_text(path, header, [memo[state_row] for state_row in report.kept_rows])

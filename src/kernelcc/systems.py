@@ -138,10 +138,7 @@ def quadrotor_step(x, u, w, params, dt: float = 0.1) -> np.ndarray:
     (K, 4) and ``params`` (K, 2) of (mass, drag) rows; without the leading
     axis it steps one state.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    params = np.asarray(params, dtype=float)
+    x, u, w, params = (np.asarray(a, dtype=float) for a in (x, u, w, params))
     lead = x.shape[:-1]
     if (x.shape, u.shape, w.shape, params.shape) != (
         lead + (4,), lead + (2,), lead + (4,), lead + (2,)
@@ -150,8 +147,6 @@ def quadrotor_step(x, u, w, params, dt: float = 0.1) -> np.ndarray:
             f"expected shapes (..., 4), (..., 2), (..., 4), (..., 2) with one "
             f"leading shape; got {x.shape}, {u.shape}, {w.shape}, {params.shape}"
         )
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u)) and np.all(np.isfinite(w))):
-        raise ValueError("non-finite values in step inputs")
 
     px, vx, py, vy = np.moveaxis(x, -1, 0)
     mass, drag = np.moveaxis(params, -1, 0)
@@ -222,7 +217,8 @@ def rollout(
     Step t applies ``leading[:, t]`` while t < L and the feedback law
     ``gain @ (x - target)`` after that, so leading controls that cover the
     whole horizon replay an open-loop sequence. Each trajectory keeps its own
-    parameters and disturbances, drawn by the caller.
+    parameters and disturbances, drawn by the caller. The inputs must be
+    finite; a state that overflows on the way is reported in ``diverged``.
 
     Parameters
     ----------
@@ -237,13 +233,13 @@ def rollout(
     controls : (K, N, 2) applied controls.
     states : (K, N, 4) states after each step, (x_1, ..., x_N).
     diverged : (K,) 1-based step at which a trajectory's state first became
-        non-finite, 0 if it never did. A diverged trajectory is not stepped
-        further; its later controls and states are NaN.
+        non-finite, 0 if it never did. A diverged trajectory's later states,
+        and its feedback controls after that step, are NaN.
     """
-    x = np.array(x0, dtype=float)
-    leading = np.asarray(leading, dtype=float)
-    params = np.asarray(params, dtype=float)
-    noise = np.asarray(noise, dtype=float)
+    arrays = [np.asarray(a, dtype=float) for a in (x0, leading, params, noise)]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("non-finite values in rollout inputs")
+    x, leading, params, noise = arrays
     k_count, horizon = noise.shape[:2]
     if (
         leading.ndim != 3
@@ -258,24 +254,22 @@ def rollout(
     n_lead = leading.shape[1]
     if n_lead < horizon and (gain is None or target is None):
         raise ValueError("a feedback gain and target are needed after the leading steps")
-    controls = np.full((k_count, horizon, model.control_dim), np.nan)
+    controls = np.empty((k_count, horizon, model.control_dim))
     controls[:, :n_lead] = leading
-    states = np.full((k_count, horizon, model.state_dim), np.nan)
-    diverged = np.zeros(k_count, dtype=int)
-    rows = np.arange(k_count)
-    for t in range(horizon):
-        if t >= n_lead:
-            controls[rows, t] = (x[rows] - target) @ np.asarray(gain).T
-        # a state that overflows is the divergence recorded below, not an
-        # error to warn of
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = quadrotor_step(
-                x[rows], controls[rows, t], noise[rows, t], params[rows], model.dt
+    states = np.empty((k_count, horizon, model.state_dim))
+    # a state that overflows is the divergence read off below, not an error
+    # to warn of; every row is stepped, whatever its state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon):
+            if t >= n_lead:
+                controls[:, t] = (x - target) @ np.asarray(gain).T
+            x = states[:, t] = quadrotor_step(
+                x, controls[:, t], noise[:, t], params, model.dt
             )
-        x[rows] = step
-        states[rows, t] = step
-        bad = ~np.all(np.isfinite(step), axis=1)
-        if np.any(bad):
-            diverged[rows[bad]] = t + 1
-            rows = rows[~bad]
+    bad = ~np.isfinite(states).all(axis=2)
+    diverged = np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, 0)
+    # the steps after a row's divergence
+    later = np.arange(horizon) >= np.where(diverged > 0, diverged, horizon)[:, None]
+    states[later] = np.nan
+    controls[:, n_lead:][later[:, n_lead:]] = np.nan
     return controls, states, diverged

@@ -71,8 +71,9 @@ def small_raw(deltas=(0.3,), regularization=1e-4, trials=30):
 
 
 def write_config(tmp_path, raw, name="cfg.json"):
+    """The config file of raw, a JSON value or, as it is, the text of one."""
     path = tmp_path / name
-    path.write_text(json.dumps(raw))
+    path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
     return path
 
 
@@ -325,6 +326,55 @@ class TestStageReuse:
         assert "delta=0.3: cached report" in text
         assert mtimes(out, "*_delta_0.3.*") == before
         assert (out / "report_delta_0.4.json").exists()
+
+    def test_deleted_trajectory_csv_is_written_again(self, tmp_path, capsys):
+        # only the risk level whose CSV is gone is validated again
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        raw = small_raw(deltas=(0.3, 0.4))
+        run_step(tmp_path, raw, ["experiment"], reused)
+        (reused / "trajectories_delta_0.3.csv").unlink()
+        capsys.readouterr()
+        assert run_step(tmp_path, raw, ["experiment"], reused) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "delta=0.3: success rate" in text
+        assert "delta=0.4: cached report" in text
+        assert "delta=0.4: success rate" not in text
+        run_step(tmp_path, raw, ["experiment"], fresh)
+        assert sorted(p.name for p in reused.iterdir()) == sorted(
+            p.name for p in fresh.iterdir()
+        )
+        for p in fresh.iterdir():
+            assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
+
+    @pytest.mark.parametrize(
+        "stem, raw, rebuilt",
+        [
+            ("policy", small_raw(trials=31), "delta=0.3: objective"),
+            ("report", small_raw(), "delta=0.3: success rate"),
+        ],
+        ids=["policy", "report"],
+    )
+    def test_record_of_another_delta_is_rebuilt(
+        self, tmp_path, capsys, stem, raw, rebuilt
+    ):
+        # the file of delta 0.3 holds a record of delta 0.31 under the key of
+        # 0.3; a policy reused so would be validated as 0.31 and leave the
+        # 0.3 row of the summary without Monte-Carlo cells
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        run_step(tmp_path, small_raw(), ["experiment"], reused)
+        path = reused / f"{stem}_delta_0.3.json"
+        text = path.read_text()
+        assert text.count('"delta":0.3,') == 1
+        path.write_text(text.replace('"delta":0.3,', '"delta":0.31,'))
+        capsys.readouterr()
+        assert run_step(tmp_path, raw, ["experiment"], reused) == EXIT_OK
+        assert rebuilt in capsys.readouterr().out
+        run_step(tmp_path, raw, ["experiment"], fresh)
+        assert sorted(p.name for p in reused.iterdir()) == sorted(
+            p.name for p in fresh.iterdir()
+        )
+        for p in fresh.iterdir():
+            assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
 
     @pytest.mark.parametrize(
         "line, corrupt",
@@ -854,6 +904,14 @@ def with_value(path, value):
 
 
 MALFORMED_INPUTS = [
+    pytest.param(
+        json.dumps(small_raw()).replace(
+            '"montecarlo": {"trials": 30', '"montecarlo": {"trials": 1000, "trials": 7'
+        ),
+        ["experiment"],
+        "duplicate config key 'trials'",
+        id="montecarlo.trials twice",
+    ),
     pytest.param(
         with_value(["scenario", "deltas"], [0.1, 0.1]),
         ["experiment"],

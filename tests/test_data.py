@@ -335,7 +335,6 @@ def fragile_model():
     return PlanarQuadrotor(prior=ParamPrior(mass=BetaSpec(0.05, 1.0, 1e-300, 1.0)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
 class TestGenerationDivergence:
     # per-sample phases at seed 0: . F4 . . R6 . F5 . (F feedback, R replay,
     # number the 1-based step); at seed 2: . . . R6 F6 . F6 .

@@ -63,9 +63,6 @@ class TestMixedPolicy:
         with pytest.raises(ValueError):
             MixedPolicy(np.ones(2), make_library(3))
 
-    def test_support(self):
-        assert make_policy([0.5, 0.0, 0.5]).support == (0, 2)
-
 
 class TestSampleControl:
     def test_degenerate_always_same_index(self):
@@ -101,7 +98,7 @@ class TestSampleControl:
                 return 1.0 - 5e-11
 
         policy = make_policy([1.0 - 1e-10, 0.0, 0.0])
-        assert policy.support == (0,)
+        np.testing.assert_array_equal(np.flatnonzero(policy.weights), [0])
         assert sample_control(policy, Draw())[0] == 0
 
 
@@ -150,7 +147,7 @@ class TestRunMonteCarlo:
         (b,) = run_monte_carlo(*args, seed=5)
         assert a.successes == b.successes
         np.testing.assert_array_equal(a.indices, b.indices)
-        np.testing.assert_array_equal(a.trajectories, b.trajectories)
+        np.testing.assert_array_equal(a.states[a.kept_rows], b.states[b.kept_rows])
 
     def test_trial_seeds_stable_under_trial_count(self):
         policy = make_policy([0.3, 0.7])
@@ -180,7 +177,7 @@ class TestRunMonteCarlo:
                 [policy], model, near_origin_scenario(), np.zeros(4), 5, seed=1
             )
         assert report.successes == 0
-        assert np.all(np.isnan(report.trajectories))
+        assert np.all(np.isnan(report.states[report.kept_rows]))
 
     def test_trajectory_retention_cap(self, monkeypatch):
         monkeypatch.setattr("kernelcc.policy.MAX_KEPT_TRAJECTORIES", 4)
@@ -193,7 +190,7 @@ class TestRunMonteCarlo:
             12,
             seed=3,
         )
-        assert report.trajectories.shape == (4, HORIZON, 4)
+        assert report.states[report.kept_rows].shape == (4, HORIZON, 4)
         assert report.indices.shape == (12,)
 
     def test_report_dict_round_trips_counts(self):
@@ -234,13 +231,13 @@ class TestCsvExport:
                 [policy], quiet_model(drag=0.9), near_origin_scenario(), np.zeros(4), 6,
                 seed=4,
             )
-        assert 0 < np.isnan(report.trajectories[:, 0, 0]).sum() < 6
+        assert 0 < np.isnan(report.states[report.kept_rows][:, 0, 0]).sum() < 6
         path, reference = tmp_path / "traj.csv", tmp_path / "ref.csv"
         trajectories_to_csv(report, path)
         with reference.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["trial", "step", "s0", "s1", "s2", "s3", "feasible"])
-            for t, trajectory in enumerate(report.trajectories):
+            for t, trajectory in enumerate(report.states[report.kept_rows]):
                 for step, state in enumerate(trajectory):
                     row = [t, step + 1, *(repr(float(v)) for v in state)]
                     writer.writerow(row + [int(report.feasible[t])])
@@ -287,8 +284,11 @@ def assert_same_report(a, b, tmp_path):
         "wilson_low", "wilson_high", "seed",
     ):
         assert getattr(a, name) == getattr(b, name), name
-    for name in ("indices", "feasible", "trajectories"):
+    for name in ("indices", "feasible"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+    np.testing.assert_array_equal(
+        a.states[a.kept_rows], b.states[b.kept_rows], err_msg="trajectories"
+    )
     trajectories_to_csv(a, tmp_path / "a.csv")
     trajectories_to_csv(b, tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -309,14 +309,14 @@ class TestSweep:
             (alone,) = self.run([policy])
             assert_same_report(report, alone, tmp_path)
         if name == "diverging":
-            assert 0 < np.isnan(swept[0].trajectories[:, 0, 0]).sum() < 40
+            assert 0 < np.isnan(swept[0].states[swept[0].kept_rows][:, 0, 0]).sum() < 40
 
     def test_equals_one_policy_calls_above_kept_cap(self, tmp_path, monkeypatch):
         monkeypatch.setattr("kernelcc.policy.MAX_KEPT_TRAJECTORIES", 4)
         policies = sweep_policies("overlapping")
         swept = self.run(policies, trials=12)
         for policy, report in zip(policies, swept):
-            assert report.trajectories.shape == (4, HORIZON, 4)
+            assert report.states[report.kept_rows].shape == (4, HORIZON, 4)
             assert_same_report(report, self.run([policy], trials=12)[0], tmp_path)
 
     def test_reports_share_kept_states(self):
@@ -334,7 +334,7 @@ class TestSweep:
         one, _ = traced_peak(policies[:1])
         four, reports = traced_peak(policies)
         assert all(report.states is reports[0].states for report in reports)
-        unit = reports[0].trajectories.nbytes
+        unit = reports[0].states[reports[0].kept_rows].nbytes
         assert four <= one + unit / 2
 
     def test_indices_follow_sample_control_on_the_trial_streams(self):

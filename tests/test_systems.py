@@ -82,10 +82,6 @@ class TestQuadrotorStep:
         out = quadrotor_step(ZERO4, np.zeros(2), w, params)
         np.testing.assert_allclose(out - base, w, atol=1e-15)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            quadrotor_step([np.nan, 0, 0, 0], np.zeros(2), ZERO4, (1, 0))
-
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             quadrotor_step(np.zeros(3), np.zeros(2), ZERO4, (1, 0))
@@ -225,7 +221,6 @@ class TestRollout:
         t2, _ = simulate(model, ZERO4, controls, 2)
         assert np.any(t1 != t2)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reports_step(self):
         # step 3 leaves a 1e199 velocity; step 4's quadratic drag overflows
         model = deterministic_model(drag=0.5)
@@ -235,7 +230,6 @@ class TestRollout:
         assert diverged == 4
         assert np.all(np.isnan(traj[4:]))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_is_per_row(self):
         # the diverging row stops; the other one runs on as it would alone
         model = deterministic_model(drag=0.5)
@@ -254,6 +248,19 @@ class TestRollout:
         controls[1, 0] = np.nan
         with pytest.raises(ValueError):
             simulate(deterministic_model(), ZERO4, controls, 0)
+
+    @pytest.mark.parametrize("name", ["x0", "leading", "params", "noise"])
+    def test_rejects_non_finite_input(self, name):
+        # checked once at entry, before any step
+        inputs = {
+            "x0": np.zeros((2, 4)),
+            "leading": np.zeros((2, 5, 2)),
+            "params": np.ones((2, 2)),
+            "noise": np.zeros((2, 5, 4)),
+        }
+        inputs[name].flat[-1] = np.inf
+        with pytest.raises(ValueError, match="non-finite values in rollout inputs"):
+            rollout(deterministic_model(), **inputs)
 
     def test_rejects_bad_control_shape(self):
         with pytest.raises(ValueError):
