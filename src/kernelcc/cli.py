@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import policy as _policy
 from .config import (
     ConfigError,
     RunConfig,
@@ -264,7 +265,8 @@ def _policy_key(cfg: RunConfig, ds_key, lib_key, delta) -> str:
 
 def _report_key(cfg: RunConfig, record: dict, x0) -> str:
     # the policy enters by the sha256 of the text _write_json gives its
-    # record, which is the sha256 of every policy file this program writes
+    # record, which is the sha256 of every policy file this program writes;
+    # the kept count sizes the trajectory CSV written beside the report
     model = cfg.model
     return digest_of(
         {
@@ -274,6 +276,7 @@ def _report_key(cfg: RunConfig, record: dict, x0) -> str:
             "x0": x0,
             "seed": cfg.mc_seed,
             "trials": cfg.trials,
+            "kept": _policy.MAX_KEPT_TRAJECTORIES,
         }
     )
 

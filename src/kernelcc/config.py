@@ -12,8 +12,8 @@ the file carries its dotted name (``scenario.goal``) and records the keys
 read from it. Any ValueError or TypeError raised while a section, nested
 object or key is read becomes a ConfigError naming it, and so does a key no
 parse step read (a misspelling, say). JSON syntax errors carry the line
-number, and a key repeated within one object is refused. The parsed form
-keeps a digest of the raw file.
+number, and a key repeated within one object is refused with the key and
+that object's name. The parsed form keeps a digest of the raw file.
 
 A seed, a risk level and an initial state are each checked by one function
 (``check_seed``, ``check_delta``, ``check_state``), which the command-line
@@ -80,15 +80,27 @@ class _Object(dict):
         return super().get(key, default)
 
 
+class _Parsed(dict):
+    """A JSON object as load_config parsed it, with ``repeated``, the first
+    key it holds twice, or None; _tracked, which names the object, refuses
+    it."""
+
+    repeated = None
+
+
 def _tracked(value, where: str):
     """value with every JSON object an _Object; raises ConfigError at the
-    first NaN or infinite number.
+    first object that repeats a key and at the first NaN or infinite number.
 
     JSON text may spell these NaN, Infinity, -Infinity, or as a literal too
     large for a float (1e400 parses as inf).
     """
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"non-finite number {value} at {where}")
+    if isinstance(value, _Parsed) and value.repeated is not None:
+        raise ConfigError(
+            f"duplicate config key {value.repeated!r} at {where or 'the top level'}"
+        )
     if isinstance(value, dict):
         items = {key: _tracked(item, _name(where, key)) for key, item in value.items()}
         return _Object(items, where)
@@ -384,13 +396,13 @@ def parse_config(raw: dict) -> RunConfig:
     )
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object that repeats no key; json.loads would keep the last
-    value of a repeated key and drop the others unseen."""
-    obj = {}
+def _unique_keys(pairs: list) -> _Parsed:
+    """The hook json.loads builds each object with: json.loads alone would
+    keep the last value of a repeated key and drop the others unseen."""
+    obj = _Parsed()
     for key, value in pairs:
-        if key in obj:
-            raise ConfigError(f"duplicate config key {key!r}")
+        if key in obj and obj.repeated is None:
+            obj.repeated = key
         obj[key] = value
     return obj
 

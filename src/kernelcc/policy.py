@@ -27,8 +27,9 @@ from .systems import PlanarQuadrotor, draw_streams, rollout
 # two-sided 95% normal quantile used for the Wilson interval
 _Z95 = 1.959963984540054
 
-# trials whose trajectories a report keeps for plotting and the CSV export
-MAX_KEPT_TRAJECTORIES = 2000
+# trials whose trajectories a report keeps for plotting and the CSV export:
+# the first this many; rates and Wilson bounds use every trial
+MAX_KEPT_TRAJECTORIES = 100
 
 
 def check_weights(weights: np.ndarray) -> None:
@@ -145,9 +146,11 @@ def run_monte_carlo(
     a library element by inverse-CDF sampling. Every distinct (trial,
     element) pair is rolled out and checked against the constraints of
     ``sc`` once; its risk level is not read. A diverging simulation counts
-    as a failure and never aborts the run. Trajectories are retained for
-    plotting up to ``MAX_KEPT_TRAJECTORIES`` trials, in one states array
-    the reports share; diverged trials record NaN states.
+    as a failure and never aborts the run. Every trial counts in a report's
+    success rate, Wilson bounds, ``indices`` and ``feasible``; the states of
+    the first ``MAX_KEPT_TRAJECTORIES`` trials alone are kept, for plotting
+    and the CSV export, in one states array the reports share. Diverged
+    trials record NaN states.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -341,10 +341,13 @@ class TestReproducibility:
             for name in names
             if (out_a / name).read_bytes() != (out_b / name).read_bytes()
         ]
-        ok = rc == 0 and len(names) == 9 and not mismatched
+        # the trajectory CSVs keep the first trials only, so a run stays small
+        size = sum(p.stat().st_size for p in out_a.iterdir())
+        ok = rc == 0 and len(names) == 9 and not mismatched and size < 2e6
         detail = (
             f"{len(names)} files compared, "
             + ("all byte-identical" if not mismatched else f"differ: {mismatched}")
+            + f"; output {size / 1e6:.2f} MB of 2 MB"
         )
         line = report(6, "reproducibility", ok, detail)
         assert ok, line

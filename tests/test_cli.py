@@ -346,6 +346,30 @@ class TestStageReuse:
         for p in fresh.iterdir():
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
 
+    def test_kept_count_change_revalidates_without_resolving(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a report's key holds the number of trials its CSV keeps, so a
+        # directory written at another count is validated again, never mixed
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        raw = small_raw(deltas=(0.3, 0.4))
+        run_step(tmp_path, raw, ["experiment"], reused)
+        monkeypatch.setattr("kernelcc.policy.MAX_KEPT_TRAJECTORIES", 10)
+        capsys.readouterr()
+        assert run_step(tmp_path, raw, ["experiment"], reused) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "dataset: cached" in text and "library: cached" in text
+        assert text.count("cached policy") == 2 and "cached report" not in text
+        for tag in ("0.3", "0.4"):
+            csv_text = (reused / f"trajectories_delta_{tag}.csv").read_text()
+            assert csv_text.count("\n") == 1 + 10 * 8
+        run_step(tmp_path, raw, ["experiment"], fresh)
+        assert sorted(p.name for p in reused.iterdir()) == sorted(
+            p.name for p in fresh.iterdir()
+        )
+        for p in fresh.iterdir():
+            assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
+
     @pytest.mark.parametrize(
         "stem, raw, rebuilt",
         [
@@ -909,8 +933,21 @@ MALFORMED_INPUTS = [
             '"montecarlo": {"trials": 30', '"montecarlo": {"trials": 1000, "trials": 7'
         ),
         ["experiment"],
-        "duplicate config key 'trials'",
+        "duplicate config key 'trials' at montecarlo\n",
         id="montecarlo.trials twice",
+    ),
+    # the two repeats of one key name read apart by the object that holds them
+    pytest.param(
+        json.dumps(small_raw()).replace('"seed": 5', '"seed": 4, "seed": 5'),
+        ["experiment"],
+        "duplicate config key 'seed' at the top level\n",
+        id="seed twice",
+    ),
+    pytest.param(
+        json.dumps(small_raw()).replace('"seed": 77', '"seed": 76, "seed": 77'),
+        ["experiment"],
+        "duplicate config key 'seed' at montecarlo\n",
+        id="montecarlo.seed twice",
     ),
     pytest.param(
         with_value(["scenario", "deltas"], [0.1, 0.1]),
@@ -1474,6 +1511,26 @@ class TestEarlierDirectory:
         text = capsys.readouterr().out
         assert "dataset: cached" in text and "library: cached" in text
         assert "cached policy" not in text and "cached report" not in text
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == current
+
+    # the key small_raw's report recorded while its key left out the count
+    # of trials the trajectory CSV keeps; the CSV kept every trial then
+    KEPT_UNKEYED_REPORT_KEY = (
+        "d7dd90a63b08b69f7359ee8dcb2a02122fe34c974b3822844f64f881ee8ef36c"
+    )
+
+    def test_report_of_the_key_without_kept_count_is_rebuilt(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_step(tmp_path, small_raw(), ["experiment"], out) == EXIT_OK
+        current = {p.name: p.read_bytes() for p in out.iterdir()}
+        name = "report_delta_0.3.json"
+        record = json.loads(current[name])
+        record["inputs_digest"] = self.KEPT_UNKEYED_REPORT_KEY
+        (out / name).write_text(canonical_json(record) + "\n")
+        capsys.readouterr()
+        assert run_step(tmp_path, small_raw(), ["experiment"], out) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "delta=0.3: cached policy" in text and "cached report" not in text
         assert {p.name: p.read_bytes() for p in out.iterdir()} == current
 
     # the JSONL files of small_raw as each earlier JSONL format wrote them,

@@ -8,6 +8,7 @@ import pytest
 
 from kernelcc.data import ControlLibrary
 from kernelcc.policy import (
+    MAX_KEPT_TRAJECTORIES,
     MixedPolicy,
     run_monte_carlo,
     trajectories_to_csv,
@@ -179,19 +180,27 @@ class TestRunMonteCarlo:
         assert report.successes == 0
         assert np.all(np.isnan(report.states[report.kept_rows]))
 
-    def test_trajectory_retention_cap(self, monkeypatch):
-        monkeypatch.setattr("kernelcc.policy.MAX_KEPT_TRAJECTORIES", 4)
-        policy = make_policy([1.0])
-        (report,) = run_monte_carlo(
-            [policy],
-            quiet_model(),
-            near_origin_scenario(),
-            np.zeros(4),
-            12,
-            seed=3,
+    def test_trajectory_retention_cap(self, tmp_path):
+        # the report of more trials than the cap keeps the states and CSV of
+        # a run of the first cap trials, and counts every trial
+        kept, trials = MAX_KEPT_TRAJECTORIES, MAX_KEPT_TRAJECTORIES + 20
+        args = [make_policy([0.3, 0.7])], PlanarQuadrotor(), near_origin_scenario()
+        (report,) = run_monte_carlo(*args, np.zeros(4), trials, seed=3)
+        (first,) = run_monte_carlo(*args, np.zeros(4), kept, seed=3)
+        np.testing.assert_array_equal(
+            report.states[report.kept_rows], first.states[first.kept_rows]
         )
-        assert report.states[report.kept_rows].shape == (4, HORIZON, 4)
-        assert report.indices.shape == (12,)
+        assert report.states[report.kept_rows].shape == (kept, HORIZON, 4)
+        trajectories_to_csv(report, tmp_path / "capped.csv")
+        trajectories_to_csv(first, tmp_path / "first.csv")
+        text = (tmp_path / "capped.csv").read_text()
+        assert text == (tmp_path / "first.csv").read_text()
+        assert text.count("\n") == 1 + kept * HORIZON
+        d = report.to_dict()
+        assert d["trials"] == trials
+        assert len(d["trial_indices"]) == len(d["trial_feasible"]) == trials
+        assert d["successes"] == sum(d["trial_feasible"])
+        assert d["trial_indices"][:kept] == first.to_dict()["trial_indices"]
 
     def test_report_dict_round_trips_counts(self):
         policy = make_policy([0.5, 0.5])
@@ -319,9 +328,12 @@ class TestSweep:
             assert report.states[report.kept_rows].shape == (4, HORIZON, 4)
             assert_same_report(report, self.run([policy], trials=12)[0], tmp_path)
 
-    def test_reports_share_kept_states(self):
+    def test_reports_share_kept_states(self, monkeypatch):
         # four policies that draw the same elements roll out what one does;
-        # a kept-trajectory copy per report would add a unit to the peak
+        # a kept-trajectory copy per report would add a unit to the peak,
+        # which keeping every trial makes large next to the index arrays
+        monkeypatch.setattr("kernelcc.policy.MAX_KEPT_TRAJECTORIES", 1000)
+
         def traced_peak(policies):
             tracemalloc.start()
             try:
