@@ -3,8 +3,11 @@
 Every command reads one JSON run-configuration file and writes artifacts
 into an output directory. Each artifact records a key computed from the
 config sections it depends on and the keys of the artifacts it was built
-from. ``experiment`` rebuilds a stage exactly when its key changes, so a
-rerun reuses what is current and reproduces every file byte for byte.
+from. Every command takes the dataset and library by that key: it reuses
+the file whose key is current and rebuilds the other. ``solve`` and
+``validate`` then compute every policy or report asked for again, while
+``experiment`` rebuilds a policy or report exactly when its key changes, so
+a rerun reuses what is current and reproduces every file byte for byte.
 
 Exit codes: 0 success, 2 configuration or policy-file error, 3 infeasible
 solve, 4 IO error.
@@ -36,7 +39,6 @@ from .config import (
 from .data import (
     ControlLibrary,
     DataLoadError,
-    Dataset,
     DatasetGenerationError,
     dataset_key,
     generate_dataset,
@@ -203,16 +205,6 @@ def _read_report(path: Path) -> dict:
     return record
 
 
-def _dataset_key_of(ds) -> list:
-    """The key a dataset, or the header of its file, records."""
-    return [ds.config_digest, ds.master_seed]
-
-
-def _library_key_of(lib) -> str:
-    """The key a library, or the header of its file, records."""
-    return lib.config_digest
-
-
 def _record_key(record: dict) -> tuple:
     """The key a policy or report file records: its inputs digest and its
     risk level, which is current only in the file named for it."""
@@ -240,7 +232,8 @@ def _current(path: Path, read, recorded_key, key, *beside: Path):
 @dataclasses.dataclass(frozen=True)
 class _Input:
     """A dataset or library of this run: its key, and ``get``, which returns
-    the artifact; a cached file is parsed at the first call, and only then."""
+    the artifact; a cached file not parsed to check it is parsed at the
+    first call, and only then."""
 
     key: object
     get: Callable[[], object]
@@ -281,74 +274,81 @@ def _report_key(cfg: RunConfig, record: dict, x0) -> str:
     )
 
 
-# per kind: what the records of its file are, and the artifact property
-# that counts them
-_RECORDS = {
-    "dataset": ("samples", "num_samples"),
-    "library": ("sequences", "num_sequences"),
-}
-
-
-def _load_or_build(out: Path, kind: str, key, key_of, build, save, load) -> _Input:
+def _load_or_build(
+    out: Path, kind: str, key, key_of, build, save, load, parse: bool
+) -> _Input:
     """The ``kind`` input of this run: <kind>.jsonl in out if it is current,
     else what ``build()`` returns, saved there by ``save``.
 
-    A file is current when its header records ``key`` and its bytes match
-    the header's sha256; ``load`` parses it when a stage first asks for its
-    records, and hashes it again as it does.
+    A file is current when it records ``key``, by ``key_of`` of the artifact
+    or of its header, and its bytes match the header's sha256. With
+    ``parse``, ``load`` parses the file to check that, so it is hashed once;
+    else only its header line is decoded, and ``load`` parses it when a
+    stage first asks for its records, and hashes it again as it does.
     """
     path = out / f"{kind}.jsonl"
-    noun, count = _RECORDS[kind]
-    header = _current(path, functools.partial(read_header, kind=kind), key_of, key)
-    if header is not None:
-        print(f"{kind}: cached ({header.count} {noun})")
+    noun = "samples" if kind == "dataset" else "sequences"
+    count = f"num_{noun}"  # the artifact property that counts the records
+    read = load if parse else functools.partial(read_header, kind=kind)
+    found = _current(path, read, key_of, key)
+    if found is None:
+        found = build()
+        save(found, path)
+        print(
+            f"{kind}: {getattr(found, count)} {noun}, horizon {found.horizon} "
+            f"-> {path}"
+        )
+    elif parse:
+        print(f"{kind}: cached ({getattr(found, count)} {noun})")
+    else:
+        print(f"{kind}: cached ({found.count} {noun})")
         return _Input(key, functools.cache(functools.partial(load, path)))
-    artifact = build()
-    save(artifact, path)
-    print(
-        f"{kind}: {getattr(artifact, count)} {noun}, horizon {artifact.horizon} "
-        f"-> {path}"
-    )
-    return _Input(key, lambda: artifact)
+    return _Input(key, lambda: found)
 
 
-def cmd_generate(cfg: RunConfig, out: Path) -> tuple[_Input, _Input]:
-    """Produce dataset.jsonl and library.jsonl, reusing current ones."""
-    # the functions are looked up here, at call time, so a caller can patch
-    # the names this module imported
-    ds = _load_or_build(
+def _dataset(cfg: RunConfig, out: Path, parse: bool) -> _Input:
+    # the functions are looked up here and in _library, at call time, so a
+    # caller can patch the names this module imported
+    return _load_or_build(
         out,
         "dataset",
         [dataset_key(cfg.dataset, cfg.model), cfg.master_seed],
-        _dataset_key_of,
+        lambda ds: [ds.config_digest, ds.master_seed],
         functools.partial(generate_dataset, cfg.dataset, cfg.model, cfg.master_seed),
         save_dataset,
         load_dataset,
+        parse,
     )
-    lib = _load_or_build(
+
+
+def _library(cfg: RunConfig, out: Path, parse: bool) -> _Input:
+    return _load_or_build(
         out,
         "library",
         library_key(cfg.library, cfg.model, cfg.nominal_params),
-        _library_key_of,
+        lambda lib: lib.config_digest,
         functools.partial(
             generate_library, cfg.library, cfg.model, cfg.nominal_params
         ),
         save_library,
         load_library,
+        parse,
     )
-    return ds, lib
+
+
+def cmd_generate(cfg: RunConfig, out: Path) -> tuple[_Input, _Input]:
+    """Produce dataset.jsonl and library.jsonl, reusing current ones."""
+    return _dataset(cfg, out, parse=False), _library(cfg, out, parse=False)
 
 
 def _solve(
-    cfg: RunConfig, out: Path, ds: Dataset, lib: ControlLibrary, keys, deltas
+    cfg: RunConfig, out: Path, ds: _Input, lib: _Input, deltas
 ) -> dict[float, dict]:
-    """Fit, solve the LP for each risk level, write and return the policies.
-
-    ``keys`` are the dataset and library keys the policies record.
-    """
-    model = fit(ds, cfg.state_kernel, cfg.control_kernel, cfg.regularization)
+    """Fit, solve the LP for each risk level, write and return the policies."""
+    dataset, library = ds.get(), lib.get()
+    model = fit(dataset, cfg.state_kernel, cfg.control_kernel, cfg.regularization)
     # one kernel solve covers the whole sweep; only the threshold changes
-    base = assemble(model, cfg.scenario_for(deltas[0]), lib, cfg.initial_state)
+    base = assemble(model, cfg.scenario_for(deltas[0]), library, cfg.initial_state)
     # no threshold changes how the estimates spread
     estimates = base.safety_spread()
     policies = {}
@@ -362,10 +362,10 @@ def _solve(
             "kind": "policy",
             "delta": float(delta),
             "x0": [float(v) for v in cfg.initial_state],
-            "master_seed": ds.master_seed,
-            "library_digest": lib.content_digest,
+            "master_seed": dataset.master_seed,
+            "library_digest": library.content_digest,
             "embedding_digest": model.digest,
-            "inputs_digest": _policy_key(cfg, *keys, delta),
+            "inputs_digest": _policy_key(cfg, ds.key, lib.key, delta),
             "solve": result.to_dict(),
             "safety_estimates": {"threshold": inst.threshold, **estimates},
         }
@@ -395,24 +395,11 @@ def _exit_code(policies) -> int:
     return EXIT_OK if optimal else EXIT_INFEASIBLE
 
 
-def _read_input(cfg: RunConfig, path: Path, load):
-    """What ``load`` reads from path, or a ConfigError if it holds sequences
-    of another horizon than ``scenario.horizon``."""
-    artifact = load(path)
-    if artifact.horizon != cfg.scenario.horizon:
-        raise ConfigError(
-            f"{path} holds horizon {artifact.horizon}, but scenario.horizon is "
-            f"{cfg.scenario.horizon}"
-        )
-    return artifact
-
-
 def cmd_solve(cfg: RunConfig, out: Path) -> int:
-    """Fit the embedding and solve the LP for each risk level; write policies."""
-    ds = _read_input(cfg, out / "dataset.jsonl", load_dataset)
-    lib = _read_input(cfg, out / "library.jsonl", load_library)
-    keys = _dataset_key_of(ds), _library_key_of(lib)
-    return _exit_code(_solve(cfg, out, ds, lib, keys, cfg.deltas).values())
+    """Solve the LP for every risk level again, on the dataset and library
+    ``experiment`` would take; write policies."""
+    ds, lib = _dataset(cfg, out, parse=True), _library(cfg, out, parse=True)
+    return _exit_code(_solve(cfg, out, ds, lib, cfg.deltas).values())
 
 
 def _weight_pairs(solve: dict) -> tuple[list[int], np.ndarray]:
@@ -551,8 +538,7 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> int:
             print(f"delta={delta}: cached policy")
     stale = [delta for delta in cfg.deltas if policies[delta] is None]
     if stale:
-        keys = ds.key, lib.key
-        policies.update(_solve(cfg, out, ds.get(), lib.get(), keys, stale))
+        policies.update(_solve(cfg, out, ds, lib, stale))
     reports, unvalidated = {}, {}
     for delta in cfg.deltas:
         if policies[delta]["solve"]["status"] != "optimal":
@@ -616,8 +602,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("generate", help="write dataset and library files"),
            with_delta=False, with_x0=False)
-    common(sub.add_parser("solve", help="fit embedding and solve per risk level"))
-    p_val = sub.add_parser("validate", help="Monte-Carlo validate a saved policy")
+    common(sub.add_parser(
+        "solve", help="solve every risk level again on the config's dataset and library"
+    ))
+    p_val = sub.add_parser(
+        "validate", help="Monte-Carlo validate a saved policy on the config's library"
+    )
     common(p_val, with_delta=False)
     p_val.add_argument("--policy", required=True, help="policy JSON file to validate")
     common(sub.add_parser("experiment", help="full pipeline plus summary table"))
@@ -647,9 +637,9 @@ def main(argv=None) -> int:
         if args.command == "validate":
             # validate's --x0 replaces the initial state of the policy
             x0 = None if args.x0 is None else cfg.initial_state
-            lib = _read_input(cfg, out / "library.jsonl", load_library)
             policy_path = Path(args.policy)
-            cmd_validate(cfg, out, {policy_path: _read_policy(policy_path)}, lib, x0)
+            records = {policy_path: _read_policy(policy_path)}
+            cmd_validate(cfg, out, records, _library(cfg, out, parse=True).get(), x0)
             return EXIT_OK
         if args.command == "generate":
             cmd_generate(cfg, out)

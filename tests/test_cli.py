@@ -16,7 +16,6 @@ import kernelcc.data
 from kernelcc.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
-    EXIT_IO,
     EXIT_OK,
     main,
 )
@@ -439,15 +438,21 @@ class TestStageReuse:
             (True, small_raw(trials=31), "experiment", (0, 1), 3),
             (True, small_raw(regularization=2e-4), "experiment", (1, 1), 4),
             (True, small_raw(), "solve", (1, 1), 2),
+            (True, small_raw(), "validate --policy {out}/policy_delta_0.3.json",
+             (0, 1), 1),
+            (True, small_raw(), "generate", (0, 0), 2),
         ],
-        ids=["cold", "rerun", "trials_changed", "regularization_changed", "solve"],
+        ids=["cold", "rerun", "trials_changed", "regularization_changed", "solve",
+             "validate", "generate"],
     )
     def test_jsonl_loads_per_operation(
         self, tmp_path, monkeypatch, earlier, raw, command, loads, hashed
     ):
         # a stage that runs is handed the dataset and library it needs; a
         # cached file's header is checked against its sha256, and the file is
-        # parsed, and hashed again, only when a stale stage needs its records
+        # parsed, and hashed again, only when a stale stage needs its records;
+        # solve and validate, which always need them, check a file by parsing
+        # it, so each file they read is hashed once
         out = tmp_path / "out"
         if earlier:
             run_step(tmp_path, small_raw(), ["experiment"], out)
@@ -466,7 +471,7 @@ class TestStageReuse:
             "_check_sha256",
             lambda path, *args: calls["_check_sha256"].append(path) or check(path, *args),
         )
-        assert run_step(tmp_path, raw, [command], out) == EXIT_OK
+        assert run_step(tmp_path, raw, command.split(), out) == EXIT_OK
         assert (len(calls["load_dataset"]), len(calls["load_library"])) == loads
         assert len(calls["_check_sha256"]) == hashed
 
@@ -721,24 +726,34 @@ class TestSolve:
                 "num_above_one": 2,
             }
 
-    def test_missing_inputs_io_error(self, tmp_path):
-        cfg = write_config(tmp_path, small_raw())
-        rc = main(["solve", "--config", str(cfg), "--out-dir",
-                   str(tmp_path / "nothing")])
-        assert rc == EXIT_IO
-
-    def test_inputs_of_another_horizon_are_one_line_error(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert run_step(tmp_path, small_raw(), ["generate"], out) == EXIT_OK
-        raw = with_value(["scenario", "horizon"], 10)
-        capsys.readouterr()
-        assert run_step(tmp_path, raw, ["solve"], out) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err == (
-            f"config error: {out / 'dataset.jsonl'} holds horizon 8, but "
-            "scenario.horizon is 10\n"
-        )
-        assert not list(out.glob("policy_*"))
+    @pytest.mark.parametrize(
+        "generated, edit, flags",
+        [
+            (False, None, []),
+            (True, None, ["--seed", "6"]),
+            (True, (["dataset", "num_samples"], 60), []),
+            (True, (["scenario", "horizon"], 10), []),
+        ],
+        ids=["empty_directory", "seed_flag", "num_samples_60", "horizon_10"],
+    )
+    def test_inputs_of_another_config_are_rebuilt(
+        self, tmp_path, generated, edit, flags
+    ):
+        # solve takes the dataset and library by their keys, as experiment
+        # does, so it never solves on files that another config or seed wrote
+        raw = small_raw() if edit is None else with_value(*edit)
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        if generated:
+            assert run_step(tmp_path, small_raw(), ["generate"], reused) == EXIT_OK
+        assert run_step(tmp_path, raw, ["solve", *flags], reused) == EXIT_OK
+        assert run_step(tmp_path, raw, ["generate", *flags], fresh) == EXIT_OK
+        assert run_step(tmp_path, raw, ["solve", *flags], fresh) == EXIT_OK
+        written = sorted(p.name for p in fresh.iterdir())
+        assert written == sorted(p.name for p in reused.iterdir())
+        for name in written:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+        policy = json.loads((reused / "policy_delta_0.3.json").read_text())
+        assert policy["master_seed"] == (6 if flags else 5)
 
 
 class TestValidate:
@@ -772,17 +787,20 @@ class TestValidate:
                    "--policy", str(tampered)])
         assert rc == EXIT_CONFIG
 
-    def test_library_of_another_horizon_is_one_line_error(self, tmp_path, capsys):
+    def test_policy_of_a_changed_library_is_one_line_error(self, tmp_path, capsys):
+        # validate takes the library by its key, so a changed grid rebuilds
+        # it, and the policy solved against the old one is refused
         _, out, policy = self.make_policy(tmp_path)
-        raw = with_value(["scenario", "horizon"], 10)
+        raw = with_value(["library", "grid_resolution"], [3, 1])
         capsys.readouterr()
         argv = ["validate", "--policy", str(policy)]
         assert run_step(tmp_path, raw, argv, out) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err == (
-            f"config error: {out / 'library.jsonl'} holds horizon 8, but "
-            "scenario.horizon is 10\n"
+        captured = capsys.readouterr()
+        assert "library: cached" not in captured.out
+        assert captured.err.startswith(
+            f"error: {policy}: policy was solved against a different library "
         )
+        assert captured.err.count("\n") == 1, captured.err
         assert not list(out.glob("report_*"))
 
     def test_missing_policy_file(self, tmp_path):

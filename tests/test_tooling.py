@@ -122,6 +122,16 @@ def test_traced_experiment_counts_one_sweep_of_trials(tmp_path, monkeypatch):
     tracer.reset()
     assert main(["experiment", "--config", str(config), "--out-dir", str(out)]) == 0
     assert not [s for s in tracer.spans if s[0].startswith("data.load_")]
+    # the benchmark's resolve: solve on the current directory parses each
+    # input once through the patched names, builds neither, and rewrites
+    # every policy with the bytes it had
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    tracer.reset()
+    assert main(["solve", "--config", str(config), "--out-dir", str(out)]) == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("data.load_dataset") == names.count("data.load_library") == 1
+    assert not [n for n in names if n.startswith(("data.generate_", "data.save_"))]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # the dataset and library keys of each benchmark workload's config at seed 101
