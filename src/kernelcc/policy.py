@@ -105,8 +105,8 @@ class MonteCarloReport:
             "standard_error": self.standard_error,
             "wilson_95": [self.wilson_low, self.wilson_high],
             "seed": self.seed,
-            "trial_indices": [int(i) for i in self.indices],
-            "trial_feasible": [bool(f) for f in self.feasible],
+            "trial_indices": self.indices.tolist(),
+            "trial_feasible": self.feasible.tolist(),
         }
 
 

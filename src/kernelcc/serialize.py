@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +44,24 @@ def check_finite(array: np.ndarray) -> None:
         raise ValueError(f"non-finite value {first} cannot be serialized")
 
 
+# the types a JSON value already is, taken exactly: no subclass
+_PLAIN = frozenset({str, int, bool, type(None)})
+
+
 def jsonable(obj):
-    """Recursively convert arrays, numpy scalars, and dataclasses to JSON types."""
+    """Recursively convert arrays, numpy scalars, and dataclasses to JSON types.
+
+    Most of a record is exact str, int, bool, None, finite float and plain
+    list values; those are taken by their exact type first, before the
+    checks for arrays, numpy scalars and dataclasses.
+    """
+    kind = type(obj)
+    if kind in _PLAIN:
+        return obj
+    if kind is float and math.isfinite(obj):
+        return obj
+    if kind is list:
+        return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind not in "biuf":
             return jsonable(obj.tolist())

@@ -9,6 +9,9 @@ trajectory (the process is not Markovian in the state alone).
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +87,76 @@ class ParamPrior:
         )
 
 
+# numpy's SeedSequence hash (a pool of four 32-bit words) and PCG64 seeding;
+# numpy keeps both algorithms stable, so streams seeded here are the streams
+# default_rng(SeedSequence(entropy)) seeds
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays, with its own running
+    constant that starts at ``init`` and steps by ``mult``; the argument is
+    left as it is.
+
+    Each step updates one array in place, so that few arrays, and few
+    distinct numpy loops, are touched: their code pages count in the
+    process's resident memory.
+    """
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value *= np.uint32(const)
+        value ^= value >> np.uint32(16)
+        return value
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> None:
+    """SeedSequence's mix of the uint32 array y into x, in place."""
+    x *= np.uint32(_MIX_MULT_L)
+    x -= np.uint32(_MIX_MULT_R) * y
+    x ^= x >> np.uint32(16)
+
+
+def _stream_seeds(seed: int, count: int) -> np.ndarray:
+    """(count, 4) little-endian uint64: row i is SeedSequence((seed,
+    i)).generate_state(4, np.uint64), computed for every i at once in uint32
+    arithmetic.
+
+    The entropy of (seed, i) is seed's little-endian 32-bit words, then i's
+    one word (i < 2**32); each is a column here.
+    """
+    words = range(0, max(seed.bit_length(), 1), 32)
+    entropy = [np.full(count, seed >> shift & _MASK32, np.uint32) for shift in words]
+    entropy.append(np.arange(count, dtype=np.uint32))
+    entropy += [np.zeros(count, np.uint32)] * (_POOL_SIZE - len(entropy))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                _mix(pool[dst], hashmix(pool[src]))
+    # entropy longer than the pool (a seed of 2**96 or more) is mixed in last
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    # generate_state(8) words, read as little-endian pairs as numpy does
+    state = np.empty((count, 8), "<u4")
+    for k in range(8):
+        state[:, k] = hashmix(pool[k % _POOL_SIZE])
+    return state.view("<u8")
+
+
 def draw_streams(seed: int, count: int, pieces) -> list[np.ndarray]:
     """What each of the random streams (seed, 0), ..., (seed, count - 1) draws.
 
@@ -92,15 +165,48 @@ def draw_streams(seed: int, count: int, pieces) -> list[np.ndarray]:
     ``shape`` at least one-dimensional. Returns one (count, *shape) array per
     piece; row i holds stream i's draws, so a stream's values never depend
     on how many streams are drawn.
+
+    Stream i is the Generator ``default_rng(SeedSequence((seed, i)))``, with
+    the same bits: every stream's seed is computed in one vectorized pass,
+    then loaded in turn into one reused PCG64. Adjacent pieces of one kind
+    are drawn by one call into one block, whose columns the pieces view; a
+    Generator keeps nothing between calls, so the values are those of one
+    call per piece.
     """
-    arrays = [np.empty((count, *shape)) for _, shape in pieces]
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    seeds = _stream_seeds(seed, count)
+    runs = [
+        (kind, [shape for _, shape in run])
+        for kind, run in itertools.groupby(pieces, key=lambda piece: piece[0])
+    ]
+    blocks = [
+        np.empty((count, sum(math.prod(shape) for shape in shapes)))
+        for _, shapes in runs
+    ]
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    fills = [
+        rng.random if kind == "uniform" else rng.standard_normal for kind, _ in runs
+    ]
+    pcg = {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        for (kind, _), array in zip(pieces, arrays):
-            if kind == "uniform":
-                rng.random(out=array[i])
-            else:
-                rng.standard_normal(out=array[i])
+        # PCG64's srandom_r: the increment from the sequence word, then one
+        # step from state 0, the initial state added, and one more step
+        high, low, seq_high, seq_low = seeds[i].tolist()
+        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
+        start = inc + (high << 64 | low)
+        pcg["state"], pcg["inc"] = (start * _PCG64_MULT + inc) & _MASK128, inc
+        bit_generator.state = state
+        for fill, block in zip(fills, blocks):
+            fill(out=block[i])
+    arrays = []
+    for (_, shapes), block in zip(runs, blocks):
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        for shape, part in zip(shapes, np.split(block, ends[:-1], axis=1)):
+            arrays.append(part.reshape(count, *shape))
     return arrays
 
 

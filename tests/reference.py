@@ -3,7 +3,10 @@
 ``brute_oracle`` solves the chance-constrained LP by exhaustive search, as an
 independent check of ``solver.solve_lp``; ``sample_control`` draws one
 library element from a policy with one uniform, the draw each Monte-Carlo
-trial makes; ``kernel_matrix`` evaluates a Gaussian kernel densely with
+trial makes; ``stream_draws`` draws each random stream from its own
+``default_rng(SeedSequence((seed, i)))``, one call per piece, as an
+independent check of the batched seeding of ``systems.draw_streams``;
+``kernel_matrix`` evaluates a Gaussian kernel densely with
 ``cdist``, as an independent check of the one-product evaluation in
 ``kernelcc.kernels``.
 """
@@ -71,6 +74,17 @@ def sample_control(policy: MixedPolicy, rng: np.random.Generator):
     """Draw (index, control sequence) from the policy with one uniform."""
     index = int(_draw_indices(policy, rng.random()))
     return index, policy.library.sequences[index]
+
+
+def stream_draws(seed: int, count: int, pieces) -> list[np.ndarray]:
+    """What ``draw_streams(seed, count, pieces)`` returns, one stream at a time."""
+    arrays = [np.empty((count, *shape)) for _, shape in pieces]
+    for i in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        for (kind, shape), array in zip(pieces, arrays):
+            draw = rng.random if kind == "uniform" else rng.standard_normal
+            array[i] = draw(shape)
+    return arrays
 
 
 def kernel_matrix(spec: KernelSpec, rows, cols) -> np.ndarray:

@@ -1466,6 +1466,12 @@ class TestEarlierDirectory:
             "2dd990497df33a863590a6b0f3a7eeaa6c8171b1da3c27c65daddcf40e7a405e"
         ),
         "summary.csv": "1e02708b4f97aab94147a780c4edbd7a4aae67b3245191bda9afe1d188815997",
+        # the report and summary as written before the per-trial records
+        # were converted in one pass and the random streams seeded in bulk
+        "report_delta_0.3.json": (
+            "9d14426bd784d4a781d3c2b7380d78d80f57b9f80beec54923a08f498a6fa859"
+        ),
+        "summary.json": "65aae1d1addf198ec1e3faa6ea198c7b034b1323614c1165fdb76576e19d258a",
     }
 
     def test_rerun_reuses_every_stage(self, tmp_path, capsys):

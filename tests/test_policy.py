@@ -16,7 +16,7 @@ from kernelcc.policy import (
 )
 from kernelcc.scenario import GoalSet, Scenario
 from kernelcc.systems import DisturbanceSpec, ParamPrior, PlanarQuadrotor
-from reference import sample_control
+from reference import sample_control, stream_draws
 
 HORIZON = 6
 
@@ -363,19 +363,15 @@ class TestSweep:
         import kernelcc.policy as policy_module
 
         model = PlanarQuadrotor()
-        streams, draws, rollouts = [], [], []
-        seed_sequence = np.random.SeedSequence
-        monkeypatch.setattr(
-            np.random,
-            "SeedSequence",
-            lambda entropy: streams.append(entropy) or seed_sequence(entropy),
-        )
+        draws, drawn, rollouts = [], [], []
         draw_streams = policy_module.draw_streams
-        monkeypatch.setattr(
-            policy_module,
-            "draw_streams",
-            lambda *a: draws.append(a[:2]) or draw_streams(*a),
-        )
+
+        def spy_draw_streams(*a):
+            draws.append(a)
+            drawn.append(draw_streams(*a))
+            return drawn[-1]
+
+        monkeypatch.setattr(policy_module, "draw_streams", spy_draw_streams)
         rollout = policy_module.rollout
         monkeypatch.setattr(
             policy_module,
@@ -387,9 +383,11 @@ class TestSweep:
             policies, model, near_origin_scenario(), np.zeros(4), 30, 8
         )
         pairs = {(t, int(i)) for r in reports for t, i in enumerate(r.indices)}
-        # one draw of the 30 trial streams, each stream opened once
-        assert draws == [(8, 30)]
-        assert sorted(streams) == [(8, t) for t in range(30)]
+        # one draw of the 30 trial streams, each stream's draws those of
+        # its own generator
+        assert [a[:2] for a in draws] == [(8, 30)]
+        for array, reference in zip(drawn[0], stream_draws(*draws[0])):
+            np.testing.assert_array_equal(array, reference)
         assert rollouts == [len(pairs)]
         if name == "identical":
             assert rollouts == [30]

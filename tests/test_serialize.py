@@ -81,6 +81,22 @@ class TestCanonicalJson:
         }
         assert canonical_json(obj) == loop_json(obj)
 
+    # plain lists as a report's to_dict holds them (trial_indices,
+    # trial_feasible), and lists that mix in numpy scalars and subclasses
+    PLAIN_LISTS = {
+        "ints": np.arange(-500, 1500).tolist(),
+        "bools": (np.arange(2000) % 7 != 3).tolist(),
+        "floats": awkward_floats((2000,), seed=4).tolist(),
+        "numpy_scalars": [np.float64(0.1), np.int64(-3), np.bool_(False), 2.5, 7],
+        "nested": [[1, [True, None, "s"]], [-0.0, [np.float32(0.5), (3, 4.25)]]],
+        "subclasses": [np.float64(1.0 / 3.0), type("Float", (float,), {})(2.5)],
+    }
+
+    @pytest.mark.parametrize("values", PLAIN_LISTS.values(), ids=PLAIN_LISTS.keys())
+    def test_plain_list_matches_loop_reference(self, values):
+        obj = {"report": {"values": values, "trials": len(values)}}
+        assert canonical_json(obj) == loop_json(obj)
+
     def test_round_trips_doubles_exactly(self):
         arr = ARRAYS["float64"]
         back = np.array(json.loads(canonical_json(arr)))
@@ -109,6 +125,17 @@ class TestNonFinite:
         for view in (arr, np.asfortranarray(arr)):
             with pytest.raises(ValueError, match="non-finite value -inf"):
                 canonical_json(view)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_deep_float_in_plain_list_named(self, bad):
+        values = [[0.5 * k, [True, k, float(k)]] for k in range(400)]
+        values[377][1].append(float(bad))
+        with pytest.raises(ValueError) as caught:
+            canonical_json({"report": {"trial_values": values}})
+        assert str(caught.value) == f"non-finite value {float(bad)} cannot be serialized"
+        with pytest.raises(ValueError) as expected:
+            loop_json({"report": {"trial_values": values}})
+        assert str(caught.value) == str(expected.value)
 
     def test_zero_d_nan(self):
         with pytest.raises(ValueError, match="non-finite value nan"):

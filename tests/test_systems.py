@@ -13,6 +13,7 @@ from kernelcc.systems import (
     quadrotor_step,
     rollout,
 )
+from reference import stream_draws
 
 ZERO4 = np.zeros(4)
 
@@ -151,6 +152,31 @@ class TestSampleParams:
 
 class TestDrawStreams:
     PIECES = [("uniform", (3,)), ("normal", (4, 2)), ("uniform", (1,))]
+    # seeds of one to four 32-bit words, and of more words than the pool
+    SEEDS = [0, 101, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7]
+    PIECE_LISTS = {
+        "alternating": PIECES,
+        "adjacent": [
+            ("uniform", (2,)),
+            ("uniform", (3, 2)),
+            ("normal", (4,)),
+            ("normal", (2, 2, 2)),
+        ],
+        # generate_dataset's list at tail_params "sampled": uniform x0 and
+        # leading controls, then the feedback and the replay realizations
+        "dataset_sampled": [
+            ("uniform", (4,)),
+            ("uniform", (3, 2)),
+            *PlanarQuadrotor().realization_pieces(15) * 2,
+        ],
+        "one_normal": [("normal", (5,))],
+    }
+
+    def assert_equal_draws(self, arrays, expected):
+        assert [a.shape for a in arrays] == [e.shape for e in expected]
+        for array, reference in zip(arrays, expected):
+            assert array.dtype == np.float64
+            np.testing.assert_array_equal(array, reference)
 
     def test_rows_follow_each_stream_in_piece_order(self):
         arrays = draw_streams(8, 3, self.PIECES)
@@ -160,6 +186,32 @@ class TestDrawStreams:
             np.testing.assert_array_equal(arrays[0][i], rng.random(3))
             np.testing.assert_array_equal(arrays[1][i], rng.standard_normal((4, 2)))
             np.testing.assert_array_equal(arrays[2][i], rng.random(1))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("pieces", PIECE_LISTS.values(), ids=PIECE_LISTS.keys())
+    def test_matches_per_stream_reference(self, seed, pieces):
+        self.assert_equal_draws(
+            draw_streams(seed, 5, pieces), stream_draws(seed, 5, pieces)
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("count", [0, 1, 701])
+    def test_matches_per_stream_reference_at_any_count(self, seed, count):
+        pieces = self.PIECE_LISTS["dataset_sampled"]
+        self.assert_equal_draws(
+            draw_streams(seed, count, pieces), stream_draws(seed, count, pieces)
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rows_do_not_depend_on_the_count(self, seed):
+        pieces = self.PIECE_LISTS["alternating"]
+        few, many = draw_streams(seed, 3, pieces), draw_streams(seed, 700, pieces)
+        for head, array in zip(few, many):
+            np.testing.assert_array_equal(head, array[:3])
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            draw_streams(-1, 1, self.PIECES)
 
 
 def simulate(model, x0, controls, seed):
