@@ -29,7 +29,7 @@ def main():
     cfg = load_config(CONFIG)
     print(f"generating dataset (M={cfg.dataset.num_samples}) and library...")
     ds = generate_dataset(cfg.dataset, cfg.model, cfg.master_seed)
-    lib = generate_library(cfg.library, cfg.model, cfg.nominal_params)
+    lib = generate_library(cfg.library, cfg.model)
 
     print("fitting embedding (product kernel, ridge-regularized)...")
     model = fit(ds, cfg.state_kernel, cfg.control_kernel, cfg.regularization)

@@ -26,7 +26,7 @@ def main():
     cfg = load_config(CONFIG)
     print(f"generating dataset (M={cfg.dataset.num_samples}) and library...")
     ds = generate_dataset(cfg.dataset, cfg.model, cfg.master_seed)
-    lib = generate_library(cfg.library, cfg.model, cfg.nominal_params)
+    lib = generate_library(cfg.library, cfg.model)
     model = fit(ds, cfg.state_kernel, cfg.control_kernel, cfg.regularization)
 
     base = assemble(model, cfg.scenario_for(cfg.deltas[0]), lib, cfg.initial_state)

@@ -325,11 +325,9 @@ def _library(cfg: RunConfig, out: Path, parse: bool) -> _Input:
     return _load_or_build(
         out,
         "library",
-        library_key(cfg.library, cfg.model, cfg.nominal_params),
+        library_key(cfg.library, cfg.model),
         lambda lib: lib.config_digest,
-        functools.partial(
-            generate_library, cfg.library, cfg.model, cfg.nominal_params
-        ),
+        functools.partial(generate_library, cfg.library, cfg.model),
         save_library,
         load_library,
         parse,

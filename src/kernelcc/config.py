@@ -2,16 +2,17 @@
 
 The file is divided into named sections (system, prior, disturbance,
 dataset, library, kernel, embedding, scenario, montecarlo, output) plus a
-top-level master seed and solve-time initial state. Parsing maps keys to
+top-level master seed and solve-time initial state. The prior alone sets
+the nominal system that completes every control sequence: its means are
+the nominal parameters, so no key sets them apart. Parsing maps keys to
 constructor arguments and does nothing else: an optional key the file omits
 is not passed, so the constructors hold the only defaults. A count is read
 by ``serialize.integer`` and a real number, alone or as a vector entry, by
 ``serialize.real``, so a bool or a string is never taken for a number. Each
-object of
-the file carries its dotted name (``scenario.goal``) and records the keys
-read from it. Any ValueError or TypeError raised while a section, nested
-object or key is read becomes a ConfigError naming it, and so does a key no
-parse step read (a misspelling, say). JSON syntax errors carry the line
+object of the file carries its dotted name (``scenario.goal``) and records
+the keys read from it. Any ValueError or TypeError raised while a section,
+nested object or key is read becomes a ConfigError naming it, and so does a
+key no parse step read (a misspelling, say). JSON syntax errors carry the line
 number, and a key repeated within one object is refused with the key and
 that object's name. The parsed form keeps a digest of the raw file.
 
@@ -34,13 +35,7 @@ from .data import DatasetGenConfig, LibraryGenConfig, pd_gain
 from .kernels import KernelSpec
 from .scenario import CostSpec, GoalSet, Obstacle, Scenario
 from .serialize import digest_of, integer, real
-from .systems import (
-    BetaSpec,
-    DisturbanceSpec,
-    ParamPrior,
-    PlanarQuadrotor,
-    QuadrotorParams,
-)
+from .systems import BetaSpec, DisturbanceSpec, ParamPrior, PlanarQuadrotor
 
 
 class ConfigError(ValueError):
@@ -261,7 +256,6 @@ class RunConfig:
     model: PlanarQuadrotor
     dataset: DatasetGenConfig
     library: LibraryGenConfig
-    nominal_params: QuadrotorParams
     state_kernel: KernelSpec
     control_kernel: KernelSpec
     regularization: float
@@ -290,11 +284,12 @@ def parse_config(raw: dict) -> RunConfig:
     if raw.get("prior") is not None:
         prior = _nested(raw, "prior")
         mass, drag = (_beta(_nested(prior, key)) for key in ("mass", "drag"))
-        model_args["prior"] = ParamPrior(mass, drag)
+        with _invalid(prior.where):
+            model_args["prior"] = ParamPrior(mass, drag)
     if raw.get("disturbance") is not None:
         dist = _nested(raw, "disturbance")
+        std = _get(dist, "per_step_std", _vector(4))
         with _invalid(dist.where):
-            std = _get(dist, "per_step_std", _reals)
             model_args["disturbance"] = DisturbanceSpec(std)
     with _invalid(system.where):
         model = PlanarQuadrotor(**model_args)
@@ -337,7 +332,6 @@ def parse_config(raw: dict) -> RunConfig:
             num_samples=_get(ds_raw, "num_samples", integer),
             x0_low=_get(ds_raw, "x0_low", _reals),
             x0_high=_get(ds_raw, "x0_high", _reals),
-            **_optional(ds_raw, "tail_params"),
         )
 
     lib_raw = _nested(raw, "library")
@@ -347,10 +341,6 @@ def parse_config(raw: dict) -> RunConfig:
             grid_resolution=_get(lib_raw, "grid_resolution", _integer_pair),
             initial_state=_get(lib_raw, "initial_state", _reals),
             **_optional(lib_raw, max_sequences=integer),
-        )
-        nominal = QuadrotorParams(
-            mass=_get(lib_raw, "nominal_mass", real),
-            drag=_get(lib_raw, "nominal_drag", real),
         )
 
     kernel_raw = _nested(raw, "kernel")
@@ -382,7 +372,6 @@ def parse_config(raw: dict) -> RunConfig:
         model=model,
         dataset=dataset,
         library=library,
-        nominal_params=nominal,
         state_kernel=state_kernel,
         control_kernel=control_kernel,
         regularization=regularization,

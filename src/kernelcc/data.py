@@ -1,17 +1,20 @@
 """Dataset and control-library generation, their keys and JSON-lines persistence.
 
-Dataset protocol, per sample: draw an initial state uniformly from a box,
-draw the first few controls uniformly from a control box, continue with a
-linear feedback law (simulated either on a freshly sampled stochastic
-system or noiselessly at the parameter prior means, per ``tail_params``),
-then re-simulate the complete frozen control sequence open-loop on an
-independent fresh realization. The recorded trajectory therefore is a draw
-from the conditional law of trajectories given (x0, u), which makes the
-samples i.i.d.
+Every control sequence, of a dataset sample or of the library, starts with
+a few leading controls from a control box and is completed by one function,
+``_complete``: it continues with a linear feedback law simulated noiselessly
+on the nominal system, whose parameters are the prior means. Box and law are
+one ``ControlLawSpec``; the dataset and the library each have their own.
+
+Dataset protocol, per sample: draw an initial state uniformly from a box and
+the leading controls uniformly from the control box, complete the sequence,
+then simulate the frozen control sequence open-loop on a fresh realization
+of the stochastic system. The recorded trajectory therefore is a draw from
+the conditional law of trajectories given (x0, u), which makes the samples
+i.i.d.
 
 The control library enumerates a uniform grid over the control box on the
-randomized steps and continues each sequence with the same feedback law on
-the nominal deterministic system. Box and law are one ``ControlLawSpec``.
+leading steps and completes each sequence from its configured initial state.
 
 Each artifact records a key, a digest of every input it was generated from
 (``dataset_key``, ``library_key``), so a cached file is reused only while
@@ -40,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .serialize import array_digest, canonical_json, check_finite, digest_of, integer
-from .systems import PlanarQuadrotor, QuadrotorParams, draw_streams, rollout
+from .systems import PlanarQuadrotor, draw_streams, rollout
 
 FORMAT_VERSION = 4
 
@@ -134,15 +137,8 @@ class ControlLawSpec:
 
 @dataclass(frozen=True)
 class DatasetGenConfig(ControlLawSpec):
-    """Settings for dataset generation.
-
-    ``tail_params`` selects how the feedback phase of each sample is
-    simulated: "sampled" runs it on a freshly sampled noisy system, while
-    "nominal" runs it noiselessly at the parameter prior means so the
-    recorded tail controls are a deterministic function of the initial
-    state and the randomized leading controls. The recorded trajectory is
-    an independent stochastic re-simulation in either case.
-    """
+    """Settings for dataset generation: the law, a sample count and the box
+    the initial states are drawn from."""
 
     num_samples: int
     x0_low: np.ndarray = field(
@@ -151,16 +147,11 @@ class DatasetGenConfig(ControlLawSpec):
     x0_high: np.ndarray = field(
         default_factory=lambda: np.array([0.5, 0.05, 0.5, 0.05])
     )
-    tail_params: str = "sampled"
 
     def __post_init__(self):
         super().__post_init__()
         if integer(self.num_samples, "num_samples") < 1:
             raise ValueError("num_samples must be at least 1")
-        if self.tail_params not in ("sampled", "nominal"):
-            raise ValueError(
-                f"tail_params must be 'sampled' or 'nominal', got {self.tail_params!r}"
-            )
         x0_low, x0_high = _check_box(self.x0_low, self.x0_high, 4, "x0")
         object.__setattr__(self, "x0_low", x0_low)
         object.__setattr__(self, "x0_high", x0_high)
@@ -306,11 +297,10 @@ def dataset_key(cfg: DatasetGenConfig, model: PlanarQuadrotor) -> str:
     )
 
 
-def library_key(
-    cfg: LibraryGenConfig, model: PlanarQuadrotor, nominal: QuadrotorParams
-) -> str:
-    """Digest of every input of a library: dt, its settings and nominal parameters."""
-    return digest_of({"dt": model.dt, "library": cfg, "nominal": nominal})
+def library_key(cfg: LibraryGenConfig, model: PlanarQuadrotor) -> str:
+    """Digest of every input of a library: dt, its settings and the nominal
+    parameters, the prior means."""
+    return digest_of({"dt": model.dt, "library": cfg, "nominal": model.mean_params()})
 
 
 def _raise_first_divergence(diverged: np.ndarray, item: str) -> None:
@@ -320,6 +310,27 @@ def _raise_first_divergence(diverged: np.ndarray, item: str) -> None:
         raise DatasetGenerationError(item, int(failed[0]), int(diverged[failed[0]]))
 
 
+def _complete(
+    law: ControlLawSpec, model: PlanarQuadrotor, x0s: np.ndarray, leading: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, N, 2) control sequences that start from the K states ``x0s``
+    with the ``leading`` controls and continue with the law's feedback on
+    the noiseless nominal system, and the 1-based step at which each
+    diverged (0 if it did not)."""
+    k_count = len(x0s)
+    mean = model.mean_params()
+    controls, _, diverged = rollout(
+        model,
+        x0s,
+        leading,
+        np.tile((mean["mass"], mean["drag"]), (k_count, 1)),
+        np.zeros((k_count, law.horizon, model.state_dim)),
+        law.feedback_gain,
+        law.target,
+    )
+    return controls, diverged
+
+
 def generate_dataset(
     cfg: DatasetGenConfig, model: PlanarQuadrotor, master_seed: int
 ) -> Dataset:
@@ -327,36 +338,24 @@ def generate_dataset(
 
     Each sample uses an independent random stream derived from
     (master_seed, sample index), so generation order never matters. All
-    samples are then simulated together, once with the feedback law to fix
-    their control sequences and once more to replay those controls.
+    samples are then simulated together, once on the nominal system to
+    complete their control sequences and once on a realization drawn from
+    the stream to replay those controls.
     """
     big_m, big_n = cfg.num_samples, cfg.horizon
-    nominal = cfg.tail_params == "nominal"
-    realization = model.realization_pieces(big_n)
-    # the independent realization that replays the frozen controls, drawn
-    # last, gives an unbiased draw from the trajectory law given (x0, u)
-    u_x0, u_leading, *realizations = draw_streams(
+    u_x0, u_leading, *realization = draw_streams(
         master_seed,
         big_m,
         [
             ("uniform", (model.state_dim,)),
             ("uniform", (cfg.num_random_steps, model.control_dim)),
-            *([] if nominal else realization),
-            *realization,
+            *model.realization_pieces(big_n),
         ],
     )
     x0s = cfg.x0_low + (cfg.x0_high - cfg.x0_low) * u_x0
     leading = cfg.control_low + (cfg.control_high - cfg.control_low) * u_leading
-    params, noise = model.realizations(*realizations[-2:])
-    if nominal:
-        mean = model.mean_params()
-        tail_params = np.tile((mean.mass, mean.drag), (big_m, 1))
-        tail_noise = np.zeros_like(noise)
-    else:
-        tail_params, tail_noise = model.realizations(*realizations[:2])
-    controls, _, tail_diverged = rollout(
-        model, x0s, leading, tail_params, tail_noise, cfg.feedback_gain, cfg.target
-    )
+    params, noise = model.realizations(*realization)
+    controls, tail_diverged = _complete(cfg, model, x0s, leading)
     # samples from the first feedback divergence on cannot be replayed
     failed = np.flatnonzero(tail_diverged)
     replayed = failed[0] if failed.size else big_m
@@ -386,19 +385,14 @@ def _grid_values(low, high, count: int) -> np.ndarray:
     return np.linspace(low, high, count)
 
 
-def generate_library(
-    cfg: LibraryGenConfig,
-    model: PlanarQuadrotor,
-    nominal_params: QuadrotorParams,
-) -> ControlLibrary:
+def generate_library(cfg: LibraryGenConfig, model: PlanarQuadrotor) -> ControlLibrary:
     """Enumerate the control library over the grid of randomized leading steps.
 
     Grid enumeration is lexicographic with the last coordinate of the last
-    randomized step varying fastest. The feedback continuation runs on the
-    noiseless nominal system from the configured initial state.
+    randomized step varying fastest. Each sequence is completed from the
+    configured initial state.
     """
     m = model.control_dim
-    total = cfg.num_sequences
     per_coord = [
         _grid_values(cfg.control_low[c], cfg.control_high[c], cfg.grid_resolution[c])
         for c in range(m)
@@ -411,21 +405,11 @@ def generate_library(
     # zero steps give the one empty choice
     steps, size = cfg.num_random_steps, step_grid.shape[0]
     choices = np.indices((size,) * steps).reshape(steps, size**steps).T
-    leading_choices = step_grid[choices]
-    sequences, _, diverged = rollout(
-        model,
-        np.tile(cfg.initial_state, (total, 1)),
-        leading_choices,
-        np.tile((nominal_params.mass, nominal_params.drag), (total, 1)),
-        np.zeros((total, cfg.horizon, model.state_dim)),
-        cfg.feedback_gain,
-        cfg.target,
-    )
+    x0s = np.tile(cfg.initial_state, (len(choices), 1))
+    sequences, diverged = _complete(cfg, model, x0s, step_grid[choices])
     _raise_first_divergence(diverged, "library sequence")
     return ControlLibrary(
-        sequences=sequences,
-        master_seed=0,
-        config_digest=library_key(cfg, model, nominal_params),
+        sequences=sequences, master_seed=0, config_digest=library_key(cfg, model)
     )
 
 

@@ -68,7 +68,8 @@ def jsonable(obj):
         check_finite(obj)
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        # a non-finite float is refused below, as a Python float is
+        return jsonable(obj.item())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):

@@ -19,20 +19,6 @@ from scipy.special import betaincinv
 
 
 @dataclass(frozen=True)
-class QuadrotorParams:
-    """Uncertain physical parameters: mass (kg) and dimensionless drag coefficient."""
-
-    mass: float
-    drag: float
-
-    def __post_init__(self):
-        if not (self.mass > 0):
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.drag < 0:
-            raise ValueError(f"drag must be nonnegative, got {self.drag}")
-
-
-@dataclass(frozen=True)
 class BetaSpec:
     """Shifted/scaled Beta distribution: offset + scale * Beta(shape_a, shape_b).
 
@@ -66,10 +52,19 @@ class BetaSpec:
 
 @dataclass(frozen=True)
 class ParamPrior:
-    """Independent priors for the quadrotor parameters."""
+    """Independent priors for the quadrotor parameters: mass (kg) and a
+    dimensionless drag coefficient. Every mass it can draw is positive and
+    every drag nonnegative."""
 
     mass: BetaSpec = field(default_factory=lambda: BetaSpec(2.0, 2.0, 0.75, 0.5))
     drag: BetaSpec = field(default_factory=lambda: BetaSpec(2.0, 5.0, 0.4, 0.2))
+
+    def __post_init__(self):
+        # the support of offset + scale * Beta is [offset, offset + scale]
+        if not self.mass.offset > 0:
+            raise ValueError(f"mass offset must be positive, got {self.mass.offset}")
+        if not self.drag.offset >= 0:
+            raise ValueError(f"drag offset must be nonnegative, got {self.drag.offset}")
 
     @staticmethod
     def point(mass: float, drag: float) -> "ParamPrior":
@@ -291,9 +286,10 @@ class PlanarQuadrotor:
         if self.disturbance.per_step_std.shape != (4,):
             raise ValueError("disturbance must have 4 coordinates")
 
-    def mean_params(self) -> QuadrotorParams:
-        """Parameters at the prior means, for deterministic nominal simulation."""
-        return QuadrotorParams(mass=self.prior.mass.mean, drag=self.prior.drag.mean)
+    def mean_params(self) -> dict:
+        """The prior means {"mass", "drag"}: the parameters of the noiseless
+        nominal system."""
+        return {"mass": self.prior.mass.mean, "drag": self.prior.drag.mean}
 
     def realization_pieces(self, horizon: int) -> list:
         """The ``draw_streams`` pieces of one trajectory's randomness: a

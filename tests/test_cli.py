@@ -38,7 +38,6 @@ def small_raw(deltas=(0.3,), regularization=1e-4, trials=30):
             "num_random_steps": 2,
             "feedback": {"kp": 12.0, "kd": 2.0},
             "target": [10.0, 0.0, 10.0, 0.0],
-            "tail_params": "nominal",
         },
         "library": {
             "grid_resolution": [2, 1],
@@ -48,8 +47,6 @@ def small_raw(deltas=(0.3,), regularization=1e-4, trials=30):
             "feedback": {"kp": 12.0, "kd": 2.0},
             "target": [10.0, 0.0, 10.0, 0.0],
             "initial_state": [0.0, 0.0, 0.0, 0.0],
-            "nominal_mass": 1.0,
-            "nominal_drag": 0.457,
         },
         "kernel": {
             "state": {"bandwidth": 10.0},
@@ -660,7 +657,7 @@ class TestGenerate:
         header = json.loads((out / "dataset.jsonl").read_text().splitlines()[0])
         lib_header = json.loads((out / "library.jsonl").read_text().splitlines()[0])
         ds = generate_dataset(cfg.dataset, cfg.model, cfg.master_seed)
-        lib = generate_library(cfg.library, cfg.model, cfg.nominal_params)
+        lib = generate_library(cfg.library, cfg.model)
         assert header["config_digest"] == ds.config_digest
         assert lib_header["config_digest"] == lib.config_digest
 
@@ -945,6 +942,18 @@ def with_value(path, value):
     return raw
 
 
+def prior_with(**changes):
+    """The default prior as a config section, with the keys of ``changes``
+    (a dict per parameter) replaced."""
+    prior = {
+        "mass": {"shape_a": 2.0, "shape_b": 2.0, "offset": 0.75, "scale": 0.5},
+        "drag": {"shape_a": 2.0, "shape_b": 5.0, "offset": 0.4, "scale": 0.2},
+    }
+    for name, values in changes.items():
+        prior[name].update(values)
+    return prior
+
+
 MALFORMED_INPUTS = [
     pytest.param(
         json.dumps(small_raw()).replace(
@@ -998,10 +1007,29 @@ MALFORMED_INPUTS = [
         id="scenario.goal.radius=-1",
     ),
     pytest.param(
-        with_value(["library", "nominal_mass"], -1),
+        with_value(["prior"], prior_with(mass={"offset": -1.0})),
         ["experiment"],
-        "invalid library: mass",
-        id="library.nominal_mass=-1",
+        "invalid prior: mass offset must be positive, got -1.0",
+        id="prior.mass.offset=-1",
+    ),
+    pytest.param(
+        with_value(["prior"], prior_with(drag={"offset": -1.0})),
+        ["experiment"],
+        "invalid prior: drag offset must be nonnegative, got -1.0",
+        id="prior.drag.offset=-1",
+    ),
+    pytest.param(
+        # a mass support of [-0.1, 1.9] draws a negative mass now and then
+        with_value(["prior"], prior_with(mass={"offset": -0.1, "scale": 2.0})),
+        ["experiment"],
+        "invalid prior: mass offset must be positive, got -0.1",
+        id="prior.mass.offset=-0.1,scale=2",
+    ),
+    pytest.param(
+        with_value(["disturbance"], {"per_step_std": [0.001, 0.01, 0.001]}),
+        ["experiment"],
+        "invalid disturbance.per_step_std: must be a 4-vector, got shape (3,)",
+        id="disturbance.per_step_std=3-vector",
     ),
     pytest.param(
         with_value(["disturbance"], {"per_step_std": [-1, 0, 0, 0]}),
@@ -1233,12 +1261,6 @@ MALFORMED_INPUTS = [
         id="system.dt=true",
     ),
     pytest.param(
-        with_value(["library", "nominal_drag"], "0.457"),
-        ["experiment"],
-        "invalid library.nominal_drag: must be a real number, got '0.457'",
-        id="library.nominal_drag='0.457'",
-    ),
-    pytest.param(
         with_value(["scenario", "goal", "center"], ["3", "3"]),
         ["experiment"],
         "invalid scenario.goal.center: entry 0 must be a real number, got '3'",
@@ -1448,30 +1470,26 @@ def earlier_jsonl(data: bytes, version: int) -> bytes:
 
 
 class TestEarlierDirectory:
-    # small_raw's library digest and file bytes as recorded by earlier
-    # versions (the JSONL files since JSONL format 4 stored one record per
-    # array, the library digest since policy format 4 hashed the library's
-    # bytes, the policy since its keys stopped digesting the kernel, cost
-    # and scenario fields that had one usable value, the rest before the
-    # JSONL and CSV writers were shared); equal values here mean a directory
+    # small_raw's library digest and file bytes as recorded when the library's
+    # nominal system became the prior means: small_raw's library had set its
+    # own nominal drag, 0.457, apart from the prior mean, so its library and
+    # all built from it moved then. Equal values here mean a directory
     # written then is the directory written now
-    LIBRARY_DIGEST = "51a1782f6a360bc2f128fb73450667a68c23f3935115d752ebd90a531153a94f"
+    LIBRARY_DIGEST = "e6a9c4c08741e22bbd38d4d54d088e659664737f20a916994280c69564874e77"
     FILE_SHA256 = {
-        "dataset.jsonl": "4fc653430f20fcece154c27d7d7184b3a8e2fd4e1c3ac1552e0027a6402e7443",
-        "library.jsonl": "dcb8de6ff22187b88db4a90c2630dd52df00be1376a1a4e33203465fb4ec23fe",
+        "dataset.jsonl": "2c21f0821f73a574831188e417a5193b66889a71d43b5850d8b67fed8320f7a3",
+        "library.jsonl": "cf07eec944b7565d3c02d471be1251532ea6d3db3a9d2971e5468bd42fe922db",
         "policy_delta_0.3.json": (
-            "d54aa418a0bd035b5b1100bd75a99e9d19f6da8ae7e6db873c1ac92756fbb38b"
+            "182047b83ff3964297c7373f5823e33bb88bebc759f453adc58e4ac561aee8c5"
         ),
         "trajectories_delta_0.3.csv": (
-            "2dd990497df33a863590a6b0f3a7eeaa6c8171b1da3c27c65daddcf40e7a405e"
+            "7c3fd7729b9117921f936370d6c234759eebce151daf33f321c7f132e382b795"
         ),
-        "summary.csv": "1e02708b4f97aab94147a780c4edbd7a4aae67b3245191bda9afe1d188815997",
-        # the report and summary as written before the per-trial records
-        # were converted in one pass and the random streams seeded in bulk
+        "summary.csv": "ff2fc78eb48914c92c063799f4fca3b2217768bf6ce9a1b1530a99c117da80e5",
         "report_delta_0.3.json": (
-            "9d14426bd784d4a781d3c2b7380d78d80f57b9f80beec54923a08f498a6fa859"
+            "411042fc134a69b374986f7e11cdc64aef63d33d7df4853863ac3168002a1942"
         ),
-        "summary.json": "65aae1d1addf198ec1e3faa6ea198c7b034b1323614c1165fdb76576e19d258a",
+        "summary.json": "40a82214fb191523a4d6fd146dddba1e46fbb04b425766c6eaddedda328f9293",
     }
 
     def test_rerun_reuses_every_stage(self, tmp_path, capsys):
@@ -1514,10 +1532,10 @@ class TestEarlierDirectory:
     }
     EARLIER_KEYS_SHA256 = {
         "policy_delta_0.3.json": (
-            "ae94013ea89a6e177412cce8600cb47129c4d873f8653d046d2858d236aca418"
+            "1b58b0b684545e7f54d9fb7c79ffac393926d27efb9522c6f385705057259d99"
         ),
         "report_delta_0.3.json": (
-            "3184cf1925ddaf3df67635818df8159184f650a2a943b55243d715c5ad8631e0"
+            "b6b70eb9bcca6e9c8a5bfcf998604d867073ca2c0b77ff7c63b6d43572d76753"
         ),
     }
 
@@ -1564,26 +1582,26 @@ class TestEarlierDirectory:
     EARLIER_SHA256 = {
         1: {
             "dataset.jsonl": (
-                "768ee7b8cefca950674d4fff51075d2ceb2e3b1acc3f8794633f9e69c3429aa4"
+                "76819fd2c87c7a3296d30329969f1241dc3a8ce99fabf4a1d5a1dcbc935a2702"
             ),
             "library.jsonl": (
-                "da7fa260f6cb5d49da3601ca5219cae7313cc30728f757390ff2eead86499ad3"
+                "90ad971a1ef5950a29483a6a0d6534488175b214eecfc2347209ad5765f44c9e"
             ),
         },
         2: {
             "dataset.jsonl": (
-                "c0c8abbac19d8c6dc0bb6fe525611c0b98a5dd7ca43615b9ed44c0bff7ef146e"
+                "9b4a5e22336145cef1eb1f35a1e79a48ec82574b626dded1b70d24db51238141"
             ),
             "library.jsonl": (
-                "925452a1c3267ff0856a5772761dc543703adc9ec74ca351f650d8e4442659c0"
+                "d4066325db65aca1882a54edcd62147dee480fd61f5b5b2504c52bbb1c6e9fa8"
             ),
         },
         3: {
             "dataset.jsonl": (
-                "1e1b7334dc1dfbc76fe1fb44d26fbd40a650fecd19322259662f641bc3e4c661"
+                "21bcbeb1679fb07cfcda7dc254536e87720ffe8726db220c87c19a7f10685f28"
             ),
             "library.jsonl": (
-                "1791d7f3448813856131cd23c15640cc74f1e94c4648bc03f73ee34c493bd665"
+                "e25c6d6e17987ef2001de2fd4b59bc5fa1de794de2e8cbe83c7dc44bf9d4fc73"
             ),
         },
     }

@@ -26,7 +26,6 @@ def base_raw():
             "num_random_steps": 3,
             "feedback": {"kp": 12.0, "kd": 2.0},
             "target": [10.0, 0.0, 10.0, 0.0],
-            "tail_params": "nominal",
         },
         "library": {
             "grid_resolution": [2, 1],
@@ -36,8 +35,6 @@ def base_raw():
             "feedback": {"kp": 12.0, "kd": 2.0},
             "target": [10.0, 0.0, 10.0, 0.0],
             "initial_state": [0.0, 0.0, 0.0, 0.0],
-            "nominal_mass": 1.0,
-            "nominal_drag": 0.457,
         },
         "kernel": {
             "state": {"bandwidth": 10.0},
@@ -64,9 +61,7 @@ class TestParseConfig:
         assert cfg.scenario.horizon == 8
         assert cfg.deltas == (0.1, 0.2)
         assert cfg.dataset.num_samples == 50
-        assert cfg.dataset.tail_params == "nominal"
         assert cfg.library.num_sequences == 8
-        assert cfg.nominal_params.mass == 1.0
         assert cfg.state_kernel.bandwidth == 10.0
         assert cfg.control_kernel.bandwidth == 0.1
         assert cfg.regularization == 1e-4
@@ -108,12 +103,6 @@ class TestParseConfig:
         raw = base_raw()
         raw["scenario"]["deltas"] = [0.1, 1.5]
         with pytest.raises(ConfigError, match="deltas"):
-            parse_config(raw)
-
-    def test_bad_tail_params_rejected(self):
-        raw = base_raw()
-        raw["dataset"]["tail_params"] = "bogus"
-        with pytest.raises(ConfigError, match="dataset"):
             parse_config(raw)
 
     def test_library_size_cap(self):
@@ -169,10 +158,18 @@ class TestParseConfig:
             (lambda raw: raw["library"]["feedback"].update(kv=1.0)
              or raw["montecarlo"].update(trails=40),
              "'library.feedback.kv', 'montecarlo.trails'"),
+            # the settings the prior means replaced
+            (lambda raw: raw["dataset"].update(tail_params="nominal"),
+             "'dataset.tail_params'"),
+            (lambda raw: raw["library"].update(nominal_mass=1.0),
+             "'library.nominal_mass'"),
+            (lambda raw: raw["library"].update(nominal_drag=0.457),
+             "'library.nominal_drag'"),
         ],
         ids=[
             "section_key", "top_level", "nested", "list_item", "kernel",
-            "bandwidth_mode", "family", "two",
+            "bandwidth_mode", "family", "two", "dataset.tail_params",
+            "library.nominal_mass", "library.nominal_drag",
         ],
     )
     def test_unread_keys_are_named(self, edit, names):
@@ -210,10 +207,9 @@ class TestParseConfig:
     def test_stage_digest_ignores_spelled_out_default(self):
         # writing the default value explicitly must not invalidate caches
         raw = base_raw()
-        del raw["dataset"]["tail_params"]
         implicit = stage_keys(raw)
-        raw["dataset"]["tail_params"] = "sampled"
-        assert stage_keys(raw)[0] == implicit[0]
+        raw["library"]["max_sequences"] = 20000
+        assert stage_keys(raw) == implicit
 
     def test_stage_digest_tracks_real_change(self):
         raw = base_raw()
@@ -226,16 +222,16 @@ class TestParseConfig:
     def test_keys_of_constructor_defaults_are_pinned(self):
         # base_raw leaves max_sequences, prior, disturbance, costs and output
         # to their constructors' defaults, so a default that drifts moves one
-        # of these keys; the policy key also moves with POLICY_FORMAT_VERSION
+        # of these keys (the library key through the prior means); the policy key also moves with POLICY_FORMAT_VERSION
         # (6 here) and with the fields of KernelSpec and Scenario, which it
         # digests
         cfg = parse_config(base_raw())
         ds_key, lib_key = stage_keys(base_raw())
-        assert ds_key == "f9198358825d47b14af331c25143f3a796d46616a384280c154d655148a7845b"
-        assert lib_key == "91678db5f57ede6fae740835adf3baf551adde1fcb1da5671fae952977025184"
+        assert ds_key == "b27975f33fda7b27e2867663e3695430095b338e316a4ca19147321fff1cbb4b"
+        assert lib_key == "ce54670162075142e92f1f15ce97996195bc9cbed32a56f66b2842ef72fe7bbe"
         policy_key = _policy_key(cfg, [ds_key, cfg.master_seed], lib_key, cfg.deltas[0])
         assert policy_key == (
-            "ced0c231d524e108a3ede02ca2333b513b5639b901ed590e3c58b839dde2b7a1"
+            "e644f292648b2110a6daf043ff77d15f7c380f35cd0dab4eacd019ac10e62581"
         )
 
     def test_mc_section_does_not_touch_stage_digests(self):
@@ -254,7 +250,7 @@ def stage_keys(raw):
     cfg = parse_config(raw)
     return (
         dataset_key(cfg.dataset, cfg.model),
-        library_key(cfg.library, cfg.model, cfg.nominal_params),
+        library_key(cfg.library, cfg.model),
     )
 
 
@@ -289,8 +285,8 @@ class TestLoadConfig:
         # usually that its bytes moved
         cfg = load_config(SHIPPED)
         assert dataset_key(cfg.dataset, cfg.model) == (
-            "f063d21accdc7dd1119c51e6f9d62d4ccc50a9d6eda43537ab9b259fd55e4938"
+            "b13d7ffcaf0d385debaa07cd2c12b8e321c3a86484bbae65f9d911116f529504"
         )
-        assert library_key(cfg.library, cfg.model, cfg.nominal_params) == (
+        assert library_key(cfg.library, cfg.model) == (
             "af642952b172999f5fcdbd19ecaa3894df4cf3923ff2f596954676232d0ca536"
         )

@@ -35,12 +35,10 @@ from kernelcc.systems import (
     DisturbanceSpec,
     ParamPrior,
     PlanarQuadrotor,
-    QuadrotorParams,
     quadrotor_step,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-NOMINAL = QuadrotorParams(1.0, 0.005)
 
 
 def noisy_model():
@@ -51,6 +49,11 @@ def deterministic_model(mass=1.0, drag=0.0):
     return PlanarQuadrotor(
         prior=ParamPrior.point(mass, drag), disturbance=DisturbanceSpec.zero(4)
     )
+
+
+def nominal_model():
+    # the system the library tests complete their sequences on
+    return deterministic_model(1.0, 0.005)
 
 
 class TestPdGain:
@@ -206,18 +209,14 @@ class TestGenerateDataset:
         ds = generate_dataset(cfg, noisy_model(), master_seed=8)
         assert np.all(ds.trajectories[:, -1, 0] > ds.trajectories[:, 2, 0])
 
-    def test_rejects_unknown_tail_params(self):
-        with pytest.raises(ValueError):
-            DatasetGenConfig(num_samples=5, horizon=10, tail_params="frozen")
-
     def test_nominal_tails_replay_on_mean_system(self):
-        # in nominal mode the feedback tail is computed noiselessly at the
-        # prior-mean parameters, so replaying the recorded controls on that
-        # system must reproduce the feedback law exactly
-        cfg = DatasetGenConfig(num_samples=5, horizon=12, tail_params="nominal")
+        # the feedback tail is computed noiselessly at the prior-mean
+        # parameters, so replaying the recorded controls on that system must
+        # reproduce the feedback law exactly
+        cfg = DatasetGenConfig(num_samples=5, horizon=12)
         model = noisy_model()
         ds = generate_dataset(cfg, model, master_seed=9)
-        mean = (model.mean_params().mass, model.mean_params().drag)
+        mean = (model.mean_params()["mass"], model.mean_params()["drag"])
         for i in range(5):
             x = ds.initial_states[i]
             for t in range(cfg.num_random_steps):
@@ -227,22 +226,32 @@ class TestGenerateDataset:
                 np.testing.assert_allclose(ds.controls[i, t], u, atol=1e-12)
                 x = quadrotor_step(x, u, np.zeros(4), mean)
 
-    def test_tail_modes_share_initial_draws(self):
-        # both modes draw x0 and the leading controls from the same stream
-        # positions, so those coincide at equal seeds
-        sampled = generate_dataset(
-            DatasetGenConfig(num_samples=6, horizon=10), noisy_model(), master_seed=4
+    def test_samples_complete_as_the_library_does(self):
+        # with the x0 box the library's initial state and the control box the
+        # library's one grid point, every sample's controls are the library's
+        # one sequence: both are completed on one nominal system
+        start = np.array([0.1, -0.02, 0.3, 0.01])
+        point = np.array([0.7, 1.3])
+        law = dict(
+            horizon=12,
+            control_low=point,
+            control_high=point,
+            feedback_gain=pd_gain(12.0, 2.0),
         )
-        nominal = generate_dataset(
-            DatasetGenConfig(num_samples=6, horizon=10, tail_params="nominal"),
+        lib = generate_library(
+            LibraryGenConfig(**law, grid_resolution=(1, 1), initial_state=start),
             noisy_model(),
-            master_seed=4,
         )
-        np.testing.assert_array_equal(sampled.initial_states, nominal.initial_states)
-        np.testing.assert_array_equal(
-            sampled.controls[:, :3], nominal.controls[:, :3]
+        ds = generate_dataset(
+            DatasetGenConfig(**law, num_samples=7, x0_low=start, x0_high=start),
+            noisy_model(),
+            master_seed=3,
         )
-        assert np.any(sampled.controls[:, 3:] != nominal.controls[:, 3:])
+        assert lib.num_sequences == 1
+        for controls in ds.controls:
+            np.testing.assert_array_equal(controls, lib.sequences[0])
+        # the trajectories are replays on drawn systems, not the nominal one
+        assert len({row.tobytes() for row in ds.trajectories}) == 7
 
 
 class TestGenerateLibrary:
@@ -250,7 +259,7 @@ class TestGenerateLibrary:
         cfg = LibraryGenConfig(
             horizon=10, grid_resolution=(2, 2), num_random_steps=1
         )
-        lib = generate_library(cfg, deterministic_model(), NOMINAL)
+        lib = generate_library(cfg, nominal_model())
         assert lib.num_sequences == 4
         np.testing.assert_array_equal(
             lib.sequences[:, 0, :],
@@ -261,13 +270,13 @@ class TestGenerateLibrary:
         cfg = LibraryGenConfig(
             horizon=10, grid_resolution=(1, 1), num_random_steps=3
         )
-        lib = generate_library(cfg, deterministic_model(), NOMINAL)
+        lib = generate_library(cfg, nominal_model())
         assert lib.num_sequences == 1
         np.testing.assert_array_equal(lib.sequences[0, :3], np.full((3, 2), 0.5))
 
     def test_sequences_pairwise_distinct(self):
         cfg = LibraryGenConfig(horizon=8, grid_resolution=(2, 2), num_random_steps=2)
-        lib = generate_library(cfg, deterministic_model(), NOMINAL)
+        lib = generate_library(cfg, nominal_model())
         flat = lib.sequences.reshape(lib.num_sequences, -1)
         assert lib.num_sequences == 16
         assert len({tuple(row) for row in flat}) == 16
@@ -280,76 +289,101 @@ class TestGenerateLibrary:
 
     def test_deterministic(self):
         cfg = LibraryGenConfig(horizon=10, grid_resolution=(2, 2))
-        a = generate_library(cfg, deterministic_model(), NOMINAL)
-        b = generate_library(cfg, deterministic_model(), NOMINAL)
+        a = generate_library(cfg, nominal_model())
+        b = generate_library(cfg, nominal_model())
         np.testing.assert_array_equal(a.sequences, b.sequences)
 
     def test_feedback_tail_state_dependent(self):
         # different leading grid points give different feedback tails
         cfg = LibraryGenConfig(horizon=10, grid_resolution=(2, 2), num_random_steps=1)
-        lib = generate_library(cfg, deterministic_model(), NOMINAL)
+        lib = generate_library(cfg, nominal_model())
         assert np.any(lib.sequences[0, 1:] != lib.sequences[3, 1:])
 
 
-# (dynamics change, nominal parameters) -> does it change the dataset key,
-# the library key
+# a prior that moves the mass mean (to 0.94), and one that keeps both
+# means but spreads the mass otherwise
 OTHER_PRIOR = ParamPrior(mass=BetaSpec(2.0, 3.0, 0.7, 0.6))
+SAME_MEANS_PRIOR = ParamPrior(mass=BetaSpec(3.0, 3.0, 0.75, 0.5))
+# dynamics change -> does it change the dataset key, the library key
 KEY_CHANGES = {
-    "dt": (dict(dt=0.2), NOMINAL, True, True),
-    "prior": (dict(prior=OTHER_PRIOR), NOMINAL, True, False),
-    "disturbance": (dict(disturbance=DisturbanceSpec.zero(4)), NOMINAL, True, False),
-    "nominal": (dict(), QuadrotorParams(1.1, 0.005), False, True),
+    "dt": (dict(dt=0.2), True, True),
+    "prior": (dict(prior=OTHER_PRIOR), True, True),
+    "disturbance": (dict(disturbance=DisturbanceSpec.zero(4)), True, False),
+    "nominal": (dict(prior=SAME_MEANS_PRIOR), True, False),
 }
+KEYED_LIBRARY = LibraryGenConfig(horizon=6, grid_resolution=(2, 1), num_random_steps=1)
 
 
 class TestKeys:
     @pytest.mark.parametrize(
-        "model_args, nominal, dataset_changes, library_changes",
+        "model_args, dataset_changes, library_changes",
         KEY_CHANGES.values(),
         ids=KEY_CHANGES.keys(),
     )
-    def test_keys_cover_dynamics(
-        self, model_args, nominal, dataset_changes, library_changes
-    ):
+    def test_keys_cover_dynamics(self, model_args, dataset_changes, library_changes):
         ds_cfg = DatasetGenConfig(num_samples=3, horizon=4)
-        lib_cfg = LibraryGenConfig(horizon=4, grid_resolution=(2, 1), num_random_steps=1)
 
-        def keys(model, nominal):
+        def keys(model):
             return (
                 generate_dataset(ds_cfg, model, master_seed=1).config_digest,
-                generate_library(lib_cfg, model, nominal).config_digest,
+                generate_library(KEYED_LIBRARY, model).config_digest,
             )
 
-        base = keys(PlanarQuadrotor(), NOMINAL)
-        changed = keys(PlanarQuadrotor(**model_args), nominal)
+        base = keys(PlanarQuadrotor())
+        changed = keys(PlanarQuadrotor(**model_args))
         assert (base[0] != changed[0], base[1] != changed[1]) == (
             dataset_changes,
             library_changes,
         )
 
+    @pytest.mark.parametrize(
+        "prior",
+        [ParamPrior(), ParamPrior.point(1.0, 0.4 + 0.2 * 2.0 / 7.0), SAME_MEANS_PRIOR],
+        ids=["default", "point_at_means", "same_means"],
+    )
+    def test_library_depends_on_the_prior_means_alone(self, prior):
+        base = generate_library(KEYED_LIBRARY, PlanarQuadrotor())
+        lib = generate_library(KEYED_LIBRARY, PlanarQuadrotor(prior=prior))
+        assert lib.config_digest == base.config_digest
+        np.testing.assert_array_equal(lib.sequences, base.sequences)
 
-def fragile_model():
-    # a Beta(0.05, 1) mass draws a near-zero mass now and then, and u / mass
-    # then overflows the quadratic drag within a few steps; feedback and
-    # replay draw their masses independently, so either phase can diverge
-    return PlanarQuadrotor(prior=ParamPrior(mass=BetaSpec(0.05, 1.0, 1e-300, 1.0)))
+    @pytest.mark.parametrize(
+        "prior",
+        [OTHER_PRIOR, ParamPrior(drag=BetaSpec(2.0, 5.0, 0.5, 0.2))],
+        ids=["mass_mean", "drag_mean"],
+    )
+    def test_library_moves_with_a_prior_mean(self, prior):
+        base = generate_library(KEYED_LIBRARY, PlanarQuadrotor())
+        lib = generate_library(KEYED_LIBRARY, PlanarQuadrotor(prior=prior))
+        assert lib.config_digest != base.config_digest
+        assert np.any(lib.sequences != base.sequences)
+
+
+def wide_mass_model():
+    # masses from 0.01 to 2.01 about a nominal 1.01: leading controls of a
+    # few hundred push the nominal system past where its quadratic drag
+    # overflows, or a lighter drawn system on replay, so either phase can
+    # diverge first
+    return PlanarQuadrotor(prior=ParamPrior(mass=BetaSpec(1.0, 1.0, 0.01, 2.0)))
+
+
+WIDE_CONTROLS = DatasetGenConfig(
+    num_samples=8, horizon=12, control_high=np.full(2, 600.0)
+)
 
 
 class TestGenerationDivergence:
-    # per-sample phases at seed 0: . F4 . . R6 . F5 . (F feedback, R replay,
-    # number the 1-based step); at seed 2: . . . R6 F6 . F6 .
+    # per-sample phases at seed 10: . F12 F12 . . R11 . . (F feedback, R
+    # replay, number the 1-based step); at seed 4: . R10 F12 . . . R9 .
     @pytest.mark.parametrize(
         "model, cfg, seed, index, step",
         [
-            (fragile_model(), DatasetGenConfig(num_samples=8, horizon=6), 0, 1, 4),
-            (fragile_model(), DatasetGenConfig(num_samples=8, horizon=6), 2, 3, 6),
+            (wide_mass_model(), WIDE_CONTROLS, 10, 1, 12),
+            (wide_mass_model(), WIDE_CONTROLS, 4, 1, 10),
             (
                 noisy_model(),
                 DatasetGenConfig(
-                    num_samples=4,
-                    horizon=6,
-                    control_high=np.full(2, 1e200),
-                    tail_params="nominal",
+                    num_samples=4, horizon=6, control_high=np.full(2, 1e200)
                 ),
                 0,
                 0,
@@ -373,7 +407,7 @@ class TestGenerationDivergence:
             control_high=np.full(2, 1e200),
         )
         with pytest.raises(DatasetGenerationError) as exc:
-            generate_library(cfg, deterministic_model(), NOMINAL)
+            generate_library(cfg, nominal_model())
         assert (exc.value.index, exc.value.step) == (1, 2)
 
 
@@ -402,7 +436,7 @@ class TestPersistence:
 
     def test_library_round_trip(self, tmp_path):
         cfg = LibraryGenConfig(horizon=5, grid_resolution=(2, 1), num_random_steps=2)
-        lib = generate_library(cfg, deterministic_model(), NOMINAL)
+        lib = generate_library(cfg, nominal_model())
         path = tmp_path / "lib.jsonl"
         save_library(lib, path)
         back = load_library(path)
@@ -665,7 +699,7 @@ class TestPersistence:
         # an empty record under a header that counts zero sequences
         cfg = LibraryGenConfig(horizon=5, grid_resolution=(2, 1), num_random_steps=2)
         path = tmp_path / "lib.jsonl"
-        save_library(generate_library(cfg, deterministic_model(), NOMINAL), path)
+        save_library(generate_library(cfg, nominal_model()), path)
         header = json.loads(path.read_text().splitlines()[0])
         path.write_text(json.dumps({**header, "P": 0}) + '\n{"u":""}\n')
         with pytest.raises(DataLoadError, match=":1: library must contain"):
@@ -674,7 +708,7 @@ class TestPersistence:
     def test_fractional_library_count_rejected(self, tmp_path):
         cfg = LibraryGenConfig(horizon=5, grid_resolution=(2, 1), num_random_steps=2)
         path = tmp_path / "lib.jsonl"
-        save_library(generate_library(cfg, deterministic_model(), NOMINAL), path)
+        save_library(generate_library(cfg, nominal_model()), path)
         lines = path.read_text().splitlines()
         lines[0] = lines[0].replace('"P":4', '"P":4.0')
         path.write_text("\n".join(lines) + "\n")
@@ -823,7 +857,7 @@ class TestDatasetInvariants:
 class TestLibraryContentDigest:
     def make_library(self):
         cfg = LibraryGenConfig(horizon=6, grid_resolution=(2, 2), num_random_steps=1)
-        return generate_library(cfg, deterministic_model(), NOMINAL)
+        return generate_library(cfg, nominal_model())
 
     def test_is_a_plain_property(self):
         # instrumentation wraps the getter through property.fget

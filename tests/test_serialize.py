@@ -11,7 +11,7 @@ import pytest
 
 from kernelcc.data import LibraryGenConfig, generate_library
 from kernelcc.serialize import array_digest, canonical_json, digest_of, write_csv
-from kernelcc.systems import PlanarQuadrotor, QuadrotorParams
+from kernelcc.systems import ParamPrior, PlanarQuadrotor
 
 
 def loop_jsonable(obj):
@@ -19,7 +19,7 @@ def loop_jsonable(obj):
     if isinstance(obj, np.ndarray):
         return loop_jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        return loop_jsonable(obj.item())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: loop_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -141,6 +141,18 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="non-finite value nan"):
             canonical_json(np.array(np.nan))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_numpy_scalar_named(self, bad, dtype):
+        # a numpy scalar is checked as the Python float it converts to
+        for value in ({"a": dtype(bad)}, {"b": [dtype(bad)]}):
+            with pytest.raises(ValueError) as caught:
+                canonical_json(value)
+            assert str(caught.value) == f"non-finite value {float(bad)} cannot be serialized"
+            with pytest.raises(ValueError) as expected:
+                loop_json(value)
+            assert str(caught.value) == str(expected.value)
+
 
 def csv_writer_reference(path, header, rows):
     """What csv.writer writes: str() of each cell, None as an empty cell."""
@@ -219,7 +231,7 @@ class TestPinnedDigests:
 
     def test_library_content_digest(self):
         cfg = LibraryGenConfig(horizon=8, grid_resolution=(2, 2), num_random_steps=2)
-        lib = generate_library(cfg, PlanarQuadrotor(), QuadrotorParams(1.0, 0.005))
+        lib = generate_library(cfg, PlanarQuadrotor(prior=ParamPrior.point(1.0, 0.005)))
         assert lib.content_digest == (
             "e65524d8d83f16c8dcf88f5475e649c4c764cd2bf81f75221afd96d028e82988"
         )

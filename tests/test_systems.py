@@ -8,7 +8,6 @@ from kernelcc.systems import (
     DisturbanceSpec,
     ParamPrior,
     PlanarQuadrotor,
-    QuadrotorParams,
     draw_streams,
     quadrotor_step,
     rollout,
@@ -22,16 +21,6 @@ def deterministic_model(mass=1.0, drag=0.0):
     return PlanarQuadrotor(
         prior=ParamPrior.point(mass, drag), disturbance=DisturbanceSpec.zero(4)
     )
-
-
-class TestQuadrotorParams:
-    def test_rejects_nonpositive_mass(self):
-        with pytest.raises(ValueError):
-            QuadrotorParams(mass=0.0, drag=0.1)
-
-    def test_rejects_negative_drag(self):
-        with pytest.raises(ValueError):
-            QuadrotorParams(mass=1.0, drag=-0.1)
 
 
 class TestQuadrotorStep:
@@ -124,6 +113,21 @@ class TestBetaSpec:
         assert np.all(wide_params[:, 0] != 1.0)
 
 
+class TestParamPrior:
+    def test_rejects_nonpositive_mass(self):
+        # a mass support that reaches 0 could draw a zero or negative mass
+        with pytest.raises(ValueError, match="mass offset must be positive"):
+            ParamPrior.point(0.0, 0.1)
+        with pytest.raises(ValueError, match="mass offset must be positive"):
+            ParamPrior(mass=BetaSpec(2.0, 2.0, -0.1, 2.0))
+
+    def test_rejects_negative_drag(self):
+        with pytest.raises(ValueError, match="drag offset must be nonnegative"):
+            ParamPrior.point(1.0, -0.1)
+        with pytest.raises(ValueError, match="drag offset must be nonnegative"):
+            ParamPrior(drag=BetaSpec(2.0, 5.0, -1.0, 0.2))
+
+
 class TestSampleParams:
     def draw(self, prior, count, seed):
         # rows of (mass, drag) uniforms, drawn mass first as a stream draws them
@@ -146,8 +150,8 @@ class TestSampleParams:
 
     def test_model_mean_params(self):
         params = PlanarQuadrotor().mean_params()
-        assert params.mass == pytest.approx(1.0)
-        assert params.drag == pytest.approx(0.4 + 0.2 * 2 / 7)
+        assert params["mass"] == pytest.approx(1.0)
+        assert params["drag"] == pytest.approx(0.4 + 0.2 * 2 / 7)
 
 
 class TestDrawStreams:
@@ -162,8 +166,8 @@ class TestDrawStreams:
             ("normal", (4,)),
             ("normal", (2, 2, 2)),
         ],
-        # generate_dataset's list at tail_params "sampled": uniform x0 and
-        # leading controls, then the feedback and the replay realizations
+        # uniform x0 and leading controls, then two trajectory
+        # realizations: four runs that alternate uniform and normal
         "dataset_sampled": [
             ("uniform", (4,)),
             ("uniform", (3, 2)),

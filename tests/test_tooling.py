@@ -137,15 +137,15 @@ def test_traced_experiment_counts_one_sweep_of_trials(tmp_path, monkeypatch):
 # the dataset and library keys of each benchmark workload's config at seed 101
 WORKLOAD_KEYS = {
     "wide_library": (
-        "f063d21accdc7dd1119c51e6f9d62d4ccc50a9d6eda43537ab9b259fd55e4938",
+        "b13d7ffcaf0d385debaa07cd2c12b8e321c3a86484bbae65f9d911116f529504",
         "36622c9853a7a96f28b3ac81f82e49b782105c4be6d5240e009b7bd347fb02de",
     ),
     "deep_dataset": (
-        "62253c684ca85948324aed09baf8dc4171635ea9d85988b4fa4721b195a6aeeb",
+        "9903970b6500ff0d932e6fca12535f8a95636e8b76ac7a31a60ea59e124902e3",
         "a2dbb1e7bd2a07aaaede24183b2eda4bd5b893ee1e6f429277e5a6e1e58f4a64",
     ),
     "toy": (
-        "06ac0c06bcd22e7c32420014be01e14a2eb92bae5724dcaa5510c27631d02e97",
+        "8f5fa5909e8da4417b5931792f2500fda558e4029c28f3515159d8a8ed87a448",
         "a2dbb1e7bd2a07aaaede24183b2eda4bd5b893ee1e6f429277e5a6e1e58f4a64",
     ),
 }
@@ -165,7 +165,7 @@ def test_workload_configs_parse_to_pinned_keys(monkeypatch):
         cfg = parse_config(json.loads(run.workload_config(name, 101)))
         assert (
             dataset_key(cfg.dataset, cfg.model),
-            library_key(cfg.library, cfg.model, cfg.nominal_params),
+            library_key(cfg.library, cfg.model),
         ) == keys, name
 
 
@@ -188,7 +188,7 @@ def test_workload_libraries_hold_pinned_sequences(monkeypatch):
     assert set(run.ALL_WORKLOADS) == set(WORKLOAD_LIBRARY_DIGESTS)
     for name, digest in WORKLOAD_LIBRARY_DIGESTS.items():
         cfg = parse_config(json.loads(run.workload_config(name, 101)))
-        lib = generate_library(cfg.library, cfg.model, cfg.nominal_params)
+        lib = generate_library(cfg.library, cfg.model)
         assert lib.content_digest == digest, name
 
 
