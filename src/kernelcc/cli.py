@@ -60,7 +60,7 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
-POLICY_FORMAT_VERSION = 6
+POLICY_FORMAT_VERSION = 7
 
 
 class PolicyFileError(ValueError):
@@ -351,7 +351,7 @@ def _solve(
     estimates = base.safety_spread()
     policies = {}
     for delta in deltas:
-        inst = dataclasses.replace(base, threshold=1.0 - delta)
+        inst = base.at_threshold(1.0 - delta)
         result = solve_lp(inst)
         # only what the inputs digest fixes, so a reused policy and a fresh
         # one are the same bytes

@@ -57,6 +57,15 @@ class DataLoadError(ValueError):
         super().__init__(f"{path}:{line}: {reason}")
 
 
+class NonFiniteFieldError(ValueError):
+    """Raised when a field of a Dataset or ControlLibrary holds a non-finite
+    value; ``field`` names it as its record in a JSONL file does (x0, u, x)."""
+
+    def __init__(self, field: str):
+        self.field = field
+        super().__init__(f"non-finite values in {field}")
+
+
 class DatasetGenerationError(RuntimeError):
     """Raised when the simulation of a dataset sample or a library sequence
     diverges; names the item ("dataset sample" or "library sequence"), its
@@ -214,7 +223,7 @@ class Dataset:
             raise ValueError("state dimensions disagree")
         for name, arr in (("x0", x0), ("u", u), ("x", x)):
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite values in {name}")
+                raise NonFiniteFieldError(name)
         object.__setattr__(self, "initial_states", x0)
         object.__setattr__(self, "controls", u)
         object.__setattr__(self, "trajectories", x)
@@ -257,7 +266,7 @@ class ControlLibrary:
         if seq.shape[0] < 1:
             raise ValueError("library must contain at least one sequence")
         if not np.all(np.isfinite(seq)):
-            raise ValueError("non-finite values in library sequences")
+            raise NonFiniteFieldError("u")
         seq.flags.writeable = False
         object.__setattr__(self, "sequences", seq)
 
@@ -605,6 +614,11 @@ def _load_jsonl(path, kind: str, build):
     fields = (arrays[name] for name in header.shapes)
     try:
         artifact = build(*fields, header.master_seed, header.config_digest)
+    except NonFiniteFieldError as exc:
+        # ``build`` scans each field once; its record line follows the
+        # header in sorted field order
+        lineno = 2 + sorted(header.shapes).index(exc.field)
+        raise DataLoadError(path, lineno, str(exc)) from exc
     except ValueError as exc:
         raise DataLoadError(path, 1, str(exc)) from exc
     _check_sha256(path, header, content)
@@ -612,8 +626,8 @@ def _load_jsonl(path, kind: str, build):
 
 
 def _decode(path, lineno: int, name: str, value: bytes, shape: tuple) -> np.ndarray:
-    """The finite float64 array of ``shape`` whose bytes ``value`` holds in
-    strict base64, or a DataLoadError naming the line and the field."""
+    """The float64 array of ``shape`` whose bytes ``value`` holds in strict
+    base64, or a DataLoadError naming the line and the field."""
     try:
         raw = base64.b64decode(value, validate=True)
     except ValueError as exc:
@@ -623,10 +637,7 @@ def _decode(path, lineno: int, name: str, value: bytes, shape: tuple) -> np.ndar
     if len(raw) != size:
         reason = f"holds {len(raw)} bytes, expected {size} for float64 shape {shape}"
         raise DataLoadError(path, lineno, f"field {name!r} {reason}")
-    array = np.frombuffer(raw, "<f8").reshape(shape)
-    if not np.isfinite(array).all():
-        raise DataLoadError(path, lineno, f"non-finite values in {name}")
-    return array
+    return np.frombuffer(raw, "<f8").reshape(shape)
 
 
 def load_dataset(path) -> Dataset:

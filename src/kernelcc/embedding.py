@@ -112,9 +112,10 @@ def cross_matrix(model: EmbeddingModel, x0, controls) -> np.ndarray:
     at every query are ``alpha @ cross_matrix(...)``; a single query is a
     batch of one. Columns are independent, so a caller with many queries
     (``solver.assemble``) passes them a block at a time and holds one
-    M x block matrix instead of M x P. Every block reuses the features the
-    fit built, and its squared distances are one BLAS product; an entry
-    may differ between blocks in its last bits.
+    M x block matrix instead of M x P. Every block reuses the augmented
+    features the fit built, and its exponents are one BLAS product; an
+    entry may differ between blocks in its last bits. The matrix is the
+    transpose of a C-ordered (P, M) array, so each column is contiguous.
     """
     ds = model.dataset
     x0 = np.asarray(x0, dtype=float)

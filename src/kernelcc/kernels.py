@@ -12,19 +12,22 @@ one exponent over joint features, k = exp(-||z - z'||^2) with
 z = [sqrt(sigma_x) (x0 - mean x0), sqrt(sigma_u) (u - mean u)], the means
 taken over a dataset (``ProductFeatures``). The rules:
 
-* Squared distances between two sets of features come from one level-3
-  product, ||z||^2 + ||z'||^2 - 2 z . z'. It runs on scipy's BLAS
-  (``scipy.linalg.blas.dgemm``), the OpenBLAS that ``pftrf`` and ``pftrs``
-  use, on Fortran-ordered transposed views, so no operand is copied. numpy
-  bundles a second OpenBLAS, whose thread pool would contend with scipy's.
+* Every kernel value, Gram and cross alike, comes from one level-3 product.
+  The dataset's features are augmented once per fit to rows [z, 1, ||z||^2]
+  and a block of queries to rows [2 z', -||z'||^2, -1], so each entry of
+  their product is the exponent 2 z . z' - ||z||^2 - ||z'||^2 =
+  -||z - z'||^2. It runs on scipy's BLAS (``scipy.linalg.blas.dgemm``),
+  the OpenBLAS that ``pftrf`` and ``pftrs`` use, on Fortran-ordered
+  transposed views, so no operand is copied. numpy bundles a second
+  OpenBLAS, whose thread pool would contend with scipy's.
 * The expansion loses about 1e-16 * (||z||^2 + ||z'||^2) to cancellation.
   Centring at the dataset mean keeps those norms at the spread of the data,
   not its offset: the shipped dataset's control sequences, whose feedback
   tails run far from 0, reach a norm of 276, and 17 once centred.
-* A squared distance that rounds below 0 is clamped at 0, so no entry
-  exceeds 1.
-* ``gram_product`` pins the distance of each sample to itself at exactly 0,
-  so G_ii = 1 + ridge.
+* An exponent that rounds above 0 is clamped at 0, so no entry exceeds 1;
+  one in-place ``exp`` then turns the block into kernel values.
+* ``gram_product`` pins each sample's kernel with itself at exactly 1, so
+  G_ii = 1 + ridge.
 
 An entry's last bits depend on where BLAS places it in a block, so entries
 match a plain-loop evaluation to about 1e-13 relative, not bit for bit.
@@ -94,15 +97,17 @@ class ProductFeatures:
     under the product kernel k_x * k_u, centred at the mean of the pairs
     they were built from (``build``).
 
-    ``points[i]`` is z_i = [sqrt(sigma_x) (x0_i - mean x0),
-    sqrt(sigma_u) (u_i - mean u)] and ``sq_norms[i]`` is ||z_i||^2, so the
-    kernel of pairs i and j is exp(-||z_i - z_j||^2).
+    With z_i = [sqrt(sigma_x) (x0_i - mean x0), sqrt(sigma_u) (u_i - mean u)],
+    ``rows[i]`` is the augmented row [z_i, 1, ||z_i||^2], so the kernel of
+    pairs i and j is exp(-||z_i - z_j||^2). A query's row
+    [2 z, -||z||^2, -1] times ``rows[i]`` is 2 z . z_i - ||z||^2 - ||z_i||^2,
+    that exponent, so a block of kernel values is one BLAS product, whose
+    cancellation loses about 1e-16 * (||z||^2 + ||z_i||^2).
     """
 
     centre: np.ndarray
     scale: np.ndarray
-    points: np.ndarray
-    sq_norms: np.ndarray
+    rows: np.ndarray
 
     @classmethod
     def build(
@@ -116,35 +121,47 @@ class ProductFeatures:
             [state_dim, joint.shape[1] - state_dim],
         )
         centre = joint.mean(axis=0)
-        return cls(centre, scale, *_scaled(joint, centre, scale))
+        return cls(centre, scale, _augmented(joint, centre, scale))
 
     def cross_kernel(self, initial_states, controls) -> np.ndarray:
         """Kernel matrix of these pairs (rows) against the query pairs
-        (columns), a C-ordered array of shape (len(points), queries)."""
-        points, sq_norms = _scaled(
-            _joint(initial_states, controls), self.centre, self.scale
-        )
-        k = _exponents(self.points, self.sq_norms, points, sq_norms)
-        return np.exp(k, out=k)
+        (columns), of shape (len(rows), queries): the transpose of a
+        C-ordered array, so its columns are contiguous."""
+        joint = _joint(initial_states, controls)
+        queries = _as_queries(_augmented(joint, self.centre, self.scale))
+        return _kernel_block(queries, self.rows)
 
 
-def _scaled(joint, centre, scale) -> tuple[np.ndarray, np.ndarray]:
-    """The features of joint rows, and their squared norms."""
-    points = joint - centre
-    points *= scale
-    return points, np.einsum("ij,ij->i", points, points)
+def _augmented(joint, centre, scale) -> np.ndarray:
+    """The augmented rows [z, 1, ||z||^2] of the features z of joint rows."""
+    width = joint.shape[1]
+    rows = np.empty((joint.shape[0], width + 2))
+    z = np.subtract(joint, centre, out=rows[:, :width])
+    z *= scale
+    rows[:, width] = 1.0
+    np.einsum("ij,ij->i", z, z, out=rows[:, width + 1])
+    return rows
 
 
-def _exponents(a, a_sq_norms, b, b_sq_norms) -> np.ndarray:
-    """-||a_i - b_j||^2, clamped at 0 from above, for the rows a_i of a and
-    b_j of b, as a C-ordered array of shape (len(a), len(b))."""
-    # dgemm computes 2 b a^T in Fortran order, which is 2 a b^T in C order;
-    # the transposes of C-ordered rows are Fortran-ordered, so it copies
-    # neither operand
-    e = dgemm(2.0, b.T, a.T, trans_a=True).T
-    e -= a_sq_norms[:, None]
-    e -= b_sq_norms
-    return np.minimum(e, 0.0, out=e)
+def _as_queries(rows) -> np.ndarray:
+    """The query rows [2 z, -||z||^2, -1] of augmented rows [z, 1, ||z||^2]."""
+    queries = np.empty_like(rows)
+    np.multiply(rows[:, :-2], 2.0, out=queries[:, :-2])
+    # the last two columns reversed: (||z||^2, 1)
+    np.negative(rows[:, :-3:-1], out=queries[:, -2:])
+    return queries
+
+
+def _kernel_block(queries, rows) -> np.ndarray:
+    """exp(-||z_i - q_j||^2) for the augmented rows i of ``rows`` and the
+    query rows j of ``queries``, as an array of shape (len(rows),
+    len(queries)) whose transpose is C-ordered. Each exponent is clamped
+    at 0 from above, so no entry exceeds 1."""
+    # dgemm computes rows queries^T in Fortran order; the transposes of
+    # C-ordered rows are Fortran-ordered, so it copies neither operand
+    exponents = dgemm(1.0, rows.T, queries.T, trans_a=True)
+    np.minimum(exponents, 0.0, out=exponents)
+    return np.exp(exponents, out=exponents)
 
 
 # rows per block of gram_product; a block's kernel values add 32 / M of an
@@ -184,14 +201,15 @@ def gram_product(features: ProductFeatures, ridge: float = 0.0) -> np.ndarray:
     G is built a block of rows of its upper triangle at a time, and no block
     straddles the two halves of the layout: block [a, b) holds the pairs
     (i, j) with a <= i < b and j >= a, and its entries with j >= i are
-    written to their packed positions. Each block's squared distances are
-    one BLAS product, clamped at 0, and one ``exp`` pass turns them into
-    kernel values, so each pair is evaluated once, and besides the packed G
-    one block is held. The distance of each sample to itself is pinned at
-    exactly 0, so the diagonal is exactly 1 + ridge.
+    written to their packed positions. Each block's kernel values are one
+    ``_kernel_block``: one BLAS product of the block's query rows against
+    the augmented rows from a onward, one clamp and one ``exp`` pass, so
+    each pair is evaluated once, and besides the packed G one block is held.
+    The diagonal, each sample against itself, is pinned at exactly
+    1 + ridge.
     """
-    z, sq_norms = features.points, features.sq_norms
-    m = z.shape[0]
+    augmented = features.rows
+    m = augmented.shape[0]
     packed = np.empty(m * (m + 1) // 2)
     head, tail = _rfp_triangles(packed, m)
     n1 = head.shape[0]
@@ -200,10 +218,9 @@ def gram_product(features: ProductFeatures, ridge: float = 0.0) -> np.ndarray:
         for start in range(first, last, _GRAM_BLOCK_ROWS):
             stop = min(start + _GRAM_BLOCK_ROWS, last)
             width = stop - start
-            block = _exponents(
-                z[start:stop], sq_norms[start:stop], z[start:], sq_norms[start:]
-            )
-            np.exp(block, out=block)
+            block = _kernel_block(
+                _as_queries(augmented[start:stop]), augmented[start:]
+            ).T
             diagonal = np.arange(width)
             block[diagonal, diagonal] = 1.0 + ridge
             rows = half[start - first : stop - first, start - first :]

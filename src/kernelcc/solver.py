@@ -15,6 +15,7 @@ This is exact and needs no external LP dependency.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -30,9 +31,9 @@ from .scenario import Scenario, control_cost, indicator_T, state_cost
 # more, and a tie goes to the smaller support, so solves reproduce
 TIE_TOLERANCE = 1e-12
 
-# elements per block of assemble's M x block cross-kernel matrix (2 MB of
+# elements per block of assemble's M x block cross-kernel matrix (0.5 MB of
 # float64), so the library is walked without holding an M x P matrix
-_CROSS_BLOCK_ELEMENTS = 2**18
+_CROSS_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,18 @@ class LPInstance:
                     f"{name} row has a non-finite value {row[bad[0]]} "
                     f"at index {bad[0]}"
                 )
-        if not (0.0 < self.threshold < 1.0):
-            raise ValueError(f"threshold must lie in (0,1), got {self.threshold}")
+        _check_threshold(self.threshold)
         object.__setattr__(self, "cost_row", cost)
         object.__setattr__(self, "safety_row", safety)
+
+    def at_threshold(self, threshold: float) -> LPInstance:
+        """These rows under another threshold. Only the threshold is
+        checked: the rows were checked when this instance was built, so a
+        sweep over risk levels scans them once."""
+        _check_threshold(threshold)
+        inst = copy.copy(self)
+        object.__setattr__(inst, "threshold", threshold)
+        return inst
 
     @property
     def num_sequences(self) -> int:
@@ -74,6 +83,11 @@ class LPInstance:
             "num_below_zero": int(np.count_nonzero(safety < 0.0)),
             "num_above_one": int(np.count_nonzero(safety > 1.0)),
         }
+
+
+def _check_threshold(threshold) -> None:
+    if not (0.0 < threshold < 1.0):
+        raise ValueError(f"threshold must lie in (0,1), got {threshold}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +120,9 @@ def assemble(
     constraint indicator) and each row is alpha^T times the M x P
     cross-kernel matrix. That matrix is built a block of library columns at
     a time, at most ``_CROSS_BLOCK_ELEMENTS`` elements per block, and each
-    block's product is written into the two rows, so no M x P matrix is
-    ever held. The cost row adds the (known) control cost of each library
+    block's product is written into the two rows and the block released
+    before the next is built, so one block is held, never the M x P
+    matrix. The cost row adds the (known) control cost of each library
     sequence, a block at a time as well; the safety row holds the estimated
     probability that a trajectory satisfies every constraint.
     """
@@ -126,10 +141,12 @@ def assemble(
     for start in range(0, lib.num_sequences, block):
         stop = start + block
         sequences = lib.sequences[start:stop]
-        cross = cross_matrix(model, x0, sequences)
         # alpha^T cross on scipy's BLAS, like the kernel blocks, from the
-        # Fortran-ordered alpha and transpose of the C-ordered block
-        rows[:, start:stop] = dgemm(1.0, alpha, cross.T, trans_a=True, trans_b=True)
+        # Fortran-ordered alpha and block; the block is dropped before the
+        # next is built
+        cross = cross_matrix(model, x0, sequences)
+        rows[:, start:stop] = dgemm(1.0, alpha, cross, trans_a=True)
+        del cross
         rows[0, start:stop] += control_cost(sc, sequences)
     cost_row, safety_row = rows
     return LPInstance(

@@ -613,7 +613,7 @@ class TestStageReuse:
         for p in fresh.iterdir():
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
 
-    @pytest.mark.parametrize("earlier", [2, 3, 4, 5])
+    @pytest.mark.parametrize("earlier", [2, 3, 4, 5, 6])
     def test_earlier_policy_format_is_resolved(
         self, tmp_path, capsys, monkeypatch, earlier
     ):
@@ -629,7 +629,7 @@ class TestStageReuse:
         assert "dataset: cached" in text and "library: cached" in text
         assert "cached policy" not in text and "cached report" not in text
         policy = json.loads((reused / "policy_delta_0.3.json").read_text())
-        assert policy["format_version"] == kernelcc.cli.POLICY_FORMAT_VERSION == 6
+        assert policy["format_version"] == kernelcc.cli.POLICY_FORMAT_VERSION == 7
         run_step(tmp_path, small_raw(), ["experiment"], fresh)
         for p in fresh.iterdir():
             assert (reused / p.name).read_bytes() == p.read_bytes(), p.name
@@ -722,6 +722,26 @@ class TestSolve:
                 "num_below_zero": 1,
                 "num_above_one": 2,
             }
+
+    def test_rows_are_checked_once_per_sweep(self, tmp_path, monkeypatch):
+        # every risk level reuses the assembled rows; only its threshold is
+        # checked again
+        out = tmp_path / "out"
+        raw = small_raw(deltas=(0.3, 0.4, 0.5))
+        assert run_step(tmp_path, raw, ["generate"], out) == EXIT_OK
+        checks = []
+        post_init = LPInstance.__post_init__
+
+        def counted(self):
+            checks.append(self.threshold)
+            post_init(self)
+
+        monkeypatch.setattr(LPInstance, "__post_init__", counted)
+        assert run_step(tmp_path, raw, ["solve"], out) == EXIT_OK
+        assert checks == [0.7]
+        for delta in (0.3, 0.4, 0.5):
+            policy = json.loads((out / f"policy_delta_{delta}.json").read_text())
+            assert policy["safety_estimates"]["threshold"] == 1.0 - delta
 
     @pytest.mark.parametrize(
         "generated, edit, flags",
@@ -1473,21 +1493,22 @@ class TestEarlierDirectory:
     # small_raw's library digest and file bytes as recorded when the library's
     # nominal system became the prior means: small_raw's library had set its
     # own nominal drag, 0.457, apart from the prior mean, so its library and
-    # all built from it moved then. Equal values here mean a directory
-    # written then is the directory written now
+    # all built from it moved then; the policy and report moved again with
+    # policy format 7. Equal values here mean a directory written then is
+    # the directory written now
     LIBRARY_DIGEST = "e6a9c4c08741e22bbd38d4d54d088e659664737f20a916994280c69564874e77"
     FILE_SHA256 = {
         "dataset.jsonl": "2c21f0821f73a574831188e417a5193b66889a71d43b5850d8b67fed8320f7a3",
         "library.jsonl": "cf07eec944b7565d3c02d471be1251532ea6d3db3a9d2971e5468bd42fe922db",
         "policy_delta_0.3.json": (
-            "182047b83ff3964297c7373f5823e33bb88bebc759f453adc58e4ac561aee8c5"
+            "58a4cd5065f33e0d2e5b024f273eb7de262ad27128027cba3c0ae0a0b37d0e4e"
         ),
         "trajectories_delta_0.3.csv": (
             "7c3fd7729b9117921f936370d6c234759eebce151daf33f321c7f132e382b795"
         ),
         "summary.csv": "ff2fc78eb48914c92c063799f4fca3b2217768bf6ce9a1b1530a99c117da80e5",
         "report_delta_0.3.json": (
-            "411042fc134a69b374986f7e11cdc64aef63d33d7df4853863ac3168002a1942"
+            "c57a3a4f8cf961f3b91316fc0517c81f666f7dd4742c6ce4585473e96cb73305"
         ),
         "summary.json": "40a82214fb191523a4d6fd146dddba1e46fbb04b425766c6eaddedda328f9293",
     }
@@ -1532,7 +1553,7 @@ class TestEarlierDirectory:
     }
     EARLIER_KEYS_SHA256 = {
         "policy_delta_0.3.json": (
-            "1b58b0b684545e7f54d9fb7c79ffac393926d27efb9522c6f385705057259d99"
+            "2254d85fb93663a72ce7f5fcc2594858eadd892d865b3e4007b8c366563d3b98"
         ),
         "report_delta_0.3.json": (
             "b6b70eb9bcca6e9c8a5bfcf998604d867073ca2c0b77ff7c63b6d43572d76753"

@@ -223,7 +223,7 @@ class TestParseConfig:
         # base_raw leaves max_sequences, prior, disturbance, costs and output
         # to their constructors' defaults, so a default that drifts moves one
         # of these keys (the library key through the prior means); the policy key also moves with POLICY_FORMAT_VERSION
-        # (6 here) and with the fields of KernelSpec and Scenario, which it
+        # (7 here) and with the fields of KernelSpec and Scenario, which it
         # digests
         cfg = parse_config(base_raw())
         ds_key, lib_key = stage_keys(base_raw())
@@ -231,7 +231,7 @@ class TestParseConfig:
         assert lib_key == "ce54670162075142e92f1f15ce97996195bc9cbed32a56f66b2842ef72fe7bbe"
         policy_key = _policy_key(cfg, [ds_key, cfg.master_seed], lib_key, cfg.deltas[0])
         assert policy_key == (
-            "e644f292648b2110a6daf043ff77d15f7c380f35cd0dab4eacd019ac10e62581"
+            "7d6c37702bea458d3dbec9bc1e4cf09893d1b3a9ae461a9bc823f29e5d48f19a"
         )
 
     def test_mc_section_does_not_touch_stage_digests(self):

@@ -640,6 +640,31 @@ class TestPersistence:
         with pytest.raises(DataLoadError, match=":3: non-finite values in x$"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("name", ["u", "x0"])
+    def test_non_finite_value_of_each_field_names_its_line(self, tmp_path, name):
+        # the constructor scans each field once and names it; the loader
+        # maps that name to the field's record line
+        def poisoned(x):
+            x = np.frombuffer(base64.b64decode(x), "<f8").copy()
+            x[-1] = np.nan
+            return base64.b64encode(x).decode()
+
+        _, path = self.edit_record(tmp_path, name, poisoned)
+        message = f":{self.LINES[name]}: non-finite values in {name}$"
+        with pytest.raises(DataLoadError, match=message):
+            load_dataset(path)
+
+    def test_non_finite_library_value_names_its_line(self, tmp_path):
+        path = tmp_path / "lib.jsonl"
+        save_library(ControlLibrary(np.zeros((2, 3, 2)), 0, "test"), path)
+        lines = path.read_text().splitlines()
+        u = np.frombuffer(base64.b64decode(json.loads(lines[1])["u"]), "<f8").copy()
+        u[3] = np.inf
+        lines[1] = canonical_json({"u": base64.b64encode(u).decode()})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataLoadError, match=":2: non-finite values in u$"):
+            load_library(path)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_value_is_not_saved(self, tmp_path, value):
         # a Dataset or ControlLibrary refuses one already; the writer checks

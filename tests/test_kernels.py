@@ -134,6 +134,20 @@ class TestGramProduct:
         with pytest.raises(ValueError):
             ProductFeatures.build([[0.0], [1.0]], [[0.0]], UNIT, UNIT)
 
+    def test_rows_are_augmented_centred_features(self):
+        # [z, 1, ||z||^2]: a query row [2 z', -||z'||^2, -1] times it is the
+        # exponent -||z - z'||^2
+        rng = np.random.default_rng(6)
+        x0 = rng.normal(size=(7, 4))
+        u = rng.normal(size=(7, 6))
+        features = ProductFeatures.build(x0, u, KernelSpec(bandwidth=4.0), UNIT)
+        joint = np.hstack([x0, u])
+        z = (joint - joint.mean(axis=0)) * np.repeat([2.0, 1.0], [4, 6])
+        np.testing.assert_allclose(features.rows[:, :-2], z, rtol=1e-15, atol=1e-15)
+        np.testing.assert_array_equal(features.rows[:, -2], np.ones(7))
+        norms = (z * z).sum(axis=1)
+        np.testing.assert_allclose(features.rows[:, -1], norms, rtol=1e-14)
+
     # odd and even orders whose two packed halves hold less than a block of
     # rows, exactly one, and more than one
     ORDERS = [

@@ -127,6 +127,17 @@ class TestSolveLp:
         np.testing.assert_array_equal(swapped.cost_row, inst.cost_row)
         np.testing.assert_array_equal(swapped.safety_row, inst.safety_row)
 
+    def test_at_threshold_checks_only_the_threshold(self, monkeypatch):
+        inst = make_instance([1.0, 2.0], [0.5, 1.0], delta=0.2)
+        monkeypatch.setattr(LPInstance, "__post_init__", lambda self: pytest.fail())
+        swapped = inst.at_threshold(0.5)
+        assert swapped.threshold == 0.5 and inst.threshold == 0.8
+        assert swapped.cost_row is inst.cost_row
+        assert swapped.safety_row is inst.safety_row
+        for bad in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="threshold must lie in"):
+                inst.at_threshold(bad)
+
     def test_diagnostics_derived_from_safety_row(self):
         inst = make_instance([1.0, 2.0, 3.0], [-0.25, 0.5, 1.25], delta=0.2)
         spread = {
@@ -434,7 +445,8 @@ class TestAssemble:
             )
 
     def test_peak_memory_a_few_blocks(self):
-        # the parent's single M x P cross-kernel matrix is 32 MB here
+        # an M x P cross-kernel matrix is 32 MB here; a block is released
+        # before the next is built, so two are never held at once
         m, p, horizon = 200, 20000, 4
         rng = np.random.default_rng(32)
         ds = Dataset(
@@ -458,7 +470,7 @@ class TestAssemble:
         finally:
             tracemalloc.stop()
         assert inst.num_sequences == p
-        assert peak <= 3 * solver._CROSS_BLOCK_ELEMENTS * 8
+        assert peak <= 1.5 * solver._CROSS_BLOCK_ELEMENTS * 8 + 2 * p * 8
 
     def test_horizon_mismatch_rejected(self):
         _, model, lib, _ = self.make_fixture()
