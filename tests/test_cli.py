@@ -73,14 +73,31 @@ def write_config(tmp_path, raw, name="cfg.json"):
     return path
 
 
-def test_import_leaves_scipy_spatial_out():
-    # kernels come from one BLAS product, not cdist; a fresh interpreter
-    # shows what importing the command line loads
+# run in a fresh interpreter: the modules importing the command line and
+# running experiment, a cached rerun and solve load, scipy's among them
+NO_SCIPY_CODE = """
+import contextlib, io, sys
+import kernelcc.cli
+for command in ("experiment", "experiment", "solve"):
+    argv = [command, "--config", sys.argv[1], "--out-dir", sys.argv[2]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert kernelcc.cli.main(argv) == 0, command
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_commands_import_no_scipy(tmp_path):
+    # LAPACK comes from the OpenBLAS numpy bundles and the Beta quantile is
+    # numpy, so no command imports scipy
+    cfg = write_config(tmp_path, small_raw())
     src = str(Path(kernelcc.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, kernelcc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))"
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", NO_SCIPY_CODE, str(cfg), str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
@@ -1459,30 +1476,35 @@ class TestErrors:
 
 
 def earlier_jsonl(data: bytes, version: int) -> bytes:
-    """A format-4 JSONL file's bytes as an earlier format wrote them: one
-    record per sample or sequence, under a header of format ``version``
-    whose library header holds "n": null. Format 3 wrote each field of a
-    record as the base64 of its float64 bytes, formats 1 and 2 as a nested
-    list of decimal floats; format 1 had no sha256."""
+    """A current JSONL file's bytes as an earlier format wrote them. Format 4
+    had the current layout under its own version. Formats 1 to 3 had one
+    record per sample or sequence, under a header whose library header holds
+    "n": null: format 3 wrote each field of a record as the base64 of its
+    float64 bytes, formats 1 and 2 as a nested list of decimal floats; format
+    1 had no sha256."""
     head, *records = data.decode().splitlines()
     header = {**json.loads(head), "format_version": version}
     del header["sha256"]
-    if header["kind"] == "library":
-        header["n"] = None
-    count, shapes = kernelcc.data._LAYOUTS[header["kind"]]
-    arrays = {}
-    for record in records:
-        ((name, value),) = json.loads(record).items()
-        shape = [header[count], *(header[key] for key in shapes[name])]
-        arrays[name] = np.frombuffer(base64.b64decode(value), "<f8").reshape(shape)
+    if version == 4:
+        text = "".join(f"{record}\n" for record in records)
+    else:
+        if header["kind"] == "library":
+            header["n"] = None
+        count, shapes = kernelcc.data._LAYOUTS[header["kind"]]
+        arrays = {}
+        for record in records:
+            ((name, value),) = json.loads(record).items()
+            shape = [header[count], *(header[key] for key in shapes[name])]
+            arrays[name] = np.frombuffer(base64.b64decode(value), "<f8").reshape(shape)
 
-    def field(row):
-        return base64.b64encode(row).decode() if version == 3 else row
+        def field(row):
+            return base64.b64encode(row).decode() if version == 3 else row
 
-    text = "".join(
-        canonical_json({name: field(array[i]) for name, array in arrays.items()}) + "\n"
-        for i in range(header[count])
-    )
+        text = "".join(
+            canonical_json({name: field(array[i]) for name, array in arrays.items()})
+            + "\n"
+            for i in range(header[count])
+        )
     if version >= 2:
         content = canonical_json(header) + "\n" + text
         header["sha256"] = hashlib.sha256(content.encode()).hexdigest()
@@ -1494,21 +1516,22 @@ class TestEarlierDirectory:
     # nominal system became the prior means: small_raw's library had set its
     # own nominal drag, 0.457, apart from the prior mean, so its library and
     # all built from it moved then; the policy and report moved again with
-    # policy format 7. Equal values here mean a directory written then is
-    # the directory written now
+    # policy format 7, and the dataset, the trajectory CSV and the keys the
+    # policy and report record with dataset format 5. Equal values here mean
+    # a directory written then is the directory written now
     LIBRARY_DIGEST = "e6a9c4c08741e22bbd38d4d54d088e659664737f20a916994280c69564874e77"
     FILE_SHA256 = {
-        "dataset.jsonl": "2c21f0821f73a574831188e417a5193b66889a71d43b5850d8b67fed8320f7a3",
+        "dataset.jsonl": "4fedad7fa746e9af1148f0f24861a4d05087d3310139eacafec7f02657bb0f42",
         "library.jsonl": "cf07eec944b7565d3c02d471be1251532ea6d3db3a9d2971e5468bd42fe922db",
         "policy_delta_0.3.json": (
-            "58a4cd5065f33e0d2e5b024f273eb7de262ad27128027cba3c0ae0a0b37d0e4e"
+            "01e43e489656f88ebf7d61af420156d9565d4bf69742af5dac64fecf0c9bf3ac"
         ),
         "trajectories_delta_0.3.csv": (
-            "7c3fd7729b9117921f936370d6c234759eebce151daf33f321c7f132e382b795"
+            "d63037ecc72e4a7a3b78da525abd8b080e4e1c6ad96a674b05d7c5d678ae3d98"
         ),
         "summary.csv": "ff2fc78eb48914c92c063799f4fca3b2217768bf6ce9a1b1530a99c117da80e5",
         "report_delta_0.3.json": (
-            "c57a3a4f8cf961f3b91316fc0517c81f666f7dd4742c6ce4585473e96cb73305"
+            "f71a2847d0ad2a0d427c125d2e5d2e8ff848013ee65aafcf27f82fb1b12b803d"
         ),
         "summary.json": "40a82214fb191523a4d6fd146dddba1e46fbb04b425766c6eaddedda328f9293",
     }
@@ -1599,11 +1622,14 @@ class TestEarlierDirectory:
     # the JSONL files of small_raw as each earlier JSONL format wrote them,
     # one record per sample or sequence: format 1 had decimal records under a
     # header without sha256, format 2 the same records under a header with
-    # it, and format 3 base64 float64 rows
+    # it, and format 3 base64 float64 rows. Format 4 is the dataset's
+    # current layout; its parameter draws moved in their last digits with
+    # format 5, so a format-4 dataset is generated again, and the library,
+    # still format 4, is reused
     EARLIER_SHA256 = {
         1: {
             "dataset.jsonl": (
-                "76819fd2c87c7a3296d30329969f1241dc3a8ce99fabf4a1d5a1dcbc935a2702"
+                "7947754f817e962ab61e5bfd9f8e986498fde2e004210c67b1a7f1393cdd6eac"
             ),
             "library.jsonl": (
                 "90ad971a1ef5950a29483a6a0d6534488175b214eecfc2347209ad5765f44c9e"
@@ -1611,7 +1637,7 @@ class TestEarlierDirectory:
         },
         2: {
             "dataset.jsonl": (
-                "9b4a5e22336145cef1eb1f35a1e79a48ec82574b626dded1b70d24db51238141"
+                "ee1657b0a212a3637426db47ee805daf00cb503e6811140c664e9253ae6663b9"
             ),
             "library.jsonl": (
                 "d4066325db65aca1882a54edcd62147dee480fd61f5b5b2504c52bbb1c6e9fa8"
@@ -1619,10 +1645,15 @@ class TestEarlierDirectory:
         },
         3: {
             "dataset.jsonl": (
-                "21bcbeb1679fb07cfcda7dc254536e87720ffe8726db220c87c19a7f10685f28"
+                "06c06966467a62b5cc004b0433cd0e87fa01ae149af3a45cff2c3373484a7890"
             ),
             "library.jsonl": (
                 "e25c6d6e17987ef2001de2fd4b59bc5fa1de794de2e8cbe83c7dc44bf9d4fc73"
+            ),
+        },
+        4: {
+            "dataset.jsonl": (
+                "059e38d4955ea7df1599e32bf7b55fd553f9b3f05c001be3ba28278759d6d6ab"
             ),
         },
     }
@@ -1636,6 +1667,9 @@ class TestEarlierDirectory:
     def test_format_3_jsonl_is_rewritten_and_the_rest_reused(self, tmp_path, capsys):
         self.check_rewritten_and_the_rest_reused(tmp_path, capsys, 3)
 
+    def test_format_4_dataset_is_rewritten_and_the_rest_reused(self, tmp_path, capsys):
+        self.check_rewritten_and_the_rest_reused(tmp_path, capsys, 4)
+
     def check_rewritten_and_the_rest_reused(self, tmp_path, capsys, version):
         out = tmp_path / "out"
         assert run_step(tmp_path, small_raw(), ["experiment"], out) == EXIT_OK
@@ -1646,9 +1680,10 @@ class TestEarlierDirectory:
         capsys.readouterr()
         assert run_step(tmp_path, small_raw(), ["experiment"], out) == EXIT_OK
         text = capsys.readouterr().out
+        rewritten = self.EARLIER_SHA256[version]
         for line in (
             "dataset: 40 samples",
-            "library: 4 sequences",
+            "library: 4 sequences" if "library.jsonl" in rewritten else "library: cached",
             "delta=0.3: cached policy",
             "delta=0.3: cached report",
         ):

@@ -222,16 +222,17 @@ class TestParseConfig:
     def test_keys_of_constructor_defaults_are_pinned(self):
         # base_raw leaves max_sequences, prior, disturbance, costs and output
         # to their constructors' defaults, so a default that drifts moves one
-        # of these keys (the library key through the prior means); the policy key also moves with POLICY_FORMAT_VERSION
-        # (7 here) and with the fields of KernelSpec and Scenario, which it
-        # digests
+        # of these keys (the library key through the prior means); the
+        # dataset key also moves with the dataset's format version (5 here),
+        # and the policy key with the dataset key, POLICY_FORMAT_VERSION (7
+        # here) and the fields of KernelSpec and Scenario, which it digests
         cfg = parse_config(base_raw())
         ds_key, lib_key = stage_keys(base_raw())
-        assert ds_key == "b27975f33fda7b27e2867663e3695430095b338e316a4ca19147321fff1cbb4b"
+        assert ds_key == "2bb8bbfdf48d75cc0674d73f757866b77f8f90cb0cb515b1f0ae04c1cdbdca6a"
         assert lib_key == "ce54670162075142e92f1f15ce97996195bc9cbed32a56f66b2842ef72fe7bbe"
         policy_key = _policy_key(cfg, [ds_key, cfg.master_seed], lib_key, cfg.deltas[0])
         assert policy_key == (
-            "7d6c37702bea458d3dbec9bc1e4cf09893d1b3a9ae461a9bc823f29e5d48f19a"
+            "b31902ef4639dd206cdf0857557ced1ad452d6a23cc98e631d64896e232778ac"
         )
 
     def test_mc_section_does_not_touch_stage_digests(self):
@@ -285,7 +286,7 @@ class TestLoadConfig:
         # usually that its bytes moved
         cfg = load_config(SHIPPED)
         assert dataset_key(cfg.dataset, cfg.model) == (
-            "b13d7ffcaf0d385debaa07cd2c12b8e321c3a86484bbae65f9d911116f529504"
+            "d64db32dee49d64710651e31f3f86dc31f0c9826f598724f6b4583572d7823a2"
         )
         assert library_key(cfg.library, cfg.model) == (
             "af642952b172999f5fcdbd19ecaa3894df4cf3923ff2f596954676232d0ca536"

@@ -12,7 +12,7 @@ import pytest
 from kernelcc.cli import cmd_generate
 from kernelcc.config import parse_config
 from kernelcc.data import (
-    FORMAT_VERSION,
+    FORMAT_VERSIONS,
     ControlLibrary,
     DataLoadError,
     Dataset,
@@ -490,7 +490,7 @@ class TestPersistence:
         path = tmp_path / "ds.jsonl"
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
-        current = f'"format_version":{FORMAT_VERSION}'
+        current = f'"format_version":{FORMAT_VERSIONS["dataset"]}'
         assert current in lines[0]
         lines[0] = lines[0].replace(current, '"format_version":99')
         path.write_text("\n".join(lines) + "\n")

@@ -1,5 +1,6 @@
 """Tests for kernel evaluation, Gram assembly and SPD solves."""
 
+import functools
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from kernelcc.kernels import (
     FactorizationError,
     KernelSpec,
     ProductFeatures,
+    SpdFactor,
     gram_product,
     spd_factor,
     spd_solve,
@@ -259,6 +261,14 @@ class TestSpdSolve:
         v = np.array([1.0, -2.0, 3.0, 0.5])
         np.testing.assert_array_equal(spd_solve(f, v), v)
 
+    @pytest.mark.parametrize(
+        "packed", [np.zeros(5), np.zeros(6, dtype=np.float32), np.zeros(12)[::2]]
+    )
+    def test_factor_of_another_size_or_layout_rejected(self, packed):
+        # LAPACK would read 6 float64 entries from the array's address
+        with pytest.raises(ValueError, match="packed_factor"):
+            SpdFactor(3, packed)
+
     def test_diagonal(self):
         f = spd_factor(np.array([4.0]))
         np.testing.assert_array_equal(spd_solve(f, np.array([2.0])), [0.5])
@@ -443,3 +453,46 @@ class TestKernelMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             kernel_matrix(UNIT, np.zeros((3, 2)), np.ones((5, 3)))
+
+
+@pytest.fixture
+def scipy_lapack(monkeypatch):
+    """spd_factor and spd_solve on scipy's LAPACK, as where numpy bundles no
+    OpenBLAS to call; the loader is cleared again afterwards."""
+
+    def unavailable():
+        raise OSError("no bundled OpenBLAS")
+
+    kernels._lapack.cache_clear()
+    monkeypatch.setattr(kernels, "_openblas_lapack", unavailable)
+    yield
+    kernels._lapack.cache_clear()
+
+
+class TestLapackFallback:
+    @staticmethod
+    def factor_and_solve(a, rhs):
+        factor = spd_factor(pack(a))
+        return factor.packed_factor.copy(), spd_solve(factor, rhs), spd_solve(factor, rhs[:, 0])
+
+    @staticmethod
+    def pivot(a):
+        with pytest.raises(FactorizationError) as exc:
+            spd_factor(pack(a))
+        return exc.value.pivot
+
+    def test_scipy_path_agrees_with_ctypes_path(self, request):
+        assert not isinstance(kernels._lapack()[0], functools.partial)
+        rng = np.random.default_rng(8)
+        b = rng.normal(size=(41, 41))
+        a = b @ b.T + 41 * np.eye(41)
+        indefinite = a.copy()
+        indefinite[30, 30] = -1.0
+        rhs = rng.normal(size=(41, 3))
+        ctypes_path = self.factor_and_solve(a, rhs)
+        ctypes_pivot = self.pivot(indefinite)
+        request.getfixturevalue("scipy_lapack")
+        assert isinstance(kernels._lapack()[0], functools.partial)
+        for ours, theirs in zip(ctypes_path, self.factor_and_solve(a, rhs)):
+            np.testing.assert_allclose(ours, theirs, rtol=1e-12, atol=0)
+        assert self.pivot(indefinite) == ctypes_pivot == 31

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import beta, betaincinv
 
 from kernelcc.systems import (
     BetaSpec,
@@ -92,10 +93,17 @@ class TestBetaSpec:
         with pytest.raises(ValueError):
             BetaSpec(0.0, 2.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("shape", [(np.nan, 2.0), (2.0, np.inf)])
+    def test_rejects_non_finite_shapes(self, shape):
+        with pytest.raises(ValueError, match="positive and finite"):
+            BetaSpec(*shape, 0.0, 1.0)
+
     def test_point_mass(self):
         spec = BetaSpec(2.0, 2.0, 0.8, 0.0)
         rng = np.random.default_rng(0)
         np.testing.assert_array_equal(spec.quantile(rng.random(10)), np.full(10, 0.8))
+        u = np.array([0.0, 1e-300, 1e-12, 0.5, 1 - 2**-53])
+        np.testing.assert_array_equal(spec.quantile(u), np.full(5, 0.8))
 
     def test_draw_consumes_one_uniform(self):
         # point-mass and full-width priors must advance the stream identically,
@@ -111,6 +119,52 @@ class TestBetaSpec:
         np.testing.assert_array_equal(point_noise, wide_noise)
         assert np.all(point_params[:, 0] == 1.0)
         assert np.all(wide_params[:, 0] != 1.0)
+
+
+# Beta(12, 3) has a shape above 10
+QUANTILE_SHAPES = [(2, 2), (2, 5), (2, 3), (3, 3), (1, 1), (0.5, 0.7), (12, 3)]
+
+
+def uniforms(seed=0):
+    """0, u in the far lower tail, sorted random u, and the largest u < 1."""
+    draws = np.sort(np.random.default_rng(seed).random(2000))
+    return np.concatenate([[0.0, 1e-300, 1e-12], draws, [1 - 2**-53]])
+
+
+class TestBetaQuantile:
+    @staticmethod
+    def quantile(a, b, u):
+        return BetaSpec(a, b, 0.0, 1.0).quantile(u)
+
+    @pytest.mark.parametrize("a, b", QUANTILE_SHAPES)
+    def test_matches_scipy(self, a, b):
+        # u = 1e-300 is left to test_far_lower_tail
+        u = np.delete(uniforms(), 1)
+        x = self.quantile(a, b, u)
+        np.testing.assert_allclose(x, betaincinv(a, b, u), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("a, b", QUANTILE_SHAPES)
+    def test_far_lower_tail(self, a, b):
+        # at u = 1e-300 scipy returns nan for Beta(2, 5) and Beta(3, 3), and
+        # for Beta(0.5, 0.7) the smallest normal float, whose quantile is
+        # 1.6e-600. There I_x(a, b) = x^a / (a B(a, b)) (1 + O(x)), so the
+        # quantile is (u a B)^(1/a) to within about x relatively: 0 for
+        # Beta(0.5, 0.7), at most 7e-26 for the others
+        expected = (1e-300 * a * beta(a, b)) ** (1.0 / a)
+        np.testing.assert_allclose(self.quantile(a, b, 1e-300), expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("a, b", QUANTILE_SHAPES)
+    def test_in_unit_interval_and_nondecreasing(self, a, b):
+        x = self.quantile(a, b, np.append(uniforms(1), 1.0))
+        assert np.all((0.0 <= x) & (x <= 1.0))
+        assert np.all(np.diff(x) >= 0.0)
+        assert x[0] == 0.0 and x[-1] == 1.0
+
+    def test_keeps_the_shape_of_u(self):
+        u = np.random.default_rng(2).random((3, 4))
+        x = self.quantile(2.0, 5.0, u)
+        assert x.shape == (3, 4)
+        np.testing.assert_array_equal(x.ravel(), self.quantile(2.0, 5.0, u.ravel()))
 
 
 class TestParamPrior:

@@ -137,15 +137,15 @@ def test_traced_experiment_counts_one_sweep_of_trials(tmp_path, monkeypatch):
 # the dataset and library keys of each benchmark workload's config at seed 101
 WORKLOAD_KEYS = {
     "wide_library": (
-        "b13d7ffcaf0d385debaa07cd2c12b8e321c3a86484bbae65f9d911116f529504",
+        "d64db32dee49d64710651e31f3f86dc31f0c9826f598724f6b4583572d7823a2",
         "36622c9853a7a96f28b3ac81f82e49b782105c4be6d5240e009b7bd347fb02de",
     ),
     "deep_dataset": (
-        "9903970b6500ff0d932e6fca12535f8a95636e8b76ac7a31a60ea59e124902e3",
+        "59dde7ac192a1466166f8e2e460988f535a5a2c70d9649cb682ba6128844cf89",
         "a2dbb1e7bd2a07aaaede24183b2eda4bd5b893ee1e6f429277e5a6e1e58f4a64",
     ),
     "toy": (
-        "8f5fa5909e8da4417b5931792f2500fda558e4029c28f3515159d8a8ed87a448",
+        "bf2cfc9e8342bafb38df066e45c9bb78f0e19f2e5debcf8fd28afccfb0cfa3e4",
         "a2dbb1e7bd2a07aaaede24183b2eda4bd5b893ee1e6f429277e5a6e1e58f4a64",
     ),
 }
